@@ -19,7 +19,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from volswitch.bsgarch import ContractSpec, StateVector
+from volswitch.bsgarch import ContractSpec
 from volswitch.config import config_from_text
 from volswitch.marketdata import generate_synthetic, truth_to_quotes, write_chain, write_truth_states
 
@@ -53,7 +53,7 @@ def main():
         model,
         n_steps=STEPS,
         s0=100.0,
-        x0=StateVector(v=cfg.v0, r=cfg.r0),
+        x0=(cfg.v0, cfg.r0),
         seed=SEED,
         start_date=START,
     )

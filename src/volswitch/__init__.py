@@ -16,8 +16,6 @@ from .bsgarch import (
     GarchParams,
     ModelSpec,
     NoiseSpec,
-    StateVector,
-    bs_price,
 )
 from .calibrate import GarchFit, fit_garch
 from .config import RunConfig, load_config
@@ -64,10 +62,8 @@ __all__ = [
     "ReportBundle",
     "RunConfig",
     "SigmaPointParams",
-    "StateVector",
     "SwitchDecision",
     "SyntheticTruth",
-    "bs_price",
     "build_series",
     "fit_garch",
     "forecast_one_step",

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bsgarch import BsGarchModel, ExogenousInputs, StateVector, bs_price, gbm_propagate, transition
+from .bsgarch import BsGarchModel, ExogenousInputs, gbm_propagate
 from .calibrate import GarchFit, fit_garch, log_returns
 from .config import RunConfig
 from .exceptions import ContractExpiredError, InsufficientDataError, InvalidInputError
@@ -60,30 +60,26 @@ def rmse(observed, forecast, strike: float) -> float:
     return math.sqrt(float(np.mean((obs - fc) ** 2)) / strike)
 
 
-def _forecast_from_estimate(estimate, ex: ExogenousInputs, model) -> float:
-    tau_next = ex.tau - model.dt
+def _forecast_from_estimate(estimate, ex: ExogenousInputs, model: BsGarchModel) -> float:
+    tau_next = ex.tau - model.spec.dt
     if tau_next < 0.0:
         raise ContractExpiredError(f"contract expires before the next step (tau={ex.tau:.4e})")
-    state = StateVector(v=max(float(estimate[0]), 0.0), r=float(estimate[1]))
-    s_next = gbm_propagate(ex.s, state.r, state.v, model.dt, shock=0.0)
+    x = np.array([max(float(estimate[0]), 0.0), float(estimate[1])])
+    s_next = gbm_propagate(ex.s, x[1], x[0], model.spec.dt, shock=0.0)
     ex_next = ExogenousInputs(
         s=s_next, u=math.log(s_next / ex.s), tau=tau_next, contract=ex.contract
     )
-    x_next = transition(state, ex_next, model, np.zeros(2))
-    contract = ex.contract if ex.contract is not None else model.contract
-    return bs_price(x_next, ex_next, contract, model.annualization)
+    return fitted_price(model.transition(x, ex_next), ex_next, model)
 
 
-def forecast_one_step(decision: SwitchDecision, ex: ExogenousInputs, model) -> float:
+def forecast_one_step(decision: SwitchDecision, ex: ExogenousInputs, model: BsGarchModel) -> float:
     """Price forecast for the next step from the current switched state."""
     return _forecast_from_estimate(decision.estimate, ex, model)
 
 
-def fitted_price(estimate, ex: ExogenousInputs, model) -> float:
-    """Model price at the current step's inputs for a state estimate."""
-    state = StateVector(v=max(float(estimate[0]), 0.0), r=float(estimate[1]))
-    contract = ex.contract if ex.contract is not None else model.contract
-    return bs_price(state, ex, contract, model.annualization)
+def fitted_price(estimate, ex: ExogenousInputs, model: BsGarchModel) -> float:
+    """Model price at the current step's inputs for a state estimate (variance floored at 0)."""
+    return float(model.measurement(estimate, ex)[0])
 
 
 @dataclass
@@ -178,13 +174,13 @@ def run_backtest(
             garch_beta=garch_fit.params.beta,
         )
 
-    model = cfg_used.model_spec(series.contract)
+    model = BsGarchModel(cfg_used.model_spec(series.contract))
     mode, bank = strategy_bank(strategy)
     settings = cfg_used.estimation_settings(mode=mode, filters=bank, seed=seed)
 
     observations = [p.quote.price for p in points]
     exogenous = [p.ex for p in points]
-    records = run_adaptive_estimation(observations, exogenous, BsGarchModel(model), settings)
+    records = run_adaptive_estimation(observations, exogenous, model, settings)
     for rec, date in zip(records, dates):
         rec.date = date.isoformat()
         rec.fitted_price = fitted_price(rec.estimate, exogenous[rec.t], model)
@@ -238,7 +234,7 @@ def run_backtest(
         }
 
     freq = frequency_counts(records, mode, strategy)
-    annualization = model.annualization
+    annualization = model.spec.annualization
     volatility = [
         (r.t, r.date, math.sqrt(max(r.estimate[0], 0.0) * annualization)) for r in records
     ]

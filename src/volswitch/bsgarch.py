@@ -8,25 +8,22 @@ see ``ModelSpec.risk_transition``), and the observation is the
 Black-Scholes price of one option contract evaluated at the annualized
 volatility sigma = sqrt(A * v), A = 1/dt.
 
-All pricing and transition math lives in vectorized kernels; the public
-scalar operations and the ``BsGarchModel`` adapter share them.
+All pricing and transition math lives in vectorized kernels behind the
+``BsGarchModel`` adapter; single states go through its one-row wrappers
+(``model.transition``, ``model.measurement``).
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtr
 
-from .exceptions import (
-    CovarianceError,
-    DegenerateGradientError,
-    InvalidInputError,
-)
-from .linalg import regularized_inverse, symmetrize
+from .exceptions import InvalidInputError
+from .linalg import symmetrize
 from .ssm import StateSpaceModel
 
 logger = logging.getLogger(__name__)
@@ -36,29 +33,11 @@ logger = logging.getLogger(__name__)
 V_FLOOR = 1e-8
 GRAD_V_FLOOR = 2e-8
 
-DEFAULT_ANNUALIZATION = 252.0
-
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
 # ---------------------------------------------------------------------------
 # types
-
-
-@dataclass(frozen=True)
-class StateVector:
-    """Estimation target: per-step return variance v and annualized rate r."""
-
-    v: float
-    r: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.v, self.r], dtype=float)
-
-    @classmethod
-    def from_array(cls, x) -> "StateVector":
-        x = np.asarray(x, dtype=float)
-        return cls(v=float(x[0]), r=float(x[1]))
 
 
 @dataclass(frozen=True)
@@ -217,89 +196,7 @@ def _transition_kernel(v, r, u, garch: GarchParams, risk_transition: str, noise_
 
 
 # ---------------------------------------------------------------------------
-# scalar operations
-
-
-def _require_finite(name, *vals):
-    if not all(np.isfinite(vals)):
-        raise InvalidInputError(f"non-finite {name}")
-
-
-def bs_price(
-    state: StateVector,
-    ex: ExogenousInputs,
-    contract: ContractSpec,
-    annualization: float = DEFAULT_ANNUALIZATION,
-) -> float:
-    """Black-Scholes price of ``contract`` at underlying ``ex.s`` and expiry ``ex.tau``.
-
-    Volatility comes from the state's per-step variance: sigma = sqrt(A * v).
-    tau == 0 returns intrinsic value; v == 0 returns the zero-vol limit.
-    """
-    _require_finite("pricing inputs", state.v, state.r, ex.s, ex.tau, contract.strike, annualization)
-    if state.v < 0.0:
-        raise InvalidInputError("variance must be non-negative")
-    if annualization <= 0.0:
-        raise InvalidInputError("annualization must be positive")
-    return float(
-        _price_kernel(state.v, state.r, ex.s, contract.strike, ex.tau, contract.is_call, annualization)
-    )
-
-
-def bs_measurement_jacobian(
-    state: StateVector,
-    ex: ExogenousInputs,
-    contract: ContractSpec,
-    annualization: float = DEFAULT_ANNUALIZATION,
-) -> np.ndarray:
-    """Gradient [dBS/dv, dBS/dr] as a 1x2 row.
-
-    Raises ``DegenerateGradientError`` at or below the variance floor and at
-    expiry; callers substitute a floored state (see ``BsGarchModel``).
-    """
-    _require_finite("gradient inputs", state.v, state.r, ex.s, ex.tau, contract.strike, annualization)
-    if state.v <= V_FLOOR or ex.tau <= 0.0:
-        raise DegenerateGradientError(
-            f"gradient undefined at v={state.v:.3e}, tau={ex.tau:.3e}"
-        )
-    d_v, d_r = _gradient_kernel(
-        state.v, state.r, ex.s, contract.strike, ex.tau, contract.is_call, annualization
-    )
-    return np.array([[float(d_v), float(d_r)]])
-
-
-def transition(state: StateVector, ex: ExogenousInputs, model: ModelSpec, noise_sample) -> StateVector:
-    """One GARCH step: v' = omega + alpha u^2 + beta v + w_v (floored), rate per mode."""
-    noise = np.asarray(noise_sample, dtype=float)
-    if noise.shape != (2,):
-        raise InvalidInputError("noise_sample must be a 2-vector")
-    _require_finite("transition inputs", state.v, state.r, ex.u, *noise)
-    v_next, r_next = _transition_kernel(
-        state.v, state.r, ex.u, model.garch, model.risk_transition, noise[0], noise[1]
-    )
-    return StateVector(v=float(v_next), r=float(r_next))
-
-
-def transition_jacobian(state: StateVector, model: ModelSpec) -> np.ndarray:
-    """State Jacobian of the transition; constant for this model."""
-    if model.risk_transition == "literal":
-        return np.array([[model.garch.beta, 0.0], [model.garch.beta, 1.0]])
-    return np.array([[model.garch.beta, 0.0], [0.0, 1.0]])
-
-
-def transition_density(
-    next_state: StateVector, prev_state: StateVector, ex: ExogenousInputs, model: ModelSpec
-) -> float:
-    """Log N(next_state; f(prev_state), Q) under the model's process noise."""
-    mean = transition(prev_state, ex, model, np.zeros(2))
-    dev = next_state.as_array() - mean.as_array()
-    q = model.noise.q
-    q_inv = regularized_inverse(q, err=CovarianceError)
-    sign, logdet = np.linalg.slogdet(q)
-    if sign <= 0:
-        raise CovarianceError("process covariance has non-positive determinant")
-    quad = float(dev @ q_inv @ dev)
-    return -0.5 * (2.0 * math.log(2.0 * math.pi) + logdet + quad)
+# spot propagation
 
 
 def gbm_propagate(s: float, r: float, v: float, dt: float, shock: float = 0.0) -> float:
@@ -308,7 +205,8 @@ def gbm_propagate(s: float, r: float, v: float, dt: float, shock: float = 0.0) -
     With sigma = sqrt(v/dt) the log-increment reduces to
     r*dt - v/2 + sqrt(v)*shock. dt == 0 is a zero-length step: s unchanged.
     """
-    _require_finite("gbm inputs", s, r, v, dt, shock)
+    if not all(np.isfinite((s, r, v, dt, shock))):
+        raise InvalidInputError("non-finite gbm inputs")
     if s <= 0.0:
         raise InvalidInputError("spot must be positive")
     if v < 0.0 or dt < 0.0:

@@ -122,7 +122,7 @@ def _cmd_simulate(args) -> None:
     cfg = _load_cfg(args)
     if args.expiry_steps < args.steps - 1:
         raise InvalidInputError("--expiry-steps must reach at least the last simulated step")
-    from .bsgarch import ContractSpec, StateVector
+    from .bsgarch import ContractSpec
 
     contract = ContractSpec(strike=args.strike, expiry_step=args.expiry_steps)
     model = cfg.model_spec(contract)
@@ -130,7 +130,7 @@ def _cmd_simulate(args) -> None:
         model,
         n_steps=args.steps,
         s0=args.s0,
-        x0=StateVector(v=cfg.v0, r=cfg.r0),
+        x0=(cfg.v0, cfg.r0),
         seed=args.seed,
         start_date=args.start_date,
     )

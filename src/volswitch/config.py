@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .bsgarch import ContractSpec, GarchParams, ModelSpec, NoiseSpec
+from .bsgarch import RISK_TRANSITION_MODES, ContractSpec, GarchParams, ModelSpec, NoiseSpec
 from .exceptions import FormatError, InvalidInputError
 from .filters import FILTER_ORDER, SigmaPointParams
 from .switching import EstimationSettings
@@ -117,6 +117,24 @@ _KEY_MAP = {
 _COLUMNS_PREFIX = "data.columns."
 
 
+def _positive(v) -> bool:
+    return bool(np.isfinite(v)) and v > 0.0
+
+
+# checks on values read from a file, each reported at the line that set it
+_CHECKS = (
+    ("pf_particles", lambda v: v >= 2, "must be at least 2"),
+    ("pcrlb_particles", lambda v: v >= 2, "must be at least 2"),
+    ("ess_threshold", lambda v: 0.0 <= v <= 1.0, "must lie in [0, 1]"),
+    ("ukf_alpha", _positive, "must be positive"),
+    ("q11", _positive, "must be positive and finite"),
+    ("q22", _positive, "must be positive and finite"),
+    ("noise_r", _positive, "must be positive and finite"),
+    ("dt", _positive, "must be positive"),
+    ("risk_transition", lambda v: v in RISK_TRANSITION_MODES, f"must be one of {RISK_TRANSITION_MODES}"),
+)
+
+
 def _normalize(key: str) -> str:
     return key.strip().lower().replace("-", "_")
 
@@ -138,6 +156,7 @@ def parse_pairs(text: str, source: str = "<config>"):
 def config_from_text(text: str, source: str = "<config>") -> RunConfig:
     cfg = RunConfig()
     updates = {}
+    where = {}  # attribute -> (line number, key as written)
     columns = {}
     for lineno, key, value in parse_pairs(text, source):
         norm = _normalize(key)
@@ -151,15 +170,16 @@ def config_from_text(text: str, source: str = "<config>") -> RunConfig:
             updates[attr] = conv(value)
         except ValueError as e:
             raise FormatError(f"{source}:{lineno}: bad value for {key!r}: {e}") from e
+        where[attr] = (lineno, key)
     if columns:
         updates["columns"] = columns
     cfg = replace(cfg, **updates)
-    # surface invalid numeric combinations immediately
+    # surface invalid values immediately; the defaults all pass
+    for attr, ok, what in _CHECKS:
+        if attr in where and not ok(updates[attr]):
+            lineno, key = where[attr]
+            raise InvalidInputError(f"{source}:{lineno}: {key!r} {what}, got {updates[attr]!r}")
     cfg.garch_params()
-    if cfg.dt <= 0.0 or not np.isfinite(cfg.dt):
-        raise InvalidInputError("dt must be positive")
-    if cfg.risk_transition not in ("random-walk", "literal"):
-        raise InvalidInputError(f"unknown risk-transition {cfg.risk_transition!r}")
     return cfg
 
 

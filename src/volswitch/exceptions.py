@@ -9,10 +9,6 @@ class InvalidInputError(EstimationError):
     """Malformed inputs: non-finite values, bad shapes, violated preconditions."""
 
 
-class DegenerateGradientError(EstimationError):
-    """Measurement gradient undefined: variance at/below floor or expired contract."""
-
-
 class CovarianceError(EstimationError):
     """A covariance matrix is singular or cannot be factorized after regularization."""
 

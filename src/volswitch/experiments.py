@@ -9,50 +9,27 @@ seed for every strategy.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bsgarch import BsGarchModel, ContractSpec, GarchParams, ModelSpec, NoiseSpec, StateVector
+from .bsgarch import BsGarchModel, ContractSpec
+from .config import RunConfig
 from .exceptions import InvalidInputError
-from .filters import SigmaPointParams
 from .marketdata import SyntheticTruth, generate_synthetic
-from .switching import EstimationSettings, run_adaptive_estimation
+from .switching import run_adaptive_estimation
 from .backtest import strategy_bank
 
 logger = logging.getLogger(__name__)
 
-
-@dataclass(frozen=True)
-class SyntheticRegime:
-    """Simulation setup shared by every strategy in a comparison run."""
-
-    s0: float = 100.0
-    v0: float = 1.6e-4  # ~20% annualized at daily steps
-    r0: float = 0.02
-    garch: GarchParams = field(default_factory=lambda: GarchParams(8e-6, 0.10, 0.85))
-    q11: float = 6.4e-11
-    q22: float = 1.6e-7
-    obs_noise: float = 0.0025
-    moneyness: float = 1.0  # strike / s0
-    expiry_step: int = 252
-    dt: float = 1.0 / 252.0
-    p0_v: float = 1e-8
-    p0_r: float = 1e-4
-
-    def model_spec(self) -> ModelSpec:
-        contract = ContractSpec(strike=self.moneyness * self.s0, expiry_step=self.expiry_step)
-        noise = NoiseSpec(q=np.diag([self.q11, self.q22]), r=self.obs_noise)
-        return ModelSpec(garch=self.garch, contract=contract, noise=noise, dt=self.dt)
-
-    def x0(self) -> StateVector:
-        return StateVector(v=self.v0, r=self.r0)
-
-    def initial_belief(self):
-        return np.array([self.v0, self.r0]), np.diag([self.p0_v, self.p0_r])
-
-
-DEFAULT_REGIME = SyntheticRegime()
+# Simulation setup shared by every strategy in a comparison run: ~20%
+# annualized volatility at daily steps, an at-the-money call one year out.
+SYNTHETIC_CONFIG = RunConfig(
+    garch_omega=8e-6, garch_alpha=0.10, garch_beta=0.85,
+    q11=6.4e-11, q22=1.6e-7, noise_r=0.0025, v0=1.6e-4, r0=0.02,
+)
+SYNTHETIC_S0 = 100.0
+SYNTHETIC_CONTRACT = ContractSpec(strike=100.0, expiry_step=252)
 
 
 def state_errors(records, truth: SyntheticTruth) -> np.ndarray:
@@ -87,34 +64,22 @@ class ComparisonResult:
 def run_synthetic_comparison(
     seed: int,
     n_steps: int = 150,
-    regime: SyntheticRegime = DEFAULT_REGIME,
     strategies=("EKF", "UKF", "PF", "AAF"),
     pf_particles: int = 500,
     pcrlb_particles: int = 400,
-    sigma_params: SigmaPointParams | None = None,
 ) -> ComparisonResult:
     """One seed, one truth, every strategy estimated on the same observations."""
-    model = regime.model_spec()
-    truth = generate_synthetic(model, n_steps, regime.s0, regime.x0(), seed=seed)
-    x0, p0 = regime.initial_belief()
+    cfg = replace(SYNTHETIC_CONFIG, pf_particles=pf_particles, pcrlb_particles=pcrlb_particles)
+    spec = cfg.model_spec(SYNTHETIC_CONTRACT)
+    truth = generate_synthetic(spec, n_steps, SYNTHETIC_S0, (cfg.v0, cfg.r0), seed=seed)
+    model = BsGarchModel(spec)
 
     rmse_by_strategy = {}
     counts = {}
     for strategy in strategies:
         mode, bank = strategy_bank(str(strategy).upper())
-        settings = EstimationSettings(
-            x0=x0,
-            p0=p0,
-            mode=mode,
-            filters=bank,
-            pf_particles=pf_particles,
-            pcrlb_particles=pcrlb_particles,
-            sigma_params=sigma_params or SigmaPointParams(),
-            seed=seed,
-        )
-        records = run_adaptive_estimation(
-            truth.observations, truth.exogenous, BsGarchModel(model), settings
-        )
+        settings = cfg.estimation_settings(mode=mode, filters=bank, seed=seed)
+        records = run_adaptive_estimation(truth.observations, truth.exogenous, model, settings)
         rmse_by_strategy[str(strategy)] = state_rmse(records, truth)
         if len(bank) > 1:
             tally: dict = {}

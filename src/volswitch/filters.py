@@ -173,6 +173,20 @@ def normalize_logweights(logw: np.ndarray):
 # filter updates
 
 
+def _kalman_gain(s_mat: np.ndarray, cross: np.ndarray) -> np.ndarray:
+    """Gain cross @ S^-1 for innovation covariance S and state-measurement cross covariance."""
+    if not np.all(np.isfinite(s_mat)):
+        raise NumericalFailureError("non-finite innovation covariance")
+    if s_mat.shape == (1, 1):
+        if s_mat[0, 0] <= 0.0:
+            raise NumericalFailureError("non-positive innovation covariance")
+        return cross / s_mat[0, 0]
+    try:
+        return np.linalg.solve(s_mat, cross.T).T
+    except np.linalg.LinAlgError as e:
+        raise NumericalFailureError("innovation covariance not invertible") from e
+
+
 def ekf_update(prior: GaussianBelief, obs, ex, model) -> GaussianBelief:
     """First-order filter: linearize transition at the prior mean, measurement at the prediction."""
     obs = np.atleast_1d(np.asarray(obs, dtype=float))
@@ -184,18 +198,7 @@ def ekf_update(prior: GaussianBelief, obs, ex, model) -> GaussianBelief:
     y_pred = model.measurement(x_pred, ex)
     innov = obs - y_pred
     r = model.measurement_cov()
-    s_mat = h @ p_pred @ h.T + r
-    if not np.all(np.isfinite(s_mat)):
-        raise NumericalFailureError("non-finite innovation covariance")
-    if s_mat.shape == (1, 1):
-        if s_mat[0, 0] <= 0.0:
-            raise NumericalFailureError("non-positive innovation covariance")
-        gain = (p_pred @ h.T) / s_mat[0, 0]
-    else:
-        try:
-            gain = np.linalg.solve(s_mat, (p_pred @ h.T).T).T
-        except np.linalg.LinAlgError as e:
-            raise NumericalFailureError("innovation covariance not invertible") from e
+    gain = _kalman_gain(h @ p_pred @ h.T + r, p_pred @ h.T)
 
     x_post = model.project(x_pred + gain @ innov)
     i_kh = np.eye(x_post.size) - gain @ h
@@ -254,17 +257,7 @@ def ukf_update(prior: GaussianBelief, obs, ex, model, sp: SigmaPointParams = Sig
     r = model.measurement_cov()
     s_mat = (z_dev * wc2[:, None]).T @ z_dev + r
     p_xz = (x_dev * wc2[:, None]).T @ z_dev
-    if not np.all(np.isfinite(s_mat)):
-        raise NumericalFailureError("non-finite innovation covariance")
-    if s_mat.shape == (1, 1):
-        if s_mat[0, 0] <= 0.0:
-            raise NumericalFailureError("non-positive innovation covariance")
-        gain = p_xz / s_mat[0, 0]
-    else:
-        try:
-            gain = np.linalg.solve(s_mat, p_xz.T).T
-        except np.linalg.LinAlgError as e:
-            raise NumericalFailureError("innovation covariance not invertible") from e
+    gain = _kalman_gain(s_mat, p_xz)
 
     x_post = model.project(x_pred + gain @ (obs - z_pred))
     p_post = floor_psd(p_pred - gain @ s_mat @ gain.T)

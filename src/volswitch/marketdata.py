@@ -22,15 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bsgarch import (
-    ContractSpec,
-    ExogenousInputs,
-    ModelSpec,
-    StateVector,
-    bs_price,
-    gbm_propagate,
-    transition,
-)
+from .bsgarch import BsGarchModel, ContractSpec, ExogenousInputs, ModelSpec, gbm_propagate
 from .exceptions import FormatError, InsufficientDataError, InvalidInputError, SchemaError
 from .linalg import safe_cholesky
 
@@ -383,14 +375,15 @@ def generate_synthetic(
     model: ModelSpec,
     n_steps: int,
     s0: float,
-    x0: StateVector,
+    x0: tuple[float, float],
     seed: int = 0,
     start_date: dt.date | None = None,
 ) -> SyntheticTruth:
     """Simulate the full model forward: GBM spot, GARCH states, noisy prices.
 
-    The contract expires ``model.contract.expiry_step`` steps after t=0, so
-    it must not expire before the simulation ends.
+    ``x0`` is the initial state (v, r). The contract expires
+    ``model.contract.expiry_step`` steps after t=0, so it must not expire
+    before the simulation ends.
     """
     if n_steps < 1:
         raise InvalidInputError("n_steps must be positive")
@@ -406,7 +399,8 @@ def generate_synthetic(
     obs = np.empty(n_steps)
     exogenous = []
 
-    state = StateVector(v=max(x0.v, 0.0), r=x0.r)
+    adapter = BsGarchModel(model)
+    x = np.array([max(float(x0[0]), 0.0), float(x0[1])])
     spot = float(s0)
     u = 0.0
     for t in range(n_steps):
@@ -414,15 +408,14 @@ def generate_synthetic(
         if t > 0:
             prev_spot = spot
             shock = rng.standard_normal()
-            spot = gbm_propagate(prev_spot, state.r, state.v, model.dt, shock)
+            spot = gbm_propagate(prev_spot, x[1], x[0], model.dt, shock)
             u = math.log(spot / prev_spot)
             ex = ExogenousInputs(s=spot, u=u, tau=tau)
-            noise = chol_q @ rng.standard_normal(2)
-            state = transition(state, ex, model, noise)
+            x = adapter.transition(x, ex, chol_q @ rng.standard_normal(2))
         else:
             ex = ExogenousInputs(s=spot, u=u, tau=tau)
-        price = bs_price(state, ex, model.contract, model.annualization)
-        states[t] = (state.v, state.r)
+        price = float(adapter.measurement(x, ex)[0])
+        states[t] = x
         spots[t] = spot
         clean[t] = price
         obs[t] = price + meas_std * rng.standard_normal()

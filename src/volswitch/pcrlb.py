@@ -28,11 +28,9 @@ against a direct inverse; the direct inverse wins on disagreement.
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .exceptions import (
     CovarianceError,
@@ -47,14 +45,12 @@ from .filters import (
     likelihood_logweights,
     normalize_logweights,
     propagate_cloud,
-    systematic_resample,
 )
 from .linalg import floor_psd, regularized_inverse, safe_cholesky, symmetrize
 
 logger = logging.getLogger(__name__)
 
 INVERSE_CONSISTENCY_TOL = 1e-6
-_PAIRWISE_CHUNK = 512
 
 
 @dataclass
@@ -103,76 +99,6 @@ def seed_particles(belief: GaussianBelief, n: int, rng: np.random.Generator, mod
     if model is not None:
         draws = model.project_batch(draws)
     return ParticleCloud.uniform(draws)
-
-
-def _pairwise_smoothing_terms(x_next: np.ndarray, means: np.ndarray, q_inv: np.ndarray, log_norm: float):
-    """Row logsumexp of log N(x_next[i]; means[m], Q) plus the matched diagonal.
-
-    Chunked so the n x n density matrix never materializes in full.
-    """
-    n = x_next.shape[0]
-    qa = np.einsum("ni,ij,nj->n", x_next, q_inv, x_next)
-    qb = np.einsum("mi,ij,mj->m", means, q_inv, means)
-    cross_diag = np.einsum("ni,ij,nj->n", x_next, q_inv, means)
-    log_diag = -0.5 * (qa + qb - 2.0 * cross_diag) + log_norm
-    row_lse = np.empty(n)
-    for start in range(0, n, _PAIRWISE_CHUNK):
-        stop = min(start + _PAIRWISE_CHUNK, n)
-        cross = x_next[start:stop] @ q_inv @ means.T
-        quad = qa[start:stop, None] + qb[None, :] - 2.0 * cross
-        row_lse[start:stop] = logsumexp(-0.5 * quad + log_norm, axis=1)
-    return row_lse, log_diag
-
-
-def joint_smoothing_weights(filtered_t: ParticleCloud, filtered_t1: ParticleCloud, ex, model) -> np.ndarray:
-    """Normalized weights W pairing filtered_t[i] with filtered_t1[i].
-
-    W_i is proportional to p(x_{t+1}^i | x_t^i) divided by the mixture
-    density (1/n) sum_m p(x_{t+1}^i | x_t^m): the importance correction for
-    the fact that the filtered particles at t+1 were drawn from the mixture
-    over all ancestors, not from their index-matched partner.
-
-    The correction is only right if filtered_t1[i] was drawn independently
-    of filtered_t[i]. Resampled indices come back sorted, so a resampled
-    cloud taken as is keeps most particles next to their own ancestor, and
-    the weights then bias any D block that depends on the particles. Shuffle
-    such a cloud first. ``pcrlb_step`` does not use this estimator; it pairs
-    each predicted particle with its ancestor directly.
-    """
-    if filtered_t.n != filtered_t1.n:
-        raise InvalidInputError("filtered clouds must have equal particle counts")
-    q = model.process_cov()
-    q_inv = regularized_inverse(q, err=CovarianceError)
-    sign, logdet = np.linalg.slogdet(q)
-    if sign <= 0:
-        raise CovarianceError("process covariance has non-positive determinant")
-    s = filtered_t.particles.shape[1]
-    log_norm = -0.5 * (s * math.log(2.0 * math.pi) + logdet)
-    means = model.transition_batch(filtered_t.particles, ex)
-    row_lse, log_diag = _pairwise_smoothing_terms(filtered_t1.particles, means, q_inv, log_norm)
-    # the 1/n mixture constant cancels in the final normalization
-    w, degenerate = normalize_logweights(log_diag - row_lse)
-    if degenerate:
-        logger.warning("smoothing weights underflowed; uniform fallback")
-    return w
-
-
-def smoothing_weights(
-    filtered_t: ParticleCloud,
-    filtered_t1: ParticleCloud,
-    ex,
-    model,
-    rng: np.random.Generator,
-) -> SmoothedPair:
-    """Resampled joint pairs approximating p(x_t, x_{t+1} | y_{1:t+1}) with uniform weights."""
-    w = joint_smoothing_weights(filtered_t, filtered_t1, ex, model)
-    idx = systematic_resample(w, rng)
-    n = idx.size
-    return SmoothedPair(
-        x_prev=filtered_t.particles[idx],
-        x_next=filtered_t1.particles[idx],
-        weights=np.full(n, 1.0 / n),
-    )
 
 
 def d_matrices(smoothed: SmoothedPair, predicted: ParticleCloud, ex, model) -> DTriple:

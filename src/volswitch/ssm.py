@@ -5,8 +5,8 @@ so synthetic test models (e.g. a linear-Gaussian one) run through the
 exact same code paths as the option-pricing model.
 
 Models are batch-shaped: the primitives take ``(n, s)`` arrays of states
-and return stacked results. Scalar call sites go through the thin
-single-state wrappers.
+and return stacked results. One state at a time (the EKF, forecasting,
+simulation) goes through the one-row wrappers at the end of the class.
 """
 
 from __future__ import annotations

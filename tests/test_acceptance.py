@@ -31,11 +31,6 @@ from volswitch.bsgarch import (
     GarchParams,
     ModelSpec,
     NoiseSpec,
-    StateVector,
-    bs_measurement_jacobian,
-    bs_price,
-    transition,
-    transition_jacobian,
 )
 from volswitch.cli import main
 from volswitch.config import RunConfig
@@ -85,18 +80,28 @@ def test_gate_pricing_parity_and_reference(capsys):
     sigma = rng.uniform(0.01, 0.90, n)
     tau = rng.uniform(1e-3, 3.0, n)
 
+    # the adapter only reads the contract and annualization from its spec
+    model = BsGarchModel(ModelSpec(
+        garch=GarchParams(1e-5, 0.05, 0.90),
+        contract=ContractSpec(strike=100.0, expiry_step=252),
+        noise=NoiseSpec(q=np.diag([1e-10, 1e-8]), r=1.0),
+        dt=1.0 / 252.0,
+    ))
+
+    def price(state, spot, years, contract):
+        ex = ExogenousInputs(s=spot, u=0.0, tau=years, contract=contract)
+        return float(model.measurement(state, ex)[0])
+
     worst = 0.0
     for i in range(n):
-        state = StateVector(v=sigma[i] ** 2 / 252.0, r=r[i])
-        ex = ExogenousInputs(s=s[i], u=0.0, tau=tau[i])
-        call = bs_price(state, ex, ContractSpec(strike=k[i], expiry_step=1))
-        put = bs_price(state, ex, ContractSpec(strike=k[i], expiry_step=1, is_call=False))
+        state = np.array([sigma[i] ** 2 / 252.0, r[i]])
+        call = price(state, s[i], tau[i], ContractSpec(strike=k[i], expiry_step=1))
+        put = price(state, s[i], tau[i], ContractSpec(strike=k[i], expiry_step=1, is_call=False))
         gap = abs(call - put - (s[i] - k[i] * np.exp(-r[i] * tau[i])))
         worst = max(worst, gap / s[i])
 
-    ref_state = StateVector(v=0.2 ** 2 / 252.0, r=0.05)
-    ref_ex = ExogenousInputs(s=100.0, u=0.0, tau=1.0)
-    ref = bs_price(ref_state, ref_ex, ContractSpec(strike=100.0, expiry_step=252))
+    ref_state = np.array([0.2 ** 2 / 252.0, 0.05])
+    ref = price(ref_state, 100.0, 1.0, ContractSpec(strike=100.0, expiry_step=252))
     ref_err = abs(ref - REF_CALL)
     assert abs(oracles.bs_call(100.0, 100.0, 0.05, 0.2, 1.0) - REF_CALL) < 1e-12
     mc, stderr = oracles.mc_call(100.0, 100.0, 0.05, 0.2, 1.0, n_paths=10_000_000, seed=1)
@@ -120,38 +125,33 @@ def test_gate_pricing_parity_and_reference(capsys):
 
 def test_gate_jacobians_match_finite_differences(capsys):
     t0 = time.perf_counter()
-    model = ModelSpec(
+    model = BsGarchModel(ModelSpec(
         garch=GarchParams(1e-5, 0.05, 0.90),
         contract=ContractSpec(strike=100.0, expiry_step=252),
         noise=NoiseSpec(q=np.diag([1e-10, 1e-8]), r=1.0),
         dt=1.0 / 252.0,
-    )
+    ))
     rng = np.random.default_rng(7)
     worst_meas = 0.0
     worst_trans = 0.0
     for i in range(1000):
         v = rng.uniform(2e-5, 5e-3)
         r = rng.uniform(0.002, 0.10)
-        ex = ExogenousInputs(
-            s=rng.uniform(70.0, 140.0), u=rng.uniform(-0.05, 0.05), tau=rng.uniform(0.05, 2.0)
-        )
         contract = ContractSpec(strike=100.0, expiry_step=252, is_call=bool(i % 2))
+        ex = ExogenousInputs(
+            s=rng.uniform(70.0, 140.0), u=rng.uniform(-0.05, 0.05), tau=rng.uniform(0.05, 2.0),
+            contract=contract,
+        )
         x = np.array([v, r])
         h = np.array([max(v * 1e-5, 1e-9), 1e-6])
 
-        analytic = bs_measurement_jacobian(StateVector(v, r), ex, contract).ravel()
-        fd = oracles.central_difference(
-            lambda y: bs_price(StateVector(y[0], y[1]), ex, contract), x, h
-        )
+        analytic = model.measurement_jacobian(x, ex).ravel()
+        fd = oracles.central_difference(lambda y: model.measurement(y, ex)[0], x, h)
         worst_meas = max(worst_meas, float(np.max(np.abs(fd - analytic) / np.abs(analytic))))
 
-        a_trans = transition_jacobian(StateVector(v, r), model)
+        a_trans = model.transition_jacobian(x, ex)
         fd_t = np.vstack([
-            oracles.central_difference(
-                lambda y: transition(StateVector(y[0], y[1]), ex, model, np.zeros(2)).as_array()[row],
-                x,
-                h,
-            )
+            oracles.central_difference(lambda y: model.transition(y, ex)[row], x, h)
             for row in (0, 1)
         ])
         gap = np.abs(fd_t - a_trans) / np.maximum(np.abs(a_trans), 1e-6)
@@ -433,7 +433,7 @@ def test_gate_adaptive_switching_efficacy(capsys):
 
     rows = []
     for seed in range(20):
-        truth = generate_synthetic(truth_spec, 150, 100.0, StateVector(1.6e-4, 0.02), seed=seed)
+        truth = generate_synthetic(truth_spec, 150, 100.0, (1.6e-4, 0.02), seed=seed)
         row = {}
         for fid in singles:
             s = EstimationSettings(
@@ -480,7 +480,7 @@ def test_gate_report_accounting_identities(capsys, tmp_path):
     )
     spec = cfg.model_spec(ContractSpec(strike=100.0, expiry_step=252))
     truth = generate_synthetic(
-        spec, 40, 100.0, StateVector(cfg.v0, cfg.r0), seed=7, start_date=dt.date(2019, 1, 2)
+        spec, 40, 100.0, (cfg.v0, cfg.r0), seed=7, start_date=dt.date(2019, 1, 2)
     )
     quotes = truth_to_quotes(truth, spec)
     series = build_series(quotes, 100.0, quotes[0].expiry_date)

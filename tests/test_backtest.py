@@ -1,6 +1,7 @@
 import datetime as dt
 import logging
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,18 +24,18 @@ from volswitch.backtest import (
     write_reports,
 )
 from volswitch.bsgarch import (
+    BsGarchModel,
     ContractSpec,
     ExogenousInputs,
     GarchParams,
     ModelSpec,
     NoiseSpec,
-    StateVector,
 )
-from volswitch.config import RunConfig
 from volswitch.exceptions import (
     ContractExpiredError,
     InvalidInputError,
 )
+from volswitch.experiments import SYNTHETIC_CONFIG
 from volswitch.filters import FILTER_ORDER, FilterId
 from volswitch.marketdata import (
     ContractSeries,
@@ -51,26 +52,14 @@ DT = 1.0 / 252.0
 
 
 def regime_config(**kw):
-    base = dict(
-        garch_omega=8e-6,
-        garch_alpha=0.10,
-        garch_beta=0.85,
-        q11=6.4e-11,
-        q22=1.6e-7,
-        noise_r=2.5e-3,
-        v0=1.6e-4,
-        r0=0.02,
-        pf_particles=300,
-        pcrlb_particles=150,
-    )
-    base.update(kw)
-    return RunConfig(**base)
+    """The synthetic-comparison preset with smaller particle counts."""
+    return replace(SYNTHETIC_CONFIG, **{"pf_particles": 300, "pcrlb_particles": 150, **kw})
 
 
 def synthetic_series(cfg, n_steps=40, seed=2, expiry_step=252):
     spec = cfg.model_spec(ContractSpec(strike=100.0, expiry_step=expiry_step))
     truth = generate_synthetic(
-        spec, n_steps, 100.0, StateVector(cfg.v0, cfg.r0), seed=seed,
+        spec, n_steps, 100.0, (cfg.v0, cfg.r0), seed=seed,
         start_date=dt.date(2019, 1, 2),
     )
     quotes = truth_to_quotes(truth, spec)
@@ -118,17 +107,17 @@ def fixed_point_model():
     # alpha kept non-zero: the engineered rate below zeroes the forecast's
     # median log-return, so the variance still sits at its fixed point
     garch = GarchParams(omega=1e-5, alpha=0.05, beta=0.90)
-    return ModelSpec(
+    return BsGarchModel(ModelSpec(
         garch=garch,
         contract=ContractSpec(strike=100.0, expiry_step=252),
         noise=NoiseSpec(q=np.diag([1e-10, 1e-8]), r=1.0),
         dt=DT,
-    )
+    ))
 
 
 def test_forecast_at_the_model_fixed_point_is_static():
     model = fixed_point_model()
-    v_star = model.garch.omega / (1.0 - model.garch.beta)
+    v_star = model.spec.garch.omega / (1.0 - model.spec.garch.beta)
     r = v_star / (2.0 * DT)  # makes r*dt - v/2 vanish: spot forecast = spot
     decision = SwitchDecision(
         mode="average",

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.stats import multivariate_normal
 
 import oracles
 from volswitch.bsgarch import (
@@ -16,15 +15,9 @@ from volswitch.bsgarch import (
     GarchParams,
     ModelSpec,
     NoiseSpec,
-    StateVector,
-    bs_measurement_jacobian,
-    bs_price,
     gbm_propagate,
-    transition,
-    transition_density,
-    transition_jacobian,
 )
-from volswitch.exceptions import DegenerateGradientError, InvalidInputError
+from volswitch.exceptions import InvalidInputError
 
 # Frozen from an independent 40-digit evaluation of the closed form,
 # cross-checked against a 1e7-path Monte-Carlo price (agreement ~2e-3,
@@ -36,17 +29,33 @@ REF_EX = ExogenousInputs(s=100.0, u=0.0, tau=1.0)
 
 
 def _state_for_sigma(sigma, r, annualization=252.0):
-    return StateVector(v=sigma * sigma / annualization, r=r)
+    return np.array([sigma * sigma / annualization, r])
 
 
-def default_model(risk_transition="random-walk"):
+def default_model(risk_transition="random-walk", dt=1.0 / 252.0):
     return ModelSpec(
         garch=GarchParams(omega=1e-5, alpha=0.05, beta=0.90),
         contract=REF_CONTRACT,
         noise=NoiseSpec(q=np.diag([1e-10, 1e-8]), r=1.0),
-        dt=1.0 / 252.0,
+        dt=dt,
         risk_transition=risk_transition,
     )
+
+
+MODEL = BsGarchModel(default_model())
+
+
+def price(x, ex, contract=None, model=MODEL):
+    """Adapter price of one state, under ``contract`` when given."""
+    if contract is not None:
+        ex = ExogenousInputs(s=ex.s, u=ex.u, tau=ex.tau, contract=contract)
+    return float(model.measurement(x, ex)[0])
+
+
+def gradient(x, ex, contract=None):
+    if contract is not None:
+        ex = ExogenousInputs(s=ex.s, u=ex.u, tau=ex.tau, contract=contract)
+    return MODEL.measurement_jacobian(x, ex)
 
 
 # ---------------------------------------------------------------------------
@@ -54,16 +63,15 @@ def default_model(risk_transition="random-walk"):
 
 
 def test_price_matches_frozen_reference():
-    price = bs_price(_state_for_sigma(0.2, 0.05), REF_EX, REF_CONTRACT)
-    assert price == pytest.approx(REF_CALL, abs=1e-12)
+    assert price(_state_for_sigma(0.2, 0.05), REF_EX) == pytest.approx(REF_CALL, abs=1e-12)
 
 
 @pytest.mark.parametrize("s", [60.0, 95.0, 100.0, 117.0, 180.0])
 @pytest.mark.parametrize("sigma,r,tau", [(0.15, 0.02, 0.5), (0.45, -0.01, 1.7), (0.05, 0.08, 0.04)])
 def test_price_matches_textbook_formula(s, sigma, r, tau):
     ex = ExogenousInputs(s=s, u=0.0, tau=tau)
-    call = bs_price(_state_for_sigma(sigma, r), ex, ContractSpec(strike=100.0, expiry_step=500))
-    put = bs_price(
+    call = price(_state_for_sigma(sigma, r), ex, ContractSpec(strike=100.0, expiry_step=500))
+    put = price(
         _state_for_sigma(sigma, r), ex, ContractSpec(strike=100.0, expiry_step=500, is_call=False)
     )
     assert call == pytest.approx(oracles.bs_call(s, 100.0, r, sigma, tau), rel=1e-12, abs=1e-12)
@@ -80,40 +88,31 @@ def test_price_matches_textbook_formula(s, sigma, r, tau):
 @settings(max_examples=200)
 def test_put_call_parity(s, k, sigma, r, tau):
     ex = ExogenousInputs(s=s, u=0.0, tau=tau)
-    call = bs_price(_state_for_sigma(sigma, r), ex, ContractSpec(strike=k, expiry_step=900))
-    put = bs_price(_state_for_sigma(sigma, r), ex, ContractSpec(strike=k, expiry_step=900, is_call=False))
+    call = price(_state_for_sigma(sigma, r), ex, ContractSpec(strike=k, expiry_step=900))
+    put = price(_state_for_sigma(sigma, r), ex, ContractSpec(strike=k, expiry_step=900, is_call=False))
     assert call - put == pytest.approx(s - k * math.exp(-r * tau), abs=1e-9 * max(s, k))
 
 
 def test_price_at_expiry_is_intrinsic():
     ex = ExogenousInputs(s=112.0, u=0.0, tau=0.0)
-    assert bs_price(_state_for_sigma(0.3, 0.05), ex, REF_CONTRACT) == pytest.approx(12.0, abs=1e-12)
+    assert price(_state_for_sigma(0.3, 0.05), ex) == pytest.approx(12.0, abs=1e-12)
     otm = ContractSpec(strike=130.0, expiry_step=252)
-    assert bs_price(_state_for_sigma(0.3, 0.05), ex, otm) == 0.0
+    assert price(_state_for_sigma(0.3, 0.05), ex, otm) == 0.0
 
 
 def test_price_at_zero_variance_is_deterministic_limit():
     ex = ExogenousInputs(s=100.0, u=0.0, tau=1.0)
-    state = StateVector(v=0.0, r=0.05)
     expect = max(100.0 - 100.0 * math.exp(-0.05), 0.0)
-    assert bs_price(state, ex, REF_CONTRACT) == pytest.approx(expect, abs=1e-12)
+    assert price(np.array([0.0, 0.05]), ex) == pytest.approx(expect, abs=1e-12)
 
 
 def test_price_annualization_is_variance_rescaling():
     # sigma = sqrt(A v) means (A, v) and (A', v A/A') price identically
     ex = ExogenousInputs(s=104.0, u=0.0, tau=0.7)
-    a = bs_price(StateVector(v=2e-4, r=0.03), ex, REF_CONTRACT, annualization=252.0)
-    b = bs_price(StateVector(v=2e-4 * 252.0 / 365.0, r=0.03), ex, REF_CONTRACT, annualization=365.0)
+    a = price(np.array([2e-4, 0.03]), ex)
+    daily_365 = BsGarchModel(default_model(dt=1.0 / 365.0))
+    b = price(np.array([2e-4 * 252.0 / 365.0, 0.03]), ex, model=daily_365)
     assert a == pytest.approx(b, rel=1e-12)
-
-
-def test_price_rejects_bad_inputs():
-    with pytest.raises(InvalidInputError):
-        bs_price(StateVector(v=-1e-6, r=0.05), REF_EX, REF_CONTRACT)
-    with pytest.raises(InvalidInputError):
-        bs_price(StateVector(v=math.nan, r=0.05), REF_EX, REF_CONTRACT)
-    with pytest.raises(InvalidInputError):
-        bs_price(_state_for_sigma(0.2, 0.05), REF_EX, REF_CONTRACT, annualization=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -132,30 +131,29 @@ def test_price_rejects_bad_inputs():
 def test_measurement_jacobian_matches_central_differences(is_call, v, r, s, tau):
     contract = ContractSpec(strike=100.0, expiry_step=600, is_call=is_call)
     ex = ExogenousInputs(s=s, u=0.0, tau=tau)
-
-    def price(x):
-        return bs_price(StateVector(v=float(x[0]), r=float(x[1])), ex, contract)
-
-    jac = bs_measurement_jacobian(StateVector(v=v, r=r), ex, contract)
-    fd = oracles.central_difference(price, np.array([v, r]), h=np.array([v * 1e-5, 1e-6]))
+    jac = gradient(np.array([v, r]), ex, contract)
+    fd = oracles.central_difference(
+        lambda x: price(x, ex, contract), np.array([v, r]), h=np.array([v * 1e-5, 1e-6])
+    )
     assert jac.shape == (1, 2)
     assert jac[0] == pytest.approx(fd, rel=1e-5)
 
 
 def test_measurement_jacobian_degenerate_cases():
-    with pytest.raises(DegenerateGradientError):
-        bs_measurement_jacobian(StateVector(v=V_FLOOR, r=0.05), REF_EX, REF_CONTRACT)
+    # at the floor itself the gradient is taken at GRAD_V_FLOOR; at expiry
+    # the price carries no state information and the gradient is zero
+    at_floor = gradient(np.array([V_FLOOR, 0.05]), REF_EX)
+    assert at_floor == pytest.approx(gradient(np.array([GRAD_V_FLOOR, 0.05]), REF_EX), rel=1e-13)
     expired = ExogenousInputs(s=100.0, u=0.0, tau=0.0)
-    with pytest.raises(DegenerateGradientError):
-        bs_measurement_jacobian(_state_for_sigma(0.2, 0.05), expired, REF_CONTRACT)
+    assert np.array_equal(gradient(_state_for_sigma(0.2, 0.05), expired), np.zeros((1, 2)))
 
 
 def test_vega_sign_and_rate_sensitivity_signs():
-    jac = bs_measurement_jacobian(_state_for_sigma(0.2, 0.05), REF_EX, REF_CONTRACT)
+    jac = gradient(_state_for_sigma(0.2, 0.05), REF_EX)
     assert jac[0, 0] > 0.0  # price increases with variance
     assert jac[0, 1] > 0.0  # call price increases with the rate
     put = ContractSpec(strike=100.0, expiry_step=252, is_call=False)
-    jac_put = bs_measurement_jacobian(_state_for_sigma(0.2, 0.05), REF_EX, put)
+    jac_put = gradient(_state_for_sigma(0.2, 0.05), REF_EX, put)
     assert jac_put[0, 0] > 0.0
     assert jac_put[0, 1] < 0.0
 
@@ -165,64 +163,48 @@ def test_vega_sign_and_rate_sensitivity_signs():
 
 
 def test_transition_arithmetic_random_walk():
-    model = default_model()
     ex = ExogenousInputs(s=100.0, u=0.01, tau=0.5)
-    out = transition(StateVector(v=2e-4, r=0.03), ex, model, np.array([1e-6, -2e-4]))
+    v, r = MODEL.transition(np.array([2e-4, 0.03]), ex, np.array([1e-6, -2e-4]))
     expect_v = 1e-5 + 0.05 * 0.01**2 + 0.90 * 2e-4 + 1e-6
-    assert out.v == pytest.approx(expect_v, rel=1e-15)
-    assert out.r == pytest.approx(0.03 - 2e-4, rel=1e-15)
+    assert v == pytest.approx(expect_v, rel=1e-15)
+    assert r == pytest.approx(0.03 - 2e-4, rel=1e-15)
 
 
 def test_transition_literal_mode_couples_rate_to_variance():
-    model = default_model(risk_transition="literal")
+    model = BsGarchModel(default_model(risk_transition="literal"))
     ex = ExogenousInputs(s=100.0, u=0.0, tau=0.5)
-    out = transition(StateVector(v=2e-4, r=0.03), ex, model, np.zeros(2))
+    v, r = model.transition(np.array([2e-4, 0.03]), ex)
     expect_v = 1e-5 + 0.90 * 2e-4
-    assert out.v == pytest.approx(expect_v, rel=1e-15)
-    assert out.r == pytest.approx(0.03 + expect_v, rel=1e-15)
+    assert v == pytest.approx(expect_v, rel=1e-15)
+    assert r == pytest.approx(0.03 + expect_v, rel=1e-15)
 
 
 def test_transition_fixed_point_without_noise():
-    model = default_model()
-    v_star = model.garch.omega / (1.0 - model.garch.beta)
+    garch = MODEL.spec.garch
+    v_star = garch.omega / (1.0 - garch.beta)
     ex = ExogenousInputs(s=100.0, u=0.0, tau=0.5)
-    out = transition(StateVector(v=v_star, r=0.02), ex, model, np.zeros(2))
-    assert out.v == pytest.approx(v_star, rel=1e-12)
-    assert out.r == 0.02
+    v, r = MODEL.transition(np.array([v_star, 0.02]), ex)
+    assert v == pytest.approx(v_star, rel=1e-12)
+    assert r == 0.02
 
 
 def test_transition_floors_variance():
-    model = ModelSpec(
+    model = BsGarchModel(ModelSpec(
         garch=GarchParams(omega=1e-12, alpha=0.0, beta=0.0),
         contract=REF_CONTRACT,
         noise=NoiseSpec(q=np.diag([1e-10, 1e-8]), r=1.0),
         dt=1.0 / 252.0,
-    )
+    ))
     ex = ExogenousInputs(s=100.0, u=0.0, tau=0.5)
-    out = transition(StateVector(v=0.0, r=0.0), ex, model, np.zeros(2))
-    assert out.v == V_FLOOR
+    assert model.transition(np.array([0.0, 0.0]), ex)[0] == V_FLOOR
 
 
 def test_transition_jacobian_modes():
-    rw = transition_jacobian(StateVector(v=1e-4, r=0.02), default_model())
+    x = np.array([1e-4, 0.02])
+    rw = MODEL.transition_jacobian(x, REF_EX)
     assert np.array_equal(rw, [[0.90, 0.0], [0.0, 1.0]])
-    lit = transition_jacobian(StateVector(v=1e-4, r=0.02), default_model("literal"))
+    lit = BsGarchModel(default_model("literal")).transition_jacobian(x, REF_EX)
     assert np.array_equal(lit, [[0.90, 0.0], [0.90, 1.0]])
-
-
-def test_transition_density_matches_scipy():
-    model = default_model()
-    ex = ExogenousInputs(s=100.0, u=0.004, tau=0.5)
-    prev = StateVector(v=1.8e-4, r=0.025)
-    mean = transition(prev, ex, model, np.zeros(2)).as_array()
-    nxt = StateVector(v=2.1e-4, r=0.028)
-    expect = multivariate_normal(mean=mean, cov=model.noise.q).logpdf(nxt.as_array())
-    assert transition_density(nxt, prev, ex, model) == pytest.approx(expect, rel=1e-10)
-
-
-def test_transition_requires_two_dim_noise():
-    with pytest.raises(InvalidInputError):
-        transition(StateVector(v=1e-4, r=0.02), REF_EX, default_model(), np.zeros(3))
 
 
 # ---------------------------------------------------------------------------
@@ -295,22 +277,28 @@ def test_adapter_batches_match_scalar_operations():
     trans = model.transition_batch(states, ex)
     assert prices.shape == (64, 1)
     assert jacs.shape == (64, 1, 2)
-    for i, row in enumerate(states):
-        state = StateVector.from_array(row)
-        assert prices[i, 0] == pytest.approx(bs_price(state, ex, model.spec.contract), rel=1e-13)
-        assert jacs[i] == pytest.approx(
-            bs_measurement_jacobian(state, ex, model.spec.contract), rel=1e-13
+    garch = model.spec.garch
+    for i, (v, r) in enumerate(states):
+        sigma = math.sqrt(v * 252.0)
+        assert prices[i, 0] == pytest.approx(oracles.bs_call(103.0, 100.0, r, sigma, 0.8), rel=1e-13)
+        fd = oracles.central_difference(
+            lambda x: oracles.bs_call(103.0, 100.0, x[1], math.sqrt(x[0] * 252.0), 0.8),
+            np.array([v, r]), h=np.array([v * 1e-5, 1e-6]),
         )
-        expect = transition(state, ex, model.spec, np.zeros(2))
-        assert trans[i] == pytest.approx(expect.as_array(), rel=1e-13)
+        assert jacs[i, 0] == pytest.approx(fd, rel=1e-5)
+        expect_v = garch.omega + garch.alpha * 0.006**2 + garch.beta * v
+        assert trans[i] == pytest.approx([expect_v, r], rel=1e-13)
 
 
 def test_adapter_gradient_substitutes_floored_state():
     model = BsGarchModel(default_model())
     ex = ExogenousInputs(s=100.0, u=0.0, tau=0.5)
     jac = model.measurement_jacobian_batch(np.array([[0.0, 0.05]]), ex)
-    expect = bs_measurement_jacobian(StateVector(v=GRAD_V_FLOOR, r=0.05), ex, model.spec.contract)
-    assert jac[0] == pytest.approx(expect, rel=1e-13)
+    fd = oracles.central_difference(
+        lambda x: oracles.bs_call(100.0, 100.0, x[1], math.sqrt(x[0] * 252.0), 0.5),
+        np.array([GRAD_V_FLOOR, 0.05]), h=np.array([GRAD_V_FLOOR * 1e-5, 1e-6]),
+    )
+    assert jac[0, 0] == pytest.approx(fd, rel=1e-5)  # vega is ~1e-48 here, d/dr ~49
 
 
 def test_adapter_gradient_is_zero_at_expiry():

@@ -3,7 +3,7 @@ import datetime as dt
 import numpy as np
 import pytest
 
-from volswitch.bsgarch import ContractSpec, StateVector
+from volswitch.bsgarch import ContractSpec
 from volswitch.cli import main
 from volswitch.config import RunConfig, load_config
 from volswitch.marketdata import (
@@ -35,7 +35,7 @@ def workdir(tmp_path):
     cfg = load_config(cfg_path)
     spec = cfg.model_spec(ContractSpec(strike=100.0, expiry_step=252))
     truth = generate_synthetic(
-        spec, 20, 100.0, StateVector(cfg.v0, cfg.r0), seed=2, start_date=dt.date(2019, 1, 2)
+        spec, 20, 100.0, (cfg.v0, cfg.r0), seed=2, start_date=dt.date(2019, 1, 2)
     )
     chain_path = tmp_path / "chain.csv"
     write_chain(chain_path, truth_to_quotes(truth, spec))
@@ -285,7 +285,7 @@ def test_calibrate_from_long_chain(tmp_path, capsys):
                     q11=6.4e-11, q22=1.6e-7, noise_r=2.5e-3)
     spec = cfg.model_spec(ContractSpec(strike=100.0, expiry_step=252))
     truth = generate_synthetic(
-        spec, 80, 100.0, StateVector(1.6e-4, 0.02), seed=3, start_date=dt.date(2019, 1, 2)
+        spec, 80, 100.0, (1.6e-4, 0.02), seed=3, start_date=dt.date(2019, 1, 2)
     )
     chain = tmp_path / "chain.csv"
     write_chain(chain, truth_to_quotes(truth, spec))

@@ -1,8 +1,11 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from volswitch.bsgarch import ContractSpec, GarchParams
-from volswitch.config import RunConfig, config_from_text, load_config, write_garch_fragment
+from volswitch.config import _KEY_MAP, RunConfig, config_from_text, load_config, write_garch_fragment
 from volswitch.exceptions import FormatError, InvalidInputError
 from volswitch.filters import FilterId
 
@@ -105,3 +108,69 @@ def test_load_config_missing_file_and_fragment_round_trip(tmp_path):
     write_garch_fragment(frag, params)
     cfg = load_config(frag)
     assert cfg.garch_params() == params
+
+
+# ---------------------------------------------------------------------------
+# values that would fail only mid-run are rejected at load, with file and line
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "filters.n_particles = 1",
+        "pcrlb.n_particles = 1",
+        "filters.ess_threshold = 1.5",
+        "filters.ess_threshold = -0.1",
+        "filters.ukf.alpha = 0",
+        "noise.q11 = -1e-10",
+        "noise.q22 = 0",
+        "noise.r = nan",
+        "noise.r = inf",
+        "risk_transition = diagonal",
+        "dt = 0",
+    ],
+)
+def test_invalid_value_is_rejected_at_its_line(line):
+    key = line.split("=")[0].strip()
+    text = f"# header\nv0 = 2e-4\n{line}\n"
+    with pytest.raises(InvalidInputError, match=rf"^run\.cfg:3: '{re.escape(key)}' "):
+        config_from_text(text, source="run.cfg")
+
+
+def test_boundary_values_are_accepted():
+    cfg = config_from_text(
+        "filters.n_particles = 2\npcrlb.n_particles = 2\n"
+        "filters.ess_threshold = 1\nfilters.ukf.alpha = 1e-6"
+    )
+    assert (cfg.pf_particles, cfg.pcrlb_particles, cfg.ess_threshold) == (2, 2, 1.0)
+
+
+def _readme_defaults():
+    """{config key: default as written} from the README configuration table."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = text.split("## Configuration", 1)[1].split("\n## ", 1)[0]
+    rows = {}
+    for line in table.splitlines():
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        if len(cells) != 3 or not cells[0].startswith("`"):
+            continue
+        keys = []
+        for part in cells[0].replace("`", "").split(", "):
+            head, *tails = part.split("/")  # garch.omega/.alpha -> garch.omega, garch.alpha
+            keys += [head] + [head.rsplit(".", 1)[0] + tail for tail in tails]
+        values = re.split(r"\s*[/,]\s*", cells[1]) if len(keys) > 1 else [cells[1]]
+        assert len(values) == len(keys), line
+        rows.update(zip(keys, values))
+    return rows
+
+
+def test_readme_defaults_match_run_config():
+    rows = _readme_defaults()
+    assert set(rows) == set(_KEY_MAP)
+    # defaults the table writes in words rather than as a config value
+    phrases = {"(0.01 · strike)²": None, "1/252": 1.0 / 252.0, "off": 0.0}
+    cfg = RunConfig()
+    for key, text in rows.items():
+        attr, conv = _KEY_MAP[key]
+        value = phrases[text] if text in phrases else conv(text)
+        assert value == getattr(cfg, attr), (key, text, getattr(cfg, attr))

@@ -4,13 +4,12 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from volswitch.bsgarch import (
     ContractSpec,
     GarchParams,
     ModelSpec,
     NoiseSpec,
-    StateVector,
-    bs_price,
 )
 from volswitch.exceptions import (
     FormatError,
@@ -259,7 +258,7 @@ def model_spec(r_var=0.04, q11=6.4e-11, q22=1.6e-7, expiry_step=252):
 
 
 def test_generate_synthetic_shapes_and_time_grid():
-    truth = generate_synthetic(model_spec(), n_steps=40, s0=100.0, x0=StateVector(1.6e-4, 0.02))
+    truth = generate_synthetic(model_spec(), n_steps=40, s0=100.0, x0=(1.6e-4, 0.02))
     assert truth.states.shape == (40, 2)
     assert truth.spots[0] == 100.0
     assert truth.exogenous[0].u == 0.0
@@ -274,16 +273,16 @@ def test_generate_synthetic_shapes_and_time_grid():
 
 
 def test_generate_synthetic_is_seed_deterministic():
-    a = generate_synthetic(model_spec(), 30, 100.0, StateVector(1.6e-4, 0.02), seed=7)
-    b = generate_synthetic(model_spec(), 30, 100.0, StateVector(1.6e-4, 0.02), seed=7)
-    c = generate_synthetic(model_spec(), 30, 100.0, StateVector(1.6e-4, 0.02), seed=8)
+    a = generate_synthetic(model_spec(), 30, 100.0, (1.6e-4, 0.02), seed=7)
+    b = generate_synthetic(model_spec(), 30, 100.0, (1.6e-4, 0.02), seed=7)
+    c = generate_synthetic(model_spec(), 30, 100.0, (1.6e-4, 0.02), seed=8)
     np.testing.assert_array_equal(a.observations, b.observations)
     assert not np.array_equal(a.observations, c.observations)
 
 
 def test_generate_synthetic_near_zero_noise_collapses_to_deterministic_model():
     spec = model_spec(r_var=1e-30, q11=1e-30, q22=1e-30)
-    truth = generate_synthetic(spec, 25, 100.0, StateVector(2e-4, 0.02), seed=3)
+    truth = generate_synthetic(spec, 25, 100.0, (2e-4, 0.02), seed=3)
     np.testing.assert_allclose(truth.observations, truth.clean_prices, atol=1e-12)
     # variance follows the noiseless GARCH recursion driven by realized returns
     v = 2e-4
@@ -292,14 +291,14 @@ def test_generate_synthetic_near_zero_noise_collapses_to_deterministic_model():
         assert truth.states[t, 0] == pytest.approx(v, rel=1e-9)
     # clean prices re-derive from the stored states
     for t in (0, 7, 24):
-        state = StateVector.from_array(truth.states[t])
-        expect = bs_price(state, truth.exogenous[t], spec.contract, spec.annualization)
+        (v, r), ex = truth.states[t], truth.exogenous[t]
+        expect = oracles.bs_call(ex.s, 100.0, r, math.sqrt(v * spec.annualization), ex.tau)
         assert truth.clean_prices[t] == pytest.approx(expect, abs=1e-12)
 
 
 def test_generate_synthetic_observation_noise_has_configured_variance():
     spec = model_spec(r_var=0.0025, expiry_step=10_100)
-    truth = generate_synthetic(spec, 10_000, 100.0, StateVector(1.6e-4, 0.02), seed=1)
+    truth = generate_synthetic(spec, 10_000, 100.0, (1.6e-4, 0.02), seed=1)
     resid = truth.observations - truth.clean_prices
     assert abs(resid.mean()) < 3.0 * math.sqrt(0.0025 / 10_000)
     assert resid.var() == pytest.approx(0.0025, rel=0.05)
@@ -307,12 +306,12 @@ def test_generate_synthetic_observation_noise_has_configured_variance():
 
 def test_generate_synthetic_rejects_contract_expiring_mid_run():
     with pytest.raises(InvalidInputError):
-        generate_synthetic(model_spec(expiry_step=10), 40, 100.0, StateVector(1.6e-4, 0.02))
+        generate_synthetic(model_spec(expiry_step=10), 40, 100.0, (1.6e-4, 0.02))
 
 
 def test_generate_synthetic_dates_are_business_days():
     truth = generate_synthetic(
-        model_spec(), 12, 100.0, StateVector(1.6e-4, 0.02),
+        model_spec(), 12, 100.0, (1.6e-4, 0.02),
         start_date=dt.date(2019, 1, 5),  # a Saturday: rolls forward to Monday
     )
     assert truth.dates[0] == dt.date(2019, 1, 7)
@@ -324,7 +323,7 @@ def test_generate_synthetic_dates_are_business_days():
 def test_truth_round_trips_through_chain_files(tmp_path):
     spec = model_spec()
     truth = generate_synthetic(
-        spec, 30, 100.0, StateVector(1.6e-4, 0.02), seed=2, start_date=dt.date(2019, 1, 2)
+        spec, 30, 100.0, (1.6e-4, 0.02), seed=2, start_date=dt.date(2019, 1, 2)
     )
     path = tmp_path / "chain.csv"
     write_chain(path, truth_to_quotes(truth, spec))
@@ -341,14 +340,14 @@ def test_truth_round_trips_through_chain_files(tmp_path):
 
 
 def test_truth_to_quotes_requires_dates():
-    truth = generate_synthetic(model_spec(), 5, 100.0, StateVector(1.6e-4, 0.02))
+    truth = generate_synthetic(model_spec(), 5, 100.0, (1.6e-4, 0.02))
     with pytest.raises(InvalidInputError):
         truth_to_quotes(truth, model_spec())
 
 
 def test_write_truth_states_layout(tmp_path):
     truth = generate_synthetic(
-        model_spec(), 4, 100.0, StateVector(1.6e-4, 0.02), start_date=dt.date(2019, 1, 2)
+        model_spec(), 4, 100.0, (1.6e-4, 0.02), start_date=dt.date(2019, 1, 2)
     )
     path = tmp_path / "truth.csv"
     write_truth_states(path, truth)

@@ -20,11 +20,9 @@ from volswitch.pcrlb import (
     FisherState,
     SmoothedPair,
     d_matrices,
-    joint_smoothing_weights,
     pcrlb_step,
     pfim_step,
     seed_particles,
-    smoothing_weights,
 )
 from volswitch.ssm import LinearGaussianModel
 
@@ -120,36 +118,10 @@ def test_joint_smoothing_weights_match_brute_force():
     x_prev = rng.standard_normal((6, 2))
     x_next = rng.standard_normal((6, 2)) * 0.3
     model = linear_model()
-    w = joint_smoothing_weights(
-        ParticleCloud.uniform(x_prev), ParticleCloud.uniform(x_next), None, model
-    )
+    w = oracles.mixture_smoothing_weights(x_next, model.transition_batch(x_prev, None), Q)
     expect = brute_force_smoothing_weights(x_prev, x_next, None, model)
     np.testing.assert_allclose(w, expect, atol=1e-12)
     assert w.sum() == pytest.approx(1.0, abs=1e-12)
-
-
-def test_joint_smoothing_weights_reject_mismatched_clouds():
-    with pytest.raises(InvalidInputError):
-        joint_smoothing_weights(
-            ParticleCloud.uniform(np.zeros((4, 2))),
-            ParticleCloud.uniform(np.zeros((5, 2))),
-            None,
-            linear_model(),
-        )
-
-
-def test_smoothing_weights_resample_to_uniform_pairs():
-    rng = np.random.default_rng(3)
-    prev = ParticleCloud.uniform(rng.standard_normal((40, 2)))
-    nxt = ParticleCloud.uniform(rng.standard_normal((40, 2)) * 0.2)
-    pair = smoothing_weights(prev, nxt, None, linear_model(), np.random.default_rng(1))
-    assert pair.n == 40
-    np.testing.assert_allclose(pair.weights, np.full(40, 1.0 / 40))
-    # resampled rows must come from the filtered clouds, index-matched
-    for i in range(pair.n):
-        j = np.flatnonzero((prev.particles == pair.x_prev[i]).all(axis=1))
-        assert j.size >= 1
-        assert np.any((nxt.particles[j] == pair.x_next[i]).all(axis=1))
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +246,7 @@ class QuadraticTransitionModel(LinearGaussianModel):
 def test_pcrlb_step_transition_blocks_are_unbiased(monkeypatch):
     # Reference: the mixture-corrected smoother applied to resampled x_{t+1}
     # shuffled out of index order, so they are independent of their
-    # index-matched x_t as joint_smoothing_weights requires. Sorted resampled
+    # index-matched x_t as the mixture correction requires. Sorted resampled
     # indices keep most x_{t+1} next to their own ancestor, which biases
     # that smoother whenever D11/D12 depend on the particles.
     model = QuadraticTransitionModel(
@@ -303,9 +275,10 @@ def test_pcrlb_step_transition_blocks_are_unbiased(monkeypatch):
         predicted = propagate_cloud(filtered_t, None, model, rng)
         w, _ = normalize_logweights(likelihood_logweights(predicted.particles, y, None, model))
         idx = rng.permutation(systematic_resample(w, rng))
-        filtered_t1 = ParticleCloud.uniform(predicted.particles[idx])
-        ws = joint_smoothing_weights(filtered_t, filtered_t1, None, model)
-        pair = SmoothedPair(x_prev=filtered_t.particles, x_next=filtered_t1.particles, weights=ws)
+        x_next = predicted.particles[idx]
+        means = model.transition_batch(filtered_t.particles, None)
+        ws = oracles.mixture_smoothing_weights(x_next, means, model.q)
+        pair = SmoothedPair(x_prev=filtered_t.particles, x_next=x_next, weights=ws)
         reference.append(d_matrices(pair, predicted, None, model))
 
     assert len(captured) == runs
