@@ -2,8 +2,9 @@
 
 Runs the default regime over many seeds and reports each strategy's
 standardized state RMSE, plus how often the average-case switch beats
-every individual filter. Slowish: each seed runs the full bank with
-per-filter information bounds.
+every individual filter. Only the switching strategies (AAF, ABF) compute
+the per-filter information bounds: a single filter has nothing to switch
+to, so its bound would go unread and is skipped.
 
     python scripts/run_synthetic_experiment.py --seeds 20 --steps 150
 """

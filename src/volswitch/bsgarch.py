@@ -240,8 +240,11 @@ class BsGarchModel(StateSpaceModel):
 
     def transition_batch(self, states, ex, noise=None):
         states = np.asarray(states, dtype=float)
-        noise_v = noise[:, 0] if noise is not None else 0.0
-        noise_r = noise[:, 1] if noise is not None else 0.0
+        noise_v = noise_r = 0.0
+        if noise is not None:
+            if np.shape(noise) != states.shape:
+                raise InvalidInputError(f"noise shape {np.shape(noise)} differs from states {states.shape}")
+            noise_v, noise_r = noise[:, 0], noise[:, 1]
         v_next, r_next = _transition_kernel(
             states[:, 0], states[:, 1], ex.u, self.spec.garch, self.spec.risk_transition, noise_v, noise_r
         )

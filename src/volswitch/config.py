@@ -179,7 +179,13 @@ def config_from_text(text: str, source: str = "<config>") -> RunConfig:
         if attr in where and not ok(updates[attr]):
             lineno, key = where[attr]
             raise InvalidInputError(f"{source}:{lineno}: {key!r} {what}, got {updates[attr]!r}")
-    cfg.garch_params()
+    try:
+        cfg.garch_params()
+    except InvalidInputError as e:
+        # the defaults pass, so a file set at least one garch.* key; the
+        # failing combination is reported at the last of them
+        lineno = max(where[a][0] for a in where if a.startswith("garch_"))
+        raise InvalidInputError(f"{source}:{lineno}: {e}") from e
     return cfg
 
 

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .exceptions import (
     CovarianceError,
@@ -158,15 +157,12 @@ def likelihood_logweights(particles: np.ndarray, obs, ex, model) -> np.ndarray:
 
 def normalize_logweights(logw: np.ndarray):
     """Return (weights, degenerate_flag); uniform fallback on total underflow."""
-    with np.errstate(invalid="ignore"):
-        total = logsumexp(logw)
-    if not np.isfinite(total):
-        return np.full(logw.size, 1.0 / logw.size), True
-    w = np.exp(logw - total)
-    s = w.sum()
-    if s <= 0.0 or not np.isfinite(s):
-        return np.full(logw.size, 1.0 / logw.size), True
-    return w / s, False
+    top = logw.max()
+    if np.isfinite(top):
+        w = np.exp(logw - top)
+        # the top entry contributes exp(0) = 1, so the sum is finite and >= 1
+        return w / w.sum(), False
+    return np.full(logw.size, 1.0 / logw.size), True
 
 
 # ---------------------------------------------------------------------------

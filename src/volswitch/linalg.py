@@ -31,6 +31,17 @@ def floor_psd(m: np.ndarray, floor: float = 0.0) -> np.ndarray:
     return symmetrize((vecs * vals) @ vecs.T)
 
 
+def _within_cond_limit(m: np.ndarray) -> bool:
+    """Whether symmetric m has a 2-norm condition number of at most COND_LIMIT.
+
+    For a symmetric matrix that number is max|λ| / min|λ|, so one
+    eigenvalue solve replaces an SVD; the zero matrix counts as infinitely
+    ill-conditioned.
+    """
+    mags = np.abs(np.linalg.eigvalsh(m))
+    return bool(0.0 < mags.max() <= COND_LIMIT * mags.min())
+
+
 def regularized_inverse(m: np.ndarray, err: type = SingularityError) -> np.ndarray:
     """Invert a symmetric matrix, adding a trace-scaled ridge when ill-conditioned.
 
@@ -50,7 +61,7 @@ def regularized_inverse(m: np.ndarray, err: type = SingularityError) -> np.ndarr
     ridge = RIDGE_SCALE * base
     attempt = m
     for _ in range(MAX_RIDGE_ESCALATIONS + 1):
-        if np.linalg.cond(attempt) <= COND_LIMIT:
+        if _within_cond_limit(attempt):
             try:
                 return np.linalg.inv(attempt)
             except np.linalg.LinAlgError:

@@ -21,6 +21,9 @@ reweighted against the next observation. The paper and the README do not
 settle which of the two is meant, and the code keeps the predictive
 average.
 
+Q^{-1} and R^{-1} are constant, so each model inverts them once
+(``StateSpaceModel.noise_precisions``) and every step reuses them.
+
 J^{-1} is formed through the matrix-inversion-lemma expansion and checked
 against a direct inverse; the direct inverse wins on disagreement.
 """
@@ -107,17 +110,16 @@ def d_matrices(smoothed: SmoothedPair, predicted: ParticleCloud, ex, model) -> D
     Transition gradients are averaged at the smoothed draws of x_t,
     measurement gradients at the predicted draws of x_{t+1}.
     """
-    q_inv = regularized_inverse(model.process_cov(), err=CovarianceError)
-    r_inv = regularized_inverse(model.measurement_cov(), err=CovarianceError)
+    q_inv, r_inv = model.noise_precisions()
 
     f_jac = model.transition_jacobian_batch(smoothed.x_prev, ex)
-    w_s = smoothed.weights
-    d11 = np.einsum("n,nji,jk,nkl->il", w_s, f_jac, q_inv, f_jac, optimize=True)
-    d12 = -np.einsum("n,nji,jk->ik", w_s, f_jac, q_inv, optimize=True)
+    fq = f_jac.transpose(0, 2, 1) @ q_inv  # F' Q^-1 per particle
+    d11 = np.tensordot(smoothed.weights, fq @ f_jac, axes=1)
+    d12 = -np.tensordot(smoothed.weights, fq, axes=1)
 
     h_jac = model.measurement_jacobian_batch(predicted.particles, ex)
-    w_p = predicted.weights
-    d22 = q_inv + np.einsum("n,nmi,mp,npj->ij", w_p, h_jac, r_inv, h_jac, optimize=True)
+    hr = h_jac.transpose(0, 2, 1) @ r_inv  # H' R^-1 per particle
+    d22 = q_inv + np.tensordot(predicted.weights, hr @ h_jac, axes=1)
 
     d11 = symmetrize(d11)
     d22 = symmetrize(d22)

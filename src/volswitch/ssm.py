@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import symmetrize
+from .exceptions import CovarianceError
+from .linalg import regularized_inverse, symmetrize
 
 
 class StateSpaceModel:
@@ -46,6 +47,19 @@ class StateSpaceModel:
     def project_batch(self, states: np.ndarray) -> np.ndarray:
         """Clamp states back onto the model's valid domain. Identity by default."""
         return states
+
+    def noise_precisions(self) -> tuple[np.ndarray, np.ndarray]:
+        """(Q^-1, R^-1), inverted on the first call and kept: the noise is constant."""
+        cached = getattr(self, "_noise_precisions", None)
+        if cached is None:
+            cached = tuple(
+                regularized_inverse(cov, err=CovarianceError)
+                for cov in (self.process_cov(), self.measurement_cov())
+            )
+            for m in cached:
+                m.flags.writeable = False
+            self._noise_precisions = cached
+        return cached
 
     # -- single-state conveniences ------------------------------------
 

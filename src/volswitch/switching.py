@@ -82,8 +82,7 @@ def perf_metric(fisher: FisherState, belief: GaussianBelief) -> PerfMetric:
     if not np.all(np.isfinite(j_inv_diag)) or np.any(j_inv_diag <= 0.0):
         raise DegenerateCovarianceError(f"non-positive bound diagonal for {fisher.filter}")
     ratio = j_inv_diag / p_diag
-    over = ratio > PHI_SLACK
-    if np.any(over):
+    if logger.isEnabledFor(logging.INFO) and np.any(ratio > PHI_SLACK):
         logger.info(
             "phi exceeds theoretical bound with slack for %s: %s",
             fisher.filter, np.array2string(ratio, precision=3),

@@ -199,6 +199,13 @@ def test_transition_floors_variance():
     assert model.transition(np.array([0.0, 0.0]), ex)[0] == V_FLOOR
 
 
+@pytest.mark.parametrize("noise_shape", [(4, 3), (3, 2)])
+def test_transition_batch_rejects_noise_of_another_shape(noise_shape):
+    states = np.tile([2e-4, 0.03], (4, 1))
+    with pytest.raises(InvalidInputError, match="noise shape"):
+        MODEL.transition_batch(states, REF_EX, np.zeros(noise_shape))
+
+
 def test_transition_jacobian_modes():
     x = np.array([1e-4, 0.02])
     rw = MODEL.transition_jacobian(x, REF_EX)

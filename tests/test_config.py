@@ -137,6 +137,16 @@ def test_invalid_value_is_rejected_at_its_line(line):
         config_from_text(text, source="run.cfg")
 
 
+def test_nonstationary_garch_is_rejected_at_its_last_line():
+    text = "garch.alpha = 0.6\ngarch.beta = 0.5\nv0 = 2e-4\n"
+    with pytest.raises(InvalidInputError, match=r"^run\.cfg:2: GARCH stationarity"):
+        config_from_text(text, source="run.cfg")
+    # order does not matter: the line reported is the last garch.* one
+    text = "garch.beta = 0.5\n# comment\ngarch.alpha = 0.6\n"
+    with pytest.raises(InvalidInputError, match=r"^run\.cfg:3: GARCH stationarity"):
+        config_from_text(text, source="run.cfg")
+
+
 def test_boundary_values_are_accepted():
     cfg = config_from_text(
         "filters.n_particles = 2\npcrlb.n_particles = 2\n"

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import softmax
 
 import oracles
 from volswitch.exceptions import InvalidInputError
@@ -144,6 +145,17 @@ def test_normalize_logweights_matches_direct_softmax(logs):
     assert w.sum() == pytest.approx(1.0, abs=1e-12)
     direct = np.exp(logw - logw.max())
     np.testing.assert_allclose(w, direct / direct.sum(), atol=1e-12)
+
+
+@given(
+    st.lists(st.one_of(st.floats(-700.0, 100.0), st.just(-np.inf)), min_size=1, max_size=50)
+    .filter(lambda logs: max(logs) > -np.inf)
+)
+def test_normalize_logweights_matches_scipy_softmax(logs):
+    logw = np.array(logs)
+    w, degenerate = normalize_logweights(logw)
+    assert not degenerate
+    np.testing.assert_allclose(w, softmax(logw), rtol=1e-15, atol=0.0)
 
 
 def test_normalize_logweights_shift_invariance():

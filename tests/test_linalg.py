@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from volswitch.exceptions import CovarianceError, SingularityError
 from volswitch.linalg import (
+    COND_LIMIT,
+    _within_cond_limit,
     floor_psd,
     regularized_inverse,
     safe_cholesky,
@@ -73,6 +75,44 @@ def test_regularized_inverse_rejects_non_finite():
 def test_regularized_inverse_custom_error_type():
     with pytest.raises(CovarianceError):
         regularized_inverse(np.full((2, 2), np.inf), err=CovarianceError)
+
+
+@given(
+    dim=st.sampled_from([2, 3]),
+    rotation_seed=st.integers(0, 2**32 - 1),
+    top_exp=st.floats(-6.0, 6.0),
+    ratio_exp=st.one_of(st.floats(0.0, 16.0), st.floats(11.9, 12.1)),
+    signs=st.lists(st.booleans(), min_size=3, max_size=3),
+)
+@settings(max_examples=300)
+def test_condition_check_agrees_with_numpy_cond(dim, rotation_seed, top_exp, ratio_exp, signs):
+    # a rotated spectrum with a chosen condition number; any sign pattern,
+    # so negative-definite and indefinite matrices are drawn too
+    assume(abs(ratio_exp - 12.0) > 0.01)  # both solvers resolve a 2% margin
+    top = 10.0**top_exp
+    mags = np.array([top, top * 10.0 ** (-ratio_exp / 2.0), top * 10.0**-ratio_exp])[-dim:]
+    mags[0] = top
+    vals = np.where(signs[:dim], mags, -mags)
+    u, _ = np.linalg.qr(np.random.default_rng(rotation_seed).standard_normal((dim, dim)))
+    m = symmetrize((u * vals) @ u.T)
+    assert _within_cond_limit(m) == (np.linalg.cond(m) <= COND_LIMIT)
+
+
+@pytest.mark.parametrize("rel", [1e-9, 1e-6, -1e-6, -1e-9])
+@pytest.mark.parametrize("signs", [(1.0, 1.0), (-1.0, -1.0), (1.0, -1.0)])
+def test_condition_check_at_the_threshold(rel, signs):
+    # diagonal matrices carry their spectrum exactly, so the threshold can
+    # be approached far closer than for a rotated one: cond = COND_LIMIT * (1 + rel)
+    big, small = signs
+    m = np.diag([big, small / (COND_LIMIT * (1.0 + rel)), 0.5 * big])
+    assert _within_cond_limit(m) == (np.linalg.cond(m) <= COND_LIMIT) == (rel < 0)
+
+
+@given(square)
+def test_condition_check_agrees_on_drawn_symmetric_matrices(m):
+    sym = symmetrize(m)
+    assert _within_cond_limit(sym) == (np.linalg.cond(sym) <= COND_LIMIT)
+    assert _within_cond_limit(sym[:2, :2]) == (np.linalg.cond(sym[:2, :2]) <= COND_LIMIT)
 
 
 @given(square)

@@ -243,6 +243,43 @@ class QuadraticTransitionModel(LinearGaussianModel):
         return self.transition_jacobian_batch(np.asarray(state, dtype=float)[None, :], ex)[0]
 
 
+def test_d_matrices_match_a_per_particle_loop():
+    model = QuadraticTransitionModel(
+        np.array([[0.8, 0.1], [0.0, 0.75]]), np.array([[1.0, 0.5]]),
+        np.diag([0.08, 0.06]), np.array([[1.0]]), k=0.4,
+    )
+    rng = np.random.default_rng(21)
+    w = rng.random(40)
+    x_prev, x_next = rng.standard_normal((2, 40, 2))
+    pair = SmoothedPair(x_prev=x_prev, x_next=x_next, weights=w / w.sum())
+    predicted = ParticleCloud.uniform(rng.standard_normal((40, 2)))
+    d = d_matrices(pair, predicted, None, model)
+
+    q_inv, r_inv = np.linalg.inv(model.q), np.linalg.inv(model.r)
+    d11, d12, d22 = np.zeros((2, 2)), np.zeros((2, 2)), q_inv.copy()
+    for wi, x in zip(pair.weights, pair.x_prev):
+        f = model.transition_jacobian(x, None)
+        d11 += wi * f.T @ q_inv @ f
+        d12 -= wi * f.T @ q_inv
+    for wi, x in zip(predicted.weights, predicted.particles):
+        h = model.measurement_jacobian(x, None)
+        d22 += wi * h.T @ r_inv @ h
+    np.testing.assert_allclose(d.d11, d11, rtol=1e-12)
+    np.testing.assert_allclose(d.d12, d12, rtol=1e-12)
+    np.testing.assert_allclose(d.d22, d22, rtol=1e-12)
+
+
+def test_noise_precisions_are_inverted_once_and_kept():
+    model = linear_model()
+    q_inv, r_inv = model.noise_precisions()
+    again = model.noise_precisions()
+    assert again[0] is q_inv and again[1] is r_inv
+    np.testing.assert_allclose(q_inv, np.linalg.inv(Q), rtol=1e-15)
+    np.testing.assert_allclose(r_inv, np.linalg.inv(R), rtol=1e-15)
+    # the kept arrays are shared by every step, so they are read-only
+    assert not q_inv.flags.writeable and not r_inv.flags.writeable
+
+
 def test_pcrlb_step_transition_blocks_are_unbiased(monkeypatch):
     # Reference: the mixture-corrected smoother applied to resampled x_{t+1}
     # shuffled out of index order, so they are independent of their

@@ -246,6 +246,23 @@ def test_compute_pcrlb_false_freezes_the_bound():
         np.testing.assert_allclose(rec.fisher_diags[FilterId.EKF][1], np.diag(P0), atol=1e-12)
 
 
+@pytest.mark.parametrize("fid", [FilterId.EKF, FilterId.UKF, FilterId.PF])
+def test_single_filter_estimates_do_not_read_the_bound(fid):
+    ys = observations(n_steps=10)
+    runs = [
+        run_adaptive_estimation(
+            ys, [None] * len(ys), linear_model(),
+            settings(filters=(fid,), pf_particles=200, pcrlb_particles=50, compute_pcrlb=on),
+        )
+        for on in (True, False)
+    ]
+    for with_bound, without in zip(*runs):
+        np.testing.assert_array_equal(with_bound.estimate, without.estimate)
+        np.testing.assert_array_equal(with_bound.decision.cov, without.decision.cov)
+    # the first run did advance its bound
+    assert not np.array_equal(runs[0][-1].fisher_diags[fid][0], runs[1][-1].fisher_diags[fid][0])
+
+
 class FailingJacobianModel(LinearGaussianModel):
     """Measurement Jacobian turns non-finite on one chosen call."""
 
