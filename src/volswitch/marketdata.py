@@ -465,6 +465,7 @@ def truth_to_quotes(truth: SyntheticTruth, model: ModelSpec) -> list:
 def load_value_series(path):
     """Two-column date,value CSV used for external comparison series."""
     out = []
+    seen_row = False
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             for i, row in enumerate(csv.reader(fh)):
@@ -472,11 +473,12 @@ def load_value_series(path):
                     continue
                 if len(row) < 2:
                     raise FormatError(f"{path}: line {i + 1}: expected date,value")
+                first_row, seen_row = not seen_row, True
                 first = row[0].strip()
                 try:
                     date = _parse_date(first)
                 except ValueError:
-                    if i == 0:  # tolerate a header line
+                    if first_row:  # tolerate a header on the first non-blank row
                         continue
                     raise FormatError(f"{path}: line {i + 1}: bad date {first!r}") from None
                 try:

@@ -24,8 +24,7 @@ average.
 Q^{-1} and R^{-1} are constant, so each model inverts them once
 (``StateSpaceModel.noise_precisions``) and every step reuses them.
 
-J^{-1} is formed through the matrix-inversion-lemma expansion and checked
-against a direct inverse; the direct inverse wins on disagreement.
+J^{-1} is one regularized inverse of J, checked against J.
 """
 
 from __future__ import annotations
@@ -77,19 +76,6 @@ class DTriple:
     d22: np.ndarray
 
 
-@dataclass
-class SmoothedPair:
-    """Joint draws (x_t, x_{t+1}) approximating the one-step smoothing posterior."""
-
-    x_prev: np.ndarray  # (n, s)
-    x_next: np.ndarray  # (n, s)
-    weights: np.ndarray  # (n,), sums to one
-
-    @property
-    def n(self) -> int:
-        return self.x_prev.shape[0]
-
-
 def seed_particles(belief: GaussianBelief, n: int, rng: np.random.Generator, model=None) -> ParticleCloud:
     """Sample n particles from a Gaussian belief, projected onto the model domain."""
     if n < 2:
@@ -104,18 +90,18 @@ def seed_particles(belief: GaussianBelief, n: int, rng: np.random.Generator, mod
     return ParticleCloud.uniform(draws)
 
 
-def d_matrices(smoothed: SmoothedPair, predicted: ParticleCloud, ex, model) -> DTriple:
+def d_matrices(x_prev: np.ndarray, weights: np.ndarray, predicted: ParticleCloud, ex, model) -> DTriple:
     """Monte-Carlo D blocks for one recursion step.
 
-    Transition gradients are averaged at the smoothed draws of x_t,
-    measurement gradients at the predicted draws of x_{t+1}.
+    Transition gradients are averaged at the draws ``x_prev`` of x_t with
+    ``weights`` (summing to one), measurement gradients over the predicted cloud.
     """
     q_inv, r_inv = model.noise_precisions()
 
-    f_jac = model.transition_jacobian_batch(smoothed.x_prev, ex)
+    f_jac = model.transition_jacobian_batch(x_prev, ex)
     fq = f_jac.transpose(0, 2, 1) @ q_inv  # F' Q^-1 per particle
-    d11 = np.tensordot(smoothed.weights, fq @ f_jac, axes=1)
-    d12 = -np.tensordot(smoothed.weights, fq, axes=1)
+    d11 = np.tensordot(weights, fq @ f_jac, axes=1)
+    d12 = -np.tensordot(weights, fq, axes=1)
 
     h_jac = model.measurement_jacobian_batch(predicted.particles, ex)
     hr = h_jac.transpose(0, 2, 1) @ r_inv  # H' R^-1 per particle
@@ -140,30 +126,17 @@ def _ensure_pd(j: np.ndarray) -> np.ndarray:
 def pfim_step(prev: FisherState, d: DTriple) -> FisherState:
     """Advance the information recursion one step.
 
-    The inverse comes from the matrix-inversion-lemma expansion
-
-        J^{-1} = D22^{-1} - D22^{-1} D12' (D12 D22^{-1} D12' - (J + D11))^{-1} D12 D22^{-1}
-
-    and is verified against direct inversion; disagreement beyond
-    tolerance falls back to the direct inverse.
+    J^{-1} is one regularized inverse of J_{t+1}; if it does not reproduce
+    the identity against J_{t+1} within tolerance the step raises
+    ``SingularityError``.
     """
     mid = symmetrize(prev.j + d.d11)
     mid_inv = regularized_inverse(mid, err=SingularityError)
     j_next = _ensure_pd(symmetrize(d.d22 - d.d12.T @ mid_inv @ d.d12))
-
-    d22_inv = regularized_inverse(d.d22, err=SingularityError)
-    inner = symmetrize(d.d12 @ d22_inv @ d.d12.T - mid)
-    inner_inv = regularized_inverse(inner, err=SingularityError)
-    j_inv = symmetrize(d22_inv - d22_inv @ d.d12.T @ inner_inv @ d.d12 @ d22_inv)
-
-    dim = j_next.shape[0]
-    err = float(np.max(np.abs(j_inv @ j_next - np.eye(dim))))
+    j_inv = symmetrize(regularized_inverse(j_next, err=SingularityError))
+    err = float(np.max(np.abs(j_inv @ j_next - np.eye(j_next.shape[0]))))
     if err > INVERSE_CONSISTENCY_TOL:
-        logger.info("lemma-form inverse off by %.3e; using direct inversion", err)
-        j_inv = symmetrize(regularized_inverse(j_next, err=SingularityError))
-        err = float(np.max(np.abs(j_inv @ j_next - np.eye(dim))))
-        if err > INVERSE_CONSISTENCY_TOL:
-            raise SingularityError(f"information matrix inverse inconsistent: {err:.3e}")
+        raise SingularityError(f"information matrix inverse inconsistent: {err:.3e}")
     return FisherState(j=j_next, j_inv=j_inv, filter=prev.filter)
 
 
@@ -185,15 +158,13 @@ def pcrlb_step(
     """
     filtered_t = seed_particles(belief, n, rng, model)
     predicted = propagate_cloud(filtered_t, ex_next, model, rng)
+    # the seeded cloud is uniform, so the likelihood alone weights each pair
     loglik = likelihood_logweights(predicted.particles, next_obs, ex_next, model)
-    with np.errstate(divide="ignore"):
-        logw = np.log(predicted.weights) + loglik
-    w, degenerate = normalize_logweights(logw)
+    w, degenerate = normalize_logweights(loglik)
     if degenerate:
         logger.warning("bound-update particle weights underflowed; uniform fallback")
     # propagate_cloud keeps particle indices, so predicted[i] is the child of
     # filtered_t[i]: with the likelihood weights the index-matched pairs are
     # already an importance sample of p(x_t, x_{t+1} | y_{1:t+1})
-    smoothed = SmoothedPair(x_prev=filtered_t.particles, x_next=predicted.particles, weights=w)
-    d = d_matrices(smoothed, predicted, ex_next, model)
+    d = d_matrices(filtered_t.particles, w, predicted, ex_next, model)
     return pfim_step(prev, d)

@@ -373,6 +373,19 @@ def test_load_value_series_tolerates_header_and_parses(tmp_path):
     ]
 
 
+def test_load_value_series_tolerates_header_after_blank_lines(tmp_path):
+    path = tmp_path / "vals.csv"
+    path.write_text("\n  \ndate,value\n2019-01-02,0.21\n")
+    assert load_value_series(path) == [(dt.date(2019, 1, 2), 0.21)]
+
+
+def test_load_value_series_rejects_a_second_header(tmp_path):
+    path = tmp_path / "vals.csv"
+    path.write_text("\ndate,value\ndate,value\n2019-01-02,0.21\n")
+    with pytest.raises(FormatError, match="line 3: bad date 'date'"):
+        load_value_series(path)
+
+
 def test_load_value_series_reports_bad_rows(tmp_path):
     path = tmp_path / "vals.csv"
     path.write_text("2019-01-02,0.21\n2019-01-03\n")

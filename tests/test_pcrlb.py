@@ -4,7 +4,7 @@ from scipy.stats import multivariate_normal
 
 import oracles
 from volswitch.bsgarch import BsGarchModel, V_FLOOR
-from volswitch.exceptions import InvalidInputError
+from volswitch.exceptions import InvalidInputError, SingularityError
 from volswitch.filters import (
     FilterId,
     GaussianBelief,
@@ -15,10 +15,10 @@ from volswitch.filters import (
     systematic_resample,
 )
 from volswitch import pcrlb
+from volswitch.linalg import regularized_inverse, symmetrize
 from volswitch.pcrlb import (
     DTriple,
     FisherState,
-    SmoothedPair,
     d_matrices,
     pcrlb_step,
     pfim_step,
@@ -72,6 +72,30 @@ def test_pfim_step_lemma_inverse_agrees_with_direct_inverse():
         prev = pfim_step(prev, DTriple(*oracles.exact_linear_dtriple(a, c, q, r)))
         np.testing.assert_allclose(prev.j_inv, np.linalg.inv(prev.j), atol=1e-10)
         np.testing.assert_allclose(prev.j_inv @ prev.j, np.eye(2), atol=1e-8)
+
+
+def test_pfim_step_inverse_is_one_regularized_inverse_of_j():
+    # the same random linear D blocks as above: J^{-1} is exactly the
+    # symmetrized regularized inverse of the new J, bit for bit
+    rng = np.random.default_rng(4)
+    prev = FisherState.initial(P0)
+    for _ in range(8):
+        a = rng.uniform(-1.0, 1.0, size=(2, 2))
+        c = rng.uniform(-1.0, 1.0, size=(1, 2))
+        mq = rng.standard_normal((2, 2))
+        q = mq @ mq.T + 0.05 * np.eye(2)
+        r = np.array([[rng.uniform(0.05, 1.0)]])
+        prev = pfim_step(prev, DTriple(*oracles.exact_linear_dtriple(a, c, q, r)))
+        np.testing.assert_array_equal(prev.j_inv, symmetrize(regularized_inverse(prev.j)))
+
+
+def test_pfim_step_raises_when_the_inverse_misses_the_identity():
+    # J' = diag(1, 1e-14) is positive but past the condition limit, so the
+    # ridge that regularized_inverse adds leaves J^{-1} J far from I
+    prev = FisherState(j=np.eye(2), j_inv=np.eye(2))
+    d = DTriple(d11=np.zeros((2, 2)), d12=np.zeros((2, 2)), d22=np.diag([1.0, 1e-14]))
+    with pytest.raises(SingularityError, match="inverse inconsistent"):
+        pfim_step(prev, d)
 
 
 def test_pfim_step_floors_an_indefinite_update():
@@ -130,13 +154,9 @@ def test_joint_smoothing_weights_match_brute_force():
 
 def test_d_matrices_are_exact_for_constant_jacobians():
     rng = np.random.default_rng(12)
-    pair = SmoothedPair(
-        x_prev=rng.standard_normal((30, 2)),
-        x_next=rng.standard_normal((30, 2)),
-        weights=np.full(30, 1.0 / 30),
-    )
+    x_prev = rng.standard_normal((30, 2))
     predicted = ParticleCloud.uniform(rng.standard_normal((30, 2)))
-    d = d_matrices(pair, predicted, None, linear_model())
+    d = d_matrices(x_prev, np.full(30, 1.0 / 30), predicted, None, linear_model())
     e11, e12, e22 = oracles.exact_linear_dtriple(A, C, Q, R)
     np.testing.assert_allclose(d.d11, e11, atol=1e-12)
     np.testing.assert_allclose(d.d12, e12, atol=1e-12)
@@ -160,9 +180,8 @@ def test_d_matrices_respect_weights():
     ex = ExogenousInputs(s=100.0, u=0.0, tau=0.5)
     states = np.array([[2e-4, 0.03], [5e-4, 0.01], [1e-4, 0.08]])
     w = np.array([0.0, 1.0, 0.0])
-    pair = SmoothedPair(x_prev=states, x_next=states, weights=w)
     predicted = ParticleCloud(states, w)
-    d = d_matrices(pair, predicted, ex, model)
+    d = d_matrices(states, w, predicted, ex, model)
 
     q_inv = np.linalg.inv(spec.noise.q)
     f = model.transition_jacobian(states[1], ex)
@@ -250,14 +269,14 @@ def test_d_matrices_match_a_per_particle_loop():
     )
     rng = np.random.default_rng(21)
     w = rng.random(40)
-    x_prev, x_next = rng.standard_normal((2, 40, 2))
-    pair = SmoothedPair(x_prev=x_prev, x_next=x_next, weights=w / w.sum())
+    w /= w.sum()
+    x_prev, _ = rng.standard_normal((2, 40, 2))
     predicted = ParticleCloud.uniform(rng.standard_normal((40, 2)))
-    d = d_matrices(pair, predicted, None, model)
+    d = d_matrices(x_prev, w, predicted, None, model)
 
     q_inv, r_inv = np.linalg.inv(model.q), np.linalg.inv(model.r)
     d11, d12, d22 = np.zeros((2, 2)), np.zeros((2, 2)), q_inv.copy()
-    for wi, x in zip(pair.weights, pair.x_prev):
+    for wi, x in zip(w, x_prev):
         f = model.transition_jacobian(x, None)
         d11 += wi * f.T @ q_inv @ f
         d12 -= wi * f.T @ q_inv
@@ -315,8 +334,7 @@ def test_pcrlb_step_transition_blocks_are_unbiased(monkeypatch):
         x_next = predicted.particles[idx]
         means = model.transition_batch(filtered_t.particles, None)
         ws = oracles.mixture_smoothing_weights(x_next, means, model.q)
-        pair = SmoothedPair(x_prev=filtered_t.particles, x_next=x_next, weights=ws)
-        reference.append(d_matrices(pair, predicted, None, model))
+        reference.append(d_matrices(filtered_t.particles, ws, predicted, None, model))
 
     assert len(captured) == runs
     for block in ("d11", "d12"):
@@ -337,3 +355,37 @@ def test_pcrlb_step_is_rng_deterministic():
     b = pcrlb_step(FisherState.initial(P0), *args, rng=np.random.default_rng(5))
     np.testing.assert_array_equal(a.j, b.j)
     np.testing.assert_array_equal(a.j_inv, b.j_inv)
+
+
+def test_pcrlb_step_weights_pairs_by_the_likelihood_alone(monkeypatch):
+    # the seeded cloud is uniform, so the pair weights handed to d_matrices
+    # are the normalized likelihood weights of the predicted cloud, bit for bit
+    model = QuadraticTransitionModel(
+        np.array([[0.8, 0.1], [0.0, 0.75]]), np.array([[1.0, 0.5]]),
+        np.diag([0.08, 0.06]), np.array([[1.0]]), k=0.4,
+    )
+    belief = GaussianBelief(np.array([0.2, -0.1]), np.diag([0.5, 0.3]))
+    y, n = np.array([0.7]), 300
+
+    captured = []
+
+    def capture(*args):
+        captured.append(args)
+        return d_matrices(*args)
+
+    monkeypatch.setattr(pcrlb, "d_matrices", capture)
+    pcrlb_step(FisherState.initial(belief.cov), belief, y, None, model, n, np.random.default_rng(31))
+    monkeypatch.undo()
+
+    rng = np.random.default_rng(31)
+    filtered_t = seed_particles(belief, n, rng, model)
+    predicted = propagate_cloud(filtered_t, None, model, rng)
+    w, degenerate = normalize_logweights(likelihood_logweights(predicted.particles, y, None, model))
+    assert not degenerate and np.ptp(w) > 0.0
+
+    assert len(captured) == 1
+    x_prev, weights, cloud = captured[0][:3]
+    np.testing.assert_array_equal(x_prev, filtered_t.particles)
+    np.testing.assert_array_equal(weights, w)
+    np.testing.assert_array_equal(cloud.particles, predicted.particles)
+    np.testing.assert_array_equal(cloud.weights, np.full(n, 1.0 / n))
