@@ -23,6 +23,7 @@ from .exceptions import EstimationError
 from .filters import FilterId, GaussianBelief, ParticleCloud, SigmaPointParams
 from .marketdata import (
     ContractSeries,
+    OptionChain,
     OptionQuote,
     SyntheticTruth,
     build_series,
@@ -57,6 +58,7 @@ __all__ = [
     "GaussianBelief",
     "ModelSpec",
     "NoiseSpec",
+    "OptionChain",
     "OptionQuote",
     "ParticleCloud",
     "ReportBundle",

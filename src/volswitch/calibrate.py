@@ -24,6 +24,7 @@ from scipy.optimize import minimize
 
 from .bsgarch import GarchParams
 from .exceptions import InsufficientDataError, InvalidInputError
+from .marketdata import OptionChain
 
 logger = logging.getLogger(__name__)
 
@@ -127,8 +128,10 @@ def fit_garch(returns) -> GarchFit:
 
 
 def closes_by_date(quotes) -> list:
-    """Chronological (date, underlying close) pairs, one per quote date."""
-    seen: dict = {}
-    for q in quotes:
-        seen.setdefault(q.quote_date, q.underlying_close)
-    return [(d, seen[d]) for d in sorted(seen)]
+    """Chronological (date, underlying close) pairs, one per quote date.
+
+    A date's first quote, in file or list order, gives its close.
+    """
+    chain = OptionChain.from_quotes(quotes)
+    dates, first = np.unique(chain.quote_date, return_index=True)
+    return list(zip(dates.tolist(), chain.underlying_close[first].tolist()))

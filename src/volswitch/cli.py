@@ -80,21 +80,18 @@ def _load_cfg(args) -> RunConfig:
 
 def _cmd_backtest(args) -> None:
     cfg = _load_cfg(args)
-    quotes, rejects = load_chain(args.chain, cfg.columns)
+    chain, rejects = load_chain(args.chain, cfg.columns)
     if rejects:
         print(f"note: {len(rejects)} row(s) rejected while loading {args.chain}", file=sys.stderr)
     if (args.strike is None) != (args.expiry is None):
         raise InvalidInputError("--strike and --expiry must be given together")
     if args.strike is not None:
-        series = build_series(quotes, args.strike, args.expiry)
-        prior = prior_close_before(quotes, series.points[0].quote.quote_date)
-        if prior is not None:
-            series = build_series(quotes, args.strike, args.expiry, prior_close=prior)
+        series = build_series(chain, args.strike, args.expiry)
     else:
-        series = max_volume_series(quotes)
-        prior = prior_close_before(quotes, series.points[0].quote.quote_date)
-        if prior is not None:
-            series = max_volume_series(quotes, prior_close=prior)
+        series = max_volume_series(chain)
+    prior = prior_close_before(chain, series.dates[0])
+    if prior is not None:
+        series = series.with_prior_close(prior)
 
     bundle = run_backtest(
         cfg,
@@ -167,8 +164,8 @@ def _cmd_vol_report(args) -> None:
 def _cmd_calibrate(args) -> None:
     cfg = _load_cfg(args)
     try:
-        quotes, _rejects = load_chain(args.underlying, cfg.columns)
-        closes = [c for _, c in closes_by_date(quotes)]
+        chain, _rejects = load_chain(args.underlying, cfg.columns)
+        closes = [c for _, c in closes_by_date(chain)]
     except SchemaError:
         closes = [v for _, v in load_value_series(args.underlying)]
     fit = fit_garch(log_returns(closes))

@@ -132,8 +132,7 @@ def effective_sample_size(weights) -> float:
 
 def propagate_cloud(cloud: ParticleCloud, ex, model, rng: np.random.Generator) -> ParticleCloud:
     """Push every particle through the noisy transition, keeping weights."""
-    chol_q = safe_cholesky(model.process_cov())
-    noise = rng.standard_normal(cloud.particles.shape) @ chol_q.T
+    noise = rng.standard_normal(cloud.particles.shape) @ model.process_noise_factor().T
     moved = model.project_batch(model.transition_batch(cloud.particles, ex, noise))
     return ParticleCloud(moved, cloud.weights.copy())
 

@@ -7,18 +7,26 @@ The canonical chain CSV schema is one quote per row:
 
 Dates are ISO-8601, the file is comma-separated UTF-8 with a header.
 Vendor files with different headers are adapted through a
-``data.columns.*`` mapping in the run config. Every input row either
-becomes an ``OptionQuote`` or lands in the rejects list with a reason;
-nothing is dropped silently.
+``data.columns.*`` mapping in the run config.
+
+``load_chain`` reads the file once, a chunk of rows at a time, into numpy
+columns: an ``OptionChain``, which is also a read-only sequence of
+``OptionQuote``. Every non-blank row either becomes a quote of the chain
+or lands in the rejects list with its file line and a reason; nothing is
+dropped silently. The series builders select rows on the columns and
+build quotes only for the rows they keep.
 """
 
 from __future__ import annotations
 
 import csv
 import datetime as dt
+import itertools
 import logging
 import math
-from dataclasses import dataclass, field
+import operator
+from collections.abc import Sequence
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -43,6 +51,26 @@ CANONICAL_COLUMNS = (
     "implied_vol",
 )
 _REQUIRED = tuple(c for c in CANONICAL_COLUMNS if c != "implied_vol")
+# fields in the order a row's first failing one gives its reject reason
+_PARSE_ORDER = (
+    "quote_date", "expiry_date", "strike", "side", "volume", "underlying_close",
+    "bid", "ask", "last", "implied_vol",
+)
+_OPTIONAL = ("bid", "ask", "last", "implied_vol")  # a blank field is absent
+# then the value checks, in the same first-failure order; entry 0 is a
+# field that failed to parse, whose reason is its own message
+_CHECK_REASONS = (
+    None,
+    "no usable price (bid/ask pair or last required)",
+    "price < 0",
+    "strike <= 0",
+    "underlying_close <= 0",
+    "volume < 0",
+    "expiry before quote date",
+)
+_CHUNK_ROWS = 4096  # rows parsed per step: few live row lists, few numpy calls
+_EPOCH_ORDINAL = dt.date(1970, 1, 1).toordinal()
+_NAT = np.iinfo(np.int64).min  # the int64 behind datetime64's NaT
 
 
 @dataclass(frozen=True)
@@ -55,6 +83,76 @@ class OptionQuote:
     volume: float
     underlying_close: float
     implied_vol: float | None = None
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class OptionChain(Sequence):
+    """Accepted quotes of a chain as read-only numpy columns, one entry per row.
+
+    A read-only sequence of ``OptionQuote``: ``chain[i]`` builds the quote
+    of row ``i`` when asked, with Python ``float``, ``dt.date`` and ``str``
+    fields. The series builders select rows on the columns and build
+    quotes only for the rows they keep.
+    """
+
+    quote_date: np.ndarray  # datetime64[D]
+    expiry_date: np.ndarray  # datetime64[D]
+    strike: np.ndarray
+    is_call: np.ndarray  # bool; the quote's side is "C" or "P"
+    price: np.ndarray
+    volume: np.ndarray
+    underlying_close: np.ndarray
+    implied_vol: np.ndarray  # NaN where has_implied_vol is False
+    has_implied_vol: np.ndarray  # bool
+
+    def __post_init__(self):
+        for f in fields(self):
+            getattr(self, f.name).flags.writeable = False
+
+    @classmethod
+    def from_quotes(cls, quotes) -> "OptionChain":
+        """Columns of a sequence of quotes; a chain is returned as it is."""
+        if isinstance(quotes, cls):
+            return quotes
+        quotes = list(quotes)
+        ivs = [q.implied_vol for q in quotes]
+        return cls(
+            quote_date=np.array([q.quote_date for q in quotes], dtype="datetime64[D]"),
+            expiry_date=np.array([q.expiry_date for q in quotes], dtype="datetime64[D]"),
+            strike=np.array([q.strike for q in quotes], dtype=float),
+            is_call=np.array([q.side == "C" for q in quotes], dtype=bool),
+            price=np.array([q.price for q in quotes], dtype=float),
+            volume=np.array([q.volume for q in quotes], dtype=float),
+            underlying_close=np.array([q.underlying_close for q in quotes], dtype=float),
+            implied_vol=np.array([np.nan if v is None else v for v in ivs], dtype=float),
+            has_implied_vol=np.array([v is not None for v in ivs], dtype=bool),
+        )
+
+    def __len__(self):
+        return len(self.price)
+
+    def __repr__(self):
+        return f"OptionChain({len(self)} quotes)"
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(len(self))[i]]
+        i = range(len(self))[i]
+        return OptionQuote(
+            quote_date=self.quote_date[i].item(),
+            expiry_date=self.expiry_date[i].item(),
+            strike=self.strike[i].item(),
+            side="C" if self.is_call[i] else "P",
+            price=self.price[i].item(),
+            volume=self.volume[i].item(),
+            underlying_close=self.underlying_close[i].item(),
+            implied_vol=self.implied_vol[i].item() if self.has_implied_vol[i] else None,
+        )
+
+    def __iter__(self):
+        rows = zip(*(getattr(self, f.name).tolist() for f in fields(self)))
+        for qd, ed, k, call, p, v, s, iv, has_iv in rows:
+            yield OptionQuote(qd, ed, k, "C" if call else "P", p, v, s, iv if has_iv else None)
 
 
 @dataclass(frozen=True)
@@ -99,6 +197,13 @@ class ContractSeries:
     def dates(self):
         return [p.quote.quote_date for p in self.points]
 
+    def with_prior_close(self, prior_close: float) -> "ContractSeries":
+        """The same series with the first step's log-return taken from ``prior_close``."""
+        first = self.points[0]
+        u = _log_return(first.quote.underlying_close, prior_close)
+        head = SeriesPoint(quote=first.quote, ex=replace(first.ex, u=u))
+        return replace(self, points=[head, *self.points[1:]])
+
 
 @dataclass
 class SyntheticTruth:
@@ -130,97 +235,201 @@ def _parse_side(text: str) -> str:
     raise ValueError(f"unknown side {text!r}")
 
 
-def _maybe_float(text):
-    text = (text or "").strip()
-    if not text:
-        return None
-    return float(text)
+class _ParseOnce(dict):
+    """Parsed value per distinct text: each date or side string is parsed once.
+
+    A text that fails to parse maps to ``bad`` and keeps its reject reason
+    in ``reasons``.
+    """
+
+    def __init__(self, parse, bad):
+        super().__init__()
+        self.parse = parse
+        self.bad = bad
+        self.reasons: dict = {}
+
+    def __missing__(self, text):
+        try:
+            value = self.parse(text)
+        except ValueError as e:
+            value = self.bad
+            self.reasons[text] = f"unparseable field: {e}"
+        self[text] = value
+        return value
+
+
+def _codes(texts, cache: _ParseOnce, dtype, errors: dict) -> np.ndarray:
+    out = np.fromiter(map(cache.__getitem__, texts), dtype, len(texts))
+    if cache.reasons:
+        for i in np.flatnonzero(out == cache.bad).tolist():
+            errors.setdefault(i, cache.reasons[texts[i]])
+    return out
+
+
+def _floats(texts, optional: bool, errors: dict):
+    """(values, absent) of a column's texts, as ``float()`` reads them.
+
+    A blank text of an optional field is absent and NaN; a text that fails
+    is NaN and gives its row's reason.
+    """
+    n = len(texts)
+    absent = np.fromiter(map(operator.not_, texts), bool, n) if optional else np.zeros(n, bool)
+    try:
+        filled = [t or "nan" for t in texts] if absent.any() else texts
+        distinct = set(filled)
+        if 4 * len(distinct) <= n:  # repeated texts (strikes, closes, vols): convert each once
+            lookup = {text: float(text) for text in distinct}
+            return np.fromiter(map(lookup.__getitem__, filled), np.float64, n), absent
+        return np.fromiter(map(float, filled), np.float64, n), absent
+    except ValueError:
+        pass  # convert one by one to find the failing texts and their messages
+    out = np.full(n, np.nan)
+    for i, text in enumerate(texts):
+        if optional:
+            text = text.strip()
+            absent[i] = not text
+            if not text:
+                continue
+        try:
+            out[i] = float(text)
+        except ValueError as e:
+            errors.setdefault(i, f"unparseable field: {e}")
+    return out, absent
+
+
+def _row_chunks(reader):
+    """(rows, the file line each row starts on), a chunk at a time; blank lines dropped."""
+    while True:
+        start = reader.line_num
+        rows = list(itertools.islice(reader, _CHUNK_ROWS))
+        if not rows:
+            return
+        if reader.line_num - start == len(rows):
+            lines = np.arange(start + 1, reader.line_num + 1)
+        else:  # a quoted field spans lines: count the line breaks inside each row
+            spans = [sum(f.count("\n") + f.count("\r") - f.count("\r\n") for f in row) + 1 for row in rows]
+            lines = start + 1 + np.cumsum([0] + spans[:-1])
+        if [] in rows:  # csv.reader yields a blank line as []
+            keep = [i for i, row in enumerate(rows) if row]
+            rows = [rows[i] for i in keep]
+            lines = lines[keep]
+        if rows:
+            yield rows, lines
+
+
+def _parse_rows(rows, layout: dict, dates: _ParseOnce, sides: _ParseOnce):
+    """Columns of one chunk, and {row: reason} for its rows that fail to parse.
+
+    Fields go in ``_PARSE_ORDER``, so a row's reason is the one of its
+    first failing field. A field past the end of a short row is missing;
+    only the optional implied vol may be.
+    """
+    width = max(j for _, j in layout.values()) + 1
+    lengths = None
+    if min(map(len, rows)) < width:
+        lengths = np.fromiter(map(len, rows), np.intp, len(rows))
+        rows = [row + [""] * (width - len(row)) for row in rows]
+    errors: dict = {}
+    out = {}
+    for name, (header, j) in layout.items():
+        if lengths is not None and name != "implied_vol":
+            for i in np.flatnonzero(lengths <= j).tolist():
+                errors.setdefault(i, f"missing field: {header}")
+        texts = list(map(operator.itemgetter(j), rows))
+        if name in ("quote_date", "expiry_date"):
+            out[name] = _codes(texts, dates, np.int64, errors)
+        elif name == "side":
+            out[name] = _codes(texts, sides, np.int8, errors)
+        else:
+            out[name], out[name + "_absent"] = _floats(texts, name in _OPTIONAL, errors)
+    return out, errors
 
 
 def load_chain(path, columns: dict | None = None):
-    """Parse a chain CSV into quotes plus a rejects list.
+    """Parse a chain CSV into an ``OptionChain`` plus a rejects list.
 
     ``columns`` maps canonical names to the file's actual headers.
     Missing required headers raise ``SchemaError``; unreadable files raise
-    ``FormatError``. Row-level problems become ``RejectedRow`` entries, so
-    accepted + rejected always equals the input row count.
+    ``FormatError``. Row-level problems become ``RejectedRow`` entries at
+    the file line the row starts on, so accepted + rejected always equals
+    the number of non-blank rows. A row's reason is its first failing field
+    in ``_PARSE_ORDER``, else its first failing value check.
     """
     colmap = {c: c for c in CANONICAL_COLUMNS}
     if columns:
         colmap.update(columns)
+    dates = _ParseOnce(lambda text: _parse_date(text).toordinal() - _EPOCH_ORDINAL, _NAT)
+    sides = _ParseOnce(lambda text: _parse_side(text) == "C", -1)
+    parts, line_parts, errors = [], [], {}
+    n = 0
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.DictReader(fh)
-            header = reader.fieldnames
+            reader = csv.reader(fh)
+            header = next(reader, None)
             if header is None:
                 raise SchemaError(f"{path}: empty file, no header")
             missing = [c for c in _REQUIRED if colmap[c] not in header]
             if missing:
                 raise SchemaError(f"{path}: missing required column(s) {missing}")
-            has_iv = colmap["implied_vol"] in header
-            rows = list(reader)
+            # a repeated header reads its last column, as csv.DictReader did
+            position = {name: j for j, name in enumerate(header)}
+            layout = {c: (colmap[c], position[colmap[c]]) for c in _PARSE_ORDER if colmap[c] in position}
+            for rows, row_lines in _row_chunks(reader):
+                part, part_errors = _parse_rows(rows, layout, dates, sides)
+                errors.update((n + i, reason) for i, reason in part_errors.items())
+                parts.append(part)
+                line_parts.append(row_lines)
+                n += len(rows)
     except OSError as e:
         raise FormatError(f"cannot read chain file {path}: {e}") from e
     except csv.Error as e:
         raise FormatError(f"cannot parse chain file {path}: {e}") from e
+    if not parts:
+        return OptionChain.from_quotes([]), []
 
-    quotes: list[OptionQuote] = []
-    rejects: list[RejectedRow] = []
-    for i, row in enumerate(rows):
-        line = i + 2  # header is line 1
-        try:
-            quote_date = _parse_date(row[colmap["quote_date"]])
-            expiry_date = _parse_date(row[colmap["expiry_date"]])
-            strike = float(row[colmap["strike"]])
-            side = _parse_side(row[colmap["side"]])
-            volume = float(row[colmap["volume"]])
-            underlying = float(row[colmap["underlying_close"]])
-            bid = _maybe_float(row[colmap["bid"]])
-            ask = _maybe_float(row[colmap["ask"]])
-            last = _maybe_float(row[colmap["last"]])
-            iv = _maybe_float(row[colmap["implied_vol"]]) if has_iv else None
-        except (ValueError, TypeError, KeyError) as e:
-            rejects.append(RejectedRow(line, f"unparseable field: {e}"))
-            continue
-
-        if bid is not None and ask is not None:
-            price = 0.5 * (bid + ask)
-        elif last is not None:
-            price = last
-        else:
-            rejects.append(RejectedRow(line, "no usable price (bid/ask pair or last required)"))
-            continue
-
-        reason = None
-        if not math.isfinite(price) or price < 0.0:
-            reason = "price < 0"
-        elif strike <= 0.0 or not math.isfinite(strike):
-            reason = "strike <= 0"
-        elif underlying <= 0.0 or not math.isfinite(underlying):
-            reason = "underlying_close <= 0"
-        elif volume < 0.0 or not math.isfinite(volume):
-            reason = "volume < 0"
-        elif expiry_date < quote_date:
-            reason = "expiry before quote date"
-        if reason is not None:
-            rejects.append(RejectedRow(line, reason))
-            continue
-
-        quotes.append(
-            OptionQuote(
-                quote_date=quote_date,
-                expiry_date=expiry_date,
-                strike=strike,
-                side=side,
-                price=price,
-                volume=volume,
-                underlying_close=underlying,
-                implied_vol=iv,
-            )
+    col = {name: np.concatenate([p[name] for p in parts]) for name in parts[0]}
+    lines = np.concatenate(line_parts)
+    if "implied_vol" not in col:
+        col["implied_vol"] = np.full(n, np.nan)
+        col["implied_vol_absent"] = np.ones(n, dtype=bool)
+    parsed = np.ones(n, dtype=bool)
+    parsed[list(errors)] = False
+    pair = ~(col["bid_absent"] | col["ask_absent"])
+    with np.errstate(invalid="ignore", over="ignore"):
+        price = np.where(pair, 0.5 * (col["bid"] + col["ask"]), col["last"])
+        failure = np.select(
+            [
+                ~parsed,
+                ~pair & col["last_absent"],
+                ~np.isfinite(price) | (price < 0.0),
+                (col["strike"] <= 0.0) | ~np.isfinite(col["strike"]),
+                (col["underlying_close"] <= 0.0) | ~np.isfinite(col["underlying_close"]),
+                (col["volume"] < 0.0) | ~np.isfinite(col["volume"]),
+                col["expiry_date"] < col["quote_date"],
+            ],
+            range(len(_CHECK_REASONS)),
+            -1,
         )
+    rejected = np.flatnonzero(failure >= 0)
+    rejects = [
+        RejectedRow(line, errors[i] if k == 0 else _CHECK_REASONS[k])
+        for i, line, k in zip(rejected.tolist(), lines[rejected].tolist(), failure[rejected].tolist())
+    ]
+    ok = failure < 0
+    chain = OptionChain(
+        quote_date=col["quote_date"][ok].view("datetime64[D]"),
+        expiry_date=col["expiry_date"][ok].view("datetime64[D]"),
+        strike=col["strike"][ok],
+        is_call=col["side"][ok] == 1,
+        price=price[ok],
+        volume=col["volume"][ok],
+        underlying_close=col["underlying_close"][ok],
+        implied_vol=col["implied_vol"][ok],
+        has_implied_vol=~col["implied_vol_absent"][ok],
+    )
     if rejects:
-        logger.info("chain load: %d quotes accepted, %d rows rejected", len(quotes), len(rejects))
-    return quotes, rejects
+        logger.info("chain load: %d quotes accepted, %d rows rejected", len(chain), len(rejects))
+    return chain, rejects
 
 
 def write_chain(path, quotes):
@@ -248,15 +457,15 @@ def write_chain(path, quotes):
 def prior_close_before(quotes, date: dt.date):
     """Latest underlying close strictly before ``date``, if the chain has one.
 
+    Of several rows on that latest date, the first in file order counts.
     Lets the first step's log-return come from real data instead of zero.
     """
-    best_date = None
-    best_close = None
-    for q in quotes:
-        if q.quote_date < date and (best_date is None or q.quote_date > best_date):
-            best_date = q.quote_date
-            best_close = q.underlying_close
-    return best_close
+    chain = OptionChain.from_quotes(quotes)
+    before = chain.quote_date < np.datetime64(date, "D")
+    if not before.any():
+        return None
+    latest = chain.quote_date[before].max()
+    return chain.underlying_close[np.argmax(chain.quote_date == latest)].item()
 
 
 def write_truth_states(path, truth: "SyntheticTruth"):
@@ -279,33 +488,40 @@ def write_truth_states(path, truth: "SyntheticTruth"):
             )
 
 
-def _dedupe_by_volume(per_date: dict):
-    """One quote per date: max volume, ties keep the lower strike then file order."""
-    chosen = {}
-    for date, candidates in per_date.items():
-        best = candidates[0]
-        for q in candidates[1:]:
-            if q.volume > best.volume or (q.volume == best.volume and q.strike < best.strike):
-                best = q
-        chosen[date] = best
-    return chosen
+def _max_volume_rows(chain: OptionChain, mask: np.ndarray) -> np.ndarray:
+    """Per date among the masked rows, in date order, the row with the most volume.
+
+    Ties go to the lower strike, then to the first row in file order.
+    """
+    rows = np.flatnonzero(mask)
+    # lexsort is stable, so rows equal on every key stay in file order
+    rows = rows[np.lexsort((chain.strike[rows], -chain.volume[rows], chain.quote_date[rows]))]
+    dates = chain.quote_date[rows]
+    first = np.ones(rows.size, dtype=bool)
+    first[1:] = dates[1:] != dates[:-1]
+    return rows[first]
 
 
-def _series_from_chosen(chosen: dict, prior_close, per_point_contract: bool):
-    dates = sorted(chosen)
+def _log_return(close: float, prev_close) -> float:
+    return 0.0 if prev_close is None else math.log(close / prev_close)
+
+
+def _series_points(chain: OptionChain, rows: np.ndarray, prior_close, per_point_contract: bool):
+    tau_days = np.busday_count(chain.quote_date[rows], chain.expiry_date[rows]).tolist()
     points = []
     prev_close = prior_close
-    for date in dates:
-        q = chosen[date]
-        tau_days = trading_days_between(date, q.expiry_date)
-        tau = tau_days / TRADING_DAYS_PER_YEAR
-        u = 0.0 if prev_close is None else math.log(q.underlying_close / prev_close)
+    for i, days in zip(rows.tolist(), tau_days):
+        q = chain[i]
         contract = None
         if per_point_contract:
-            contract = ContractSpec(strike=q.strike, expiry_step=tau_days, is_call=q.side == "C")
-        points.append(
-            SeriesPoint(quote=q, ex=ExogenousInputs(s=q.underlying_close, u=u, tau=tau, contract=contract))
+            contract = ContractSpec(strike=q.strike, expiry_step=days, is_call=q.side == "C")
+        ex = ExogenousInputs(
+            s=q.underlying_close,
+            u=_log_return(q.underlying_close, prev_close),
+            tau=days / TRADING_DAYS_PER_YEAR,
+            contract=contract,
         )
+        points.append(SeriesPoint(quote=q, ex=ex))
         prev_close = q.underlying_close
     return points
 
@@ -319,22 +535,21 @@ def build_series(
 ) -> ContractSeries:
     """Chronological series for one contract, one quote per date by max volume.
 
+    ``quotes`` is an ``OptionChain`` or any sequence of ``OptionQuote``.
     The first step's log-return uses ``prior_close`` when given, else 0.
     """
-    side = "C" if is_call else "P"
-    per_date: dict = {}
-    for q in quotes:
-        if q.side != side or q.expiry_date != expiry_date:
-            continue
-        if abs(q.strike - strike) > 1e-9:
-            continue
-        per_date.setdefault(q.quote_date, []).append(q)
-    if len(per_date) < 2:
+    chain = OptionChain.from_quotes(quotes)
+    mask = (
+        (chain.is_call == is_call)
+        & (chain.expiry_date == np.datetime64(expiry_date, "D"))
+        & (np.abs(chain.strike - strike) <= 1e-9)
+    )
+    rows = _max_volume_rows(chain, mask)
+    if rows.size < 2:
         raise InsufficientDataError(
-            f"only {len(per_date)} usable dates for strike {strike} expiring {expiry_date}"
+            f"only {rows.size} usable dates for strike {strike} expiring {expiry_date}"
         )
-    chosen = _dedupe_by_volume(per_date)
-    points = _series_from_chosen(chosen, prior_close, per_point_contract=False)
+    points = _series_points(chain, rows, prior_close, per_point_contract=False)
     first_date = points[0].quote.quote_date
     contract = ContractSpec(
         strike=strike,
@@ -352,15 +567,11 @@ def max_volume_series(quotes, prior_close: float | None = None) -> ContractSerie
     The traded contract changes from step to step, so each point's
     exogenous inputs carry their own strike and expiry.
     """
-    per_date: dict = {}
-    for q in quotes:
-        if q.side != "C":
-            continue
-        per_date.setdefault(q.quote_date, []).append(q)
-    if len(per_date) < 2:
-        raise InsufficientDataError(f"only {len(per_date)} dates with call quotes")
-    chosen = _dedupe_by_volume(per_date)
-    points = _series_from_chosen(chosen, prior_close, per_point_contract=True)
+    chain = OptionChain.from_quotes(quotes)
+    rows = _max_volume_rows(chain, chain.is_call)
+    if rows.size < 2:
+        raise InsufficientDataError(f"only {rows.size} dates with call quotes")
+    points = _series_points(chain, rows, prior_close, per_point_contract=True)
     first = points[0]
     return ContractSeries(
         points=points,

@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .exceptions import CovarianceError
-from .linalg import regularized_inverse, symmetrize
+from .linalg import regularized_inverse, safe_cholesky, symmetrize
 
 
 class StateSpaceModel:
@@ -59,6 +59,15 @@ class StateSpaceModel:
             for m in cached:
                 m.flags.writeable = False
             self._noise_precisions = cached
+        return cached
+
+    def process_noise_factor(self) -> np.ndarray:
+        """Lower Cholesky factor of Q, factored on the first call and kept: the noise is constant."""
+        cached = getattr(self, "_process_noise_factor", None)
+        if cached is None:
+            cached = safe_cholesky(self.process_cov())
+            cached.flags.writeable = False
+            self._process_noise_factor = cached
         return cached
 
     # -- single-state conveniences ------------------------------------

@@ -7,6 +7,8 @@ actual cross-check and not a tautology.
 
 from __future__ import annotations
 
+import csv
+import datetime as dt
 import math
 
 import numpy as np
@@ -188,3 +190,118 @@ def mixture_smoothing_weights(x_next, means, q):
     logw = np.diagonal(logd) - log_mix
     w = np.exp(logw - logw.max())
     return w / w.sum()
+
+
+CHAIN_COLUMNS = (
+    "quote_date", "expiry_date", "strike", "side", "bid", "ask", "last", "volume",
+    "underlying_close", "implied_vol",
+)
+
+
+def _maybe_float(text):
+    text = (text or "").strip()
+    if not text:
+        return None
+    return float(text)
+
+
+def _side(text):
+    low = text.strip().lower()
+    if low in ("c", "call"):
+        return "C"
+    if low in ("p", "put"):
+        return "P"
+    raise ValueError(f"unknown side {text!r}")
+
+
+def rowwise_load_chain(path, columns=None):
+    """The chain loader as it was before columnar ingestion, one dict per row.
+
+    Returns (quotes, rejects): each quote a tuple in ``OptionQuote`` field
+    order (quote_date, expiry_date, strike, side, price, volume,
+    underlying_close, implied_vol), each reject a (line, reason) pair.
+    Known to be wrong on blank lines (it numbers the rows after one a line
+    too low) and on rows shorter than the header, so tests leave those out.
+    """
+    colmap = {c: c for c in CHAIN_COLUMNS}
+    colmap.update(columns or {})
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.DictReader(fh)
+        has_iv = colmap["implied_vol"] in reader.fieldnames
+        rows = list(reader)
+    quotes, rejects = [], []
+    for i, row in enumerate(rows):
+        line = i + 2
+        try:
+            quote_date = dt.date.fromisoformat(row[colmap["quote_date"]].strip())
+            expiry_date = dt.date.fromisoformat(row[colmap["expiry_date"]].strip())
+            strike = float(row[colmap["strike"]])
+            side = _side(row[colmap["side"]])
+            volume = float(row[colmap["volume"]])
+            underlying = float(row[colmap["underlying_close"]])
+            bid = _maybe_float(row[colmap["bid"]])
+            ask = _maybe_float(row[colmap["ask"]])
+            last = _maybe_float(row[colmap["last"]])
+            iv = _maybe_float(row[colmap["implied_vol"]]) if has_iv else None
+        except (ValueError, TypeError, KeyError) as e:
+            rejects.append((line, f"unparseable field: {e}"))
+            continue
+        if bid is not None and ask is not None:
+            price = 0.5 * (bid + ask)
+        elif last is not None:
+            price = last
+        else:
+            rejects.append((line, "no usable price (bid/ask pair or last required)"))
+            continue
+        reason = None
+        if not math.isfinite(price) or price < 0.0:
+            reason = "price < 0"
+        elif strike <= 0.0 or not math.isfinite(strike):
+            reason = "strike <= 0"
+        elif underlying <= 0.0 or not math.isfinite(underlying):
+            reason = "underlying_close <= 0"
+        elif volume < 0.0 or not math.isfinite(volume):
+            reason = "volume < 0"
+        elif expiry_date < quote_date:
+            reason = "expiry before quote date"
+        if reason is not None:
+            rejects.append((line, reason))
+            continue
+        quotes.append((quote_date, expiry_date, strike, side, price, volume, underlying, iv))
+    return quotes, rejects
+
+
+# Quote tuples below are in rowwise_load_chain's field order.
+_DATE, _EXPIRY, _STRIKE, _SIDE, _PRICE, _VOLUME, _CLOSE = range(7)
+
+
+def rowwise_max_volume(quotes, keep):
+    """Per quote date, in date order, the kept quote with the most volume.
+
+    Ties go to the lower strike, then to the earlier quote in the list.
+    """
+    best = {}
+    for q in quotes:
+        if not keep(q):
+            continue
+        b = best.get(q[_DATE])
+        if b is None or q[_VOLUME] > b[_VOLUME] or (q[_VOLUME] == b[_VOLUME] and q[_STRIKE] < b[_STRIKE]):
+            best[q[_DATE]] = q
+    return [best[d] for d in sorted(best)]
+
+
+def rowwise_prior_close(quotes, date):
+    """Close of the first quote on the latest date strictly before ``date``, or None."""
+    before = [q for q in quotes if q[_DATE] < date]
+    if not before:
+        return None
+    latest = max(q[_DATE] for q in before)
+    return next(q[_CLOSE] for q in before if q[_DATE] == latest)
+
+
+def rowwise_closes_by_date(quotes):
+    """(date, close of the date's first quote) in date order."""
+    first = {}
+    for q in quotes:
+        first.setdefault(q[_DATE], q[_CLOSE])
+    return sorted(first.items())

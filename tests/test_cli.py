@@ -131,6 +131,19 @@ def test_backtest_explicit_contract_and_adaptive_strategy(workdir, capsys):
     assert "rmse[PF]" in stdout and "rmse[AAF]" in stdout
 
 
+def test_backtest_rejects_a_truncated_row_and_runs(workdir, capsys):
+    tmp, cfg, chain = workdir
+    truncated = tmp / "truncated.csv"
+    truncated.write_text(chain.read_text() + "2019-01-03,2019-12-20,100\n")
+    out = tmp / "reports_truncated"
+    code = run(
+        ["backtest", "--chain", truncated, "--config", cfg, "--strategy", "EKF", "--out-dir", out]
+    )
+    assert code == 0
+    assert "note: 1 row(s) rejected" in capsys.readouterr().err
+    assert (out / "decision_log.csv").exists()
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered in square")
 def test_backtest_numerical_fallbacks_exit_two(workdir, capsys):
     tmp, cfg, chain = workdir
@@ -148,7 +161,7 @@ def test_backtest_numerical_fallbacks_exit_two(workdir, capsys):
         underlying_close=100.0,
     )
     poisoned = tmp / "poisoned.csv"
-    write_chain(poisoned, quotes + [absurd])
+    write_chain(poisoned, list(quotes) + [absurd])
     out = tmp / "reports_poisoned"
     code = run(
         ["backtest", "--chain", poisoned, "--config", cfg, "--strategy", "AAF", "--out-dir", out]

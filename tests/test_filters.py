@@ -250,6 +250,18 @@ def test_propagate_cloud_is_rng_deterministic():
     np.testing.assert_allclose(a.weights, cloud.weights)
 
 
+def test_propagate_cloud_reuses_the_kept_noise_factor():
+    model = linear_model()
+    cloud = ParticleCloud.uniform(np.random.default_rng(2).standard_normal((50, 2)))
+    moved = propagate_cloud(cloud, None, model, np.random.default_rng(42))
+    factor = model.process_noise_factor()
+    assert model.process_noise_factor() is factor and not factor.flags.writeable
+    np.testing.assert_allclose(factor @ factor.T, Q, rtol=1e-15)
+    # the same draws as factoring Q afresh
+    expect = cloud.particles @ A.T + np.random.default_rng(42).standard_normal((50, 2)) @ factor.T
+    np.testing.assert_array_equal(moved.particles, expect)
+
+
 def test_likelihood_logweights_matches_scalar_gaussian():
     particles = np.array([[0.0, 0.0], [1.0, 2.0]])
     obs = np.array([0.5])

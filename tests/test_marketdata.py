@@ -1,8 +1,12 @@
+import csv
+import dataclasses
 import datetime as dt
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from volswitch.bsgarch import (
@@ -11,6 +15,7 @@ from volswitch.bsgarch import (
     ModelSpec,
     NoiseSpec,
 )
+from volswitch.calibrate import closes_by_date
 from volswitch.exceptions import (
     FormatError,
     InsufficientDataError,
@@ -19,7 +24,9 @@ from volswitch.exceptions import (
 )
 from volswitch.marketdata import (
     TRADING_DAYS_PER_YEAR,
+    OptionChain,
     OptionQuote,
+    RejectedRow,
     build_series,
     generate_synthetic,
     load_chain,
@@ -132,7 +139,8 @@ def test_load_chain_empty_and_header_only_files(tmp_path):
         load_chain(empty)
     header_only = tmp_path / "header.csv"
     header_only.write_text(HEADER + "\n")
-    assert load_chain(header_only) == ([], [])
+    chain, rejects = load_chain(header_only)
+    assert len(chain) == 0 and rejects == []
 
 
 def test_load_chain_missing_file_raises_format_error(tmp_path):
@@ -149,7 +157,161 @@ def test_write_chain_round_trips_exactly(tmp_path):
     write_chain(path, quotes)
     loaded, rejects = load_chain(path)
     assert not rejects
-    assert loaded == quotes
+    assert list(loaded) == quotes
+
+
+def test_blank_lines_are_skipped_and_rejects_carry_their_file_line(tmp_path):
+    path = tmp_path / "chain.csv"
+    path.write_text(
+        HEADER + "\n"
+        "2019-01-02,2019-12-20,100,C,5.0,5.4,,10,100,\n"
+        "\n"
+        "2019-01-03,2019-12-20,0,C,5.0,5.4,,10,100,\n"
+    )
+    chain, rejects = load_chain(path)
+    assert len(chain) == 1
+    assert rejects == [RejectedRow(4, "strike <= 0")]
+
+
+def test_a_row_spanning_lines_does_not_shift_later_lines(tmp_path):
+    path = tmp_path / "chain.csv"
+    path.write_text(
+        HEADER + "\n"
+        '2019-01-02,2019-12-20,100,"C\n",5.0,5.4,,10,100,\n'  # a quoted side over two lines
+        "2019-01-03,2019-12-20,100,C,5.0,5.4,,-1,100,\n"
+    )
+    chain, rejects = load_chain(path)
+    assert len(chain) == 1 and chain[0].side == "C"
+    assert rejects == [RejectedRow(4, "volume < 0")]
+
+
+def test_truncated_rows_are_rejected_naming_the_missing_column(tmp_path):
+    path = chain_file(
+        tmp_path,
+        [
+            "2020-01-03,2020-04-03,100",  # stops after strike
+            "2020-01-03,2020-04-03,100,C,5.0,5.4,,10,100",  # lacks only the optional implied vol
+            "bad-date,2020-04-03",  # the first failing field still comes first
+        ],
+    )
+    chain, rejects = load_chain(path)
+    assert [(r.line, r.reason) for r in rejects] == [
+        (2, "missing field: side"),
+        (4, "unparseable field: Invalid isoformat string: 'bad-date'"),
+    ]
+    assert list(chain) == [
+        OptionQuote(dt.date(2020, 1, 3), dt.date(2020, 4, 3), 100.0, "C", 5.2, 10.0, 100.0, None)
+    ]
+
+
+def test_truncated_row_names_the_vendor_header(tmp_path):
+    header = "quote_date,expiry_date,strike,side,bid,ask,last,VOL,underlying_close"
+    path = chain_file(tmp_path, ["2020-01-03,2020-04-03,100,C,5.0,5.4,"], header=header)
+    _, rejects = load_chain(path, columns={"volume": "VOL"})
+    assert rejects == [RejectedRow(2, "missing field: VOL")]
+
+
+def test_option_chain_is_a_sequence_of_plain_quotes(tmp_path):
+    quotes = [
+        quote("2019-01-02", close=100.5, price=5.25),
+        dataclasses.replace(quote("2019-01-03", side="P", strike=105.0), implied_vol=0.2),
+    ]
+    chain = OptionChain.from_quotes(quotes)
+    assert OptionChain.from_quotes(chain) is chain
+    assert len(chain) == 2 and list(chain) == quotes
+    assert chain[-1] == quotes[1] and chain[0:1] == quotes[:1]
+    assert quotes[1] in chain and chain.index(quotes[1]) == 1
+    first = chain[0]
+    assert type(first.strike) is float and type(first.quote_date) is dt.date
+    assert type(first.side) is str and first.implied_vol is None
+    assert repr(first.strike) == "100.0"  # write_chain writes repr(strike)
+    with pytest.raises(IndexError):
+        chain[2]
+    with pytest.raises(ValueError, match="read-only"):
+        chain.price[0] = 1.0
+
+
+# Field texts that exercise every reject kind: bad dates and sides, blank,
+# whitespace, nan and inf fields, negative values, `_` and hex in numbers.
+DATE_TEXTS = st.one_of(
+    st.dates(dt.date(2019, 1, 1), dt.date(2019, 1, 10)).map(dt.date.isoformat),
+    st.sampled_from(["", " 2019-01-04 ", "2019-02-30", "not-a-date", "20190103"]),
+)
+SIDE_TEXTS = st.sampled_from(["C", "P", "call", " put ", "c", "X", "", " "])
+NUMBER_TEXTS = st.one_of(
+    st.floats(-5.0, 200.0, allow_nan=False).map(repr),
+    st.integers(-3, 3000).map(str),
+    st.sampled_from(
+        ["", " ", "nan", "inf", "-inf", "1_000", "1__0", " 5 ", "0x10", "1,5", "abc", "-0", "1e999"]
+    ),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    rows=st.lists(
+        st.tuples(
+            DATE_TEXTS, DATE_TEXTS, NUMBER_TEXTS, SIDE_TEXTS, NUMBER_TEXTS, NUMBER_TEXTS,
+            NUMBER_TEXTS, NUMBER_TEXTS, NUMBER_TEXTS, NUMBER_TEXTS,
+        ),
+        max_size=40,
+    ),
+    order=st.permutations(range(10)),
+)
+def test_load_chain_matches_the_rowwise_oracle(tmp_path_factory, rows, order):
+    path = tmp_path_factory.mktemp("oracle") / "chain.csv"
+    header = HEADER.split(",")
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([header[j] for j in order])
+        writer.writerows([row[j] for j in order] for row in rows)
+    chain, rejects = load_chain(path)
+    expect_quotes, expect_rejects = oracles.rowwise_load_chain(path)
+    assert [(r.line, r.reason) for r in rejects] == expect_rejects
+
+    def fields(values):  # NaN (an implied vol of "nan") equals itself here
+        return tuple("NaN" if isinstance(v, float) and math.isnan(v) else v for v in values)
+
+    assert [fields(dataclasses.astuple(q)) for q in chain] == [fields(q) for q in expect_quotes]
+
+
+def test_selection_on_a_loaded_chain_matches_the_oracle_quotes(tmp_path):
+    rows = []
+    for day in range(2, 9):
+        date = f"2019-01-{day:02d}"
+        for strike in (105, 95, 100):
+            for side in "CP":
+                for expiry in ("2019-03-15", "2019-06-21"):
+                    volume = (day * strike + ord(side)) % 4  # ties on volume, on purpose
+                    close = 90 + day + (strike == 105)  # a date's first rows give its close
+                    rows.append(f"{date},{expiry},{strike},{side},{day}.5,{day}.75,,{volume},{close}.25,")
+    rows.append("2019-01-01,2019-03-15,100,C,,,3.0,1,88.5,")  # a prior close for 2019-01-02
+    path = chain_file(tmp_path, rows)
+    chain, rejects = load_chain(path)
+    assert not rejects
+    oracle_quotes, _ = oracles.rowwise_load_chain(path)
+    quotes = [OptionQuote(*q) for q in oracle_quotes]
+    assert list(chain) == quotes
+
+    def chosen(series):
+        return [dataclasses.astuple(p.quote) for p in series.points]
+
+    expiry = dt.date(2019, 3, 15)
+    for strike, side in ((100.0, "C"), (95.0, "P")):
+        a = build_series(chain, strike, expiry, is_call=side == "C", prior_close=87.0)
+        assert a == build_series(quotes, strike, expiry, is_call=side == "C", prior_close=87.0)
+        assert chosen(a) == oracles.rowwise_max_volume(
+            oracle_quotes, lambda q: q[1] == expiry and q[2] == strike and q[3] == side
+        )
+    calls = max_volume_series(chain)
+    assert calls == max_volume_series(quotes)
+    assert chosen(calls) == oracles.rowwise_max_volume(oracle_quotes, lambda q: q[3] == "C")
+    for day in (1, 2, 5, 9):
+        date = dt.date(2019, 1, day)
+        assert prior_close_before(chain, date) == prior_close_before(quotes, date)
+        assert prior_close_before(chain, date) == oracles.rowwise_prior_close(oracle_quotes, date)
+    assert closes_by_date(chain) == closes_by_date(quotes)
+    assert closes_by_date(chain) == oracles.rowwise_closes_by_date(oracle_quotes)
 
 
 # ---------------------------------------------------------------------------
