@@ -4,13 +4,11 @@
     python3 scripts/bench_record.py 6 change
 
 Runs perfbench/run.py of ROOT (default: this checkout) for every workload
-in BENCHMARK.json, once end to end (--trace 0) and once traced (--trace 1),
-and keeps each run's last output line (its JSON result) and its
-provenance line. Adds the line count of ROOT/src and the SHA-256 of the
-sample backtest's decision_log.csv and rmse.csv (data/, AAF, seed 0).
-The record goes under LABEL in BENCH_<pr>.json beside this script's
-checkout, so a parent and a change run of one PR share a file. Nothing
-here gates on absolute times: compare labels recorded in one session.
+in BENCHMARK.json at --trace 0 and --trace 1, keeping each run's JSON
+result and provenance, plus the line count of ROOT/src and the SHA-256 of
+the sample backtest's decision_log.csv and rmse.csv (AAF, seed 0). The
+record goes under LABEL in BENCH_<pr>.json beside this script, so both
+sides of a PR share a file. Nothing gates on absolute times.
 """
 
 import argparse

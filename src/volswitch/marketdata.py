@@ -85,7 +85,7 @@ class OptionQuote:
     implied_vol: float | None = None
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@dataclass(frozen=True, eq=False)
 class OptionChain(Sequence):
     """Accepted quotes of a chain as read-only numpy columns, one entry per row.
 
@@ -130,9 +130,6 @@ class OptionChain(Sequence):
 
     def __len__(self):
         return len(self.price)
-
-    def __repr__(self):
-        return f"OptionChain({len(self)} quotes)"
 
     def __getitem__(self, i):
         if isinstance(i, slice):
@@ -200,7 +197,7 @@ class ContractSeries:
     def with_prior_close(self, prior_close: float) -> "ContractSeries":
         """The same series with the first step's log-return taken from ``prior_close``."""
         first = self.points[0]
-        u = _log_return(first.quote.underlying_close, prior_close)
+        u = math.log(first.quote.underlying_close / prior_close)
         head = SeriesPoint(quote=first.quote, ex=replace(first.ex, u=u))
         return replace(self, points=[head, *self.points[1:]])
 
@@ -502,14 +499,11 @@ def _max_volume_rows(chain: OptionChain, mask: np.ndarray) -> np.ndarray:
     return rows[first]
 
 
-def _log_return(close: float, prev_close) -> float:
-    return 0.0 if prev_close is None else math.log(close / prev_close)
-
-
-def _series_points(chain: OptionChain, rows: np.ndarray, prior_close, per_point_contract: bool):
+def _series_points(chain: OptionChain, rows: np.ndarray, per_point_contract: bool):
+    """Points of the chosen rows; the first step's log-return is 0."""
     tau_days = np.busday_count(chain.quote_date[rows], chain.expiry_date[rows]).tolist()
     points = []
-    prev_close = prior_close
+    prev_close = None
     for i, days in zip(rows.tolist(), tau_days):
         q = chain[i]
         contract = None
@@ -517,7 +511,7 @@ def _series_points(chain: OptionChain, rows: np.ndarray, prior_close, per_point_
             contract = ContractSpec(strike=q.strike, expiry_step=days, is_call=q.side == "C")
         ex = ExogenousInputs(
             s=q.underlying_close,
-            u=_log_return(q.underlying_close, prev_close),
+            u=0.0 if prev_close is None else math.log(q.underlying_close / prev_close),
             tau=days / TRADING_DAYS_PER_YEAR,
             contract=contract,
         )
@@ -549,16 +543,17 @@ def build_series(
         raise InsufficientDataError(
             f"only {rows.size} usable dates for strike {strike} expiring {expiry_date}"
         )
-    points = _series_points(chain, rows, prior_close, per_point_contract=False)
+    points = _series_points(chain, rows, per_point_contract=False)
     first_date = points[0].quote.quote_date
     contract = ContractSpec(
         strike=strike,
         expiry_step=trading_days_between(first_date, expiry_date),
         is_call=is_call,
     )
-    return ContractSeries(
+    series = ContractSeries(
         points=points, strike=strike, expiry_date=expiry_date, is_call=is_call, contract=contract
     )
+    return series if prior_close is None else series.with_prior_close(prior_close)
 
 
 def max_volume_series(quotes, prior_close: float | None = None) -> ContractSeries:
@@ -571,15 +566,16 @@ def max_volume_series(quotes, prior_close: float | None = None) -> ContractSerie
     rows = _max_volume_rows(chain, chain.is_call)
     if rows.size < 2:
         raise InsufficientDataError(f"only {rows.size} dates with call quotes")
-    points = _series_points(chain, rows, prior_close, per_point_contract=True)
+    points = _series_points(chain, rows, per_point_contract=True)
     first = points[0]
-    return ContractSeries(
+    series = ContractSeries(
         points=points,
         strike=first.quote.strike,
         expiry_date=first.quote.expiry_date,
         is_call=True,
         contract=first.ex.contract,
     )
+    return series if prior_close is None else series.with_prior_close(prior_close)
 
 
 def generate_synthetic(
