@@ -211,7 +211,7 @@ def test_truncated_row_names_the_vendor_header(tmp_path):
     assert rejects == [RejectedRow(2, "missing field: VOL")]
 
 
-def test_option_chain_is_a_sequence_of_plain_quotes(tmp_path):
+def test_option_chain_is_a_sequence_of_plain_quotes():
     quotes = [
         quote("2019-01-02", close=100.5, price=5.25),
         dataclasses.replace(quote("2019-01-03", side="P", strike=105.0), implied_vol=0.2),
