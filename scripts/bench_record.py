@@ -1,14 +1,14 @@
-"""Record one tree's benchmark numbers into BENCH_<pr>.json.
+"""Record a PR's benchmark runs, parent and change alternated, into BENCH_<pr>.json.
 
-    python3 scripts/bench_record.py 6 parent --root ../parent-checkout
-    python3 scripts/bench_record.py 6 change
+    python3 scripts/bench_record.py 6 ../parent-checkout
 
-Runs perfbench/run.py of ROOT (default: this checkout) for every workload
-in BENCHMARK.json at --trace 0 and --trace 1, keeping each run's JSON
-result and provenance, plus the line count of ROOT/src and the SHA-256 of
-the sample backtest's decision_log.csv and rmse.csv (AAF, seed 0). The
-record goes under LABEL in BENCH_<pr>.json beside this script, so both
-sides of a PR share a file. Nothing gates on absolute times.
+For every workload in BENCHMARK.json, at --trace 0 and then --trace 1, runs
+perfbench/run.py of the parent checkout and of this one back to back, for
+the benchmark's run_seconds at a fixed seed; which side goes first
+alternates from pair to pair, and "run_order" lists the runs as they ran.
+Each side also records the line count of its src/ and the SHA-256 of its
+sample backtest's decision_log.csv and rmse.csv (AAF, seed 0). Nothing
+gates on absolute times.
 """
 
 import argparse
@@ -21,12 +21,13 @@ import tempfile
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent.parent
+SEED = 0
 
 
-def run_bench(root: Path, workload: str, trace: int, seconds: int, seed: int) -> dict:
+def run_bench(root: Path, command: list, workload: str, trace: int, seconds: int) -> dict:
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", workload, "--trace", str(trace),
-         "--seconds", str(seconds), "--seed", str(seed)],
+        [*command, "--workload", workload, "--trace", str(trace),
+         "--seconds", str(seconds), "--seed", str(SEED)],
         cwd=root, capture_output=True, text=True, check=True,
     )
     lines = proc.stdout.strip().splitlines()
@@ -34,7 +35,7 @@ def run_bench(root: Path, workload: str, trace: int, seconds: int, seed: int) ->
     return {"provenance": json.loads(provenance.split(" ", 1)[1]), "result": json.loads(lines[-1])}
 
 
-def sample_report_hashes(root: Path) -> dict:
+def describe(root: Path) -> dict:
     with tempfile.TemporaryDirectory() as out:
         subprocess.run(
             [sys.executable, "-m", "volswitch", "backtest", "--chain", "data/sample_chain.csv",
@@ -42,37 +43,38 @@ def sample_report_hashes(root: Path) -> dict:
             cwd=root, env={**os.environ, "PYTHONPATH": str(root / "src")},
             capture_output=True, check=True,
         )
-        return {name: hashlib.sha256((Path(out) / name).read_bytes()).hexdigest()
-                for name in ("decision_log.csv", "rmse.csv")}
+        hashes = {name: hashlib.sha256((Path(out) / name).read_bytes()).hexdigest()
+                  for name in ("decision_log.csv", "rmse.csv")}
+    return {
+        "commit": subprocess.run(["git", "-C", str(root), "describe", "--always", "--dirty"],
+                                 capture_output=True, text=True).stdout.strip(),
+        "src_lines": sum(len(p.read_text(encoding="utf-8").splitlines())
+                         for p in sorted((root / "src").rglob("*.py"))),
+        "sample_aaf_sha256": hashes,
+        "runs": {},
+    }
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("pr", type=int)
-    parser.add_argument("label", help="e.g. parent or change")
-    parser.add_argument("--root", type=Path, default=HERE, help="checkout to measure")
-    parser.add_argument("--seconds", type=int, default=50)
-    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("parent", type=Path, help="checkout of the parent commit")
     args = parser.parse_args(argv)
-    root = args.root.resolve()
-    spec = json.loads((root / "BENCHMARK.json").read_text(encoding="utf-8"))
-    record = {
-        "commit": subprocess.run(["git", "-C", str(root), "describe", "--always", "--dirty"],
-                                 capture_output=True, text=True).stdout.strip(),
-        "seconds": args.seconds,
-        "seed": args.seed,
-        "src_lines": sum(len(p.read_text(encoding="utf-8").splitlines())
-                         for p in sorted((root / "src").rglob("*.py"))),
-        "sample_aaf_sha256": sample_report_hashes(root),
-        "runs": {w["name"]: {f"trace{t}": run_bench(root, w["name"], t, args.seconds, args.seed)
-                             for t in (0, 1)}
-                 for w in spec["workloads"]},
-    }
+    spec = json.loads((HERE / "BENCHMARK.json").read_text(encoding="utf-8"))
+    roots = {"parent": args.parent.resolve(), "change": HERE}
+    record = {"seconds": spec["run_seconds"], "seed": SEED, "run_order": [],
+              **{label: describe(root) for label, root in roots.items()}}
+    pairs = [(w["name"], trace) for w in spec["workloads"] for trace in (0, 1)]
+    for i, (workload, trace) in enumerate(pairs):
+        for label in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
+            runs = record[label]["runs"].setdefault(workload, {})
+            runs[f"trace{trace}"] = run_bench(roots[label], spec["command"], workload, trace,
+                                              spec["run_seconds"])
+            record["run_order"].append(f"{workload} trace{trace} {label}")
+            print(record["run_order"][-1], flush=True)
     path = HERE / f"BENCH_{args.pr}.json"
-    bench = json.loads(path.read_text(encoding="utf-8")) if path.is_file() else {}
-    bench[args.label] = record
-    path.write_text(json.dumps(bench, indent=1, sort_keys=True) + "\n", encoding="utf-8")
-    print(f"wrote {args.label} to {path}")
+    path.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    print(f"wrote {path}")
     return 0
 
 

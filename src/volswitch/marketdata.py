@@ -273,10 +273,6 @@ def _floats(texts, optional: bool, errors: dict):
     absent = np.fromiter(map(operator.not_, texts), bool, n) if optional else np.zeros(n, bool)
     try:
         filled = [t or "nan" for t in texts] if absent.any() else texts
-        distinct = set(filled)
-        if 4 * len(distinct) <= n:  # repeated texts (strikes, closes, vols): convert each once
-            lookup = {text: float(text) for text in distinct}
-            return np.fromiter(map(lookup.__getitem__, filled), np.float64, n), absent
         return np.fromiter(map(float, filled), np.float64, n), absent
     except ValueError:
         pass  # convert one by one to find the failing texts and their messages
@@ -525,12 +521,12 @@ def build_series(
     strike: float,
     expiry_date: dt.date,
     is_call: bool = True,
-    prior_close: float | None = None,
 ) -> ContractSeries:
     """Chronological series for one contract, one quote per date by max volume.
 
     ``quotes`` is an ``OptionChain`` or any sequence of ``OptionQuote``.
-    The first step's log-return uses ``prior_close`` when given, else 0.
+    The first step's log-return is 0; ``ContractSeries.with_prior_close``
+    takes it from the close before the series instead.
     """
     chain = OptionChain.from_quotes(quotes)
     mask = (
@@ -550,13 +546,12 @@ def build_series(
         expiry_step=trading_days_between(first_date, expiry_date),
         is_call=is_call,
     )
-    series = ContractSeries(
+    return ContractSeries(
         points=points, strike=strike, expiry_date=expiry_date, is_call=is_call, contract=contract
     )
-    return series if prior_close is None else series.with_prior_close(prior_close)
 
 
-def max_volume_series(quotes, prior_close: float | None = None) -> ContractSeries:
+def max_volume_series(quotes) -> ContractSeries:
     """Liquidity-driven call series: per date, the call with the highest volume.
 
     The traded contract changes from step to step, so each point's
@@ -568,14 +563,13 @@ def max_volume_series(quotes, prior_close: float | None = None) -> ContractSerie
         raise InsufficientDataError(f"only {rows.size} dates with call quotes")
     points = _series_points(chain, rows, per_point_contract=True)
     first = points[0]
-    series = ContractSeries(
+    return ContractSeries(
         points=points,
         strike=first.quote.strike,
         expiry_date=first.quote.expiry_date,
         is_call=True,
         contract=first.ex.contract,
     )
-    return series if prior_close is None else series.with_prior_close(prior_close)
 
 
 def generate_synthetic(

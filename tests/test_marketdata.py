@@ -298,8 +298,8 @@ def test_selection_on_a_loaded_chain_matches_the_oracle_quotes(tmp_path):
 
     expiry = dt.date(2019, 3, 15)
     for strike, side in ((100.0, "C"), (95.0, "P")):
-        a = build_series(chain, strike, expiry, is_call=side == "C", prior_close=87.0)
-        assert a == build_series(quotes, strike, expiry, is_call=side == "C", prior_close=87.0)
+        a = build_series(chain, strike, expiry, is_call=side == "C").with_prior_close(87.0)
+        assert a == build_series(quotes, strike, expiry, is_call=side == "C").with_prior_close(87.0)
         assert chosen(a) == oracles.rowwise_max_volume(
             oracle_quotes, lambda q: q[1] == expiry and q[2] == strike and q[3] == side
         )
@@ -344,9 +344,8 @@ def test_build_series_exogenous_inputs():
 
 def test_build_series_uses_prior_close_for_first_return():
     quotes = [quote("2019-01-02", close=101.0), quote("2019-01-03", close=102.0)]
-    series = build_series(
-        quotes, strike=100.0, expiry_date=dt.date(2019, 12, 20), prior_close=100.0
-    )
+    series = build_series(quotes, strike=100.0, expiry_date=dt.date(2019, 12, 20))
+    series = series.with_prior_close(100.0)
     assert series.points[0].ex.u == pytest.approx(math.log(1.01), abs=1e-15)
 
 
