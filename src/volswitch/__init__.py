@@ -8,7 +8,7 @@ per step or per state component — supplies the estimate used for
 one-step-ahead price forecasting.
 """
 
-from .backtest import ReportBundle, forecast_one_step, rmse, run_backtest, vol_report
+from .backtest import ReportBundle, rmse, run_backtest, vol_report
 from .bsgarch import (
     BsGarchModel,
     ContractSpec,
@@ -68,7 +68,6 @@ __all__ = [
     "SyntheticTruth",
     "build_series",
     "fit_garch",
-    "forecast_one_step",
     "generate_synthetic",
     "load_chain",
     "load_config",

@@ -2,10 +2,11 @@
 
 The estimation bank runs over the whole series (the train span warm-starts
 the filters); forecasting and RMSE are computed on the test span only.
-Forecasts are one step ahead from the previous step's switched state:
-median-path spot move (zero GBM shock), zero-noise state transition, time
-to expiry reduced by one step. Errors therefore never compound across
-steps — each forecast is corrected by the next observed price.
+Each filter and the switch are scored alike, one step ahead from the
+previous step's estimate: median-path spot move (zero GBM shock),
+zero-noise state transition, time to expiry reduced by one step. Errors
+therefore never compound across steps — each forecast is corrected by the
+next observed price.
 
 All reports are plain CSV with ``repr`` float formatting, so two runs with
 the same config, seed and data produce byte-identical files.
@@ -29,7 +30,7 @@ from .config import RunConfig
 from .exceptions import ContractExpiredError, InsufficientDataError, InvalidInputError
 from .filters import FILTER_ORDER, FilterId
 from .marketdata import ContractSeries, load_value_series
-from .switching import SwitchDecision, run_adaptive_estimation
+from .switching import run_adaptive_estimation
 
 logger = logging.getLogger(__name__)
 
@@ -72,11 +73,6 @@ def _forecast_from_estimate(estimate, ex: ExogenousInputs, model: BsGarchModel) 
     return fitted_price(model.transition(x, ex_next), ex_next, model)
 
 
-def forecast_one_step(decision: SwitchDecision, ex: ExogenousInputs, model: BsGarchModel) -> float:
-    """Price forecast for the next step from the current switched state."""
-    return _forecast_from_estimate(decision.estimate, ex, model)
-
-
 def fitted_price(estimate, ex: ExogenousInputs, model: BsGarchModel) -> float:
     """Model price at the current step's inputs for a state estimate (variance floored at 0)."""
     return float(model.measurement(estimate, ex)[0])
@@ -105,25 +101,17 @@ def strategy_bank(strategy: str):
     return "average", (FilterId[strategy],)
 
 
-def _component_label(j: int) -> str:
-    return "volatility" if j == 0 else "risk"
-
-
 def frequency_counts(records, mode: str, strategy: str) -> dict:
     """Chosen-filter counts per strategy row; every row sums to len(records)."""
     if mode == "average":
-        rows = {strategy: {f.name: 0 for f in FILTER_ORDER}}
-        for rec in records:
-            rows[strategy][rec.decision.chosen[0].name] += 1
-        return rows
-    n_components = len(records[0].decision.chosen) if records else 0
-    rows = {
-        f"{strategy} {_component_label(j)}": {f.name: 0 for f in FILTER_ORDER}
-        for j in range(n_components)
-    }
+        labels = [strategy]
+    else:
+        n_components = len(records[0].decision.chosen) if records else 0
+        labels = [f"{strategy} {'volatility' if j == 0 else 'risk'}" for j in range(n_components)]
+    rows = {label: {f.name: 0 for f in FILTER_ORDER} for label in labels}
     for rec in records:
-        for j, fid in enumerate(rec.decision.chosen):
-            rows[f"{strategy} {_component_label(j)}"][fid.name] += 1
+        for label, fid in zip(labels, rec.decision.chosen):
+            rows[label][fid.name] += 1
     return rows
 
 
@@ -183,61 +171,48 @@ def run_backtest(
     records = run_adaptive_estimation(observations, exogenous, model, settings)
     for rec, date in zip(records, dates):
         rec.date = date.isoformat()
-        rec.fitted_price = fitted_price(rec.estimate, exogenous[rec.t], model)
 
-    # one-step forecasts across the test span; per-filter forecasts ride along
-    per_filter_forecast: dict = {f: {} for f in bank}
+    # every scored series, keyed by its rmse.csv row label; a single-filter
+    # strategy's label is its filter's
+    estimates = {f.name: [r.filter_estimates[f] for r in records] for f in bank}
+    if len(bank) > 1:
+        estimates[strategy] = [r.estimate for r in records]
+
+    # one-step forecasts across the test span; expiry depends only on the
+    # step's inputs, so it stops every series at the same step
+    forecast_steps = []  # {label: price} per forecast step
     truncated = 0
     for t in range(test_start, len(points)):
-        prev = records[t - 1]
         try:
-            records[t].forecast_price = forecast_one_step(prev.decision, exogenous[t - 1], model)
+            forecast_steps.append({
+                label: _forecast_from_estimate(xs[t - 1], exogenous[t - 1], model)
+                for label, xs in estimates.items()
+            })
         except ContractExpiredError:
             truncated = len(points) - t
             logger.info("forecasting stopped at step %d: contract expired", t)
             break
-        for f in bank:
-            per_filter_forecast[f][t] = _forecast_from_estimate(
-                prev.filter_estimates[f], exogenous[t - 1], model
-            )
 
     test_records = records[test_start:]
-    obs_test = np.array([r.observed_price for r in test_records])
-    strike = series.strike
-
+    observed = observations[test_start:]
     rmse_table: dict = {}
-    for f in bank:
-        fit_prices = [
-            fitted_price(records[t].filter_estimates[f], exogenous[t], model)
-            for t in range(test_start, len(points))
-        ]
-        fc_idx = sorted(per_filter_forecast[f])
-        row = {
-            "fit": rmse(obs_test, fit_prices, strike),
-            "forecast": rmse([observations[t] for t in fc_idx],
-                             [per_filter_forecast[f][t] for t in fc_idx], strike)
-            if fc_idx else None,
-            "n_fit": len(fit_prices),
-            "n_forecast": len(fc_idx),
+    for label, xs in estimates.items():
+        fits = [fitted_price(xs[r.t], exogenous[r.t], model) for r in test_records]
+        fc = [step[label] for step in forecast_steps]
+        rmse_table[label] = {
+            "fit": rmse(observed, fits, series.strike),
+            "forecast": rmse(observed[:len(fc)], fc, series.strike) if fc else None,
+            "n_fit": len(fits),
+            "n_forecast": len(fc),
         }
-        rmse_table[f.name] = row
-    if strategy in ("AAF", "ABF"):
-        fc_records = [r for r in test_records if r.forecast_price is not None]
-        rmse_table[strategy] = {
-            "fit": rmse(obs_test, [r.fitted_price for r in test_records], strike),
-            "forecast": rmse(
-                [r.observed_price for r in fc_records],
-                [r.forecast_price for r in fc_records], strike)
-            if fc_records else None,
-            "n_fit": len(test_records),
-            "n_forecast": len(fc_records),
-        }
+        if label == strategy:
+            for rec, fit in zip(test_records, fits):
+                rec.fitted_price = fit
+            for rec, price in zip(test_records, fc):
+                rec.forecast_price = price
 
     freq = frequency_counts(records, mode, strategy)
-    annualization = model.spec.annualization
-    volatility = [
-        (r.t, r.date, math.sqrt(max(r.estimate[0], 0.0) * annualization)) for r in records
-    ]
+    volatility = annualized_vol_rows(vol_points_from_records(records), model.spec.annualization)
 
     bundle = ReportBundle(
         strategy=strategy,
@@ -348,6 +323,11 @@ def write_reports(bundle: ReportBundle, bank, out_dir) -> dict:
 # volatility comparison report
 
 
+def annualized_vol_rows(points, annualization: float) -> list:
+    """(t, date|None, annualized volatility) rows from variance points (floored at 0)."""
+    return [(t, date, math.sqrt(max(v, 0.0) * annualization)) for t, date, v in points]
+
+
 def vol_points_from_records(records) -> list:
     """(t, date|None, annualized variance estimate) rows from run records."""
     return [(r.t, r.date, float(r.estimate[0])) for r in records]
@@ -375,9 +355,7 @@ def vol_report(points, compare_paths=(), annualization: float = 252.0, out_dir=N
     """
     if not points:
         raise InvalidInputError("no estimation records to report on")
-    vol_rows = [
-        (t, date, math.sqrt(max(v, 0.0) * annualization)) for t, date, v in points
-    ]
+    vol_rows = annualized_vol_rows(points, annualization)
 
     our_dates = {date for _, date, _ in vol_rows if date}
     comparisons = {}

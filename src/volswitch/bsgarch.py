@@ -250,17 +250,10 @@ class BsGarchModel(StateSpaceModel):
         )
         return np.column_stack([v_next, r_next])
 
-    def _jacobian(self) -> np.ndarray:
-        beta = self.spec.garch.beta
-        if self.spec.risk_transition == "literal":
-            return np.array([[beta, 0.0], [beta, 1.0]])
-        return np.array([[beta, 0.0], [0.0, 1.0]])
-
-    def transition_jacobian(self, state, ex):
-        return self._jacobian()
-
     def transition_jacobian_batch(self, states, ex):
-        return np.broadcast_to(self._jacobian(), (states.shape[0], 2, 2))
+        beta = self.spec.garch.beta
+        coupling = beta if self.spec.risk_transition == "literal" else 0.0
+        return np.broadcast_to(np.array([[beta, 0.0], [coupling, 1.0]]), (states.shape[0], 2, 2))
 
     def measurement_batch(self, states, ex):
         contract = self._contract(ex)

@@ -186,6 +186,13 @@ def config_from_text(text: str, source: str = "<config>") -> RunConfig:
         # failing combination is reported at the last of them
         lineno = max(where[a][0] for a in where if a.startswith("garch_"))
         raise InvalidInputError(f"{source}:{lineno}: {e}") from e
+    if cfg.ess_threshold > 0.0 and not cfg.independent_chains:
+        # with shared chains the PF's cloud is re-seeded every step, so the
+        # threshold could not change a result
+        lineno, key = where["ess_threshold"]
+        raise InvalidInputError(
+            f"{source}:{lineno}: {key!r} needs 'switch.independent_chains = true'"
+        )
     return cfg
 
 
@@ -193,7 +200,7 @@ def load_config(path) -> RunConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise FormatError(f"cannot read config {path}: {e}") from e
     return config_from_text(text, source=str(path))
 

@@ -21,10 +21,6 @@ class NumericalFailureError(EstimationError):
     """A filter update failed numerically (non-positive innovation covariance, Cholesky failure)."""
 
 
-class DegenerateWeightsError(EstimationError):
-    """All particle weights underflowed to zero."""
-
-
 class SingularityError(EstimationError):
     """A matrix stayed numerically singular through the information recursion."""
 

@@ -17,7 +17,6 @@ import numpy as np
 
 from .exceptions import (
     CovarianceError,
-    DegenerateWeightsError,
     InvalidInputError,
     NumericalFailureError,
 )
@@ -287,10 +286,7 @@ def pf_update(
         logw = np.log(moved.weights) + loglik
     w, degenerate = normalize_logweights(logw)
     if degenerate:
-        logger.warning(
-            "degenerate particle weights (%s); uniform reweight with inflated covariance",
-            DegenerateWeightsError.__name__,
-        )
+        logger.warning("degenerate particle weights; uniform reweight with inflated covariance")
 
     mean = w @ moved.particles
     dev = moved.particles - mean

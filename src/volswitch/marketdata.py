@@ -373,7 +373,7 @@ def load_chain(path, columns: dict | None = None):
                 parts.append(part)
                 line_parts.append(row_lines)
                 n += len(rows)
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise FormatError(f"cannot read chain file {path}: {e}") from e
     except csv.Error as e:
         raise FormatError(f"cannot parse chain file {path}: {e}") from e
@@ -687,6 +687,6 @@ def load_value_series(path):
                 except ValueError:
                     raise FormatError(f"{path}: line {i + 1}: bad value {row[1]!r}") from None
                 out.append((date, value))
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise FormatError(f"cannot read series file {path}: {e}") from e
     return out

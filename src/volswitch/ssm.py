@@ -27,9 +27,6 @@ class StateSpaceModel:
         raise NotImplementedError
 
     def transition_jacobian_batch(self, states: np.ndarray, ex) -> np.ndarray:
-        return np.stack([self.transition_jacobian(x, ex) for x in states])
-
-    def transition_jacobian(self, state: np.ndarray, ex) -> np.ndarray:
         raise NotImplementedError
 
     def measurement_batch(self, states: np.ndarray, ex) -> np.ndarray:
@@ -76,6 +73,9 @@ class StateSpaceModel:
         n = None if noise is None else np.asarray(noise, dtype=float)[None, :]
         return self.transition_batch(np.asarray(state, dtype=float)[None, :], ex, n)[0]
 
+    def transition_jacobian(self, state, ex) -> np.ndarray:
+        return self.transition_jacobian_batch(np.asarray(state, dtype=float)[None, :], ex)[0]
+
     def measurement(self, state, ex) -> np.ndarray:
         return self.measurement_batch(np.asarray(state, dtype=float)[None, :], ex)[0]
 
@@ -102,9 +102,6 @@ class LinearGaussianModel(StateSpaceModel):
         if noise is not None:
             out = out + noise
         return out
-
-    def transition_jacobian(self, state, ex):
-        return self.a
 
     def transition_jacobian_batch(self, states, ex):
         return np.broadcast_to(self.a, (states.shape[0],) + self.a.shape)

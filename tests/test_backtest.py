@@ -12,8 +12,8 @@ import oracles
 from volswitch.backtest import (
     REPORT_FILES,
     ReportBundle,
+    _forecast_from_estimate,
     fitted_price,
-    forecast_one_step,
     frequency_counts,
     rmse,
     run_backtest,
@@ -126,7 +126,7 @@ def test_forecast_at_the_model_fixed_point_is_static():
         cov=np.eye(2),
     )
     ex = ExogenousInputs(s=100.0, u=0.013, tau=0.5)
-    out = forecast_one_step(decision, ex, model)
+    out = _forecast_from_estimate(decision.estimate, ex, model)
     sigma_star = math.sqrt(v_star / DT)
     expect = oracles.bs_call(100.0, 100.0, r, sigma_star, 0.5 - DT)
     assert out == pytest.approx(expect, rel=1e-9)
@@ -140,9 +140,12 @@ def test_forecast_decays_tau_and_flags_expiry():
     # tau == dt forecasts exactly onto expiry: intrinsic value of the moved spot
     ex = ExogenousInputs(s=108.0, u=0.0, tau=DT)
     s_next = 108.0 * math.exp(0.02 * DT - 1e-4)
-    assert forecast_one_step(decision, ex, model) == pytest.approx(s_next - 100.0, rel=1e-12)
+    out = _forecast_from_estimate(decision.estimate, ex, model)
+    assert out == pytest.approx(s_next - 100.0, rel=1e-12)
     with pytest.raises(ContractExpiredError):
-        forecast_one_step(decision, ExogenousInputs(s=108.0, u=0.0, tau=0.9 * DT), model)
+        _forecast_from_estimate(
+            decision.estimate, ExogenousInputs(s=108.0, u=0.0, tau=0.9 * DT), model
+        )
 
 
 def test_forecast_floors_negative_variance_estimates():
@@ -154,7 +157,8 @@ def test_forecast_floors_negative_variance_estimates():
     zero = SwitchDecision(
         mode="average", chosen=(FilterId.EKF,), estimate=np.array([0.0, 0.02]), cov=np.eye(2)
     )
-    assert forecast_one_step(neg, ex, model) == forecast_one_step(zero, ex, model)
+    floored = _forecast_from_estimate(neg.estimate, ex, model)
+    assert floored == _forecast_from_estimate(zero.estimate, ex, model)
 
 
 def test_forecast_honors_per_point_contract():
@@ -163,9 +167,11 @@ def test_forecast_honors_per_point_contract():
         mode="average", chosen=(FilterId.EKF,), estimate=np.array([2e-4, 0.02]), cov=np.eye(2)
     )
     other = ContractSpec(strike=90.0, expiry_step=252)
-    base = forecast_one_step(decision, ExogenousInputs(s=100.0, u=0.0, tau=0.5), model)
-    moved = forecast_one_step(
-        decision, ExogenousInputs(s=100.0, u=0.0, tau=0.5, contract=other), model
+    base = _forecast_from_estimate(
+        decision.estimate, ExogenousInputs(s=100.0, u=0.0, tau=0.5), model
+    )
+    moved = _forecast_from_estimate(
+        decision.estimate, ExogenousInputs(s=100.0, u=0.0, tau=0.5, contract=other), model
     )
     assert moved > base  # lower strike call is worth more
 
@@ -248,6 +254,31 @@ def test_single_filter_backtest_structure():
     assert bundle.records[0].forecast_price is None
     # frequency row accounts for every step
     assert bundle.frequency_table == {"EKF": {"EKF": len(series), "UKF": 0, "PF": 0}}
+
+
+def test_single_filter_backtest_forecasts_each_step_once(tmp_path, monkeypatch):
+    cfg = regime_config()
+    series, _ = synthetic_series(cfg, n_steps=25)
+    plain = run_backtest(cfg, series, strategy="EKF", out_dir=tmp_path / "plain", seed=0)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _forecast_from_estimate(*args)
+
+    monkeypatch.setattr("volswitch.backtest._forecast_from_estimate", counted)
+    bundle = run_backtest(cfg, series, strategy="EKF", out_dir=tmp_path / "counted", seed=0)
+    assert len(calls) == bundle.rmse_table["EKF"]["n_forecast"] == len(series) - 1
+    for name in ("forecasts", "rmse"):
+        assert bundle.paths[name].read_bytes() == plain.paths[name].read_bytes()
+    # the records carry the EKF row's series: its RMSEs re-derive from them
+    test_records = bundle.records[bundle.test_start:]
+    observed = [r.observed_price for r in test_records]
+    row = bundle.rmse_table["EKF"]
+    assert row["fit"] == rmse(observed, [r.fitted_price for r in test_records], series.strike)
+    assert row["forecast"] == rmse(
+        observed, [r.forecast_price for r in test_records], series.strike
+    )
 
 
 def test_adaptive_backtest_rmse_rows_and_volatility():

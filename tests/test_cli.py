@@ -94,6 +94,52 @@ def test_malformed_chain_schema(workdir, capsys):
     assert "missing required column" in capsys.readouterr().err
 
 
+def not_utf8(path, text):
+    """Write ``text`` with a last field ending in byte 0xff, which is not UTF-8."""
+    path.write_bytes(text.rstrip("\n").encode() + b"\xff\n")
+    return path
+
+
+def assert_format_error_names(path, capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read ") and str(path) in err
+    assert "Traceback" not in err
+
+
+def test_chain_not_utf8_is_reported_with_the_file(workdir, capsys):
+    tmp, cfg, chain = workdir
+    bad = not_utf8(tmp / "bad.csv", chain.read_text())
+    assert run(["backtest", "--chain", bad, "--config", cfg]) == 1
+    assert_format_error_names(bad, capsys)
+
+
+def test_config_not_utf8_is_reported_with_the_file(workdir, capsys):
+    tmp, cfg, chain = workdir
+    bad = not_utf8(tmp / "bad.cfg", CONFIG_TEXT)
+    assert run(["backtest", "--chain", chain, "--config", bad]) == 1
+    assert_format_error_names(bad, capsys)
+
+
+SERIES_TEXT = "date,value\n2019-01-02,100.0\n2019-01-03,101.0\n"
+
+
+def test_underlying_series_not_utf8_is_reported_with_the_file(tmp_path, capsys):
+    bad = not_utf8(tmp_path / "bad_series.csv", SERIES_TEXT)
+    code = run(["calibrate-garch", "--underlying", bad, "--config-out", tmp_path / "fit.cfg"])
+    assert code == 1
+    assert_format_error_names(bad, capsys)
+
+
+def test_comparison_series_not_utf8_is_reported_with_the_file(workdir, capsys):
+    tmp, cfg, chain = workdir
+    out = tmp / "reports"
+    run(["backtest", "--chain", chain, "--config", cfg, "--strategy", "EKF", "--out-dir", out])
+    capsys.readouterr()
+    bad = not_utf8(tmp / "bad_series.csv", SERIES_TEXT)
+    assert run(["vol-report", "--records", out / "decision_log.csv", "--compare", bad]) == 1
+    assert_format_error_names(bad, capsys)
+
+
 # ---------------------------------------------------------------------------
 # backtest command
 

@@ -84,7 +84,9 @@ def test_model_spec_assembly():
 
 
 def test_estimation_settings_translation():
-    cfg = config_from_text("filters.ess_threshold = 0.3\nfilters.ukf.alpha = 0.5")
+    cfg = config_from_text(
+        "filters.ess_threshold = 0.3\nfilters.ukf.alpha = 0.5\nswitch.independent_chains = true"
+    )
     st = cfg.estimation_settings(mode="best", filters=(FilterId.EKF, FilterId.PF), seed=9)
     assert st.mode == "best"
     assert st.filters == (FilterId.EKF, FilterId.PF)
@@ -150,9 +152,20 @@ def test_nonstationary_garch_is_rejected_at_its_last_line():
 def test_boundary_values_are_accepted():
     cfg = config_from_text(
         "filters.n_particles = 2\npcrlb.n_particles = 2\n"
-        "filters.ess_threshold = 1\nfilters.ukf.alpha = 1e-6"
+        "filters.ess_threshold = 1\nfilters.ukf.alpha = 1e-6\nswitch.independent_chains = true"
     )
     assert (cfg.pf_particles, cfg.pcrlb_particles, cfg.ess_threshold) == (2, 2, 1.0)
+
+
+def test_ess_threshold_without_independent_chains_is_rejected_at_its_line():
+    # with shared chains the PF re-seeds every step, so the threshold is a no-op
+    text = "v0 = 2e-4\nfilters.ess_threshold = 0.5\n"
+    with pytest.raises(InvalidInputError, match=r"^run\.cfg:2: 'filters\.ess_threshold' needs"):
+        config_from_text(text, source="run.cfg")
+    with pytest.raises(InvalidInputError, match=r"^run\.cfg:2: "):
+        config_from_text(text + "switch.independent_chains = false\n", source="run.cfg")
+    # zero keeps every-step resampling and is allowed either way
+    assert config_from_text("filters.ess_threshold = 0").ess_threshold == 0.0
 
 
 def _readme_defaults():

@@ -258,9 +258,6 @@ class QuadraticTransitionModel(LinearGaussianModel):
         jac[:, 0, 0] += 2.0 * self.k * states[:, 0]
         return jac
 
-    def transition_jacobian(self, state, ex):
-        return self.transition_jacobian_batch(np.asarray(state, dtype=float)[None, :], ex)[0]
-
 
 def test_d_matrices_match_a_per_particle_loop():
     model = QuadraticTransitionModel(
