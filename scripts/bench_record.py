@@ -1,11 +1,15 @@
 """Record a PR's benchmark runs, parent and change alternated, into BENCH_<pr>.json.
 
     python3 scripts/bench_record.py 6 ../parent-checkout
+    python3 scripts/bench_record.py 8 ../parent-checkout --pairs 10
 
 For every workload in BENCHMARK.json, at --trace 0 and then --trace 1, runs
 perfbench/run.py of the parent checkout and of this one back to back, for
-the benchmark's run_seconds at a fixed seed; which side goes first
-alternates from pair to pair, and "run_order" lists the runs as they ran.
+the benchmark's run_seconds; which side goes first alternates from pair to
+pair, and "run_order" lists the runs as they ran. By default each trace
+setting gets one pair at seed 0. With --pairs N the --trace 0 pairs run N
+times per workload, at seeds 1..N, as a claimed gain needs; --trace 1 stays
+at one pair at seed 0. Each run is stored with its seed, in run order.
 Each side also records the line count of its src/ and the SHA-256 of its
 sample backtest's decision_log.csv and rmse.csv (AAF, seed 0). Nothing
 gates on absolute times.
@@ -24,15 +28,16 @@ HERE = Path(__file__).resolve().parent.parent
 SEED = 0
 
 
-def run_bench(root: Path, command: list, workload: str, trace: int, seconds: int) -> dict:
+def run_bench(root: Path, command: list, workload: str, trace: int, seconds: int, seed: int) -> dict:
     proc = subprocess.run(
         [*command, "--workload", workload, "--trace", str(trace),
-         "--seconds", str(seconds), "--seed", str(SEED)],
+         "--seconds", str(seconds), "--seed", str(seed)],
         cwd=root, capture_output=True, text=True, check=True,
     )
     lines = proc.stdout.strip().splitlines()
     provenance = next(line for line in lines if line.startswith("provenance: "))
-    return {"provenance": json.loads(provenance.split(" ", 1)[1]), "result": json.loads(lines[-1])}
+    return {"seed": seed, "provenance": json.loads(provenance.split(" ", 1)[1]),
+            "result": json.loads(lines[-1])}
 
 
 def describe(root: Path) -> dict:
@@ -59,18 +64,23 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("pr", type=int)
     parser.add_argument("parent", type=Path, help="checkout of the parent commit")
+    parser.add_argument("--pairs", type=int, help="--trace 0 pairs per workload, at seeds 1..N "
+                        "(default: one pair at seed 0)")
     args = parser.parse_args(argv)
+    if args.pairs is not None and args.pairs < 1:
+        parser.error("--pairs must be at least 1")
+    seeds = [SEED] if args.pairs is None else list(range(1, args.pairs + 1))
     spec = json.loads((HERE / "BENCHMARK.json").read_text(encoding="utf-8"))
     roots = {"parent": args.parent.resolve(), "change": HERE}
-    record = {"seconds": spec["run_seconds"], "seed": SEED, "run_order": [],
+    record = {"seconds": spec["run_seconds"], "run_order": [],
               **{label: describe(root) for label, root in roots.items()}}
-    pairs = [(w["name"], trace) for w in spec["workloads"] for trace in (0, 1)]
-    for i, (workload, trace) in enumerate(pairs):
+    pairs = [(w["name"], trace, seed) for w in spec["workloads"]
+             for trace, trace_seeds in ((0, seeds), (1, [SEED])) for seed in trace_seeds]
+    for i, (workload, trace, seed) in enumerate(pairs):
         for label in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
-            runs = record[label]["runs"].setdefault(workload, {})
-            runs[f"trace{trace}"] = run_bench(roots[label], spec["command"], workload, trace,
-                                              spec["run_seconds"])
-            record["run_order"].append(f"{workload} trace{trace} {label}")
+            runs = record[label]["runs"].setdefault(workload, {}).setdefault(f"trace{trace}", [])
+            runs.append(run_bench(roots[label], spec["command"], workload, trace, spec["run_seconds"], seed))
+            record["run_order"].append(f"{workload} trace{trace} seed{seed} {label}")
             print(record["run_order"][-1], flush=True)
     path = HERE / f"BENCH_{args.pr}.json"
     path.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n", encoding="utf-8")

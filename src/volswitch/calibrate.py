@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .bsgarch import GarchParams
 from .exceptions import InsufficientDataError, InvalidInputError
@@ -101,6 +100,9 @@ def fit_garch(returns) -> GarchFit:
         alpha, beta = _unpack(z)
         omega = var * (1.0 - alpha - beta)
         return -garch_log_likelihood(returns, omega, alpha, beta)
+
+    # imported here: scipy.optimize is a large import that only a fit needs
+    from scipy.optimize import minimize
 
     best = None
     converged = False

@@ -43,3 +43,8 @@ class FormatError(EstimationError):
 
 class ContractExpiredError(EstimationError):
     """A forecast horizon extends past the contract's expiry."""
+
+
+# Numerical trouble that degrades a run instead of stopping it: a filter
+# holds its prior, a bound carries its J forward.
+RECOVERABLE = (NumericalFailureError, CovarianceError, SingularityError)

@@ -13,8 +13,9 @@ MAX_RIDGE_ESCALATIONS = 6
 
 
 def symmetrize(m: np.ndarray) -> np.ndarray:
+    """(M + M')/2, of one matrix or of each in a stack."""
     m = np.asarray(m, dtype=float)
-    return 0.5 * (m + m.T)
+    return 0.5 * (m + np.swapaxes(m, -1, -2))
 
 
 def floor_psd(m: np.ndarray, floor: float = 0.0) -> np.ndarray:

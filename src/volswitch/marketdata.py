@@ -355,6 +355,8 @@ def load_chain(path, columns: dict | None = None):
     sides = _ParseOnce(lambda text: _parse_side(text) == "C", -1)
     parts, line_parts, errors = [], [], {}
     n = 0
+    # until its header has been read, the file is not known to be a chain
+    kind = "file"
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh)
@@ -364,6 +366,7 @@ def load_chain(path, columns: dict | None = None):
             missing = [c for c in _REQUIRED if colmap[c] not in header]
             if missing:
                 raise SchemaError(f"{path}: missing required column(s) {missing}")
+            kind = "chain file"
             # a repeated header reads its last column, as csv.DictReader did
             position = {name: j for j, name in enumerate(header)}
             layout = {c: (colmap[c], position[colmap[c]]) for c in _PARSE_ORDER if colmap[c] in position}
@@ -374,9 +377,9 @@ def load_chain(path, columns: dict | None = None):
                 line_parts.append(row_lines)
                 n += len(rows)
     except (OSError, UnicodeDecodeError) as e:
-        raise FormatError(f"cannot read chain file {path}: {e}") from e
+        raise FormatError(f"cannot read {kind} {path}: {e}") from e
     except csv.Error as e:
-        raise FormatError(f"cannot parse chain file {path}: {e}") from e
+        raise FormatError(f"cannot parse {kind} {path}: {e}") from e
     if not parts:
         return OptionChain.from_quotes([]), []
 

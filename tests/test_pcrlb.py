@@ -4,11 +4,10 @@ from scipy.stats import multivariate_normal
 
 import oracles
 from volswitch.bsgarch import BsGarchModel, V_FLOOR
-from volswitch.exceptions import InvalidInputError, SingularityError
+from volswitch.exceptions import CovarianceError, InvalidInputError, SingularityError
 from volswitch.filters import (
     FilterId,
     GaussianBelief,
-    ParticleCloud,
     likelihood_logweights,
     normalize_logweights,
     propagate_cloud,
@@ -20,6 +19,7 @@ from volswitch.pcrlb import (
     DTriple,
     FisherState,
     d_matrices,
+    pcrlb_bank_step,
     pcrlb_step,
     pfim_step,
     seed_particles,
@@ -152,11 +152,17 @@ def test_joint_smoothing_weights_match_brute_force():
 # D blocks
 
 
+def jacobians(model, x_prev, x_next, ex=None):
+    """(transition Jacobians at x_prev, measurement Jacobians at x_next), stacked as a bank of one."""
+    return model.transition_jacobian_batch(x_prev, ex)[None], model.measurement_jacobian_batch(x_next, ex)[None]
+
+
 def test_d_matrices_are_exact_for_constant_jacobians():
     rng = np.random.default_rng(12)
     x_prev = rng.standard_normal((30, 2))
-    predicted = ParticleCloud.uniform(rng.standard_normal((30, 2)))
-    d = d_matrices(x_prev, np.full(30, 1.0 / 30), predicted, None, linear_model())
+    x_next = rng.standard_normal((30, 2))
+    f_jac, h_jac = jacobians(linear_model(), x_prev, x_next)
+    (d,) = d_matrices(f_jac, np.full((1, 30), 1.0 / 30), h_jac, linear_model())
     e11, e12, e22 = oracles.exact_linear_dtriple(A, C, Q, R)
     np.testing.assert_allclose(d.d11, e11, atol=1e-12)
     np.testing.assert_allclose(d.d12, e12, atol=1e-12)
@@ -180,8 +186,8 @@ def test_d_matrices_respect_weights():
     ex = ExogenousInputs(s=100.0, u=0.0, tau=0.5)
     states = np.array([[2e-4, 0.03], [5e-4, 0.01], [1e-4, 0.08]])
     w = np.array([0.0, 1.0, 0.0])
-    predicted = ParticleCloud(states, w)
-    d = d_matrices(states, w, predicted, ex, model)
+    f_jac, _ = jacobians(model, states, states, ex)
+    (d,) = d_matrices(f_jac, w[None], model.measurement_jacobian_batch(states[1:2], ex)[None], model)
 
     q_inv = np.linalg.inv(spec.noise.q)
     f = model.transition_jacobian(states[1], ex)
@@ -259,30 +265,58 @@ class QuadraticTransitionModel(LinearGaussianModel):
         return jac
 
 
+def bsgarch_model(risk_transition="random-walk"):
+    from volswitch.bsgarch import ContractSpec, GarchParams, ModelSpec, NoiseSpec
+
+    return BsGarchModel(ModelSpec(
+        garch=GarchParams(omega=1e-5, alpha=0.05, beta=0.9),
+        contract=ContractSpec(strike=100.0, expiry_step=252),
+        noise=NoiseSpec(q=np.array([[1e-9, 2e-9], [2e-9, 1e-7]]), r=0.25),
+        dt=1.0 / 252.0,
+        risk_transition=risk_transition,
+    ))
+
+
 def test_d_matrices_match_a_per_particle_loop():
-    model = QuadraticTransitionModel(
+    from volswitch.bsgarch import ExogenousInputs
+
+    rng = np.random.default_rng(21)
+    quadratic = QuadraticTransitionModel(
         np.array([[0.8, 0.1], [0.0, 0.75]]), np.array([[1.0, 0.5]]),
         np.diag([0.08, 0.06]), np.array([[1.0]]), k=0.4,
     )
-    rng = np.random.default_rng(21)
-    w = rng.random(40)
-    w /= w.sum()
-    x_prev, _ = rng.standard_normal((2, 40, 2))
-    predicted = ParticleCloud.uniform(rng.standard_normal((40, 2)))
-    d = d_matrices(x_prev, w, predicted, None, model)
+    states = rng.standard_normal((2, 40, 2))
+    # BS/GARCH states: variance around 2e-4 per step, rate around 3%
+    bs_states = np.abs(states) * np.array([2e-4, 0.03])
+    bs_ex = ExogenousInputs(s=100.0, u=0.01, tau=0.5)
+    cases = [
+        (quadratic, states, None),
+        (bsgarch_model("random-walk"), bs_states, bs_ex),
+        (bsgarch_model("literal"), bs_states, bs_ex),
+    ]
+    for model, (x_prev, x_next), ex in cases:
+        w = rng.random(40)
+        w /= w.sum()
+        f_jac, h_jac = jacobians(model, x_prev, x_next, ex)
+        (d,) = d_matrices(f_jac, w[None], h_jac, model)
 
-    q_inv, r_inv = np.linalg.inv(model.q), np.linalg.inv(model.r)
-    d11, d12, d22 = np.zeros((2, 2)), np.zeros((2, 2)), q_inv.copy()
-    for wi, x in zip(w, x_prev):
-        f = model.transition_jacobian(x, None)
-        d11 += wi * f.T @ q_inv @ f
-        d12 -= wi * f.T @ q_inv
-    for wi, x in zip(predicted.weights, predicted.particles):
-        h = model.measurement_jacobian(x, None)
-        d22 += wi * h.T @ r_inv @ h
-    np.testing.assert_allclose(d.d11, d11, rtol=1e-12)
-    np.testing.assert_allclose(d.d12, d12, rtol=1e-12)
-    np.testing.assert_allclose(d.d22, d22, rtol=1e-12)
+        q_inv, r_inv = (np.linalg.inv(m) for m in (model.process_cov(), model.measurement_cov()))
+        d11, d12, d22 = np.zeros((2, 2)), np.zeros((2, 2)), q_inv.copy()
+        for wi, x in zip(w, x_prev):
+            f = model.transition_jacobian(x, ex)
+            d11 += wi * f.T @ q_inv @ f
+            d12 -= wi * f.T @ q_inv
+        for x in x_next:
+            h = model.measurement_jacobian(x, ex)
+            d22 += h.T @ r_inv @ h / len(x_next)
+        np.testing.assert_allclose(d.d11, d11, rtol=1e-12)
+        np.testing.assert_allclose(d.d12, d12, rtol=1e-12)
+        np.testing.assert_allclose(d.d22, d22, rtol=1e-12)
+        if model is not quadratic:
+            # a constant Jacobian: one pair of weight one gives the same blocks
+            (one,) = d_matrices(f_jac[:, :1], np.ones((1, 1)), h_jac, model)
+            np.testing.assert_allclose(one.d11, d11, rtol=1e-12)
+            np.testing.assert_allclose(one.d12, d12, rtol=1e-12)
 
 
 def test_noise_precisions_are_inverted_once_and_kept():
@@ -313,8 +347,9 @@ def test_pcrlb_step_transition_blocks_are_unbiased(monkeypatch):
     captured = []
 
     def capture(*args):
-        captured.append(d_matrices(*args))
-        return captured[-1]
+        blocks = d_matrices(*args)
+        captured.extend(blocks)
+        return blocks
 
     monkeypatch.setattr(pcrlb, "d_matrices", capture)
     for k in range(runs):
@@ -331,7 +366,8 @@ def test_pcrlb_step_transition_blocks_are_unbiased(monkeypatch):
         x_next = predicted.particles[idx]
         means = model.transition_batch(filtered_t.particles, None)
         ws = oracles.mixture_smoothing_weights(x_next, means, model.q)
-        reference.append(d_matrices(filtered_t.particles, ws, predicted, None, model))
+        f_jac, h_jac = jacobians(model, filtered_t.particles, predicted.particles)
+        reference.extend(d_matrices(f_jac, ws[None], h_jac, model))
 
     assert len(captured) == runs
     for block in ("d11", "d12"):
@@ -367,8 +403,8 @@ def test_pcrlb_step_weights_pairs_by_the_likelihood_alone(monkeypatch):
     captured = []
 
     def capture(*args):
-        captured.append(args)
-        return d_matrices(*args)
+        captured.append((args, d_matrices(*args)))
+        return captured[-1][1]
 
     monkeypatch.setattr(pcrlb, "d_matrices", capture)
     pcrlb_step(FisherState.initial(belief.cov), belief, y, None, model, n, np.random.default_rng(31))
@@ -381,8 +417,88 @@ def test_pcrlb_step_weights_pairs_by_the_likelihood_alone(monkeypatch):
     assert not degenerate and np.ptp(w) > 0.0
 
     assert len(captured) == 1
-    x_prev, weights, cloud = captured[0][:3]
-    np.testing.assert_array_equal(x_prev, filtered_t.particles)
-    np.testing.assert_array_equal(weights, w)
-    np.testing.assert_array_equal(cloud.particles, predicted.particles)
-    np.testing.assert_array_equal(cloud.weights, np.full(n, 1.0 / n))
+    (f_jac, weights, h_jac, _), (d,) = captured[0]
+    expect_f, expect_h = jacobians(model, filtered_t.particles, predicted.particles)
+    np.testing.assert_array_equal(f_jac, expect_f)
+    np.testing.assert_array_equal(weights, w[None])
+    np.testing.assert_array_equal(h_jac, expect_h)
+    # D22 averages over the predicted cloud with uniform weights
+    hrh = np.einsum("nki,kl,nlj->ij", expect_h[0], np.linalg.inv(model.r), expect_h[0]) / n
+    np.testing.assert_allclose(d.d22, np.linalg.inv(model.q) + hrh, rtol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# bank step
+
+
+def bank_cases():
+    """(model, three beliefs, next observation, exogenous inputs) for each kind of transition Jacobian."""
+    from volswitch.bsgarch import ExogenousInputs
+
+    quadratic = QuadraticTransitionModel(
+        np.array([[0.8, 0.1], [0.0, 0.75]]), np.array([[1.0, 0.5]]),
+        np.diag([0.08, 0.06]), np.array([[1.0]]), k=0.4,
+    )
+    plain = [
+        GaussianBelief(np.array([0.2, -0.1]), np.diag([0.5, 0.3])),
+        GaussianBelief(np.array([-0.3, 0.4]), np.array([[0.4, 0.1], [0.1, 0.2]])),
+        GaussianBelief(np.array([0.0, 0.1]), np.diag([0.2, 0.6])),
+    ]
+    ex = ExogenousInputs(s=100.0, u=0.01, tau=0.5)
+    bs = [
+        GaussianBelief(np.array([2e-4, 0.03]), np.diag([1e-9, 1e-5])),
+        GaussianBelief(np.array([3e-4, 0.02]), np.array([[4e-9, 1e-8], [1e-8, 4e-5]])),
+        GaussianBelief(np.array([1e-4, 0.05]), np.diag([1e-10, 1e-6])),
+    ]
+    cases = [(quadratic, plain, np.array([0.7]), None), (linear_model(), plain, np.array([0.7]), None)]
+    for mode in ("random-walk", "literal"):
+        model = bsgarch_model(mode)
+        cases.append((model, bs, model.measurement(bs[0].mean, ex) + 0.1, ex))
+    return cases
+
+
+def bank_of_three(beliefs):
+    return [FisherState.initial(b.cov, fid) for b, fid in zip(beliefs, FilterId)]
+
+
+def test_a_bank_step_matches_banks_of_one_bit_for_bit():
+    for model, beliefs, y, ex in bank_cases():
+        prevs = bank_of_three(beliefs)
+        for n in (37, 400, 1000):
+            bank = pcrlb_bank_step(prevs, beliefs, y, ex, model, n, [np.random.default_rng(k) for k in range(3)])
+            for k in range(3):
+                one = pcrlb_step(prevs[k], beliefs[k], y, ex, model, n, np.random.default_rng(k))
+                assert bank[k].filter is prevs[k].filter
+                np.testing.assert_array_equal(bank[k].j, one.j)
+                np.testing.assert_array_equal(bank[k].j_inv, one.j_inv)
+
+
+def test_a_failed_bound_in_a_bank_stops_only_that_filter():
+    model, beliefs, y, ex = bank_cases()[2]
+    prevs = bank_of_three(beliefs)
+    # a covariance whose eigenvalue floor overflows cannot be factored
+    huge = GaussianBelief(beliefs[0].mean, np.diag([1e308, 1e308]))
+    broken = FisherState(j=np.full((2, 2), np.nan), j_inv=prevs[1].j_inv, filter=prevs[1].filter)
+    rngs = [np.random.default_rng(k) for k in range(3)]
+    with np.errstate(over="ignore"):
+        out = pcrlb_bank_step([prevs[0], broken, prevs[2]], [huge, *beliefs[1:]], y, ex, model, 300, rngs)
+    assert isinstance(out[0], CovarianceError)
+    assert isinstance(out[1], SingularityError)
+    alone = pcrlb_step(prevs[2], beliefs[2], y, ex, model, 300, np.random.default_rng(2))
+    np.testing.assert_array_equal(out[2].j, alone.j)
+    np.testing.assert_array_equal(out[2].j_inv, alone.j_inv)
+    # a bank of one raises its filter's error
+    with pytest.raises(CovarianceError), np.errstate(over="ignore"):
+        pcrlb_step(prevs[0], huge, y, ex, model, 300, np.random.default_rng(0))
+
+
+def test_a_constant_transition_jacobian_skips_the_likelihood(monkeypatch):
+    for model, beliefs, y, ex in bank_cases():
+        calls = []
+        measure = model.measurement_batch
+        monkeypatch.setattr(model, "measurement_batch", lambda x, e: calls.append(len(x)) or measure(x, e))
+        pcrlb_bank_step(bank_of_three(beliefs), beliefs, y, ex, model, 50,
+                        [np.random.default_rng(k) for k in range(3)])
+        # only the quadratic transition's Jacobian depends on the particle
+        assert calls == ([150] if isinstance(model, QuadraticTransitionModel) else [])
+

@@ -322,6 +322,40 @@ def test_bound_failure_carries_information_forward(caplog):
         np.testing.assert_allclose(rec.fisher_diags[FilterId.EKF][0], j0, atol=1e-12)
 
 
+class FailingBankRowsModel(LinearGaussianModel):
+    """Non-finite measurement gradients for the second filter's rows of a stacked bound step."""
+
+    def __init__(self, n):
+        super().__init__(A, C, Q, R)
+        self.n = n
+
+    def measurement_jacobian_batch(self, states, ex):
+        out = super().measurement_jacobian_batch(states, ex)
+        if states.shape[0] == 3 * self.n:
+            out = out.copy()
+            out[self.n : 2 * self.n] = np.nan
+        return out
+
+
+def test_a_bound_failure_in_the_bank_carries_only_that_filter_forward(caplog):
+    ys = observations(n_steps=6)
+    # independent chains keep each filter's beliefs apart from the others' bounds
+    cfg = settings(pf_particles=100, pcrlb_particles=40, independent_chains=True)
+    healthy = run_adaptive_estimation(ys, [None] * len(ys), linear_model(), cfg)
+    with caplog.at_level(logging.WARNING, logger="volswitch.switching"):
+        records = run_adaptive_estimation(ys, [None] * len(ys), FailingBankRowsModel(40), cfg)
+    carried = [rec.message for rec in caplog.records if "carrying J forward" in rec.message]
+    assert len(carried) == len(ys) - 1
+    assert all(message.startswith("bound update for UKF") for message in carried)
+    j0 = np.diag(np.linalg.inv(P0))
+    for rec, ref in zip(records, healthy):
+        np.testing.assert_array_equal(rec.fisher_diags[FilterId.UKF][0], j0)
+        for fid in (FilterId.EKF, FilterId.PF):
+            for got, expect in zip(rec.fisher_diags[fid], ref.fisher_diags[fid]):
+                np.testing.assert_array_equal(got, expect)
+    assert not np.array_equal(records[-1].fisher_diags[FilterId.EKF][0], j0)
+
+
 def test_run_input_validation():
     model = linear_model()
     with pytest.raises(InvalidInputError):
