@@ -17,10 +17,9 @@ observation (the ancestral-path smoother, Doucet & Johansen 2009).
 When every pair has the same transition Jacobian F, the weights, which
 sum to one, drop out of both averages: D11 = F'Q^{-1}F and
 D12 = -F'Q^{-1} come from that one Jacobian, and the step evaluates no
-likelihood. The shipped
-models are this case (``BsGarchModel`` in both risk-transition modes, a
-linear model); it is read off the Jacobian's values at every step, never
-declared by a model.
+likelihood. The shipped models are this case (``BsGarchModel`` in both
+risk-transition modes, a linear model); it is read off the Jacobian's
+values at every step, never declared by a model.
 
 D22 averages the measurement gradients over the predicted cloud with
 uniform weights, i.e. under the predictive density of x_{t+1}; it is not
