@@ -1,9 +1,9 @@
 """Command-line entry points.
 
 Exit codes: 0 clean run; 1 input or usage error (bad flags, unreadable or
-malformed data, fatal abort); 2 when the run completed but numerical
-fallbacks were logged along the way — inspect the warnings before
-trusting the outputs.
+malformed data, fatal abort); 2 when a backtest completed but applied
+numerical fallbacks along the way (the count is the sum of its records'
+``fallbacks``) — inspect the logged warnings before trusting the outputs.
 """
 
 from __future__ import annotations
@@ -35,28 +35,6 @@ from .marketdata import (
     write_truth_states,
 )
 
-# Warnings from these modules mark numerical fallbacks (inflated
-# covariances, carried-forward bounds, degenerate weights) and drive exit
-# code 2. Data-quality warnings elsewhere do not.
-_NUMERICAL_MODULES = (
-    "volswitch.bsgarch",
-    "volswitch.filters",
-    "volswitch.linalg",
-    "volswitch.pcrlb",
-    "volswitch.switching",
-)
-
-
-class _FallbackCounter(logging.Handler):
-    def __init__(self):
-        super().__init__(level=logging.WARNING)
-        self.count = 0
-
-    def emit(self, record):
-        if record.name.startswith(_NUMERICAL_MODULES):
-            self.count += 1
-
-
 class _Parser(argparse.ArgumentParser):
     # argparse exits with status 2 on usage errors; that code means
     # "numerical fallbacks" here, so route usage problems to exit 1 instead
@@ -78,13 +56,13 @@ def _load_cfg(args) -> RunConfig:
     return RunConfig()
 
 
-def _cmd_backtest(args) -> None:
+def _cmd_backtest(args) -> int:
+    if (args.strike is None) != (args.expiry is None):
+        raise InvalidInputError("--strike and --expiry must be given together")
     cfg = _load_cfg(args)
     chain, rejects = load_chain(args.chain, cfg.columns)
     if rejects:
         print(f"note: {len(rejects)} row(s) rejected while loading {args.chain}", file=sys.stderr)
-    if (args.strike is None) != (args.expiry is None):
-        raise InvalidInputError("--strike and --expiry must be given together")
     if args.strike is not None:
         series = build_series(chain, args.strike, args.expiry)
     else:
@@ -113,6 +91,7 @@ def _cmd_backtest(args) -> None:
         print(f"  rmse[{label}]: fit={row['fit']:.6f} forecast={fc}")
     for name, path in bundle.paths.items():
         print(f"  wrote {name}: {path}")
+    return sum(len(rec.fallbacks) for rec in bundle.records)
 
 
 def _cmd_simulate(args) -> None:
@@ -146,8 +125,6 @@ def _cmd_simulate(args) -> None:
 def _cmd_vol_report(args) -> None:
     cfg = _load_cfg(args)
     points = vol_points_from_decision_log(args.records)
-    for path in args.compare:
-        load_value_series(path)  # fail fast with the file named before any output
     vol_rows, table, paths = vol_report(
         points,
         compare_paths=args.compare,
@@ -232,13 +209,11 @@ def main(argv=None) -> int:
     root = logging.getLogger("volswitch")
     stream = logging.StreamHandler(sys.stderr)
     stream.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
-    counter = _FallbackCounter()
     root.addHandler(stream)
-    root.addHandler(counter)
     try:
         args = parser.parse_args(argv)
         root.setLevel(logging.INFO if args.verbose else logging.WARNING)
-        args.func(args)
+        fallbacks = args.func(args)  # only a backtest counts them
     except EstimationError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
@@ -247,10 +222,9 @@ def main(argv=None) -> int:
         return 1
     finally:
         root.removeHandler(stream)
-        root.removeHandler(counter)
-    if counter.count:
+    if fallbacks:
         print(
-            f"completed with {counter.count} numerical fallback(s); "
+            f"completed with {fallbacks} numerical fallback(s); "
             "see the logged warnings before trusting these outputs",
             file=sys.stderr,
         )

@@ -9,7 +9,6 @@ resampled cloud.
 from __future__ import annotations
 
 import enum
-import logging
 import math
 from dataclasses import dataclass
 
@@ -21,8 +20,6 @@ from .exceptions import (
     NumericalFailureError,
 )
 from .linalg import floor_psd, safe_cholesky, symmetrize
-
-logger = logging.getLogger(__name__)
 
 WEIGHT_SUM_TOL = 1e-8
 
@@ -83,12 +80,6 @@ class ParticleCloud:
     def n(self) -> int:
         return self.particles.shape[0]
 
-    def mean_cov(self):
-        mean = self.weights @ self.particles
-        dev = self.particles - mean
-        cov = symmetrize((dev * self.weights[:, None]).T @ dev)
-        return mean, cov
-
 
 @dataclass(frozen=True)
 class SigmaPointParams:
@@ -142,7 +133,7 @@ def likelihood_logweights(particles: np.ndarray, obs, ex, model) -> np.ndarray:
     preds = model.measurement_batch(particles, ex)
     dev = obs[None, :] - preds
     r = model.measurement_cov()
-    # overflow to -inf is fine here: normalize_logweights owns the fallback
+    # overflow to -inf is fine here: normalize_logweights raises only if every weight does
     with np.errstate(over="ignore"):
         if r.shape == (1, 1):
             var = r[0, 0]
@@ -153,14 +144,18 @@ def likelihood_logweights(particles: np.ndarray, obs, ex, model) -> np.ndarray:
         return -0.5 * (quad + logdet + r.shape[0] * math.log(2.0 * math.pi))
 
 
-def normalize_logweights(logw: np.ndarray):
-    """Return (weights, degenerate_flag); uniform fallback on total underflow."""
+def normalize_logweights(logw: np.ndarray) -> np.ndarray:
+    """Normalised weights from log-weights.
+
+    Raises ``NumericalFailureError`` when no log-weight is finite, i.e.
+    every weight underflowed.
+    """
     top = logw.max()
-    if np.isfinite(top):
-        w = np.exp(logw - top)
-        # the top entry contributes exp(0) = 1, so the sum is finite and >= 1
-        return w / w.sum(), False
-    return np.full(logw.size, 1.0 / logw.size), True
+    if not np.isfinite(top):
+        raise NumericalFailureError("degenerate particle weights")
+    w = np.exp(logw - top)
+    # the top entry contributes exp(0) = 1, so the sum is finite and >= 1
+    return w / w.sum()
 
 
 # ---------------------------------------------------------------------------
@@ -271,8 +266,8 @@ def pf_update(
     """Bootstrap update: propagate, weight by the likelihood, summarize, resample.
 
     The Gaussian summary is taken before resampling. When every weight
-    underflows the cloud is uniformly reweighted and the summary covariance
-    inflated tenfold (logged) rather than aborting the run.
+    underflows it raises ``NumericalFailureError``, as the EKF and UKF do on
+    a failed update; the caller owns the fallback.
 
     Returns ``(cloud, summary)``. Resampling runs every step unless an
     ``ess_threshold`` fraction is given, in which case it only triggers when
@@ -284,16 +279,11 @@ def pf_update(
     loglik = likelihood_logweights(moved.particles, obs, ex, model)
     with np.errstate(divide="ignore"):
         logw = np.log(moved.weights) + loglik
-    w, degenerate = normalize_logweights(logw)
-    if degenerate:
-        logger.warning("degenerate particle weights; uniform reweight with inflated covariance")
+    w = normalize_logweights(logw)
 
     mean = w @ moved.particles
     dev = moved.particles - mean
-    cov = floor_psd((dev * w[:, None]).T @ dev)
-    if degenerate:
-        cov = cov * 10.0
-    summary = GaussianBelief(mean, cov)
+    summary = GaussianBelief(mean, floor_psd((dev * w[:, None]).T @ dev))
 
     if ess_threshold is not None and effective_sample_size(w) >= ess_threshold * prior.n:
         return ParticleCloud(moved.particles, w), summary

@@ -32,7 +32,6 @@ import numpy as np
 
 from .bsgarch import BsGarchModel, ContractSpec, ExogenousInputs, ModelSpec, gbm_propagate
 from .exceptions import FormatError, InsufficientDataError, InvalidInputError, SchemaError
-from .linalg import safe_cholesky
 
 logger = logging.getLogger(__name__)
 
@@ -594,7 +593,6 @@ def generate_synthetic(
     if model.contract.expiry_step < n_steps - 1:
         raise InvalidInputError("contract expires before the simulation ends")
     rng = np.random.default_rng(seed)
-    chol_q = safe_cholesky(model.noise.q)
     meas_std = math.sqrt(model.noise.r)
 
     states = np.empty((n_steps, 2))
@@ -604,6 +602,7 @@ def generate_synthetic(
     exogenous = []
 
     adapter = BsGarchModel(model)
+    chol_q = adapter.process_noise_factor()
     x = np.array([max(float(x0[0]), 0.0), float(x0[1])])
     spot = float(s0)
     u = 0.0

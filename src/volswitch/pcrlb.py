@@ -34,8 +34,8 @@ and the D blocks then run once on the stacked clouds. Each D block is
 one weighted Gram product per filter (D11 and D12 one for the whole bank
 when F is constant), not a stack of per-particle matrix products.
 Only the information step runs filter by filter, and a failure in a
-filter's factorisation, D blocks or information step stops that filter's
-update alone.
+filter's factorisation, pair weights, D blocks or information step stops
+that filter's update alone.
 
 Q^{-1} and R^{-1} are constant, so each model inverts them once
 (``StateSpaceModel.noise_precisions``) and every step reuses them.
@@ -167,16 +167,6 @@ def pfim_step(prev: FisherState, d: DTriple) -> FisherState:
     return FisherState(j=j_next, j_inv=j_inv, filter=prev.filter)
 
 
-def _pair_weights(loglik: np.ndarray, prevs) -> np.ndarray:
-    """Normalised likelihood weights, one row per filter; an underflowed row goes uniform."""
-    weights = np.empty_like(loglik)
-    for row, prev in enumerate(prevs):
-        weights[row], degenerate = normalize_logweights(loglik[row])
-        if degenerate:
-            logger.warning("bound-update particle weights underflowed for %s; uniform fallback", prev.filter)
-    return weights
-
-
 def pcrlb_bank_step(prevs, beliefs, next_obs, ex_next, model, n: int, rngs) -> list:
     """One bound update for every filter of a bank, in one pass.
 
@@ -219,11 +209,18 @@ def pcrlb_bank_step(prevs, beliefs, next_obs, ex_next, model, n: int, rngs) -> l
     else:
         # the seeded clouds are uniform, so the likelihood alone weights each pair
         loglik = likelihood_logweights(x_next, next_obs, ex_next, model).reshape(bsz, n)
-        f_jac, weights = f_jac.reshape(bsz, n, s, s), _pair_weights(loglik, [prevs[k] for k in live])
+        f_jac, weights = f_jac.reshape(bsz, n, s, s), np.zeros((bsz, n))
+        for row, k in enumerate(live):
+            try:
+                weights[row] = normalize_logweights(loglik[row])
+            except NumericalFailureError as e:
+                out[k] = e  # its all-zero row's D blocks go unused
     h_jac = model.measurement_jacobian_batch(x_next, ex_next)
     blocks = d_matrices(f_jac, weights, h_jac.reshape(bsz, n, -1, s), model)
 
     for k, d in zip(live, blocks):
+        if out[k] is not None:
+            continue
         try:
             out[k] = pfim_step(prevs[k], d)
         except RECOVERABLE as e:

@@ -45,6 +45,13 @@ PHI_SLACK = 1.25
 
 COV_INFLATION_ON_FAILURE = 10.0
 
+# numerical fallbacks, recorded on BacktestRecord.fallbacks as (event, filter);
+# a carried-forward decision has no filter of its own and records None
+HELD_PRIOR = "filter held prior"
+EXCLUDED = "filter excluded"
+DECISION_CARRIED = "decision carried forward"
+BOUND_CARRIED = "bound carried forward"
+
 _FILTER_INDEX = {f: i for i, f in enumerate(FILTER_ORDER)}
 
 # purposes for per-(seed, filter, t) rng substreams
@@ -184,6 +191,7 @@ class BacktestRecord:
     filter_estimates: dict
     phi_traces: dict
     fisher_diags: dict  # FilterId -> (diag J, diag J^{-1}) at this step
+    fallbacks: list = field(default_factory=list)  # (event, FilterId | None) applied at this step
     fitted_price: float | None = None
     forecast_price: float | None = None
     date: str | None = None
@@ -206,8 +214,10 @@ def run_adaptive_estimation(observations, exogenous, model, settings: Estimation
 
     Filter failures fall back to the prior with inflated covariance and the
     bound recursion carries its last state forward on numerical trouble, so
-    the run only aborts for malformed input. Returns one BacktestRecord per
-    observation.
+    the run only aborts for malformed input. This loop is the one place that
+    applies a numerical fallback: each one is logged as a warning and
+    recorded on its step's ``BacktestRecord.fallbacks``. Returns one
+    BacktestRecord per observation.
     """
     observations = [float(y) for y in observations]
     exogenous = list(exogenous)
@@ -229,6 +239,7 @@ def run_adaptive_estimation(observations, exogenous, model, settings: Estimation
     n_steps = len(observations)
 
     for t, (obs, ex) in enumerate(zip(observations, exogenous)):
+        fallbacks = []
         beliefs = {}
         for fid in settings.filters:
             prior = chains[fid] if settings.independent_chains else shared
@@ -241,6 +252,7 @@ def run_adaptive_estimation(observations, exogenous, model, settings: Estimation
             except RECOVERABLE as e:
                 logger.warning("%s update failed at t=%d (%s); holding prior with inflated covariance",
                                fid, t, e)
+                fallbacks.append((HELD_PRIOR, fid))
                 belief = GaussianBelief(
                     prior.mean.copy(), floor_psd(prior.cov * COV_INFLATION_ON_FAILURE)
                 )
@@ -254,6 +266,7 @@ def run_adaptive_estimation(observations, exogenous, model, settings: Estimation
                 metrics[fid] = perf_metric(fisher[fid], beliefs[fid])
             except DegenerateCovarianceError as e:
                 logger.warning("filter %s excluded from switch at t=%d: %s", fid, t, e)
+                fallbacks.append((EXCLUDED, fid))
 
         try:
             if settings.mode == "average":
@@ -262,6 +275,7 @@ def run_adaptive_estimation(observations, exogenous, model, settings: Estimation
                 decision = select_best(metrics, beliefs)
         except NoFilterError:
             logger.warning("no usable filter at t=%d; carrying previous decision forward", t)
+            fallbacks.append((DECISION_CARRIED, None))
             if prev_decision is not None:
                 decision = prev_decision
             else:
@@ -291,6 +305,7 @@ def run_adaptive_estimation(observations, exogenous, model, settings: Estimation
                     logger.warning(
                         "bound update for %s failed at t=%d (%s); carrying J forward", fid, t, step
                     )
+                    fallbacks.append((BOUND_CARRIED, fid))
 
         shared = GaussianBelief(decision.estimate.copy(), decision.cov.copy())
         if settings.independent_chains:
@@ -308,6 +323,7 @@ def run_adaptive_estimation(observations, exogenous, model, settings: Estimation
                 filter_estimates={f: b.mean.copy() for f, b in beliefs.items()},
                 phi_traces={f: m.trace for f, m in metrics.items()},
                 fisher_diags=fisher_diags,
+                fallbacks=fallbacks,
             )
         )
     return records

@@ -1,4 +1,5 @@
 import datetime as dt
+import logging
 import os
 import subprocess
 import sys
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 import volswitch
+from volswitch import backtest, cli
 from volswitch.bsgarch import ContractSpec
 from volswitch.cli import main
 from volswitch.config import RunConfig, load_config
@@ -15,6 +17,7 @@ from volswitch.marketdata import (
     OptionQuote,
     generate_synthetic,
     load_chain,
+    load_value_series,
     truth_to_quotes,
     write_chain,
 )
@@ -88,9 +91,11 @@ def test_bad_date_flag(workdir, capsys):
 
 def test_strike_without_expiry_rejected(workdir, capsys):
     tmp, cfg, chain = workdir
-    code = run(["backtest", "--chain", chain, "--strike", "100", "--out-dir", tmp / "r"])
-    assert code == 1
-    assert "--strike and --expiry must be given together" in capsys.readouterr().err
+    # the usage is checked before the chain is read, so a missing chain does not mask it
+    for path in (chain, tmp / "absent.csv"):
+        code = run(["backtest", "--chain", path, "--strike", "100", "--out-dir", tmp / "r"])
+        assert code == 1
+        assert "--strike and --expiry must be given together" in capsys.readouterr().err
 
 
 def test_missing_chain_file(workdir, capsys):
@@ -207,13 +212,12 @@ def test_backtest_rejects_a_truncated_row_and_runs(workdir, capsys):
     assert (out / "decision_log.csv").exists()
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered in square")
-def test_backtest_numerical_fallbacks_exit_two(workdir, capsys):
-    tmp, cfg, chain = workdir
+def poisoned_chain(tmp, chain):
+    """The chain plus one absurd quote at the end: every particle's squared
+    pricing error overflows, so the weight normalizations fail and the run
+    must fall back and flag it."""
     quotes, _ = load_chain(chain)
     next_day = np.busday_offset(quotes[-1].quote_date.isoformat(), 1).astype(dt.date)
-    # one absurd quote at the end: every particle's squared pricing error
-    # overflows, so the weight normalizations fall back and must be flagged
     absurd = OptionQuote(
         quote_date=next_day,
         expiry_date=quotes[0].expiry_date,
@@ -225,6 +229,13 @@ def test_backtest_numerical_fallbacks_exit_two(workdir, capsys):
     )
     poisoned = tmp / "poisoned.csv"
     write_chain(poisoned, list(quotes) + [absurd])
+    return poisoned
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in square")
+def test_backtest_numerical_fallbacks_exit_two(workdir, capsys):
+    tmp, cfg, chain = workdir
+    poisoned = poisoned_chain(tmp, chain)
     out = tmp / "reports_poisoned"
     code = run(
         ["backtest", "--chain", poisoned, "--config", cfg, "--strategy", "AAF", "--out-dir", out]
@@ -234,6 +245,23 @@ def test_backtest_numerical_fallbacks_exit_two(workdir, capsys):
     assert "numerical fallback(s)" in captured.err
     assert "degenerate" in captured.err  # the warnings themselves reach stderr
     assert (out / "decision_log.csv").exists()  # run still completes
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in square")
+def test_numerical_fallbacks_exit_two_with_logging_disabled(workdir, capsys):
+    # the exit code counts the fallbacks the run recorded, not the log records
+    tmp, cfg, chain = workdir
+    poisoned = poisoned_chain(tmp, chain)
+    logging.disable(logging.CRITICAL)
+    try:
+        code = run(["backtest", "--chain", poisoned, "--config", cfg, "--strategy", "AAF",
+                    "--out-dir", tmp / "reports_quiet"])
+    finally:
+        logging.disable(logging.NOTSET)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "numerical fallback(s)" in captured.err
+    assert "WARNING" not in captured.err
 
 
 # ---------------------------------------------------------------------------
@@ -294,6 +322,26 @@ def test_vol_report_rejects_non_decision_log(workdir, capsys):
     other.write_text("x,y\n1,2\n")
     assert run(["vol-report", "--records", other]) == 1
     assert "not a decision log" in capsys.readouterr().err
+
+
+def test_vol_report_reads_each_comparison_file_once(workdir, monkeypatch):
+    tmp, cfg, chain = workdir
+    out = tmp / "reports"
+    assert run(["backtest", "--chain", chain, "--config", cfg, "--strategy", "EKF", "--out-dir", out]) == 0
+    compare = []
+    for name in ("iv_a", "iv_b"):
+        compare += ["--compare", tmp / f"{name}.csv"]
+        (tmp / f"{name}.csv").write_text("date,value\n2019-01-03,0.20\n")
+    reads = []
+
+    def counted(path):
+        reads.append(Path(path).name)
+        return load_value_series(path)
+
+    monkeypatch.setattr(backtest, "load_value_series", counted)
+    monkeypatch.setattr(cli, "load_value_series", counted)
+    assert run(["vol-report", "--records", out / "decision_log.csv", *compare, "--out-dir", tmp / "vol"]) == 0
+    assert sorted(reads) == ["iv_a.csv", "iv_b.csv"]
 
 
 def test_vol_report_fails_fast_on_missing_comparison(workdir, capsys):

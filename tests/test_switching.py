@@ -1,18 +1,27 @@
 import logging
+import re
+from collections import Counter
 
 import numpy as np
 import pytest
 
 import oracles
+from test_pcrlb import QuadraticTransitionModel
+from volswitch import switching
 from volswitch.exceptions import (
     DegenerateCovarianceError,
     InvalidInputError,
     NoFilterError,
+    NumericalFailureError,
 )
-from volswitch.filters import FilterId, GaussianBelief
+from volswitch.filters import FILTER_ORDER, FilterId, GaussianBelief, ekf_update
 from volswitch.pcrlb import FisherState
 from volswitch.ssm import LinearGaussianModel
 from volswitch.switching import (
+    BOUND_CARRIED,
+    DECISION_CARRIED,
+    EXCLUDED,
+    HELD_PRIOR,
     EstimationSettings,
     PerfMetric,
     SwitchDecision,
@@ -286,6 +295,7 @@ def test_filter_failure_holds_prior_and_inflates_covariance(caplog):
     with caplog.at_level(logging.WARNING, logger="volswitch.switching"):
         records = run_adaptive_estimation(ys, [None] * len(ys), model, cfg)
     assert any("holding prior with inflated covariance" in rec.message for rec in caplog.records)
+    assert [rec.fallbacks for rec in records] == [[], [], [(HELD_PRIOR, FilterId.EKF)], [], []]
     np.testing.assert_array_equal(records[2].estimate, records[1].estimate)
     np.testing.assert_allclose(
         np.diag(records[2].decision.cov), 10.0 * np.diag(records[1].decision.cov), rtol=1e-12
@@ -317,9 +327,47 @@ def test_bound_failure_carries_information_forward(caplog):
     with caplog.at_level(logging.WARNING, logger="volswitch.switching"):
         records = run_adaptive_estimation(ys, [None] * len(ys), FailingBoundModel(), cfg)
     assert any("carrying J forward" in rec.message for rec in caplog.records)
+    # the last step has no next observation, so no bound update to fail
+    assert [rec.fallbacks for rec in records] == [[(BOUND_CARRIED, FilterId.EKF)]] * 4 + [[]]
     j0 = np.diag(np.linalg.inv(P0))
     for rec in records:
         np.testing.assert_allclose(rec.fisher_diags[FilterId.EKF][0], j0, atol=1e-12)
+
+
+def test_each_fallback_warning_is_recorded_once_on_its_step(monkeypatch, caplog):
+    # t=1: the EKF update fails; t=2: every score is degenerate, so every
+    # filter is excluded and the decision carries forward; every step with a
+    # next observation: each filter's bound update fails
+    calls = Counter()
+
+    def failing_ekf(*args):
+        calls["ekf"] += 1
+        if calls["ekf"] == 2:
+            raise NumericalFailureError("injected")
+        return ekf_update(*args)
+
+    def failing_metric(fisher, belief):
+        calls["metric"] += 1
+        if 7 <= calls["metric"] <= 9:
+            raise DegenerateCovarianceError("injected")
+        return perf_metric(fisher, belief)
+
+    monkeypatch.setattr(switching, "ekf_update", failing_ekf)
+    monkeypatch.setattr(switching, "perf_metric", failing_metric)
+    ys = observations(n_steps=4)
+    with caplog.at_level(logging.WARNING, logger="volswitch"):
+        records = run_adaptive_estimation(
+            ys, [None] * len(ys), FailingBoundModel(), settings(pf_particles=100, pcrlb_particles=40)
+        )
+    bound = [(BOUND_CARRIED, f) for f in FILTER_ORDER]
+    assert [rec.fallbacks for rec in records] == [
+        bound,
+        [(HELD_PRIOR, FilterId.EKF)] + bound,
+        [(EXCLUDED, f) for f in FILTER_ORDER] + [(DECISION_CARRIED, None)] + bound,
+        [],
+    ]
+    steps = Counter(int(re.search(r"t=(\d+)", m).group(1)) for m in caplog.messages)
+    assert steps == Counter({rec.t: len(rec.fallbacks) for rec in records})
 
 
 class FailingBankRowsModel(LinearGaussianModel):
@@ -337,6 +385,19 @@ class FailingBankRowsModel(LinearGaussianModel):
         return out
 
 
+def assert_only_the_ukf_bound_carried_forward(records, healthy):
+    """Each step with a next observation carries the UKF's J forward and records it; EKF and PF match a healthy run."""
+    assert [rec.fallbacks for rec in healthy] == [[]] * len(healthy)
+    assert [rec.fallbacks for rec in records] == [[(BOUND_CARRIED, FilterId.UKF)]] * (len(records) - 1) + [[]]
+    j0 = np.diag(np.linalg.inv(P0))
+    for rec, ref in zip(records, healthy):
+        np.testing.assert_array_equal(rec.fisher_diags[FilterId.UKF][0], j0)
+        for fid in (FilterId.EKF, FilterId.PF):
+            for got, expect in zip(rec.fisher_diags[fid], ref.fisher_diags[fid]):
+                np.testing.assert_array_equal(got, expect)
+    assert not np.array_equal(records[-1].fisher_diags[FilterId.EKF][0], j0)
+
+
 def test_a_bound_failure_in_the_bank_carries_only_that_filter_forward(caplog):
     ys = observations(n_steps=6)
     # independent chains keep each filter's beliefs apart from the others' bounds
@@ -347,13 +408,38 @@ def test_a_bound_failure_in_the_bank_carries_only_that_filter_forward(caplog):
     carried = [rec.message for rec in caplog.records if "carrying J forward" in rec.message]
     assert len(carried) == len(ys) - 1
     assert all(message.startswith("bound update for UKF") for message in carried)
-    j0 = np.diag(np.linalg.inv(P0))
-    for rec, ref in zip(records, healthy):
-        np.testing.assert_array_equal(rec.fisher_diags[FilterId.UKF][0], j0)
-        for fid in (FilterId.EKF, FilterId.PF):
-            for got, expect in zip(rec.fisher_diags[fid], ref.fisher_diags[fid]):
-                np.testing.assert_array_equal(got, expect)
-    assert not np.array_equal(records[-1].fisher_diags[FilterId.EKF][0], j0)
+    assert_only_the_ukf_bound_carried_forward(records, healthy)
+
+
+class UnderflowingPairWeightsModel(QuadraticTransitionModel):
+    """The second filter's rows of a stacked bound step price at infinity, so all its pair weights underflow.
+
+    The quadratic transition's Jacobian varies across particles, so the
+    bound step weights its pairs by the likelihood.
+    """
+
+    def __init__(self, n):
+        super().__init__(A, C, Q, R, k=0.4)
+        self.n = n
+
+    def measurement_batch(self, states, ex):
+        out = super().measurement_batch(states, ex)
+        if states.shape[0] == 3 * self.n:
+            out = out.copy()
+            out[self.n : 2 * self.n] = np.inf
+        return out
+
+
+def test_a_pair_weight_underflow_in_the_bank_carries_only_that_filter_forward(caplog):
+    ys = observations(n_steps=6)
+    cfg = settings(pf_particles=100, pcrlb_particles=40, independent_chains=True)
+    healthy = run_adaptive_estimation(ys, [None] * len(ys), QuadraticTransitionModel(A, C, Q, R, k=0.4), cfg)
+    with caplog.at_level(logging.WARNING, logger="volswitch"):
+        records = run_adaptive_estimation(ys, [None] * len(ys), UnderflowingPairWeightsModel(40), cfg)
+    warned = [rec.message for rec in caplog.records]
+    assert len(warned) == len(ys) - 1
+    assert all(m.startswith("bound update for UKF") and "degenerate particle weights" in m for m in warned)
+    assert_only_the_ukf_bound_carried_forward(records, healthy)
 
 
 def test_run_input_validation():
