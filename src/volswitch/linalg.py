@@ -1,4 +1,14 @@
-"""Small linear-algebra and rng helpers shared by the filters and the information recursion."""
+"""Small linear-algebra and rng helpers shared by the filters and the information recursion.
+
+The matrix helpers take one matrix or a stack (B, d, d). On a stack the
+common case is one LAPACK call for the whole stack; the ridge, the jitter
+and the eigenvalue floor then run only on the matrices that need them,
+with the same per-matrix constants, so each matrix of a stack comes out
+bit for bit as it would alone. A stack never fails as a whole:
+``regularized_inverse`` and ``safe_cholesky`` return, per matrix, the
+error that stopped it. Non-finite members are masked before any stacked
+LAPACK call, since a solver that fails to converge raises for the stack.
+"""
 
 from __future__ import annotations
 
@@ -18,63 +28,115 @@ def symmetrize(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + np.swapaxes(m, -1, -2))
 
 
-def floor_psd(m: np.ndarray, floor: float = 0.0) -> np.ndarray:
-    """Symmetrize and clip eigenvalues from below.
+def _finite_members(stack: np.ndarray) -> np.ndarray | None:
+    """None when every member of a (B, d, d) stack is finite, else the per-member mask."""
+    if np.isfinite(stack).all():
+        return None
+    return np.isfinite(stack).all(axis=(1, 2))
 
-    Returns the input (symmetrized) untouched when no eigenvalue is
-    below ``floor``, so healthy matrices are not perturbed.
+
+def floor_psd(m: np.ndarray, floor: float | np.ndarray = 0.0) -> np.ndarray:
+    """Symmetrize and clip eigenvalues from below, per matrix.
+
+    ``m`` is one matrix or a stack, ``floor`` one number or one per
+    matrix. A matrix with no eigenvalue below its floor comes back
+    symmetrized but otherwise untouched, so healthy matrices are not
+    perturbed; a non-finite one comes back all NaN.
     """
     sym = symmetrize(m)
-    vals, vecs = np.linalg.eigh(sym)
-    if vals.min() >= floor:
+    stack = sym if sym.ndim == 3 else sym[None]
+    finite = _finite_members(stack)
+    if finite is not None:
+        # non-finite members are solved as the identity, then set to NaN
+        stack = np.where(finite[:, None, None], stack, np.eye(stack.shape[-1]))
+    vals, vecs = np.linalg.eigh(stack)
+    # eigh sorts ascending, so column 0 is each matrix's smallest eigenvalue
+    healthy = vals[:, 0] >= floor
+    if finite is None and healthy.all():
         return sym
-    vals = np.maximum(vals, floor)
-    return symmetrize((vecs * vals) @ vecs.T)
+    low = ~healthy if finite is None else ~healthy & finite
+    floors = np.broadcast_to(floor, healthy.shape)[low, None]
+    out = stack.copy()
+    if finite is not None:
+        out[~finite] = np.nan
+    vecs, vals = vecs[low], np.maximum(vals[low], floors)
+    out[low] = symmetrize((vecs * vals[:, None, :]) @ np.swapaxes(vecs, 1, 2))
+    return out.reshape(sym.shape)
 
 
-def _within_cond_limit(m: np.ndarray) -> bool:
-    """Whether symmetric m has a 2-norm condition number of at most COND_LIMIT.
+def _within_cond_limit(m: np.ndarray) -> np.ndarray:
+    """Whether each finite symmetric matrix has a 2-norm condition number of at most COND_LIMIT.
 
     For a symmetric matrix that number is max|λ| / min|λ|, so one
-    eigenvalue solve replaces an SVD; the zero matrix counts as infinitely
-    ill-conditioned.
+    eigenvalue solve (one for a whole stack) replaces an SVD; the zero
+    matrix counts as infinitely ill-conditioned.
     """
     mags = np.abs(np.linalg.eigvalsh(m))
-    return bool(0.0 < mags.max() <= COND_LIMIT * mags.min())
+    top = mags.max(axis=-1)
+    return (top > 0.0) & (top <= COND_LIMIT * mags.min(axis=-1))
 
 
-def regularized_inverse(m: np.ndarray, err: type = SingularityError) -> np.ndarray:
-    """Invert a symmetric matrix, adding a trace-scaled ridge when ill-conditioned.
+def _regularized_inverse_stack(m: np.ndarray, err: type):
+    """(inverses, errors) of a symmetric (B, d, d) stack; see ``regularized_inverse``."""
+    bsz, dim = m.shape[0], m.shape[-1]
+    errors: list = [None] * bsz
+    finite = _finite_members(m)
+    if finite is None and _within_cond_limit(m).all():
+        try:
+            return np.linalg.inv(m), errors
+        except np.linalg.LinAlgError:
+            pass
+    if finite is not None:
+        for k in np.flatnonzero(~finite):
+            errors[k] = err("non-finite matrix")
+    # the rest goes matrix by matrix: the ridge, and the members that pass
+    # the condition check but that LAPACK still finds singular
+    slots = np.arange(bsz) if finite is None else np.flatnonzero(finite)
+    attempt, out, ridge = m[slots], np.full(m.shape, np.nan), None
+    for _ in range(MAX_RIDGE_ESCALATIONS + 1):
+        ok = _within_cond_limit(attempt)
+        for k in np.flatnonzero(ok):
+            try:
+                out[slots[k]] = np.linalg.inv(attempt[k])
+            except np.linalg.LinAlgError:
+                ok[k] = False
+        slots, attempt = slots[~ok], attempt[~ok]
+        if not len(slots):
+            return out, errors
+        if ridge is None:
+            # the ridge is signed by the trace so negative-definite input
+            # moves away from singularity too
+            base = np.trace(m[slots], axis1=1, axis2=2) / dim
+            ridge = RIDGE_SCALE * np.where(np.isfinite(base) & (base != 0.0), base, 1.0)
+        else:
+            ridge = ridge[~ok]
+        attempt = attempt + ridge[:, None, None] * np.eye(dim)
+        ridge = ridge * 10.0
+    for k in slots:
+        errors[k] = err("matrix remains singular after ridge regularization")
+    return out, errors
 
-    The ridge starts at ``RIDGE_SCALE * trace(m)/dim`` once the condition
-    number exceeds ``COND_LIMIT`` and escalates tenfold a few times; if the
-    matrix stays numerically singular an ``err`` is raised.
+
+def regularized_inverse(m: np.ndarray, err: type = SingularityError):
+    """Invert symmetric matrices, adding a trace-scaled ridge to the ill-conditioned ones.
+
+    The ridge starts at ``RIDGE_SCALE * trace(m)/dim`` once a matrix's
+    condition number exceeds ``COND_LIMIT`` and escalates tenfold a few
+    times. One matrix: returns its inverse, or raises ``err`` if it is
+    non-finite or stays numerically singular. A stack (B, d, d): returns
+    the inverses and a list of B entries, each None or the ``err`` that
+    stopped that matrix (its slot of the inverses is then NaN).
     """
     m = symmetrize(m)
-    if not np.all(np.isfinite(m)):
-        raise err("non-finite matrix")
-    dim = m.shape[0]
-    # ridge is signed by the trace so negative-definite input moves away
-    # from singularity too
-    base = np.trace(m) / dim
-    if not np.isfinite(base) or base == 0.0:
-        base = 1.0
-    ridge = RIDGE_SCALE * base
-    attempt = m
-    for _ in range(MAX_RIDGE_ESCALATIONS + 1):
-        if _within_cond_limit(attempt):
-            try:
-                return np.linalg.inv(attempt)
-            except np.linalg.LinAlgError:
-                pass
-        attempt = attempt + ridge * np.eye(dim)
-        ridge *= 10.0
-    raise err("matrix remains singular after ridge regularization")
+    if m.ndim == 3:
+        return _regularized_inverse_stack(m, err)
+    (inv,), (error,) = _regularized_inverse_stack(m[None], err)
+    if error is not None:
+        raise error
+    return inv
 
 
-def safe_cholesky(m: np.ndarray, err: type = CovarianceError) -> np.ndarray:
-    """Lower Cholesky factor, with escalating jitter on near-singular input."""
-    sym = symmetrize(m)
+def _cholesky_one(sym: np.ndarray, err: type) -> np.ndarray:
     if not np.all(np.isfinite(sym)):
         raise err("non-finite covariance")
     dim = sym.shape[0]
@@ -90,6 +152,33 @@ def safe_cholesky(m: np.ndarray, err: type = CovarianceError) -> np.ndarray:
         except np.linalg.LinAlgError:
             jitter *= 100.0
     raise err("covariance not factorizable after regularization")
+
+
+def safe_cholesky(m: np.ndarray, err: type = CovarianceError):
+    """Lower Cholesky factor of symmetric m, with escalating jitter on near-singular input.
+
+    ``m`` must be symmetric, as ``floor_psd`` and ``symmetrize`` return
+    it; only its lower triangle is factored. One matrix: returns its
+    factor or raises ``err``. A stack (B, d, d): returns the factors and
+    a list of B entries, each None or the ``err`` that stopped that
+    matrix (its slot of the factors is then NaN).
+    """
+    m = np.asarray(m, dtype=float)
+    if m.ndim == 2:
+        return _cholesky_one(m, err)
+    errors: list = [None] * m.shape[0]
+    if np.isfinite(m).all():
+        try:
+            return np.linalg.cholesky(m), errors
+        except np.linalg.LinAlgError:
+            pass
+    out = np.full(m.shape, np.nan)
+    for k, member in enumerate(m):
+        try:
+            out[k] = _cholesky_one(member, err)
+        except err as e:
+            errors[k] = e
+    return out, errors
 
 
 def substream(seed: int, *key: int) -> np.random.Generator:

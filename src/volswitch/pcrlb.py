@@ -27,15 +27,17 @@ reweighted against the next observation. The paper and the README do not
 settle which of the two is meant, and the code keeps the predictive
 average.
 
-A bank of filters shares one pass per step (``pcrlb_bank_step``). Each
-filter factors its own posterior and draws its seed and then its
-propagation noise from its own rng; projection, transition, the Jacobians
-and the D blocks then run once on the stacked clouds. Each D block is
-one weighted Gram product per filter (D11 and D12 one for the whole bank
-when F is constant), not a stack of per-particle matrix products.
-Only the information step runs filter by filter, and a failure in a
-filter's factorisation, pair weights, D blocks or information step stops
-that filter's update alone.
+A bank of filters shares one pass per step (``pcrlb_bank_step``). The
+posteriors are factored as one stack, then each filter draws its seed
+and its propagation noise from its own rng; projection, transition, the
+Jacobians and the D blocks run once on the stacked clouds. Each D block
+is one weighted Gram product per filter (D11 and D12 one for the whole
+bank when F is constant), not a stack of per-particle matrix products.
+The information step advances every J as one (B, s, s) stack, with one
+eigenvalue solve, inverse or Cholesky per stack in the common case
+(``linalg``); ``pfim_step`` and ``seed_particles`` are stacks of one. A
+failure in a filter's factorisation, pair weights, D blocks or
+information step stops that filter's update alone.
 
 Q^{-1} and R^{-1} are constant, so each model inverts them once
 (``StateSpaceModel.noise_precisions``) and every step reuses them.
@@ -51,7 +53,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import (
-    RECOVERABLE,
     CovarianceError,
     InvalidInputError,
     NumericalFailureError,
@@ -87,26 +88,39 @@ class FisherState:
 
 @dataclass
 class DTriple:
+    """The D blocks of one filter (s, s), or of a bank as (B, s, s) stacks."""
+
     d11: np.ndarray
     d12: np.ndarray
     d22: np.ndarray
 
 
-def _seed_factor(belief: GaussianBelief) -> np.ndarray:
-    """Lower factor of the belief's covariance, eigenvalues floored just above zero."""
-    scale = max(float(np.trace(belief.cov)) / belief.mean.size, 0.0)
-    return safe_cholesky(floor_psd(belief.cov, floor=1e-18 * max(scale, 1.0)))
+def _seed_factors(covs: np.ndarray):
+    """Lower factors of a (B, s, s) stack of belief covariances, eigenvalues floored just above zero.
+
+    Returns the factors and, per belief, None or the ``CovarianceError``
+    that stopped its factorisation.
+    """
+    scale = np.maximum(np.trace(covs, axis1=1, axis2=2) / covs.shape[-1], 0.0)
+    return safe_cholesky(floor_psd(covs, floor=1e-18 * np.maximum(scale, 1.0)))
 
 
 def seed_particles(belief: GaussianBelief, n: int, rng: np.random.Generator, model=None) -> ParticleCloud:
     """Sample n particles from a Gaussian belief, projected onto the model domain."""
     if n < 2:
         raise InvalidInputError("need at least 2 particles")
-    low = _seed_factor(belief)
+    (low,), (error,) = _seed_factors(belief.cov[None])
+    if error is not None:
+        raise error
     draws = belief.mean + rng.standard_normal((n, belief.mean.size)) @ low.T
     if model is not None:
         draws = model.project_batch(draws)
     return ParticleCloud.uniform(draws)
+
+
+def _stack(arrays: list) -> np.ndarray:
+    """The arrays stacked on a new first axis; one array becomes a view, not a copy."""
+    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
 
 
 def _weighted_gram(jac: np.ndarray, precision: np.ndarray, weights: np.ndarray):
@@ -121,14 +135,15 @@ def _weighted_gram(jac: np.ndarray, precision: np.ndarray, weights: np.ndarray):
     return gram, wjp.sum(axis=1)
 
 
-def d_matrices(f_jac: np.ndarray, weights: np.ndarray, h_jac: np.ndarray, model) -> list[DTriple]:
+def d_matrices(f_jac: np.ndarray, weights: np.ndarray, h_jac: np.ndarray, model) -> DTriple:
     """Monte-Carlo D blocks for one recursion step of each filter in a bank.
 
     ``f_jac`` (B, n, s, s) holds the transition Jacobians at the ancestors of
     the pairs and ``weights`` (B, n) the pair weights, each row summing to
     one; B = 1 serves every filter with the same pairs. ``h_jac`` (B, n', m, s)
     holds the measurement Jacobians over each filter's predicted cloud,
-    averaged with uniform weights. Returns one DTriple per filter.
+    averaged with uniform weights. Returns the blocks as (B', s, s) stacks,
+    one slot per filter of ``h_jac``.
     """
     q_inv, r_inv = model.noise_precisions()
     d11, fq = _weighted_gram(f_jac, q_inv, weights)
@@ -136,35 +151,60 @@ def d_matrices(f_jac: np.ndarray, weights: np.ndarray, h_jac: np.ndarray, model)
     hrh, _ = _weighted_gram(h_jac, r_inv, np.full((bsz, n_pred), 1.0 / n_pred))
     d22 = symmetrize(q_inv + hrh)
     d11, d12 = (np.broadcast_to(m, d22.shape) for m in (symmetrize(d11), -fq))
-    return [DTriple(d11=a, d12=b, d22=c) for a, b, c in zip(d11, d12, d22)]
+    return DTriple(d11=d11, d12=d12, d22=d22)
 
 
-def _ensure_pd(j: np.ndarray) -> np.ndarray:
-    vals = np.linalg.eigvalsh(j)
-    if vals.min() > 0.0:
-        return j
-    floor = 1e-12 * max(float(np.abs(vals).max()), 1.0)
-    logger.info("information matrix floored: min eigenvalue %.3e -> %.3e", vals.min(), floor)
-    return floor_psd(j, floor=floor)
+def _information_step(j: np.ndarray, d: DTriple):
+    """Advance a (B, s, s) stack of information matrices by one step of the recursion.
+
+    Returns J_{t+1}, J_{t+1}^{-1} and, per filter, None or the recoverable
+    error that stopped its step (its slots of the stacks are then unused).
+    Non-finite D blocks give ``NumericalFailureError``; a J + D11 or J_{t+1}
+    that stays singular, or a J^{-1} that does not reproduce the identity
+    against J_{t+1} within tolerance, gives ``SingularityError``. A J_{t+1}
+    that is not positive definite is floored first.
+    """
+    eye = np.eye(j.shape[-1])
+    mid_inv, errors = regularized_inverse(j + d.d11)
+    j_next = symmetrize(d.d22 - np.swapaxes(d.d12, 1, 2) @ mid_inv @ d.d12)
+    solved = j_next
+    if any(errors) or not np.isfinite(j_next).all():
+        # a non-finite D block always lands here, through J + D11 or J_{t+1},
+        # and its error comes first
+        finite = [np.isfinite(m).all(axis=(1, 2)) for m in (d.d11, d.d12, d.d22)]
+        for k in np.flatnonzero(~(finite[0] & finite[1] & finite[2])):
+            errors[k] = NumericalFailureError("non-finite D matrices")
+        # failed or non-finite slots are solved as the identity and left unfloored
+        live = np.isfinite(j_next).all(axis=(1, 2)) & np.array([e is None for e in errors])
+        solved = np.where(live[:, None, None], j_next, eye)
+    vals = np.linalg.eigvalsh(solved)
+    # eigvalsh sorts ascending; the floor applies where J_{t+1} is not positive definite
+    weak = ~(vals[:, 0] > 0.0)
+    if weak.any():
+        floors = 1e-12 * np.maximum(np.abs(vals[weak]).max(axis=1), 1.0)
+        for k, floor in zip(np.flatnonzero(weak), floors):
+            logger.info("information matrix floored: min eigenvalue %.3e -> %.3e", vals[k, 0], floor)
+        j_next[weak] = floor_psd(j_next[weak], floor=floors)
+    j_inv, inv_errors = regularized_inverse(j_next)
+    j_inv = symmetrize(j_inv)
+    resid = np.abs(j_inv @ j_next - eye).max(axis=(1, 2))
+    for k, inv_error in enumerate(inv_errors):
+        errors[k] = errors[k] or inv_error
+        if errors[k] is None and resid[k] > INVERSE_CONSISTENCY_TOL:
+            errors[k] = SingularityError(f"information matrix inverse inconsistent: {resid[k]:.3e}")
+    return j_next, j_inv, errors
 
 
 def pfim_step(prev: FisherState, d: DTriple) -> FisherState:
-    """Advance the information recursion one step.
+    """Advance the information recursion one step: a stack of one.
 
-    Non-finite D blocks raise ``NumericalFailureError``. J^{-1} is one
-    regularized inverse of J_{t+1}; if it does not reproduce the identity
-    against J_{t+1} within tolerance the step raises ``SingularityError``.
+    Raises the recoverable error that stopped the step.
     """
-    if not all(np.all(np.isfinite(m)) for m in (d.d11, d.d12, d.d22)):
-        raise NumericalFailureError("non-finite D matrices")
-    mid = symmetrize(prev.j + d.d11)
-    mid_inv = regularized_inverse(mid, err=SingularityError)
-    j_next = _ensure_pd(symmetrize(d.d22 - d.d12.T @ mid_inv @ d.d12))
-    j_inv = symmetrize(regularized_inverse(j_next, err=SingularityError))
-    err = float(np.max(np.abs(j_inv @ j_next - np.eye(j_next.shape[0]))))
-    if err > INVERSE_CONSISTENCY_TOL:
-        raise SingularityError(f"information matrix inverse inconsistent: {err:.3e}")
-    return FisherState(j=j_next, j_inv=j_inv, filter=prev.filter)
+    one = DTriple(*(m[None] for m in (d.d11, d.d12, d.d22)))
+    (j,), (j_inv,), (error,) = _information_step(prev.j[None], one)
+    if error is not None:
+        raise error
+    return FisherState(j=j, j_inv=j_inv, filter=prev.filter)
 
 
 def pcrlb_bank_step(prevs, beliefs, next_obs, ex_next, model, n: int, rngs) -> list:
@@ -181,17 +221,13 @@ def pcrlb_bank_step(prevs, beliefs, next_obs, ex_next, model, n: int, rngs) -> l
     """
     if n < 2:
         raise InvalidInputError("need at least 2 particles")
-    out: list = [None] * len(prevs)
+    lows, out = _seed_factors(_stack([b.cov for b in beliefs]))
     live, seeds, draws = [], [], []
-    for k, (belief, rng) in enumerate(zip(beliefs, rngs, strict=True)):
-        try:
-            low = _seed_factor(belief)
-        except RECOVERABLE as e:
-            out[k] = e
-            continue
-        live.append(k)
-        seeds.append(belief.mean + rng.standard_normal((n, low.shape[0])) @ low.T)
-        draws.append(rng.standard_normal((n, low.shape[0])))
+    for k, (belief, low, rng) in enumerate(zip(beliefs, lows, rngs, strict=True)):
+        if out[k] is None:
+            live.append(k)
+            seeds.append(belief.mean + rng.standard_normal((n, low.shape[0])) @ low.T)
+            draws.append(rng.standard_normal((n, low.shape[0])))
     if not live:
         return out
 
@@ -216,15 +252,12 @@ def pcrlb_bank_step(prevs, beliefs, next_obs, ex_next, model, n: int, rngs) -> l
             except NumericalFailureError as e:
                 out[k] = e  # its all-zero row's D blocks go unused
     h_jac = model.measurement_jacobian_batch(x_next, ex_next)
-    blocks = d_matrices(f_jac, weights, h_jac.reshape(bsz, n, -1, s), model)
+    d = d_matrices(f_jac, weights, h_jac.reshape(bsz, n, -1, s), model)
 
-    for k, d in zip(live, blocks):
-        if out[k] is not None:
-            continue
-        try:
-            out[k] = pfim_step(prevs[k], d)
-        except RECOVERABLE as e:
-            out[k] = e
+    j_next, j_inv, errors = _information_step(_stack([prevs[k].j for k in live]), d)
+    for row, k in enumerate(live):
+        if out[k] is None:
+            out[k] = errors[row] or FisherState(j=j_next[row], j_inv=j_inv[row], filter=prevs[k].filter)
     return out
 
 

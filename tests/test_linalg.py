@@ -140,6 +140,100 @@ def test_safe_cholesky_rejects_non_finite():
         safe_cholesky(np.array([[np.inf, 0.0], [0.0, 1.0]]))
 
 
+# ---------------------------------------------------------------------------
+# stacks: each member comes out bit for bit as it does alone
+
+
+def stack_member(kind, dim, seed, top_exp, ratio_exp, signs):
+    """One symmetric member: a rotated spectrum with a chosen condition number, or a degenerate kind."""
+    rng = np.random.default_rng(seed)
+    if kind == "zero":
+        return np.zeros((dim, dim))
+    if kind == "rank-deficient":
+        v = rng.standard_normal(dim)
+        return 10.0**top_exp * np.outer(v, v)
+    top = 10.0**top_exp
+    mags = np.array([top, top * 10.0 ** (-ratio_exp / 2.0), top * 10.0**-ratio_exp])[-dim:]
+    mags[0] = top
+    vals = np.where(signs[:dim], mags, -mags)
+    u, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+    return symmetrize((u * vals) @ u.T)
+
+
+members = st.tuples(
+    st.sampled_from(["spectrum", "spectrum", "zero", "rank-deficient"]),
+    st.integers(0, 2**32 - 1),
+    st.floats(-6.0, 6.0),
+    # ill-conditioned members too, clear of the 2% band around COND_LIMIT
+    st.one_of(st.floats(0.0, 11.9), st.floats(12.1, 17.0)),
+    st.lists(st.booleans(), min_size=3, max_size=3),
+)
+
+
+@st.composite
+def stacks(draw):
+    dim = draw(st.sampled_from([2, 3]))
+    drawn = draw(st.lists(members, min_size=1, max_size=4))
+    return np.array([stack_member(kind, dim, *rest) for kind, *rest in drawn])
+
+
+def one_by_one(fn, stack, err):
+    """fn on each matrix alone: (results with NaN where it raised, the error types)."""
+    out, kinds = np.full(stack.shape, np.nan), []
+    for k, m in enumerate(stack):
+        try:
+            out[k] = fn(m)
+            kinds.append(None)
+        except err as e:
+            kinds.append(type(e))
+    return out, kinds
+
+
+@given(stacks())
+@settings(max_examples=150)
+def test_stacked_regularized_inverse_matches_each_matrix_alone(stack):
+    inv, errors = regularized_inverse(stack)
+    alone, kinds = one_by_one(regularized_inverse, stack, SingularityError)
+    np.testing.assert_array_equal(inv, alone)
+    assert [type(e) if e else None for e in errors] == kinds
+
+
+@given(stacks())
+@settings(max_examples=150)
+def test_stacked_condition_check_matches_each_matrix_and_numpy_cond(stack):
+    ok = _within_cond_limit(stack)
+    assert ok.shape == stack.shape[:1]
+    for k, m in enumerate(stack):
+        assert ok[k] == _within_cond_limit(m) == (np.linalg.cond(m) <= COND_LIMIT)
+
+
+@given(stacks(), st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4))
+@settings(max_examples=150)
+def test_stacked_floor_and_factor_match_each_matrix_alone(stack, floors):
+    floors = np.array(floors[: len(stack)])
+    floored = floor_psd(stack, floor=floors)
+    np.testing.assert_array_equal(floored, [floor_psd(m, floor=f) for m, f in zip(stack, floors)])
+    for psd in (floored, stack):  # factorable, and members needing jitter or beyond it
+        low, errors = safe_cholesky(psd)
+        alone, kinds = one_by_one(safe_cholesky, psd, CovarianceError)
+        np.testing.assert_array_equal(low, alone)
+        assert [type(e) if e else None for e in errors] == kinds
+
+
+def test_a_non_finite_member_fails_only_itself():
+    stack = np.array([np.diag([2.0, 3.0]), [[np.nan, 0.0], [0.0, 1.0]], np.diag([1.0, np.inf])])
+    inv, errors = regularized_inverse(stack)
+    assert errors[0] is None and all(isinstance(e, SingularityError) for e in errors[1:])
+    np.testing.assert_array_equal(inv[0], regularized_inverse(stack[0]))
+    assert np.isnan(inv[1:]).all()
+    floored = floor_psd(stack, floor=1e-3)
+    np.testing.assert_array_equal(floored[0], stack[0])
+    assert np.isnan(floored[1:]).all()
+    low, errors = safe_cholesky(stack)
+    assert errors[0] is None and all(isinstance(e, CovarianceError) for e in errors[1:])
+    np.testing.assert_array_equal(low[0], np.sqrt(stack[0]))
+
+
 def test_substream_is_deterministic_and_key_sensitive():
     a = substream(7, 1, 2, 3).standard_normal(4)
     b = substream(7, 1, 2, 3).standard_normal(4)

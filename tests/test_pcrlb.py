@@ -1,10 +1,12 @@
+import logging
+
 import numpy as np
 import pytest
 from scipy.stats import multivariate_normal
 
 import oracles
 from volswitch.bsgarch import BsGarchModel, V_FLOOR
-from volswitch.exceptions import CovarianceError, InvalidInputError, SingularityError
+from volswitch.exceptions import CovarianceError, InvalidInputError, NumericalFailureError, SingularityError
 from volswitch.filters import (
     FilterId,
     GaussianBelief,
@@ -108,6 +110,64 @@ def test_pfim_step_floors_an_indefinite_update():
     assert out.j_inv[0, 0] * out.j[0, 0] == pytest.approx(1.0, rel=1e-6)
 
 
+def information_cases():
+    """(name, J, D blocks) for each path through the information step."""
+    ridge = (np.eye(2), DTriple(np.diag([0.0, -1.0 + 1e-14]), np.diag([0.0, 1e-7]), np.eye(2)))
+    floored = (np.diag([0.5, 1.0]), DTriple(np.diag([0.5, 0.0]), np.diag([2.0, 0.0]), np.diag([-1.0, 1.0])))
+    floored_wider = (floored[0], DTriple(floored[1].d11, np.diag([3.0, 0.0]), floored[1].d22))
+    healthy = (np.linalg.inv(P0), DTriple(*oracles.exact_linear_dtriple(A, C, Q, R)))
+    inconsistent = (np.eye(2), DTriple(np.zeros((2, 2)), np.zeros((2, 2)), np.diag([1.0, 1e-14])))
+    return {"ridge": ridge, "floored": floored, "floored wider": floored_wider, "healthy": healthy,
+            "inconsistent": inconsistent}
+
+
+def test_each_slot_of_an_information_stack_matches_its_stack_of_one(caplog):
+    from volswitch.linalg import COND_LIMIT
+
+    cases = information_cases()
+    j, d = cases["ridge"]
+    assert np.linalg.cond(j + d.d11) > COND_LIMIT  # J + D11 needs the ridge
+    for bank in (["ridge", "floored", "healthy"], ["floored wider", "inconsistent", "floored"]):
+        js = np.array([cases[name][0] for name in bank])
+        ds = DTriple(*(np.array([getattr(cases[name][1], block) for name in bank]) for block in ("d11", "d12", "d22")))
+        with caplog.at_level(logging.INFO, logger="volswitch.pcrlb"):
+            j_next, j_inv, errors = pcrlb._information_step(js, ds)
+        floored = sum("information matrix floored" in r.getMessage() for r in caplog.records)
+        assert floored == sum(name.startswith("floored") for name in bank)
+        caplog.clear()
+        for row, name in enumerate(bank):
+            prev = FisherState(j=cases[name][0], j_inv=np.linalg.inv(cases[name][0]))
+            if name == "inconsistent":
+                # it fails alone, with the same error as its stack of one
+                assert isinstance(errors[row], SingularityError)
+                assert "inverse inconsistent" in str(errors[row])
+                with pytest.raises(SingularityError, match="inverse inconsistent"):
+                    pfim_step(prev, cases[name][1])
+                continue
+            one = pfim_step(prev, cases[name][1])
+            assert errors[row] is None
+            np.testing.assert_array_equal(j_next[row], one.j)
+            np.testing.assert_array_equal(j_inv[row], one.j_inv)
+    # the floor left J_{t+1} positive definite: diag(-5, 1) became diag(5e-12, 1),
+    # and diag(-10, 1) became diag(1e-11, 1)
+    for name, low in (("floored", 5e-12), ("floored wider", 1e-11)):
+        one = pfim_step(FisherState(j=cases[name][0], j_inv=np.eye(2)), cases[name][1])
+        np.testing.assert_allclose(np.diag(one.j), [low, 1.0], rtol=1e-9)
+
+
+def test_non_finite_d_blocks_fail_only_their_slot():
+    j, d = information_cases()["healthy"]
+    js = np.array([j, j])
+    bad = d.d22.copy()
+    bad[0, 1] = bad[1, 0] = np.inf
+    ds = DTriple(np.array([d.d11, d.d11]), np.array([d.d12, d.d12]), np.array([bad, d.d22]))
+    j_next, j_inv, errors = pcrlb._information_step(js, ds)
+    assert isinstance(errors[0], NumericalFailureError) and errors[1] is None
+    one = pfim_step(FisherState(j=j, j_inv=P0), d)
+    np.testing.assert_array_equal(j_next[1], one.j)
+    np.testing.assert_array_equal(j_inv[1], one.j_inv)
+
+
 def test_exact_recursion_reproduces_kalman_covariance_on_linear_model():
     # with exact D blocks the recursion is the information-form Riccati
     # iteration, so J^{-1} must equal the Kalman posterior covariance.
@@ -157,12 +217,18 @@ def jacobians(model, x_prev, x_next, ex=None):
     return model.transition_jacobian_batch(x_prev, ex)[None], model.measurement_jacobian_batch(x_next, ex)[None]
 
 
+def bank_of_one(d):
+    """The D blocks of a bank of one as plain matrices."""
+    (d11,), (d12,), (d22,) = d.d11, d.d12, d.d22
+    return DTriple(d11, d12, d22)
+
+
 def test_d_matrices_are_exact_for_constant_jacobians():
     rng = np.random.default_rng(12)
     x_prev = rng.standard_normal((30, 2))
     x_next = rng.standard_normal((30, 2))
     f_jac, h_jac = jacobians(linear_model(), x_prev, x_next)
-    (d,) = d_matrices(f_jac, np.full((1, 30), 1.0 / 30), h_jac, linear_model())
+    d = bank_of_one(d_matrices(f_jac, np.full((1, 30), 1.0 / 30), h_jac, linear_model()))
     e11, e12, e22 = oracles.exact_linear_dtriple(A, C, Q, R)
     np.testing.assert_allclose(d.d11, e11, atol=1e-12)
     np.testing.assert_allclose(d.d12, e12, atol=1e-12)
@@ -187,7 +253,7 @@ def test_d_matrices_respect_weights():
     states = np.array([[2e-4, 0.03], [5e-4, 0.01], [1e-4, 0.08]])
     w = np.array([0.0, 1.0, 0.0])
     f_jac, _ = jacobians(model, states, states, ex)
-    (d,) = d_matrices(f_jac, w[None], model.measurement_jacobian_batch(states[1:2], ex)[None], model)
+    d = bank_of_one(d_matrices(f_jac, w[None], model.measurement_jacobian_batch(states[1:2], ex)[None], model))
 
     q_inv = np.linalg.inv(spec.noise.q)
     f = model.transition_jacobian(states[1], ex)
@@ -298,7 +364,7 @@ def test_d_matrices_match_a_per_particle_loop():
         w = rng.random(40)
         w /= w.sum()
         f_jac, h_jac = jacobians(model, x_prev, x_next, ex)
-        (d,) = d_matrices(f_jac, w[None], h_jac, model)
+        d = bank_of_one(d_matrices(f_jac, w[None], h_jac, model))
 
         q_inv, r_inv = (np.linalg.inv(m) for m in (model.process_cov(), model.measurement_cov()))
         d11, d12, d22 = np.zeros((2, 2)), np.zeros((2, 2)), q_inv.copy()
@@ -314,7 +380,7 @@ def test_d_matrices_match_a_per_particle_loop():
         np.testing.assert_allclose(d.d22, d22, rtol=1e-12)
         if model is not quadratic:
             # a constant Jacobian: one pair of weight one gives the same blocks
-            (one,) = d_matrices(f_jac[:, :1], np.ones((1, 1)), h_jac, model)
+            one = bank_of_one(d_matrices(f_jac[:, :1], np.ones((1, 1)), h_jac, model))
             np.testing.assert_allclose(one.d11, d11, rtol=1e-12)
             np.testing.assert_allclose(one.d12, d12, rtol=1e-12)
 
@@ -348,7 +414,7 @@ def test_pcrlb_step_transition_blocks_are_unbiased(monkeypatch):
 
     def capture(*args):
         blocks = d_matrices(*args)
-        captured.extend(blocks)
+        captured.append(blocks)
         return blocks
 
     monkeypatch.setattr(pcrlb, "d_matrices", capture)
@@ -367,7 +433,7 @@ def test_pcrlb_step_transition_blocks_are_unbiased(monkeypatch):
         means = model.transition_batch(filtered_t.particles, None)
         ws = oracles.mixture_smoothing_weights(x_next, means, model.q)
         f_jac, h_jac = jacobians(model, filtered_t.particles, predicted.particles)
-        reference.extend(d_matrices(f_jac, ws[None], h_jac, model))
+        reference.append(d_matrices(f_jac, ws[None], h_jac, model))
 
     assert len(captured) == runs
     for block in ("d11", "d12"):
@@ -417,7 +483,8 @@ def test_pcrlb_step_weights_pairs_by_the_likelihood_alone(monkeypatch):
     assert np.ptp(w) > 0.0
 
     assert len(captured) == 1
-    (f_jac, weights, h_jac, _), (d,) = captured[0]
+    (f_jac, weights, h_jac, _), d = captured[0]
+    d = bank_of_one(d)
     expect_f, expect_h = jacobians(model, filtered_t.particles, predicted.particles)
     np.testing.assert_array_equal(f_jac, expect_f)
     np.testing.assert_array_equal(weights, w[None])
