@@ -16,7 +16,7 @@ from volswitch.filters import (
     systematic_resample,
 )
 from volswitch import pcrlb
-from volswitch.linalg import regularized_inverse, symmetrize
+from volswitch.linalg import COND_LIMIT, regularized_inverse, symmetrize
 from volswitch.pcrlb import (
     DTriple,
     FisherState,
@@ -111,7 +111,7 @@ def test_pfim_step_floors_an_indefinite_update():
 
 
 def information_cases():
-    """(name, J, D blocks) for each path through the information step."""
+    """Name -> (J, D blocks), one for each path through the information step."""
     ridge = (np.eye(2), DTriple(np.diag([0.0, -1.0 + 1e-14]), np.diag([0.0, 1e-7]), np.eye(2)))
     floored = (np.diag([0.5, 1.0]), DTriple(np.diag([0.5, 0.0]), np.diag([2.0, 0.0]), np.diag([-1.0, 1.0])))
     floored_wider = (floored[0], DTriple(floored[1].d11, np.diag([3.0, 0.0]), floored[1].d22))
@@ -122,8 +122,6 @@ def information_cases():
 
 
 def test_each_slot_of_an_information_stack_matches_its_stack_of_one(caplog):
-    from volswitch.linalg import COND_LIMIT
-
     cases = information_cases()
     j, d = cases["ridge"]
     assert np.linalg.cond(j + d.d11) > COND_LIMIT  # J + D11 needs the ridge
