@@ -56,11 +56,12 @@ def garch_log_likelihood(returns: np.ndarray, omega: float, alpha: float, beta: 
     if returns.ndim != 1 or returns.size < 1:
         raise InvalidInputError("returns must be a non-empty 1-d array")
     h = float(np.var(returns)) or omega / (1.0 - alpha - beta)
-    ll = 0.0
-    for u in returns:
-        ll -= 0.5 * (math.log(2.0 * math.pi * h) + u * u / h)
-        h = omega + alpha * u * u + beta * h
-    return ll
+    # h_t in Python, in the loop's rounding order; cumsum adds terms sequentially
+    hs = [h]
+    for x in (omega + alpha * returns * returns)[:-1].tolist():
+        hs.append(x + beta * hs[-1])
+    hs = np.array(hs)
+    return -float(np.cumsum(0.5 * (np.log(2.0 * math.pi * hs) + returns * returns / hs))[-1])
 
 
 def _sigmoid(x: float) -> float:

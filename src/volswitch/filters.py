@@ -14,11 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import (
-    CovarianceError,
-    InvalidInputError,
-    NumericalFailureError,
-)
+from .exceptions import InvalidInputError, NumericalFailureError
 from .linalg import floor_psd, safe_cholesky, symmetrize
 
 WEIGHT_SUM_TOL = 1e-8
@@ -198,16 +194,13 @@ def ekf_update(prior: GaussianBelief, obs, ex, model) -> GaussianBelief:
 
 
 def _sigma_points(mean: np.ndarray, cov: np.ndarray, sp: SigmaPointParams):
+    """Scaled sigma points of N(mean, cov); ``cov`` must already be floored, as ``floor_psd`` returns it."""
     s = mean.size
     lam = sp.alpha**2 * (s + sp.kappa) - s
     c = s + lam
     if c <= 0.0:
         raise InvalidInputError("sigma point scaling must be positive")
-    try:
-        low = safe_cholesky(floor_psd(cov))
-    except CovarianceError as e:
-        raise NumericalFailureError("sigma point Cholesky failed") from e
-    spread = math.sqrt(c) * low
+    spread = math.sqrt(c) * safe_cholesky(cov, NumericalFailureError)
     pts = np.empty((2 * s + 1, s))
     pts[0] = mean
     pts[1 : s + 1] = mean + spread.T
@@ -232,7 +225,7 @@ def _reconstruct(points: np.ndarray, wm: np.ndarray, wc: np.ndarray):
 def ukf_update(prior: GaussianBelief, obs, ex, model, sp: SigmaPointParams = SigmaPointParams()) -> GaussianBelief:
     """Scaled unscented transform through the transition and the measurement."""
     obs = np.atleast_1d(np.asarray(obs, dtype=float))
-    pts, wm, wc = _sigma_points(prior.mean, prior.cov, sp)
+    pts, wm, wc = _sigma_points(prior.mean, floor_psd(prior.cov), sp)
     moved = model.project_batch(model.transition_batch(pts, ex))
     x_pred, _, p_prop = _reconstruct(moved, wm, wc)
     p_pred = floor_psd(p_prop + model.process_cov())
@@ -271,7 +264,8 @@ def pf_update(
 
     Returns ``(cloud, summary)``. Resampling runs every step unless an
     ``ess_threshold`` fraction is given, in which case it only triggers when
-    ESS < threshold * n.
+    ESS < threshold * n, so 0 never resamples: the run loop passes 0 when
+    it discards the cloud (shared chains).
     """
     if prior.n < 2:
         raise InvalidInputError("particle filter needs at least 2 particles")

@@ -84,11 +84,12 @@ class SwitchDecision:
 
 def perf_metric(fisher: FisherState, belief: GaussianBelief) -> PerfMetric:
     """Score one filter against its bound; raises on degenerate variances."""
-    p_diag = np.diag(belief.cov)
-    j_inv_diag = np.diag(fisher.j_inv)
-    if not np.all(np.isfinite(p_diag)) or np.any(p_diag <= 0.0):
+    p_diag = belief.cov.diagonal()
+    j_inv_diag = fisher.j_inv.diagonal()
+    # NaN, +-inf and <= 0 all fail the range check
+    if not np.all((p_diag > 0.0) & (p_diag < np.inf)):
         raise DegenerateCovarianceError(f"non-positive posterior variance for {fisher.filter}")
-    if not np.all(np.isfinite(j_inv_diag)) or np.any(j_inv_diag <= 0.0):
+    if not np.all((j_inv_diag > 0.0) & (j_inv_diag < np.inf)):
         raise DegenerateCovarianceError(f"non-positive bound diagonal for {fisher.filter}")
     ratio = j_inv_diag / p_diag
     if logger.isEnabledFor(logging.INFO) and np.any(ratio > PHI_SLACK):
@@ -197,15 +198,17 @@ class BacktestRecord:
     date: str | None = None
 
 
-def _filter_update(fid, prior, cloud, obs, ex, model, settings, rng):
+def _filter_update(fid, prior, cloud, obs, ex, model, settings, t):
     """Returns (belief, cloud) with the PF threading its cloud through."""
     if fid is FilterId.EKF:
         return ekf_update(prior, obs, ex, model), None
     if fid is FilterId.UKF:
         return ukf_update(prior, obs, ex, model, settings.sigma_params), None
+    rng = substream(settings.seed, _FILTER_INDEX[fid], t, _STREAM_FILTER)
     if cloud is None:
         cloud = seed_particles(prior, settings.pf_particles, rng, model)
-    new_cloud, summary = pf_update(cloud, obs, ex, model, rng, settings.ess_threshold)
+    threshold = settings.ess_threshold if settings.independent_chains else 0.0
+    new_cloud, summary = pf_update(cloud, obs, ex, model, rng, threshold)
     return summary, new_cloud
 
 
@@ -217,7 +220,9 @@ def run_adaptive_estimation(observations, exogenous, model, settings: Estimation
     the run only aborts for malformed input. This loop is the one place that
     applies a numerical fallback: each one is logged as a warning and
     recorded on its step's ``BacktestRecord.fallbacks``. Returns one
-    BacktestRecord per observation.
+    BacktestRecord per observation. Only the PF draws, from its (seed,
+    filter, t) substream; with shared chains its cloud is discarded, so it
+    never resamples.
     """
     observations = [float(y) for y in observations]
     exogenous = list(exogenous)
@@ -243,10 +248,9 @@ def run_adaptive_estimation(observations, exogenous, model, settings: Estimation
         beliefs = {}
         for fid in settings.filters:
             prior = chains[fid] if settings.independent_chains else shared
-            rng = substream(settings.seed, _FILTER_INDEX[fid], t, _STREAM_FILTER)
             cloud = pf_cloud if (settings.independent_chains and fid is FilterId.PF) else None
             try:
-                belief, new_cloud = _filter_update(fid, prior, cloud, obs, ex, model, settings, rng)
+                belief, new_cloud = _filter_update(fid, prior, cloud, obs, ex, model, settings, t)
                 if fid is FilterId.PF:
                     pf_cloud = new_cloud
             except RECOVERABLE as e:

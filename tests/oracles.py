@@ -53,6 +53,20 @@ def mc_call(s, k, r, sigma, tau, n_paths, seed=0):
     return price, stderr
 
 
+def garch_log_likelihood(returns, omega, alpha, beta):
+    """Gaussian GARCH(1,1) log-likelihood by the direct recursion, one return at a time.
+
+    h starts at the sample variance (or the unconditional one when that is
+    zero), and h_t = omega + alpha u_{t-1}^2 + beta h_{t-1}.
+    """
+    h = float(np.var(returns)) or omega / (1.0 - alpha - beta)
+    ll = 0.0
+    for u in returns:
+        ll -= 0.5 * (math.log(2.0 * math.pi * h) + u * u / h)
+        h = omega + alpha * u * u + beta * h
+    return ll
+
+
 def kalman_step(mean, cov, y, a, c, q, r):
     """One predict-then-update step of the standard Kalman filter."""
     mean = a @ mean

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from volswitch.calibrate import (
     MIN_RETURNS,
     closes_by_date,
@@ -51,6 +52,21 @@ def test_garch_log_likelihood_matches_direct_recursion():
         expect += -0.5 * (math.log(2 * math.pi * h) + x * x / h)
         h = omega + alpha * x * x + beta * h
     assert garch_log_likelihood(u, omega, alpha, beta) == pytest.approx(expect, rel=1e-14)
+
+
+def test_garch_log_likelihood_equals_the_direct_recursion_bit_for_bit():
+    rng = np.random.default_rng(11)
+    cases = [(np.array([0.01]), 1e-5, 0.1, 0.8), (np.full(5, -0.02), 2e-6, 0.0, 0.9)]
+    for _ in range(12):
+        alpha = rng.uniform(0.0, 0.4)
+        cases.append((
+            rng.standard_normal(int(rng.integers(2, 3000))) * rng.uniform(0.002, 0.03),
+            rng.uniform(1e-7, 1e-4), alpha, rng.uniform(0.0, 0.99 - alpha),
+        ))
+    for u, omega, alpha, beta in cases:
+        assert garch_log_likelihood(u, omega, alpha, beta) == oracles.garch_log_likelihood(
+            u, omega, alpha, beta
+        )
 
 
 def test_garch_log_likelihood_rejects_nonstationary_parameters():

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from scipy.special import softmax
 
 import oracles
+from volswitch import filters
 from volswitch.exceptions import InvalidInputError, NumericalFailureError
 from volswitch.filters import (
     GaussianBelief,
@@ -173,6 +174,16 @@ def test_normalize_logweights_single_survivor():
 
 # ---------------------------------------------------------------------------
 # sigma points
+
+
+def test_ukf_floors_each_covariance_once(monkeypatch):
+    # the prior, the prediction and the posterior; the sigma points reuse
+    # the floored prior and prediction
+    calls = []
+    real = filters.floor_psd
+    monkeypatch.setattr(filters, "floor_psd", lambda m, *a: calls.append(m) or real(m, *a))
+    ukf_update(GaussianBelief(X0, P0), observations()[0], None, linear_model())
+    assert len(calls) == 3
 
 
 @pytest.mark.parametrize("alpha", [1e-3, 0.5, 1.0])

@@ -91,6 +91,19 @@ def test_perf_metric_rejects_degenerate_variances():
         )
 
 
+@pytest.mark.parametrize("bad", [0.0, -0.1, np.nan, np.inf, -np.inf])
+def test_perf_metric_rejects_every_non_positive_or_non_finite_diagonal(bad):
+    good = np.diag([0.1, 0.1])
+    cov = good.copy()
+    cov[1, 1] = bad  # set after construction: a belief rejects non-finite input
+    b = GaussianBelief(np.zeros(2), good)
+    b.cov = cov
+    with pytest.raises(DegenerateCovarianceError, match="posterior variance"):
+        perf_metric(FisherState(j=good, j_inv=good), b)
+    with pytest.raises(DegenerateCovarianceError, match="bound diagonal"):
+        perf_metric(FisherState(j=good, j_inv=cov), GaussianBelief(np.zeros(2), good))
+
+
 def test_perf_metric_logs_but_never_clamps_above_one(caplog):
     fisher = FisherState(j=np.diag([0.5, 0.5]), j_inv=np.diag([2.0, 2.0]))
     b = GaussianBelief(np.zeros(2), np.diag([1.0, 1.0]))
@@ -215,6 +228,70 @@ def test_independent_chains_keep_the_ekf_pure():
     means, _ = oracles.kalman_filter(ys[:, None], A, C, Q, R, X0, P0)
     for t, rec in enumerate(records):
         np.testing.assert_allclose(rec.filter_estimates[FilterId.EKF], means[t], atol=1e-10)
+
+
+def test_only_the_pf_builds_a_filter_substream(monkeypatch):
+    calls = Counter()
+    real = switching.substream
+
+    def counting(seed, filter_index, t, purpose):
+        calls[purpose, FILTER_ORDER[filter_index]] += 1
+        return real(seed, filter_index, t, purpose)
+
+    monkeypatch.setattr(switching, "substream", counting)
+    ys = observations(n_steps=8)
+    run_adaptive_estimation(ys, [None] * len(ys), linear_model(), settings(pf_particles=100, pcrlb_particles=50))
+    # the EKF and UKF never draw; the bound draws for every filter but not after the last step
+    expect = {(switching._STREAM_FILTER, FilterId.PF): len(ys)}
+    expect.update({(switching._STREAM_BOUND, f): len(ys) - 1 for f in FILTER_ORDER})
+    assert calls == expect
+
+
+def _assert_same_records(a, b):
+    assert len(a) == len(b)
+    for ra, rb in zip(a, b):
+        assert ra.decision.chosen == rb.decision.chosen
+        np.testing.assert_array_equal(ra.estimate, rb.estimate)
+        np.testing.assert_array_equal(ra.decision.cov, rb.decision.cov)
+        for fid in FILTER_ORDER:
+            np.testing.assert_array_equal(ra.filter_estimates[fid], rb.filter_estimates[fid])
+            np.testing.assert_array_equal(ra.fisher_diags[fid], rb.fisher_diags[fid])
+        assert ra.phi_traces == rb.phi_traces
+        assert ra.fallbacks == rb.fallbacks
+
+
+@pytest.mark.parametrize("mode", ["average", "best"])
+def test_shared_chains_skip_only_a_resample_that_changes_nothing(monkeypatch, mode):
+    ys = observations(n_steps=15, seed=4)
+    cfg = settings(mode=mode, pf_particles=200, pcrlb_particles=100)
+    skipped = run_adaptive_estimation(ys, [None] * len(ys), linear_model(), cfg)
+    real = switching.pf_update
+    monkeypatch.setattr(
+        switching, "pf_update", lambda cloud, obs, ex, model, rng, ess_threshold: real(cloud, obs, ex, model, rng)
+    )
+    always = run_adaptive_estimation(ys, [None] * len(ys), linear_model(), cfg)
+    _assert_same_records(skipped, always)
+
+
+def test_independent_chains_carry_a_resampled_cloud(monkeypatch):
+    seen = []
+    real = switching.pf_update
+
+    def spy(cloud, obs, ex, model, rng, ess_threshold):
+        seen.append((cloud, ess_threshold))
+        out = real(cloud, obs, ex, model, rng, ess_threshold)
+        seen.append((out[0], None))
+        return out
+
+    monkeypatch.setattr(switching, "pf_update", spy)
+    ys = observations(n_steps=10)
+    cfg = settings(pf_particles=200, pcrlb_particles=50, independent_chains=True)
+    run_adaptive_estimation(ys, [None] * len(ys), linear_model(), cfg)
+    priors, thresholds = zip(*seen[0::2])
+    assert thresholds == (None,) * len(ys)  # no ess_threshold: resample every step
+    for carried, prior in zip(seen[1::2], priors[1:]):
+        assert prior is carried[0]
+        np.testing.assert_array_equal(prior.weights, np.full(200, 1.0 / 200))
 
 
 def test_shared_chain_restarts_filters_from_the_decision():
