@@ -266,31 +266,32 @@ def test_shared_chains_skip_only_a_resample_that_changes_nothing(monkeypatch, mo
     cfg = settings(mode=mode, pf_particles=200, pcrlb_particles=100)
     skipped = run_adaptive_estimation(ys, [None] * len(ys), linear_model(), cfg)
     real = switching.pf_update
-    monkeypatch.setattr(
-        switching, "pf_update", lambda cloud, obs, ex, model, rng, ess_threshold: real(cloud, obs, ex, model, rng)
-    )
+
+    def always_resample(cloud, obs, ex, model, rng, ess_threshold):
+        return real(cloud, obs, ex, model, rng)
+
+    monkeypatch.setattr(switching, "pf_update", always_resample)
     always = run_adaptive_estimation(ys, [None] * len(ys), linear_model(), cfg)
     _assert_same_records(skipped, always)
 
 
 def test_independent_chains_carry_a_resampled_cloud(monkeypatch):
-    seen = []
+    calls, returned = [], []
     real = switching.pf_update
 
     def spy(cloud, obs, ex, model, rng, ess_threshold):
-        seen.append((cloud, ess_threshold))
-        out = real(cloud, obs, ex, model, rng, ess_threshold)
-        seen.append((out[0], None))
-        return out
+        calls.append((cloud, ess_threshold))
+        returned.append(real(cloud, obs, ex, model, rng, ess_threshold))
+        return returned[-1]
 
     monkeypatch.setattr(switching, "pf_update", spy)
     ys = observations(n_steps=10)
     cfg = settings(pf_particles=200, pcrlb_particles=50, independent_chains=True)
     run_adaptive_estimation(ys, [None] * len(ys), linear_model(), cfg)
-    priors, thresholds = zip(*seen[0::2])
+    priors, thresholds = zip(*calls)
     assert thresholds == (None,) * len(ys)  # no ess_threshold: resample every step
-    for carried, prior in zip(seen[1::2], priors[1:]):
-        assert prior is carried[0]
+    for (carried, _), prior in zip(returned, priors[1:]):
+        assert prior is carried
         np.testing.assert_array_equal(prior.weights, np.full(200, 1.0 / 200))
 
 
