@@ -10,8 +10,11 @@ pair, and "run_order" lists the runs as they ran. By default each trace
 setting gets one pair at seed 0. With --pairs N the --trace 0 pairs run N
 times per workload, at seeds 1..N, as a claimed gain needs; --trace 1 stays
 at one pair at seed 0. Each run is stored with its seed, in run order.
-Each side also records the line count of its src/ and the SHA-256 of its
-sample backtest's decision_log.csv and rmse.csv (AAF, seed 0). Nothing
+Each side also records the line count of its src/, the SHA-256 of its
+sample backtest's decision_log.csv and rmse.csv (AAF, seed 0), and the
+SHA-256 of its synthetic comparison at seeds 0-2 over all five strategies
+(each seed's RMSE reprs and chosen counts, the summary the synthetic-bank
+check hashes). Both run in a subprocess of that side's checkout. Nothing
 gates on absolute times.
 """
 
@@ -26,6 +29,16 @@ from pathlib import Path
 
 HERE = Path(__file__).resolve().parent.parent
 SEED = 0
+SYNTHETIC_DIGEST = """
+import hashlib, json
+from volswitch.backtest import STRATEGIES
+from volswitch.experiments import run_synthetic_comparison
+summaries = []
+for seed in range(3):
+    result = run_synthetic_comparison(seed, strategies=STRATEGIES)
+    summaries.append({"rmse": {k: repr(v) for k, v in result.rmse.items()}, "counts": result.chosen_counts})
+print(hashlib.sha256(json.dumps(summaries, sort_keys=True).encode()).hexdigest())
+"""
 
 
 def run_bench(root: Path, command: list, workload: str, trace: int, seconds: int, seed: int) -> dict:
@@ -41,21 +54,24 @@ def run_bench(root: Path, command: list, workload: str, trace: int, seconds: int
 
 
 def describe(root: Path) -> dict:
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
     with tempfile.TemporaryDirectory() as out:
         subprocess.run(
             [sys.executable, "-m", "volswitch", "backtest", "--chain", "data/sample_chain.csv",
              "--config", "data/sample_config.cfg", "--strategy", "AAF", "--seed", "0", "--out-dir", out],
-            cwd=root, env={**os.environ, "PYTHONPATH": str(root / "src")},
-            capture_output=True, check=True,
+            cwd=root, env=env, capture_output=True, check=True,
         )
         hashes = {name: hashlib.sha256((Path(out) / name).read_bytes()).hexdigest()
                   for name in ("decision_log.csv", "rmse.csv")}
+    synthetic = subprocess.run([sys.executable, "-c", SYNTHETIC_DIGEST], cwd=root, env=env,
+                               capture_output=True, text=True, check=True).stdout.strip()
     return {
         "commit": subprocess.run(["git", "-C", str(root), "describe", "--always", "--dirty"],
                                  capture_output=True, text=True).stdout.strip(),
         "src_lines": sum(len(p.read_text(encoding="utf-8").splitlines())
                          for p in sorted((root / "src").rglob("*.py"))),
         "sample_aaf_sha256": hashes,
+        "synthetic_sha256": synthetic,
         "runs": {},
     }
 

@@ -234,6 +234,9 @@ class BsGarchModel(StateSpaceModel):
     def __init__(self, spec: ModelSpec):
         self.spec = spec
         self._r = np.array([[spec.noise.r]])
+        coupling = spec.garch.beta if spec.risk_transition == "literal" else 0.0
+        self._f = np.array([[spec.garch.beta, 0.0], [coupling, 1.0]])  # constant: read-only, broadcast per call
+        self._f.flags.writeable = False
 
     def _contract(self, ex: ExogenousInputs) -> ContractSpec:
         return ex.contract if ex.contract is not None else self.spec.contract
@@ -251,9 +254,7 @@ class BsGarchModel(StateSpaceModel):
         return np.column_stack([v_next, r_next])
 
     def transition_jacobian_batch(self, states, ex):
-        beta = self.spec.garch.beta
-        coupling = beta if self.spec.risk_transition == "literal" else 0.0
-        return np.broadcast_to(np.array([[beta, 0.0], [coupling, 1.0]]), (states.shape[0], 2, 2))
+        return np.broadcast_to(self._f, (states.shape[0], 2, 2))
 
     def measurement_batch(self, states, ex):
         contract = self._contract(ex)
@@ -273,7 +274,7 @@ class BsGarchModel(StateSpaceModel):
             return np.zeros((n, 1, 2))
         v = states[:, 0]
         floored = v <= V_FLOOR
-        if np.any(floored):
+        if floored.any():
             logger.info(
                 "measurement gradient evaluated at floored state for %d of %d particles",
                 int(floored.sum()), n,

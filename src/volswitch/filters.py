@@ -42,12 +42,11 @@ class GaussianBelief:
     cov: np.ndarray
 
     def __post_init__(self):
-        self.mean = np.asarray(self.mean, dtype=float)
-        self.cov = np.asarray(self.cov, dtype=float)
-        s = self.mean.shape[0]
-        if self.mean.ndim != 1 or self.cov.shape != (s, s):
+        mean = self.mean = np.asarray(self.mean, dtype=float)
+        cov = self.cov = np.asarray(self.cov, dtype=float)
+        if mean.ndim != 1 or cov.shape != (mean.size, mean.size):
             raise InvalidInputError("belief mean/cov shapes disagree")
-        if not (np.all(np.isfinite(self.mean)) and np.all(np.isfinite(self.cov))):
+        if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
             raise InvalidInputError("non-finite belief")
 
 
@@ -57,13 +56,14 @@ class ParticleCloud:
     weights: np.ndarray  # (n,), normalized
 
     def __post_init__(self):
-        self.particles = np.asarray(self.particles, dtype=float)
-        self.weights = np.asarray(self.weights, dtype=float)
-        if self.particles.ndim != 2 or self.weights.shape != (self.particles.shape[0],):
-            raise InvalidInputError("cloud particles/weights shapes disagree")
-        if np.any(self.weights < 0.0) or not np.all(np.isfinite(self.weights)):
+        particles = self.particles = np.asarray(self.particles, dtype=float)
+        w = self.weights = np.asarray(self.weights, dtype=float)
+        if particles.ndim != 2 or w.shape != (particles.shape[0],) or not w.size:
+            raise InvalidInputError("cloud particles/weights shapes disagree or are empty")
+        # min() is NaN or -inf when any weight is, and the sum is inf when any weight is +inf
+        if not w.min() >= 0.0:
             raise InvalidInputError("weights must be finite and non-negative")
-        if abs(self.weights.sum() - 1.0) > WEIGHT_SUM_TOL:
+        if not abs(w.sum() - 1.0) <= WEIGHT_SUM_TOL:
             raise InvalidInputError("weights must sum to one")
 
     @classmethod
@@ -160,7 +160,7 @@ def normalize_logweights(logw: np.ndarray) -> np.ndarray:
 
 def _kalman_gain(s_mat: np.ndarray, cross: np.ndarray) -> np.ndarray:
     """Gain cross @ S^-1 for innovation covariance S and state-measurement cross covariance."""
-    if not np.all(np.isfinite(s_mat)):
+    if not np.isfinite(s_mat).all():
         raise NumericalFailureError("non-finite innovation covariance")
     if s_mat.shape == (1, 1):
         if s_mat[0, 0] <= 0.0:
@@ -188,7 +188,7 @@ def ekf_update(prior: GaussianBelief, obs, ex, model) -> GaussianBelief:
     x_post = model.project(x_pred + gain @ innov)
     i_kh = np.eye(x_post.size) - gain @ h
     p_post = floor_psd(i_kh @ p_pred @ i_kh.T + gain @ r @ gain.T)  # Joseph form
-    if not (np.all(np.isfinite(x_post)) and np.all(np.isfinite(p_post))):
+    if not (np.isfinite(x_post).all() and np.isfinite(p_post).all()):
         raise NumericalFailureError("non-finite posterior")
     return GaussianBelief(x_post, p_post)
 
@@ -243,7 +243,7 @@ def ukf_update(prior: GaussianBelief, obs, ex, model, sp: SigmaPointParams = Sig
 
     x_post = model.project(x_pred + gain @ (obs - z_pred))
     p_post = floor_psd(p_pred - gain @ s_mat @ gain.T)
-    if not (np.all(np.isfinite(x_post)) and np.all(np.isfinite(p_post))):
+    if not (np.isfinite(x_post).all() and np.isfinite(p_post).all()):
         raise NumericalFailureError("non-finite posterior")
     return GaussianBelief(x_post, p_post)
 

@@ -18,8 +18,10 @@ When every pair has the same transition Jacobian F, the weights, which
 sum to one, drop out of both averages: D11 = F'Q^{-1}F and
 D12 = -F'Q^{-1} come from that one Jacobian, and the step evaluates no
 likelihood. The shipped models are this case (``BsGarchModel`` in both
-risk-transition modes, a linear model); it is read off the Jacobian's
-values at every step, never declared by a model.
+risk-transition modes, a linear model); it is read off the Jacobian at
+every step, never declared by a model: by value, or for a broadcast
+view (zero first stride) at no cost. D11 and D12 are kept read-only on
+the model with their F, and recomputed when a step's F differs.
 
 D22 averages the measurement gradients over the predicted cloud with
 uniform weights, i.e. under the predictive density of x_{t+1}; it is not
@@ -135,6 +137,27 @@ def _weighted_gram(jac: np.ndarray, precision: np.ndarray, weights: np.ndarray):
     return gram, wjp.sum(axis=1)
 
 
+def _constant_transition_blocks(f: np.ndarray, model):
+    """(1, s, s) D11 and D12 for a Jacobian ``f`` shared by every pair, kept on the model until F changes."""
+    kept = getattr(model, "_transition_blocks", None)
+    if kept is None or kept[0].tobytes() != f.tobytes():
+        d11, fq = _weighted_gram(f[None, None], model.noise_precisions()[0], np.ones((1, 1)))
+        kept = (f.copy(), symmetrize(d11), -fq)
+        for m in kept:
+            m.flags.writeable = False
+        model._transition_blocks = kept
+    return kept[1:]
+
+
+def _d_triple(d11: np.ndarray, d12: np.ndarray, h_jac: np.ndarray, model) -> DTriple:
+    """D11 and D12 spread over the bank, and D22 averaged over ``h_jac`` (B, n', m, s) with uniform weights."""
+    q_inv, r_inv = model.noise_precisions()
+    bsz, n_pred = h_jac.shape[:2]
+    hrh, _ = _weighted_gram(h_jac, r_inv, np.full((bsz, n_pred), 1.0 / n_pred))
+    d22 = symmetrize(q_inv + hrh)
+    return DTriple(*(np.broadcast_to(m, d22.shape) for m in (d11, d12)), d22)
+
+
 def d_matrices(f_jac: np.ndarray, weights: np.ndarray, h_jac: np.ndarray, model) -> DTriple:
     """Monte-Carlo D blocks for one recursion step of each filter in a bank.
 
@@ -145,13 +168,8 @@ def d_matrices(f_jac: np.ndarray, weights: np.ndarray, h_jac: np.ndarray, model)
     averaged with uniform weights. Returns the blocks as (B', s, s) stacks,
     one slot per filter of ``h_jac``.
     """
-    q_inv, r_inv = model.noise_precisions()
-    d11, fq = _weighted_gram(f_jac, q_inv, weights)
-    bsz, n_pred = h_jac.shape[:2]
-    hrh, _ = _weighted_gram(h_jac, r_inv, np.full((bsz, n_pred), 1.0 / n_pred))
-    d22 = symmetrize(q_inv + hrh)
-    d11, d12 = (np.broadcast_to(m, d22.shape) for m in (symmetrize(d11), -fq))
-    return DTriple(d11=d11, d12=d12, d22=d22)
+    d11, fq = _weighted_gram(f_jac, model.noise_precisions()[0], weights)
+    return _d_triple(symmetrize(d11), -fq, h_jac, model)
 
 
 def _information_step(j: np.ndarray, d: DTriple):
@@ -238,21 +256,22 @@ def pcrlb_bank_step(prevs, beliefs, next_obs, ex_next, model, n: int, rngs) -> l
     x_next = model.project_batch(model.transition_batch(x_prev, ex_next, noise))
 
     f_jac = model.transition_jacobian_batch(x_prev, ex_next)
-    if np.all(f_jac == f_jac[0]):
+    h_jac = model.measurement_jacobian_batch(x_next, ex_next).reshape(bsz, n, -1, s)
+    # a zero first stride makes every row the same memory, as in a broadcast F
+    if f_jac.strides[0] == 0 or (f_jac == f_jac[0]).all():
         # every pair has the same F, so weights summing to one drop out of
-        # D11 and D12: one pair of weight one serves the whole bank
-        f_jac, weights = f_jac[None, :1], np.ones((1, 1))
+        # D11 and D12, and that F alone fixes them for the whole bank
+        d = _d_triple(*_constant_transition_blocks(f_jac[0], model), h_jac, model)
     else:
         # the seeded clouds are uniform, so the likelihood alone weights each pair
         loglik = likelihood_logweights(x_next, next_obs, ex_next, model).reshape(bsz, n)
-        f_jac, weights = f_jac.reshape(bsz, n, s, s), np.zeros((bsz, n))
+        weights = np.zeros((bsz, n))
         for row, k in enumerate(live):
             try:
                 weights[row] = normalize_logweights(loglik[row])
             except NumericalFailureError as e:
                 out[k] = e  # its all-zero row's D blocks go unused
-    h_jac = model.measurement_jacobian_batch(x_next, ex_next)
-    d = d_matrices(f_jac, weights, h_jac.reshape(bsz, n, -1, s), model)
+        d = d_matrices(f_jac.reshape(bsz, n, s, s), weights, h_jac, model)
 
     j_next, j_inv, errors = _information_step(_stack([prevs[k].j for k in live]), d)
     for row, k in enumerate(live):

@@ -87,9 +87,9 @@ def perf_metric(fisher: FisherState, belief: GaussianBelief) -> PerfMetric:
     p_diag = belief.cov.diagonal()
     j_inv_diag = fisher.j_inv.diagonal()
     # NaN, +-inf and <= 0 all fail the range check
-    if not np.all((p_diag > 0.0) & (p_diag < np.inf)):
+    if not ((p_diag > 0.0) & (p_diag < np.inf)).all():
         raise DegenerateCovarianceError(f"non-positive posterior variance for {fisher.filter}")
-    if not np.all((j_inv_diag > 0.0) & (j_inv_diag < np.inf)):
+    if not ((j_inv_diag > 0.0) & (j_inv_diag < np.inf)).all():
         raise DegenerateCovarianceError(f"non-positive bound diagonal for {fisher.filter}")
     ratio = j_inv_diag / p_diag
     if logger.isEnabledFor(logging.INFO) and np.any(ratio > PHI_SLACK):
@@ -292,7 +292,7 @@ def run_adaptive_estimation(observations, exogenous, model, settings: Estimation
                 )
 
         fisher_diags = {
-            fid: (np.diag(fisher[fid].j).copy(), np.diag(fisher[fid].j_inv).copy())
+            fid: (fisher[fid].j.diagonal().copy(), fisher[fid].j_inv.diagonal().copy())
             for fid in settings.filters
         }
 

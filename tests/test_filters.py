@@ -284,3 +284,18 @@ def test_belief_and_cloud_validation():
         ParticleCloud(np.zeros((4, 2)), np.array([0.5, 0.5, 0.5, 0.5]))
     with pytest.raises(InvalidInputError):
         ParticleCloud(np.zeros((2, 2)), np.array([1.5, -0.5]))
+    # a 0-d mean is a shape error, not an IndexError
+    with pytest.raises(InvalidInputError):
+        GaussianBelief(1.0, [[1.0]])
+    with pytest.raises(InvalidInputError):
+        GaussianBelief(np.zeros(2), np.array([[1.0, 0.0], [np.nan, 1.0]]))
+    # each check is one reduction: min() must catch NaN and -inf, the sum +inf
+    for bad in (np.nan, np.inf, -np.inf, -0.25):
+        with pytest.raises(InvalidInputError):
+            ParticleCloud(np.zeros((4, 2)), np.array([0.25, 0.25, 0.5, bad]))
+    # an empty cloud has no min(): it must not reach numpy's ValueError
+    with pytest.raises(InvalidInputError):
+        ParticleCloud(np.zeros((0, 2)), np.zeros(0))
+    # the boundary cases still pass
+    ParticleCloud(np.zeros((3, 2)), np.array([0.0, 0.5, 0.5]))
+    GaussianBelief(np.zeros(1), [[0.0]])

@@ -329,6 +329,24 @@ class QuadraticTransitionModel(LinearGaussianModel):
         return jac
 
 
+class MaterialisedJacobianModel(LinearGaussianModel):
+    """The linear model with its constant transition Jacobian copied per row, not broadcast."""
+
+    def transition_jacobian_batch(self, states, ex):
+        return np.repeat(self.a[None], states.shape[0], axis=0)
+
+
+class ScaledTransitionModel(LinearGaussianModel):
+    """x' = ex A x + w: the Jacobian is the same for every particle but changes with the step's ``ex``."""
+
+    def transition_batch(self, states, ex, noise=None):
+        out = ex * (states @ self.a.T)
+        return out if noise is None else out + noise
+
+    def transition_jacobian_batch(self, states, ex):
+        return np.broadcast_to(ex * self.a, (states.shape[0],) + self.a.shape)
+
+
 def bsgarch_model(risk_transition="random-walk"):
     from volswitch.bsgarch import ContractSpec, GarchParams, ModelSpec, NoiseSpec
 
@@ -519,6 +537,7 @@ def bank_cases():
     for mode in ("random-walk", "literal"):
         model = bsgarch_model(mode)
         cases.append((model, bs, model.measurement(bs[0].mean, ex) + 0.1, ex))
+    cases.append((MaterialisedJacobianModel(A, C, Q, R), plain, np.array([0.7]), None))
     return cases
 
 
@@ -566,4 +585,55 @@ def test_a_constant_transition_jacobian_skips_the_likelihood(monkeypatch):
                         [np.random.default_rng(k) for k in range(3)])
         # only the quadratic transition's Jacobian depends on the particle
         assert calls == ([150] if isinstance(model, QuadraticTransitionModel) else [])
+
+
+def test_a_materialised_constant_jacobian_matches_its_broadcast_view():
+    # the broadcast view skips the value comparison; the copied rows go through it
+    *_, (copied, beliefs, y, ex) = bank_cases()
+    prevs = bank_of_three(beliefs)
+    for n in (37, 400):
+        steps = [pcrlb_bank_step(prevs, beliefs, y, ex, model, n, [np.random.default_rng(k) for k in range(3)])
+                 for model in (linear_model(), copied)]
+        for viewed, materialised in zip(*steps):
+            np.testing.assert_array_equal(viewed.j, materialised.j)
+            np.testing.assert_array_equal(viewed.j_inv, materialised.j_inv)
+
+
+def test_constant_transition_blocks_are_computed_once_and_kept():
+    for model, beliefs, y, ex in bank_cases()[1:]:
+        rngs = [np.random.default_rng(k) for k in range(3)]
+        pcrlb_bank_step(bank_of_three(beliefs), beliefs, y, ex, model, 50, rngs)
+        f, d11, d12 = model._transition_blocks
+        np.testing.assert_array_equal(f, model.transition_jacobian(beliefs[0].mean, ex))
+        # the kept arrays are shared by every later step, so they are read-only
+        assert not (f.flags.writeable or d11.flags.writeable or d12.flags.writeable)
+        gram, fq = pcrlb._weighted_gram(f[None, None], model.noise_precisions()[0], np.ones((1, 1)))
+        np.testing.assert_array_equal(d11, symmetrize(gram))
+        np.testing.assert_array_equal(d12, -fq)
+        pcrlb_bank_step(bank_of_three(beliefs), beliefs, y, ex, model, 50, rngs)
+        again = model._transition_blocks
+        assert again[1] is d11 and again[2] is d12
+
+
+def test_kept_transition_blocks_follow_a_jacobian_that_changes_between_steps(monkeypatch):
+    model = ScaledTransitionModel(A, C, Q, R)
+    beliefs = bank_cases()[1][1]
+    captured = []
+    step = pcrlb._information_step
+    monkeypatch.setattr(pcrlb, "_information_step", lambda j, d: captured.append(d) or step(j, d))
+    scales = (1.0, 0.5, 0.5, 1.0, 0.8)
+    for t, scale in enumerate(scales):
+        pcrlb_bank_step(bank_of_three(beliefs), beliefs, np.array([0.7]), scale, model, 50,
+                        [np.random.default_rng(10 * t + k) for k in range(3)])
+    assert len(captured) == len(scales)
+    q_inv = np.linalg.inv(Q)
+    for scale, d in zip(scales, captured):
+        f = scale * A
+        for k in range(3):
+            np.testing.assert_allclose(d.d11[k], f.T @ q_inv @ f, rtol=1e-13)
+            np.testing.assert_allclose(d.d12[k], -(f.T @ q_inv), rtol=1e-13)
+        # and bit for bit what an uncached computation gives
+        fresh = d_matrices(f[None, None], np.ones((1, 1)), np.broadcast_to(C, (1, 1) + C.shape), model)
+        np.testing.assert_array_equal(d.d11[0], fresh.d11[0])
+        np.testing.assert_array_equal(d.d12[0], fresh.d12[0])
 
