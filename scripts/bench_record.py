@@ -14,8 +14,10 @@ Each side also records the line count of its src/, the SHA-256 of its
 sample backtest's decision_log.csv and rmse.csv (AAF, seed 0), and the
 SHA-256 of its synthetic comparison at seeds 0-2 over all five strategies
 (each seed's RMSE reprs and chosen counts, the summary the synthetic-bank
-check hashes). Both run in a subprocess of that side's checkout. Nothing
-gates on absolute times.
+check hashes), and the SHA-256 of load_chain's result on the seed-0 large
+chain (every column's bytes, then the rejects' lines and reasons), which
+perfbench/chaingen.py writes once for both sides. All run in a subprocess
+of that side's checkout. Nothing gates on absolute times.
 """
 
 import argparse
@@ -39,6 +41,17 @@ for seed in range(3):
     summaries.append({"rmse": {k: repr(v) for k, v in result.rmse.items()}, "counts": result.chosen_counts})
 print(hashlib.sha256(json.dumps(summaries, sort_keys=True).encode()).hexdigest())
 """
+LOAD_DIGEST = """
+import hashlib, sys
+from dataclasses import fields
+from volswitch.marketdata import OptionChain, load_chain
+chain, rejects = load_chain(sys.argv[1])
+digest = hashlib.sha256()
+for f in fields(OptionChain):
+    digest.update(getattr(chain, f.name).tobytes())
+digest.update(repr([(r.line, r.reason) for r in rejects]).encode())
+print(digest.hexdigest())
+"""
 
 
 def run_bench(root: Path, command: list, workload: str, trace: int, seconds: int, seed: int) -> dict:
@@ -53,7 +66,7 @@ def run_bench(root: Path, command: list, workload: str, trace: int, seconds: int
             "result": json.loads(lines[-1])}
 
 
-def describe(root: Path) -> dict:
+def describe(root: Path, chain: Path) -> dict:
     env = {**os.environ, "PYTHONPATH": str(root / "src")}
     with tempfile.TemporaryDirectory() as out:
         subprocess.run(
@@ -65,6 +78,8 @@ def describe(root: Path) -> dict:
                   for name in ("decision_log.csv", "rmse.csv")}
     synthetic = subprocess.run([sys.executable, "-c", SYNTHETIC_DIGEST], cwd=root, env=env,
                                capture_output=True, text=True, check=True).stdout.strip()
+    loaded = subprocess.run([sys.executable, "-c", LOAD_DIGEST, str(chain)], cwd=root, env=env,
+                            capture_output=True, text=True, check=True).stdout.strip()
     return {
         "commit": subprocess.run(["git", "-C", str(root), "describe", "--always", "--dirty"],
                                  capture_output=True, text=True).stdout.strip(),
@@ -72,6 +87,7 @@ def describe(root: Path) -> dict:
                          for p in sorted((root / "src").rglob("*.py"))),
         "sample_aaf_sha256": hashes,
         "synthetic_sha256": synthetic,
+        "large_chain_load_sha256": loaded,
         "runs": {},
     }
 
@@ -88,8 +104,12 @@ def main(argv=None) -> int:
     seeds = [SEED] if args.pairs is None else list(range(1, args.pairs + 1))
     spec = json.loads((HERE / "BENCHMARK.json").read_text(encoding="utf-8"))
     roots = {"parent": args.parent.resolve(), "change": HERE}
-    record = {"seconds": spec["run_seconds"], "run_order": [],
-              **{label: describe(root) for label, root in roots.items()}}
+    with tempfile.TemporaryDirectory() as chain_dir:
+        subprocess.run([sys.executable, "perfbench/chaingen.py", "--seed", str(SEED), "--out-dir", chain_dir],
+                       cwd=HERE, capture_output=True, check=True)
+        chain = Path(chain_dir) / "chain.csv"
+        record = {"seconds": spec["run_seconds"], "run_order": [],
+                  **{label: describe(root, chain) for label, root in roots.items()}}
     pairs = [(w["name"], trace, seed) for w in spec["workloads"]
              for trace, trace_seeds in ((0, seeds), (1, [SEED])) for seed in trace_seeds]
     for i, (workload, trace, seed) in enumerate(pairs):

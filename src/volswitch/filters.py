@@ -70,7 +70,8 @@ class ParticleCloud:
     def uniform(cls, particles) -> "ParticleCloud":
         particles = np.asarray(particles, dtype=float)
         n = particles.shape[0]
-        return cls(particles, np.full(n, 1.0 / n))
+        # an empty cloud gets no weights, so the constructor rejects it
+        return cls(particles, np.full(n, 1.0 / n) if n else np.zeros(0))
 
     @property
     def n(self) -> int:
@@ -93,9 +94,10 @@ def systematic_resample(weights, rng: np.random.Generator, size: int | None = No
     w = np.asarray(weights, dtype=float)
     if w.ndim != 1 or w.size == 0:
         raise InvalidInputError("weights must be a non-empty 1-d array")
-    if np.any(w < 0.0) or not np.all(np.isfinite(w)):
+    # min() is NaN or -inf when any weight is, and the sum is inf when any weight is +inf
+    if not w.min() >= 0.0:
         raise InvalidInputError("weights must be finite and non-negative")
-    if abs(w.sum() - 1.0) > WEIGHT_SUM_TOL:
+    if not abs(w.sum() - 1.0) <= WEIGHT_SUM_TOL:
         raise InvalidInputError("weights must be normalized")
     n_out = w.size if size is None else int(size)
     if n_out <= 0:

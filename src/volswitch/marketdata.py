@@ -289,104 +289,109 @@ def _floats(texts, optional: bool, errors: dict):
     return out, absent
 
 
-def _row_chunks(reader):
-    """(rows, the file line each row starts on), a chunk at a time; blank lines dropped."""
+def _plain_fields(lines, width: int):
+    """Every field of a chunk of physical lines, row after row, if it is plain; else None.
+
+    A chunk is plain when ``csv.reader`` would split each of its lines on
+    its commas alone: no quote, no line ending but LF or CRLF, exactly
+    ``width - 1`` commas per line (so no blank, short or long line) and no
+    line longer than the csv module's field size limit.
+    """
+    text = "".join(lines).replace("\r\n", "\n")
+    if '"' in text or "\r" in text or max(map(len, lines)) > csv.field_size_limit():
+        return None
+    if set(map(str.count, lines, itertools.repeat(","))) != {width - 1}:
+        return None
+    flat = text.replace("\n", ",").split(",")
+    del flat[len(lines) * width:]  # the empty text after the last line's ending
+    return flat
+
+
+def _csv_chunks(reader, layout: dict, before: int):
+    """(texts per column, field counts or None, file line of each row) of csv rows, a chunk at a time.
+
+    ``before`` is the number of file lines ahead of the reader's first one.
+    Blank lines are dropped. When some row of a chunk is short, its fields
+    past the end read as blank and the field counts of the chunk's rows
+    come along.
+    """
+    width = max(j for _, j in layout.values()) + 1
     while True:
         start = reader.line_num
         rows = list(itertools.islice(reader, _CHUNK_ROWS))
         if not rows:
             return
         if reader.line_num - start == len(rows):
-            lines = np.arange(start + 1, reader.line_num + 1)
+            lines = np.arange(before + start + 1, before + reader.line_num + 1)
         else:  # a quoted field spans lines: count the line breaks inside each row
             spans = [sum(f.count("\n") + f.count("\r") - f.count("\r\n") for f in row) + 1 for row in rows]
-            lines = start + 1 + np.cumsum([0] + spans[:-1])
+            lines = before + start + 1 + np.cumsum([0] + spans[:-1])
         if [] in rows:  # csv.reader yields a blank line as []
             keep = [i for i, row in enumerate(rows) if row]
             rows = [rows[i] for i in keep]
             lines = lines[keep]
-        if rows:
-            yield rows, lines
+            if not rows:
+                continue
+        lengths = None
+        if min(map(len, rows)) < width:
+            lengths = np.fromiter(map(len, rows), np.intp, len(rows))
+            rows = [row + [""] * (width - len(row)) for row in rows]
+        yield {name: list(map(operator.itemgetter(j), rows)) for name, (_, j) in layout.items()}, lengths, lines
 
 
-def _parse_rows(rows, layout: dict, dates: _ParseOnce, sides: _ParseOnce):
+def _text_chunks(fh, width: int, layout: dict, before: int):
+    """(texts per column, field counts or None, file line of each row), a chunk at a time.
+
+    Reads ``fh`` after its header, which took ``before`` lines. Plain chunks
+    are split on their commas; the first chunk that is not plain and the
+    rest of the file go through one ``csv.reader``, so a quoted field may
+    span the lines of two chunks.
+    """
+    while True:
+        lines = list(itertools.islice(fh, _CHUNK_ROWS))
+        if not lines:
+            return
+        flat = _plain_fields(lines, width)
+        if flat is None:
+            break
+        texts = {name: flat[j::width] for name, (_, j) in layout.items()}
+        yield texts, None, np.arange(before + 1, before + len(lines) + 1)
+        before += len(lines)
+    yield from _csv_chunks(csv.reader(itertools.chain(lines, fh)), layout, before)
+
+
+def _parse_rows(texts: dict, lengths, layout: dict, dates: _ParseOnce, sides: _ParseOnce):
     """Columns of one chunk, and {row: reason} for its rows that fail to parse.
 
     Fields go in ``_PARSE_ORDER``, so a row's reason is the one of its
-    first failing field. A field past the end of a short row is missing;
-    only the optional implied vol may be.
+    first failing field. A field past the end of a short row (``lengths``
+    says how many fields each row has) is missing; only the optional
+    implied vol may be.
     """
-    width = max(j for _, j in layout.values()) + 1
-    lengths = None
-    if min(map(len, rows)) < width:
-        lengths = np.fromiter(map(len, rows), np.intp, len(rows))
-        rows = [row + [""] * (width - len(row)) for row in rows]
     errors: dict = {}
     out = {}
     for name, (header, j) in layout.items():
         if lengths is not None and name != "implied_vol":
             for i in np.flatnonzero(lengths <= j).tolist():
                 errors.setdefault(i, f"missing field: {header}")
-        texts = list(map(operator.itemgetter(j), rows))
         if name in ("quote_date", "expiry_date"):
-            out[name] = _codes(texts, dates, np.int64, errors)
+            out[name] = _codes(texts[name], dates, np.int64, errors)
         elif name == "side":
-            out[name] = _codes(texts, sides, np.int8, errors)
+            out[name] = _codes(texts[name], sides, np.int8, errors)
         else:
-            out[name], out[name + "_absent"] = _floats(texts, name in _OPTIONAL, errors)
+            out[name], out[name + "_absent"] = _floats(texts[name], name in _OPTIONAL, errors)
     return out, errors
 
 
-def load_chain(path, columns: dict | None = None):
-    """Parse a chain CSV into an ``OptionChain`` plus a rejects list.
+def _accept(col: dict, errors: dict, lines: np.ndarray):
+    """The ``OptionChain`` columns of a chunk's accepted rows, and its rejects in row order.
 
-    ``columns`` maps canonical names to the file's actual headers.
-    Missing required headers raise ``SchemaError``; unreadable files raise
-    ``FormatError``. Row-level problems become ``RejectedRow`` entries at
-    the file line the row starts on, so accepted + rejected always equals
-    the number of non-blank rows. A row's reason is its first failing field
-    in ``_PARSE_ORDER``, else its first failing value check.
+    ``col`` and ``errors`` are what ``_parse_rows`` returned for the chunk,
+    ``lines`` the file line of each of its rows.
     """
-    colmap = {c: c for c in CANONICAL_COLUMNS}
-    if columns:
-        colmap.update(columns)
-    dates = _ParseOnce(lambda text: _parse_date(text).toordinal() - _EPOCH_ORDINAL, _NAT)
-    sides = _ParseOnce(lambda text: _parse_side(text) == "C", -1)
-    parts, line_parts, errors = [], [], {}
-    n = 0
-    # until its header has been read, the file is not known to be a chain
-    kind = "file"
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None:
-                raise SchemaError(f"{path}: empty file, no header")
-            missing = [c for c in _REQUIRED if colmap[c] not in header]
-            if missing:
-                raise SchemaError(f"{path}: missing required column(s) {missing}")
-            kind = "chain file"
-            # a repeated header reads its last column, as csv.DictReader did
-            position = {name: j for j, name in enumerate(header)}
-            layout = {c: (colmap[c], position[colmap[c]]) for c in _PARSE_ORDER if colmap[c] in position}
-            for rows, row_lines in _row_chunks(reader):
-                part, part_errors = _parse_rows(rows, layout, dates, sides)
-                errors.update((n + i, reason) for i, reason in part_errors.items())
-                parts.append(part)
-                line_parts.append(row_lines)
-                n += len(rows)
-    except (OSError, UnicodeDecodeError) as e:
-        raise FormatError(f"cannot read {kind} {path}: {e}") from e
-    except csv.Error as e:
-        raise FormatError(f"cannot parse {kind} {path}: {e}") from e
-    if not parts:
-        return OptionChain.from_quotes([]), []
-
-    col = {name: np.concatenate([p[name] for p in parts]) for name in parts[0]}
-    lines = np.concatenate(line_parts)
-    if "implied_vol" not in col:
-        col["implied_vol"] = np.full(n, np.nan)
-        col["implied_vol_absent"] = np.ones(n, dtype=bool)
+    n = len(lines)
+    if "implied_vol" not in col:  # the file has no implied vol column
+        col["implied_vol"], col["implied_vol_absent"] = np.full(n, np.nan), np.ones(n, dtype=bool)
     parsed = np.ones(n, dtype=bool)
     parsed[list(errors)] = False
     pair = ~(col["bid_absent"] | col["ask_absent"])
@@ -411,17 +416,69 @@ def load_chain(path, columns: dict | None = None):
         for i, line, k in zip(rejected.tolist(), lines[rejected].tolist(), failure[rejected].tolist())
     ]
     ok = failure < 0
-    chain = OptionChain(
-        quote_date=col["quote_date"][ok].view("datetime64[D]"),
-        expiry_date=col["expiry_date"][ok].view("datetime64[D]"),
-        strike=col["strike"][ok],
-        is_call=col["side"][ok] == 1,
-        price=price[ok],
-        volume=col["volume"][ok],
-        underlying_close=col["underlying_close"][ok],
-        implied_vol=col["implied_vol"][ok],
-        has_implied_vol=~col["implied_vol_absent"][ok],
-    )
+    accepted = {
+        "quote_date": col["quote_date"][ok].view("datetime64[D]"),
+        "expiry_date": col["expiry_date"][ok].view("datetime64[D]"),
+        "strike": col["strike"][ok],
+        "is_call": col["side"][ok] == 1,
+        "price": price[ok],
+        "volume": col["volume"][ok],
+        "underlying_close": col["underlying_close"][ok],
+        "implied_vol": col["implied_vol"][ok],
+        "has_implied_vol": ~col["implied_vol_absent"][ok],
+    }
+    return accepted, rejects
+
+
+def load_chain(path, columns: dict | None = None):
+    """Parse a chain CSV into an ``OptionChain`` plus a rejects list.
+
+    ``columns`` maps canonical names to the file's actual headers.
+    Missing required headers raise ``SchemaError``; unreadable files raise
+    ``FormatError``. Row-level problems become ``RejectedRow`` entries at
+    the file line the row starts on, so accepted + rejected always equals
+    the number of non-blank rows. A row's reason is its first failing field
+    in ``_PARSE_ORDER``, else its first failing value check.
+
+    Each chunk goes from text to the columns of its accepted rows before
+    the next one is read; the columns are joined once at the end.
+    """
+    colmap = {c: c for c in CANONICAL_COLUMNS}
+    if columns:
+        colmap.update(columns)
+    dates = _ParseOnce(lambda text: _parse_date(text).toordinal() - _EPOCH_ORDINAL, _NAT)
+    sides = _ParseOnce(lambda text: _parse_side(text) == "C", -1)
+    parts = {f.name: [] for f in fields(OptionChain)}
+    rejects = []
+    # until its header has been read, the file is not known to be a chain
+    kind = "file"
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
+                raise SchemaError(f"{path}: empty file, no header")
+            missing = [c for c in _REQUIRED if colmap[c] not in header]
+            if missing:
+                raise SchemaError(f"{path}: missing required column(s) {missing}")
+            kind = "chain file"
+            # a repeated header reads its last column, as csv.DictReader did
+            position = {name: j for j, name in enumerate(header)}
+            layout = {c: (colmap[c], position[colmap[c]]) for c in _PARSE_ORDER if colmap[c] in position}
+            for texts, lengths, lines in _text_chunks(fh, len(header), layout, reader.line_num):
+                accepted, chunk_rejects = _accept(*_parse_rows(texts, lengths, layout, dates, sides), lines)
+                for name, column in accepted.items():
+                    parts[name].append(column)
+                rejects += chunk_rejects
+    except (OSError, UnicodeDecodeError) as e:
+        raise FormatError(f"cannot read {kind} {path}: {e}") from e
+    except csv.Error as e:
+        raise FormatError(f"cannot parse {kind} {path}: {e}") from e
+    if not parts["price"]:
+        return OptionChain.from_quotes([]), []
+
+    # each column's chunk pieces are dropped once it is joined
+    chain = OptionChain(**{name: np.concatenate(parts.pop(name)) for name in list(parts)})
     if rejects:
         logger.info("chain load: %d quotes accepted, %d rows rejected", len(chain), len(rejects))
     return chain, rejects

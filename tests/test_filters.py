@@ -123,6 +123,10 @@ def test_systematic_resample_input_validation():
         systematic_resample(np.array([0.5, 0.6]), rng)  # not normalized
     with pytest.raises(InvalidInputError):
         systematic_resample(np.array([0.5, 0.5]), rng, size=0)
+    # each check is one reduction: min() must catch NaN and -inf, the sum +inf
+    for bad in (np.nan, np.inf, -np.inf, -0.25):
+        with pytest.raises(InvalidInputError, match="finite and non-negative|normalized"):
+            systematic_resample(np.array([0.25, 0.25, 0.5, bad]), rng)
 
 
 def test_effective_sample_size_limits():
@@ -296,6 +300,9 @@ def test_belief_and_cloud_validation():
     # an empty cloud has no min(): it must not reach numpy's ValueError
     with pytest.raises(InvalidInputError):
         ParticleCloud(np.zeros((0, 2)), np.zeros(0))
+    # nor may the uniform constructor divide by an empty count
+    with pytest.raises(InvalidInputError):
+        ParticleCloud.uniform(np.zeros((0, 2)))
     # the boundary cases still pass
     ParticleCloud(np.zeros((3, 2)), np.array([0.0, 0.5, 0.5]))
     GaussianBelief(np.zeros(1), [[0.0]])

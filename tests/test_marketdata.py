@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import datetime as dt
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from volswitch import marketdata
 from volswitch.bsgarch import (
     ContractSpec,
     GarchParams,
@@ -183,6 +185,118 @@ def test_a_row_spanning_lines_does_not_shift_later_lines(tmp_path):
     chain, rejects = load_chain(path)
     assert len(chain) == 1 and chain[0].side == "C"
     assert rejects == [RejectedRow(4, "volume < 0")]
+
+
+@pytest.mark.parametrize("plain_rows", [1, 3])
+def test_a_row_spanning_two_chunks_goes_through_one_csv_reader(tmp_path, monkeypatch, plain_rows):
+    monkeypatch.setattr(marketdata, "_CHUNK_ROWS", 2)
+    path = tmp_path / "chain.csv"
+    path.write_text(
+        HEADER + "\n"
+        + "2019-01-02,2019-12-20,100,C,5.0,5.4,,10,100,\n" * plain_rows
+        + '2019-01-03,2019-12-20,100,"C\n",5.0,5.4,,10,100,\n'  # a quoted side over two lines
+        "2019-01-04,2019-12-20,100,C,5.0,5.4,,-1,100,\n"
+    )
+    chain, rejects = load_chain(path)
+    assert len(chain) == plain_rows + 1 and all(q.side == "C" for q in chain)
+    assert rejects == [RejectedRow(plain_rows + 4, "volume < 0")]
+
+
+# rows of a chain with a reject of each kind, to write plain or quoted
+CHAIN_ROWS = [
+    "2019-01-02,2019-12-20,100,C,5.0,5.4,5.1,10,100,0.2",
+    "2019-01-02,2019-12-20,105,P,,,7.25,3,100,",
+    "2019-01-03,2019-12-20,100,call,5.5,5.9,,12,101.5,0.21",
+    "2019-01-03,2019-12-20,0,C,5.0,5.4,,10,101.5,",
+    "not-a-date,2019-12-20,100,C,5.0,5.4,,10,100,",
+    "2019-01-04,2019-12-20,100,X,5.0,5.4,,10,100,",
+    "2019-01-04,2019-12-20,110, put ,1_000,nan,2.5,7,99,0.19",
+    "2019-01-07,2019-12-20,100,C,,,,10,100,",
+    "2019-01-07,2018-12-20,100,C,5.0,5.4,,10,100,",
+    "2019-01-08,2019-12-20,100,C,5.0,abc,,10,100,",
+    "2019-01-08,2019-12-20,100,P,1e999,1.0,,10,100,",
+    "2019-01-09,2019-12-20,95,C,8.0,8.3,8.1,-4,100,0.18",
+]
+# a blank, a short and a long line, after two plain chunks of three lines
+IRREGULAR_ROWS = CHAIN_ROWS[:6] + ["", "2019-01-09,2019-12-20,100", CHAIN_ROWS[0] + ",extra"] + CHAIN_ROWS[6:]
+
+
+def assert_same_load(a, b):
+    (chain_a, rejects_a), (chain_b, rejects_b) = a, b
+    assert rejects_a == rejects_b
+    for f in dataclasses.fields(OptionChain):
+        col_a, col_b = getattr(chain_a, f.name), getattr(chain_b, f.name)
+        assert col_a.dtype == col_b.dtype and col_a.tobytes() == col_b.tobytes(), f.name
+
+
+@pytest.mark.parametrize("ending", ["\n", "\r\n"])
+@pytest.mark.parametrize(
+    "rows, plain_chunks_expected",
+    # the plain file's regular chunks skip csv.reader, up to its first irregular chunk
+    [(CHAIN_ROWS, [True] * 4), (IRREGULAR_ROWS, [True, True, False])],
+    ids=["regular", "irregular"],
+)
+def test_plain_and_quoted_files_load_the_same(tmp_path, monkeypatch, ending, rows, plain_chunks_expected):
+    monkeypatch.setattr(marketdata, "_CHUNK_ROWS", 3)
+    plain_chunks = []
+    split = marketdata._plain_fields
+
+    def spy(*args):
+        flat = split(*args)
+        plain_chunks.append(flat is not None)
+        return flat
+
+    monkeypatch.setattr(marketdata, "_plain_fields", spy)
+
+    def quoted(line):
+        return ",".join(f'"{field}"' for field in line.split(",")) if line else line
+
+    plain = tmp_path / "plain.csv"
+    plain.write_bytes(ending.join([HEADER, *rows, ""]).encode())
+    loaded = load_chain(plain)
+    assert plain_chunks == plain_chunks_expected
+    plain_chunks.clear()
+    every_field_quoted = tmp_path / "quoted.csv"
+    every_field_quoted.write_bytes(ending.join([quoted(HEADER), *map(quoted, rows), ""]).encode())
+    assert_same_load(loaded, load_chain(every_field_quoted))
+    assert plain_chunks == [False]
+    assert len(loaded[0]) + len(loaded[1]) == len(rows) - rows.count("")
+
+
+def test_a_field_over_the_csv_size_limit_is_a_format_error(tmp_path, monkeypatch):
+    monkeypatch.setattr(marketdata, "_CHUNK_ROWS", 2)
+    big = "1" * (csv.field_size_limit() + 1)
+    path = chain_file(tmp_path, CHAIN_ROWS[:3] + [f"2019-01-04,2019-12-20,100,C,5.0,5.4,,10,100,{big}"])
+    with pytest.raises(FormatError, match="field larger than field limit"):
+        load_chain(path)
+
+
+def test_load_chain_holds_one_chunk_of_text_at_a_time(tmp_path, monkeypatch):
+    quotes = [
+        OptionQuote(
+            quote_date=dt.date(2020, 1, 2) + dt.timedelta(days=i // 600),
+            expiry_date=dt.date(2021, 6, 18),
+            strike=50.0 + i % 120,
+            side="CP"[i % 2],
+            price=1.0 + (i % 997) / 7.0,
+            volume=float(1 + i % 5000),
+            underlying_close=100.0 + (i % 313) / 3.0,
+            implied_vol=0.2 + (i % 89) / 1000.0 if i % 3 else None,
+        )
+        for i in range(30_000)
+    ]
+    path = tmp_path / "chain.csv"
+    write_chain(path, quotes)
+    monkeypatch.setattr(marketdata, "_CHUNK_ROWS", 1024)
+    tracemalloc.start()
+    try:
+        chain, rejects = load_chain(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(chain) == len(quotes) and not rejects
+    # the chain's own columns, plus the chunk pieces they are joined from
+    assert peak <= 3 * sum(getattr(chain, f.name).nbytes for f in dataclasses.fields(OptionChain))
 
 
 def test_truncated_rows_are_rejected_naming_the_missing_column(tmp_path):
