@@ -349,19 +349,28 @@ def vol_points_from_decision_log(path) -> list:
 def vol_report(points, compare_paths=(), annualization: float = 252.0, out_dir=None):
     """Annualized volatility series plus a by-date join against external series.
 
-    Dates missing on either side of a join are counted and logged, never
-    silently dropped; a comparison file sharing no dates yields an empty
-    column and a warning.
+    Each comparison file is a column named by its file stem, so two files
+    with the same stem are rejected. Dates missing on either side of a
+    join are counted and logged, never silently dropped; a comparison
+    file sharing no dates yields an empty column and a warning.
     """
     if not points:
         raise InvalidInputError("no estimation records to report on")
+    sources = {}
+    for path in compare_paths:
+        label = Path(path).stem
+        if label in sources:
+            raise InvalidInputError(
+                f"comparison files {sources[label]} and {path} would both be column {label!r}"
+            )
+        sources[label] = path
     vol_rows = annualized_vol_rows(points, annualization)
 
     our_dates = {date for _, date, _ in vol_rows if date}
     comparisons = {}
-    for path in compare_paths:
+    for label, path in sources.items():
         series = {d.isoformat(): v for d, v in load_value_series(path)}
-        comparisons[Path(path).stem] = series
+        comparisons[label] = series
         matched = our_dates & series.keys()
         if not matched:
             logger.warning("comparison series %s shares no dates with the estimates", path)

@@ -76,45 +76,36 @@ def _within_cond_limit(m: np.ndarray) -> np.ndarray:
     return (top > 0.0) & (top <= COND_LIMIT * mags.min(axis=-1))
 
 
-def _regularized_inverse_stack(m: np.ndarray, err: type):
-    """(inverses, errors) of a symmetric (B, d, d) stack; see ``regularized_inverse``."""
-    bsz, dim = m.shape[0], m.shape[-1]
-    errors: list = [None] * bsz
-    finite = _finite_members(m)
-    if finite is None and _within_cond_limit(m).all():
+def _each(solve, m: np.ndarray, err: type):
+    """``solve`` on each matrix of a (B, d, d) stack alone: the results (NaN where it raised) and the errors."""
+    out, errors = np.full(m.shape, np.nan), [None] * m.shape[0]
+    for k, member in enumerate(m):
         try:
-            return np.linalg.inv(m), errors
-        except np.linalg.LinAlgError:
-            pass
-    if finite is not None:
-        for k in np.flatnonzero(~finite):
-            errors[k] = err("non-finite matrix")
-    # the rest goes matrix by matrix: the ridge, and the members that pass
-    # the condition check but that LAPACK still finds singular
-    slots = np.arange(bsz) if finite is None else np.flatnonzero(finite)
-    attempt, out, ridge = m[slots], np.full(m.shape, np.nan), None
-    for _ in range(MAX_RIDGE_ESCALATIONS + 1):
-        ok = _within_cond_limit(attempt)
-        for k in np.flatnonzero(ok):
-            try:
-                out[slots[k]] = np.linalg.inv(attempt[k])
-            except np.linalg.LinAlgError:
-                ok[k] = False
-        slots, attempt = slots[~ok], attempt[~ok]
-        if not len(slots):
-            return out, errors
-        if ridge is None:
-            # the ridge is signed by the trace so negative-definite input
-            # moves away from singularity too
-            base = np.trace(m[slots], axis1=1, axis2=2) / dim
-            ridge = RIDGE_SCALE * np.where(np.isfinite(base) & (base != 0.0), base, 1.0)
-        else:
-            ridge = ridge[~ok]
-        attempt = attempt + ridge[:, None, None] * np.eye(dim)
-        ridge = ridge * 10.0
-    for k in slots:
-        errors[k] = err("matrix remains singular after ridge regularization")
+            out[k] = solve(member, err)
+        except err as e:
+            errors[k] = e
     return out, errors
+
+
+def _inverse_one(m: np.ndarray, err: type) -> np.ndarray:
+    if not np.isfinite(m).all():
+        raise err("non-finite matrix")
+    dim = m.shape[0]
+    # the ridge is signed by the trace so negative-definite input moves
+    # away from singularity too
+    base = np.trace(m) / dim
+    ridge = RIDGE_SCALE * (base if np.isfinite(base) and base != 0.0 else 1.0)
+    attempt = m
+    for _ in range(MAX_RIDGE_ESCALATIONS + 1):
+        # LAPACK can still find a matrix singular that passes the condition check
+        if _within_cond_limit(attempt):
+            try:
+                return np.linalg.inv(attempt)
+            except np.linalg.LinAlgError:
+                pass
+        attempt = attempt + ridge * np.eye(dim)
+        ridge = ridge * 10.0
+    raise err("matrix remains singular after ridge regularization")
 
 
 def regularized_inverse(m: np.ndarray, err: type = SingularityError):
@@ -128,12 +119,14 @@ def regularized_inverse(m: np.ndarray, err: type = SingularityError):
     stopped that matrix (its slot of the inverses is then NaN).
     """
     m = symmetrize(m)
-    if m.ndim == 3:
-        return _regularized_inverse_stack(m, err)
-    (inv,), (error,) = _regularized_inverse_stack(m[None], err)
-    if error is not None:
-        raise error
-    return inv
+    if m.ndim == 2:
+        return _inverse_one(m, err)
+    if np.isfinite(m).all() and _within_cond_limit(m).all():
+        try:
+            return np.linalg.inv(m), [None] * m.shape[0]
+        except np.linalg.LinAlgError:
+            pass
+    return _each(_inverse_one, m, err)
 
 
 def _cholesky_one(sym: np.ndarray, err: type) -> np.ndarray:
@@ -166,19 +159,12 @@ def safe_cholesky(m: np.ndarray, err: type = CovarianceError):
     m = np.asarray(m, dtype=float)
     if m.ndim == 2:
         return _cholesky_one(m, err)
-    errors: list = [None] * m.shape[0]
     if np.isfinite(m).all():
         try:
-            return np.linalg.cholesky(m), errors
+            return np.linalg.cholesky(m), [None] * m.shape[0]
         except np.linalg.LinAlgError:
             pass
-    out = np.full(m.shape, np.nan)
-    for k, member in enumerate(m):
-        try:
-            out[k] = _cholesky_one(member, err)
-        except err as e:
-            errors[k] = e
-    return out, errors
+    return _each(_cholesky_one, m, err)
 
 
 def substream(seed: int, *key: int) -> np.random.Generator:

@@ -29,7 +29,7 @@ reweighted against the next observation. The paper and the README do not
 settle which of the two is meant, and the code keeps the predictive
 average.
 
-A bank of filters shares one pass per step (``pcrlb_bank_step``). The
+A bank of filters shares one pass per step (``pcrlb_step``). The
 posteriors are factored as one stack, then each filter draws its seed
 and its propagation noise from its own rng; projection, transition, the
 Jacobians and the D blocks run once on the stacked clouds. Each D block
@@ -37,9 +37,8 @@ is one weighted Gram product per filter (D11 and D12 one for the whole
 bank when F is constant), not a stack of per-particle matrix products.
 The information step advances every J as one (B, s, s) stack, with one
 eigenvalue solve, inverse or Cholesky per stack in the common case
-(``linalg``); ``pfim_step`` and ``seed_particles`` are stacks of one. A
-failure in a filter's factorisation, pair weights, D blocks or
-information step stops that filter's update alone.
+(``linalg``). A failure in a filter's factorisation, pair weights, D
+blocks or information step stops that filter's update alone.
 
 Q^{-1} and R^{-1} are constant, so each model inverts them once
 (``StateSpaceModel.noise_precisions``) and every step reuses them.
@@ -98,12 +97,12 @@ class DTriple:
 
 
 def _seed_factors(covs: np.ndarray):
-    """Lower factors of a (B, s, s) stack of belief covariances, eigenvalues floored just above zero.
+    """Lower factors of belief covariances, eigenvalues floored just above zero.
 
-    Returns the factors and, per belief, None or the ``CovarianceError``
-    that stopped its factorisation.
+    One covariance: returns its factor or raises ``CovarianceError``. A
+    (B, s, s) stack: returns the factors and, per belief, None or that error.
     """
-    scale = np.maximum(np.trace(covs, axis1=1, axis2=2) / covs.shape[-1], 0.0)
+    scale = np.maximum(np.trace(covs, axis1=-2, axis2=-1) / covs.shape[-1], 0.0)
     return safe_cholesky(floor_psd(covs, floor=1e-18 * np.maximum(scale, 1.0)))
 
 
@@ -111,9 +110,7 @@ def seed_particles(belief: GaussianBelief, n: int, rng: np.random.Generator, mod
     """Sample n particles from a Gaussian belief, projected onto the model domain."""
     if n < 2:
         raise InvalidInputError("need at least 2 particles")
-    (low,), (error,) = _seed_factors(belief.cov[None])
-    if error is not None:
-        raise error
+    low = _seed_factors(belief.cov)
     draws = belief.mean + rng.standard_normal((n, belief.mean.size)) @ low.T
     if model is not None:
         draws = model.project_batch(draws)
@@ -213,19 +210,7 @@ def _information_step(j: np.ndarray, d: DTriple):
     return j_next, j_inv, errors
 
 
-def pfim_step(prev: FisherState, d: DTriple) -> FisherState:
-    """Advance the information recursion one step: a stack of one.
-
-    Raises the recoverable error that stopped the step.
-    """
-    one = DTriple(*(m[None] for m in (d.d11, d.d12, d.d22)))
-    (j,), (j_inv,), (error,) = _information_step(prev.j[None], one)
-    if error is not None:
-        raise error
-    return FisherState(j=j, j_inv=j_inv, filter=prev.filter)
-
-
-def pcrlb_bank_step(prevs, beliefs, next_obs, ex_next, model, n: int, rngs) -> list:
+def pcrlb_step(prevs, beliefs, next_obs, ex_next, model, n: int, rngs) -> list:
     """One bound update for every filter of a bank, in one pass.
 
     Filter k seeds n particles from ``beliefs[k]`` and propagates them
@@ -277,23 +262,4 @@ def pcrlb_bank_step(prevs, beliefs, next_obs, ex_next, model, n: int, rngs) -> l
     for row, k in enumerate(live):
         if out[k] is None:
             out[k] = errors[row] or FisherState(j=j_next[row], j_inv=j_inv[row], filter=prevs[k].filter)
-    return out
-
-
-def pcrlb_step(
-    prev: FisherState,
-    belief: GaussianBelief,
-    next_obs,
-    ex_next,
-    model,
-    n: int,
-    rng: np.random.Generator,
-) -> FisherState:
-    """One full bound update for a single filter: a bank of one.
-
-    Raises the recoverable error that ``pcrlb_bank_step`` reports for it.
-    """
-    (out,) = pcrlb_bank_step([prev], [belief], next_obs, ex_next, model, n, [rng])
-    if isinstance(out, Exception):
-        raise out
     return out

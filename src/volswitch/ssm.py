@@ -1,8 +1,9 @@
 """Generic additive-Gaussian state-space model interface.
 
 Every filter and the information recursion work against this interface,
-so synthetic test models (e.g. a linear-Gaussian one) run through the
-exact same code paths as the option-pricing model.
+so the tests' synthetic models (the linear-Gaussian one in
+``tests/models.py`` and its variants) run through the exact same code
+paths as the option-pricing model.
 
 Models are batch-shaped: the primitives take ``(n, s)`` arrays of states
 and return stacked results. One state at a time (the EKF, forecasting,
@@ -14,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .exceptions import CovarianceError
-from .linalg import regularized_inverse, safe_cholesky, symmetrize
+from .linalg import regularized_inverse, safe_cholesky
 
 
 class StateSpaceModel:
@@ -84,36 +85,3 @@ class StateSpaceModel:
 
     def project(self, state) -> np.ndarray:
         return self.project_batch(np.asarray(state, dtype=float)[None, :])[0]
-
-
-class LinearGaussianModel(StateSpaceModel):
-    """x' = A x + w, y = C x + z. Exact-Kalman territory, used as a test oracle target."""
-
-    def __init__(self, a, c, q, r):
-        self.a = np.atleast_2d(np.asarray(a, dtype=float))
-        self.c = np.atleast_2d(np.asarray(c, dtype=float))
-        self.q = symmetrize(np.atleast_2d(np.asarray(q, dtype=float)))
-        self.r = np.atleast_2d(np.asarray(r, dtype=float))
-        self.state_dim = self.a.shape[0]
-        self.meas_dim = self.c.shape[0]
-
-    def transition_batch(self, states, ex, noise=None):
-        out = states @ self.a.T
-        if noise is not None:
-            out = out + noise
-        return out
-
-    def transition_jacobian_batch(self, states, ex):
-        return np.broadcast_to(self.a, (states.shape[0],) + self.a.shape)
-
-    def measurement_batch(self, states, ex):
-        return states @ self.c.T
-
-    def measurement_jacobian_batch(self, states, ex):
-        return np.broadcast_to(self.c, (states.shape[0],) + self.c.shape)
-
-    def process_cov(self):
-        return self.q
-
-    def measurement_cov(self):
-        return self.r

@@ -31,11 +31,7 @@ from .filters import (
     ukf_update,
 )
 from .linalg import floor_psd, substream, symmetrize
-from .pcrlb import FisherState, seed_particles
-
-# The bank's bound step, bound at the name the benchmark's tracer wraps
-# (perfbench/spans.py): a traced call is one step of the whole bank.
-from .pcrlb import pcrlb_bank_step as pcrlb_step
+from .pcrlb import FisherState, pcrlb_step, seed_particles
 
 logger = logging.getLogger(__name__)
 

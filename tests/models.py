@@ -1,0 +1,39 @@
+"""State-space models that only the tests use."""
+
+import numpy as np
+
+from volswitch.linalg import symmetrize
+from volswitch.ssm import StateSpaceModel
+
+
+class LinearGaussianModel(StateSpaceModel):
+    """x' = A x + w, y = C x + z. Exact-Kalman territory, used as a test oracle target."""
+
+    def __init__(self, a, c, q, r):
+        self.a = np.atleast_2d(np.asarray(a, dtype=float))
+        self.c = np.atleast_2d(np.asarray(c, dtype=float))
+        self.q = symmetrize(np.atleast_2d(np.asarray(q, dtype=float)))
+        self.r = np.atleast_2d(np.asarray(r, dtype=float))
+        self.state_dim = self.a.shape[0]
+        self.meas_dim = self.c.shape[0]
+
+    def transition_batch(self, states, ex, noise=None):
+        out = states @ self.a.T
+        if noise is not None:
+            out = out + noise
+        return out
+
+    def transition_jacobian_batch(self, states, ex):
+        return np.broadcast_to(self.a, (states.shape[0],) + self.a.shape)
+
+    def measurement_batch(self, states, ex):
+        return states @ self.c.T
+
+    def measurement_jacobian_batch(self, states, ex):
+        return np.broadcast_to(self.c, (states.shape[0],) + self.c.shape)
+
+    def process_cov(self):
+        return self.q
+
+    def measurement_cov(self):
+        return self.r

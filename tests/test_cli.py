@@ -344,6 +344,25 @@ def test_vol_report_reads_each_comparison_file_once(workdir, monkeypatch):
     assert sorted(reads) == ["iv_a.csv", "iv_b.csv"]
 
 
+def test_vol_report_rejects_two_comparison_files_with_one_stem(workdir, capsys):
+    # each file is a column named by its stem, so the second would replace the first
+    tmp, cfg, chain = workdir
+    out = tmp / "reports"
+    assert run(["backtest", "--chain", chain, "--config", cfg, "--strategy", "EKF", "--out-dir", out]) == 0
+    paths = []
+    for sub, value in (("a", "0.20"), ("b", "0.30")):
+        (tmp / sub).mkdir()
+        paths.append(tmp / sub / "x.csv")
+        paths[-1].write_text(f"date,value\n2019-01-03,{value}\n")
+    capsys.readouterr()
+    code = run(["vol-report", "--records", out / "decision_log.csv",
+                "--compare", paths[0], "--compare", paths[1], "--out-dir", tmp / "vol"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert str(paths[0]) in err and str(paths[1]) in err
+    assert not (tmp / "vol" / "comparison.csv").exists()
+
+
 def test_vol_report_fails_fast_on_missing_comparison(workdir, capsys):
     tmp, cfg, chain = workdir
     out = tmp / "reports"

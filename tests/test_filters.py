@@ -22,7 +22,7 @@ from volswitch.filters import (
     systematic_resample,
     ukf_update,
 )
-from volswitch.ssm import LinearGaussianModel
+from models import LinearGaussianModel
 
 A = np.array([[0.9, 0.1], [0.0, 0.95]])
 C = np.array([[1.0, 0.5]])

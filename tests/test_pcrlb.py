@@ -21,12 +21,10 @@ from volswitch.pcrlb import (
     DTriple,
     FisherState,
     d_matrices,
-    pcrlb_bank_step,
     pcrlb_step,
-    pfim_step,
     seed_particles,
 )
-from volswitch.ssm import LinearGaussianModel
+from models import LinearGaussianModel
 
 A = np.array([[0.85, 0.05], [0.0, 0.9]])
 C = np.array([[1.0, 0.4]])
@@ -37,6 +35,13 @@ P0 = np.diag([0.5, 0.3])
 
 def linear_model():
     return LinearGaussianModel(A, C, Q, R)
+
+
+def information_step(prev, d):
+    """One filter's information step as a stack of one: its new ``FisherState``, or the error that stopped it."""
+    one = DTriple(*(m[None] for m in (d.d11, d.d12, d.d22)))
+    (j,), (j_inv,), (error,) = pcrlb._information_step(prev.j[None], one)
+    return error or FisherState(j=j, j_inv=j_inv, filter=prev.filter)
 
 
 # ---------------------------------------------------------------------------
@@ -55,7 +60,7 @@ def test_pfim_step_scalar_worked_example():
     # J' = 2 - 1/(1+1) = 1.5 exactly.
     prev = FisherState(j=np.array([[1.0]]), j_inv=np.array([[1.0]]))
     d = DTriple(d11=np.array([[1.0]]), d12=np.array([[-1.0]]), d22=np.array([[2.0]]))
-    out = pfim_step(prev, d)
+    out = information_step(prev, d)
     assert out.j[0, 0] == pytest.approx(1.5, abs=1e-15)
     assert out.j_inv[0, 0] == pytest.approx(2.0 / 3.0, abs=1e-15)
 
@@ -71,7 +76,7 @@ def test_pfim_step_lemma_inverse_agrees_with_direct_inverse():
         mq = rng.standard_normal((2, 2))
         q = mq @ mq.T + 0.05 * np.eye(2)
         r = np.array([[rng.uniform(0.05, 1.0)]])
-        prev = pfim_step(prev, DTriple(*oracles.exact_linear_dtriple(a, c, q, r)))
+        prev = information_step(prev, DTriple(*oracles.exact_linear_dtriple(a, c, q, r)))
         np.testing.assert_allclose(prev.j_inv, np.linalg.inv(prev.j), atol=1e-10)
         np.testing.assert_allclose(prev.j_inv @ prev.j, np.eye(2), atol=1e-8)
 
@@ -87,7 +92,7 @@ def test_pfim_step_inverse_is_one_regularized_inverse_of_j():
         mq = rng.standard_normal((2, 2))
         q = mq @ mq.T + 0.05 * np.eye(2)
         r = np.array([[rng.uniform(0.05, 1.0)]])
-        prev = pfim_step(prev, DTriple(*oracles.exact_linear_dtriple(a, c, q, r)))
+        prev = information_step(prev, DTriple(*oracles.exact_linear_dtriple(a, c, q, r)))
         np.testing.assert_array_equal(prev.j_inv, symmetrize(regularized_inverse(prev.j)))
 
 
@@ -96,8 +101,9 @@ def test_pfim_step_raises_when_the_inverse_misses_the_identity():
     # ridge that regularized_inverse adds leaves J^{-1} J far from I
     prev = FisherState(j=np.eye(2), j_inv=np.eye(2))
     d = DTriple(d11=np.zeros((2, 2)), d12=np.zeros((2, 2)), d22=np.diag([1.0, 1e-14]))
-    with pytest.raises(SingularityError, match="inverse inconsistent"):
-        pfim_step(prev, d)
+    error = information_step(prev, d)
+    assert isinstance(error, SingularityError)
+    assert "inverse inconsistent" in str(error)
 
 
 def test_pfim_step_floors_an_indefinite_update():
@@ -105,7 +111,7 @@ def test_pfim_step_floors_an_indefinite_update():
     # must floor it to a positive matrix and keep the inverse consistent.
     prev = FisherState(j=np.array([[0.5]]), j_inv=np.array([[2.0]]))
     d = DTriple(d11=np.array([[0.5]]), d12=np.array([[-1.0]]), d22=np.array([[0.5]]))
-    out = pfim_step(prev, d)
+    out = information_step(prev, d)
     assert out.j[0, 0] > 0.0
     assert out.j_inv[0, 0] * out.j[0, 0] == pytest.approx(1.0, rel=1e-6)
 
@@ -139,17 +145,18 @@ def test_each_slot_of_an_information_stack_matches_its_stack_of_one(caplog):
                 # it fails alone, with the same error as its stack of one
                 assert isinstance(errors[row], SingularityError)
                 assert "inverse inconsistent" in str(errors[row])
-                with pytest.raises(SingularityError, match="inverse inconsistent"):
-                    pfim_step(prev, cases[name][1])
+                alone = information_step(prev, cases[name][1])
+                assert isinstance(alone, SingularityError)
+                assert "inverse inconsistent" in str(alone)
                 continue
-            one = pfim_step(prev, cases[name][1])
+            one = information_step(prev, cases[name][1])
             assert errors[row] is None
             np.testing.assert_array_equal(j_next[row], one.j)
             np.testing.assert_array_equal(j_inv[row], one.j_inv)
     # the floor left J_{t+1} positive definite: diag(-5, 1) became diag(5e-12, 1),
     # and diag(-10, 1) became diag(1e-11, 1)
     for name, low in (("floored", 5e-12), ("floored wider", 1e-11)):
-        one = pfim_step(FisherState(j=cases[name][0], j_inv=np.eye(2)), cases[name][1])
+        one = information_step(FisherState(j=cases[name][0], j_inv=np.eye(2)), cases[name][1])
         np.testing.assert_allclose(np.diag(one.j), [low, 1.0], rtol=1e-9)
 
 
@@ -161,7 +168,7 @@ def test_non_finite_d_blocks_fail_only_their_slot():
     ds = DTriple(np.array([d.d11, d.d11]), np.array([d.d12, d.d12]), np.array([bad, d.d22]))
     j_next, j_inv, errors = pcrlb._information_step(js, ds)
     assert isinstance(errors[0], NumericalFailureError) and errors[1] is None
-    one = pfim_step(FisherState(j=j, j_inv=P0), d)
+    one = information_step(FisherState(j=j, j_inv=P0), d)
     np.testing.assert_array_equal(j_next[1], one.j)
     np.testing.assert_array_equal(j_inv[1], one.j_inv)
 
@@ -175,7 +182,7 @@ def test_exact_recursion_reproduces_kalman_covariance_on_linear_model():
     _, covs = oracles.kalman_filter(ys, A, C, Q, R, np.zeros(2), P0)
     fs = FisherState.initial(P0)
     for t in range(12):
-        fs = pfim_step(fs, d)
+        fs = information_step(fs, d)
         np.testing.assert_allclose(fs.j_inv, covs[t], atol=1e-10)
 
 
@@ -307,7 +314,7 @@ def test_pcrlb_step_tracks_kalman_covariance_on_linear_model():
     bound_rng = np.random.default_rng(99)
     for t, y in enumerate(ys):
         belief = GaussianBelief(means[t - 1] if t else np.zeros(2), covs[t - 1] if t else P0)
-        fs = pcrlb_step(fs, belief, y, None, model, n=100, rng=bound_rng)
+        (fs,) = pcrlb_step([fs], [belief], y, None, model, 100, [bound_rng])
         np.testing.assert_allclose(fs.j_inv, covs[t], atol=1e-8)
 
 
@@ -435,7 +442,7 @@ def test_pcrlb_step_transition_blocks_are_unbiased(monkeypatch):
 
     monkeypatch.setattr(pcrlb, "d_matrices", capture)
     for k in range(runs):
-        pcrlb_step(FisherState.initial(belief.cov), belief, y, None, model, n, np.random.default_rng(k))
+        pcrlb_step([FisherState.initial(belief.cov)], [belief], y, None, model, n, [np.random.default_rng(k)])
     monkeypatch.undo()
 
     reference = []
@@ -465,9 +472,9 @@ def test_pcrlb_step_transition_blocks_are_unbiased(monkeypatch):
 def test_pcrlb_step_is_rng_deterministic():
     model = linear_model()
     belief = GaussianBelief(np.array([0.1, 0.0]), P0)
-    args = (belief, np.array([0.4]), None, model, 64)
-    a = pcrlb_step(FisherState.initial(P0), *args, rng=np.random.default_rng(5))
-    b = pcrlb_step(FisherState.initial(P0), *args, rng=np.random.default_rng(5))
+    args = ([belief], np.array([0.4]), None, model, 64)
+    (a,) = pcrlb_step([FisherState.initial(P0)], *args, [np.random.default_rng(5)])
+    (b,) = pcrlb_step([FisherState.initial(P0)], *args, [np.random.default_rng(5)])
     np.testing.assert_array_equal(a.j, b.j)
     np.testing.assert_array_equal(a.j_inv, b.j_inv)
 
@@ -489,7 +496,7 @@ def test_pcrlb_step_weights_pairs_by_the_likelihood_alone(monkeypatch):
         return captured[-1][1]
 
     monkeypatch.setattr(pcrlb, "d_matrices", capture)
-    pcrlb_step(FisherState.initial(belief.cov), belief, y, None, model, n, np.random.default_rng(31))
+    pcrlb_step([FisherState.initial(belief.cov)], [belief], y, None, model, n, [np.random.default_rng(31)])
     monkeypatch.undo()
 
     rng = np.random.default_rng(31)
@@ -549,9 +556,9 @@ def test_a_bank_step_matches_banks_of_one_bit_for_bit():
     for model, beliefs, y, ex in bank_cases():
         prevs = bank_of_three(beliefs)
         for n in (37, 400, 1000):
-            bank = pcrlb_bank_step(prevs, beliefs, y, ex, model, n, [np.random.default_rng(k) for k in range(3)])
+            bank = pcrlb_step(prevs, beliefs, y, ex, model, n, [np.random.default_rng(k) for k in range(3)])
             for k in range(3):
-                one = pcrlb_step(prevs[k], beliefs[k], y, ex, model, n, np.random.default_rng(k))
+                (one,) = pcrlb_step([prevs[k]], [beliefs[k]], y, ex, model, n, [np.random.default_rng(k)])
                 assert bank[k].filter is prevs[k].filter
                 np.testing.assert_array_equal(bank[k].j, one.j)
                 np.testing.assert_array_equal(bank[k].j_inv, one.j_inv)
@@ -565,15 +572,16 @@ def test_a_failed_bound_in_a_bank_stops_only_that_filter():
     broken = FisherState(j=np.full((2, 2), np.nan), j_inv=prevs[1].j_inv, filter=prevs[1].filter)
     rngs = [np.random.default_rng(k) for k in range(3)]
     with np.errstate(over="ignore"):
-        out = pcrlb_bank_step([prevs[0], broken, prevs[2]], [huge, *beliefs[1:]], y, ex, model, 300, rngs)
+        out = pcrlb_step([prevs[0], broken, prevs[2]], [huge, *beliefs[1:]], y, ex, model, 300, rngs)
     assert isinstance(out[0], CovarianceError)
     assert isinstance(out[1], SingularityError)
-    alone = pcrlb_step(prevs[2], beliefs[2], y, ex, model, 300, np.random.default_rng(2))
+    (alone,) = pcrlb_step([prevs[2]], [beliefs[2]], y, ex, model, 300, [np.random.default_rng(2)])
     np.testing.assert_array_equal(out[2].j, alone.j)
     np.testing.assert_array_equal(out[2].j_inv, alone.j_inv)
-    # a bank of one raises its filter's error
-    with pytest.raises(CovarianceError), np.errstate(over="ignore"):
-        pcrlb_step(prevs[0], huge, y, ex, model, 300, np.random.default_rng(0))
+    # a bank of one returns its filter's error
+    with np.errstate(over="ignore"):
+        (alone,) = pcrlb_step([prevs[0]], [huge], y, ex, model, 300, [np.random.default_rng(0)])
+    assert isinstance(alone, CovarianceError)
 
 
 def test_a_constant_transition_jacobian_skips_the_likelihood(monkeypatch):
@@ -581,7 +589,7 @@ def test_a_constant_transition_jacobian_skips_the_likelihood(monkeypatch):
         calls = []
         measure = model.measurement_batch
         monkeypatch.setattr(model, "measurement_batch", lambda x, e: calls.append(len(x)) or measure(x, e))
-        pcrlb_bank_step(bank_of_three(beliefs), beliefs, y, ex, model, 50,
+        pcrlb_step(bank_of_three(beliefs), beliefs, y, ex, model, 50,
                         [np.random.default_rng(k) for k in range(3)])
         # only the quadratic transition's Jacobian depends on the particle
         assert calls == ([150] if isinstance(model, QuadraticTransitionModel) else [])
@@ -592,7 +600,7 @@ def test_a_materialised_constant_jacobian_matches_its_broadcast_view():
     *_, (copied, beliefs, y, ex) = bank_cases()
     prevs = bank_of_three(beliefs)
     for n in (37, 400):
-        steps = [pcrlb_bank_step(prevs, beliefs, y, ex, model, n, [np.random.default_rng(k) for k in range(3)])
+        steps = [pcrlb_step(prevs, beliefs, y, ex, model, n, [np.random.default_rng(k) for k in range(3)])
                  for model in (linear_model(), copied)]
         for viewed, materialised in zip(*steps):
             np.testing.assert_array_equal(viewed.j, materialised.j)
@@ -602,7 +610,7 @@ def test_a_materialised_constant_jacobian_matches_its_broadcast_view():
 def test_constant_transition_blocks_are_computed_once_and_kept():
     for model, beliefs, y, ex in bank_cases()[1:]:
         rngs = [np.random.default_rng(k) for k in range(3)]
-        pcrlb_bank_step(bank_of_three(beliefs), beliefs, y, ex, model, 50, rngs)
+        pcrlb_step(bank_of_three(beliefs), beliefs, y, ex, model, 50, rngs)
         f, d11, d12 = model._transition_blocks
         np.testing.assert_array_equal(f, model.transition_jacobian(beliefs[0].mean, ex))
         # the kept arrays are shared by every later step, so they are read-only
@@ -610,7 +618,7 @@ def test_constant_transition_blocks_are_computed_once_and_kept():
         gram, fq = pcrlb._weighted_gram(f[None, None], model.noise_precisions()[0], np.ones((1, 1)))
         np.testing.assert_array_equal(d11, symmetrize(gram))
         np.testing.assert_array_equal(d12, -fq)
-        pcrlb_bank_step(bank_of_three(beliefs), beliefs, y, ex, model, 50, rngs)
+        pcrlb_step(bank_of_three(beliefs), beliefs, y, ex, model, 50, rngs)
         again = model._transition_blocks
         assert again[1] is d11 and again[2] is d12
 
@@ -623,7 +631,7 @@ def test_kept_transition_blocks_follow_a_jacobian_that_changes_between_steps(mon
     monkeypatch.setattr(pcrlb, "_information_step", lambda j, d: captured.append(d) or step(j, d))
     scales = (1.0, 0.5, 0.5, 1.0, 0.8)
     for t, scale in enumerate(scales):
-        pcrlb_bank_step(bank_of_three(beliefs), beliefs, np.array([0.7]), scale, model, 50,
+        pcrlb_step(bank_of_three(beliefs), beliefs, np.array([0.7]), scale, model, 50,
                         [np.random.default_rng(10 * t + k) for k in range(3)])
     assert len(captured) == len(scales)
     q_inv = np.linalg.inv(Q)

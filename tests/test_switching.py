@@ -16,7 +16,7 @@ from volswitch.exceptions import (
 )
 from volswitch.filters import FILTER_ORDER, FilterId, GaussianBelief, ekf_update
 from volswitch.pcrlb import FisherState
-from volswitch.ssm import LinearGaussianModel
+from models import LinearGaussianModel
 from volswitch.switching import (
     BOUND_CARRIED,
     DECISION_CARRIED,
