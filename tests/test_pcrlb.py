@@ -299,6 +299,13 @@ def test_seed_particles_require_two():
         seed_particles(GaussianBelief(np.zeros(2), np.eye(2)), 1, np.random.default_rng(0))
 
 
+def test_seed_particles_raise_on_a_covariance_that_cannot_be_factored():
+    # its eigenvalue floor overflows, as in the bank step's failed-filter test
+    huge = GaussianBelief(np.zeros(2), np.diag([1e308, 1e308]))
+    with pytest.raises(CovarianceError), np.errstate(over="ignore"):
+        seed_particles(huge, 10, np.random.default_rng(0))
+
+
 # ---------------------------------------------------------------------------
 # full step
 
