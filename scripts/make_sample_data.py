@@ -4,6 +4,7 @@ Everything here is deterministic (fixed seed, fixed start date), so the
 checked-in files can be reproduced exactly:
 
     python scripts/make_sample_data.py
+    python scripts/make_sample_data.py --out-dir /tmp/sample   # elsewhere, to compare with data/
 
 Produces a 150-step synthetic option chain in the documented CSV schema,
 the matching ground-truth states, the config used to generate it (which
@@ -11,7 +12,7 @@ is therefore also a well-specified config for backtesting it), and a
 date,value comparison series for the vol-report command.
 """
 
-import csv
+import argparse
 import math
 import sys
 from pathlib import Path
@@ -21,7 +22,13 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from volswitch.bsgarch import ContractSpec
 from volswitch.config import config_from_text
-from volswitch.marketdata import generate_synthetic, truth_to_quotes, write_chain, write_truth_states
+from volswitch.marketdata import (
+    generate_synthetic,
+    truth_to_quotes,
+    write_chain,
+    write_csv,
+    write_truth_states,
+)
 
 import datetime as dt
 
@@ -42,9 +49,12 @@ r0 = 0.02
 """
 
 
-def main():
-    data = ROOT / "data"
-    data.mkdir(exist_ok=True)
+def main(argv=None):
+    parser = argparse.ArgumentParser(description="Regenerate the sample dataset.")
+    parser.add_argument("--out-dir", type=Path, default=ROOT / "data",
+                        help="directory to write into (default: the repository's data/)")
+    data = parser.parse_args(argv).out_dir
+    data.mkdir(parents=True, exist_ok=True)
 
     cfg = config_from_text(CONFIG_TEXT, source="sample_config")
     contract = ContractSpec(strike=100.0, expiry_step=252)
@@ -64,17 +74,14 @@ def main():
 
     # true annualized volatility as a date,value series -- a natural external
     # comparison target for `volswitch vol-report --compare`
-    with open(data / "sample_compare.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["date", "value"])
-        for t, date in enumerate(truth.dates):
-            vol = math.sqrt(truth.states[t, 0] / model.dt)
-            writer.writerow([date.isoformat(), repr(vol)])
+    write_csv(data / "sample_compare.csv", ["date", "value"], (
+        [date, math.sqrt(truth.states[t, 0] / model.dt)] for t, date in enumerate(truth.dates)
+    ))
 
     expiry = truth_to_quotes(truth, model)[0].expiry_date
     print(f"wrote sample data to {data} (expiry {expiry})")
     print("backtest it with:")
-    print(f"  volswitch backtest --config data/sample_config.cfg --chain data/sample_chain.csv \\")
+    print(f"  volswitch backtest --config {data / 'sample_config.cfg'} --chain {data / 'sample_chain.csv'} \\")
     print(f"      --strike 100 --expiry {expiry} --train-end {truth.dates[49]} --strategy AAF")
 
 

@@ -15,7 +15,6 @@ the same config, seed and data produce byte-identical files.
 from __future__ import annotations
 
 import bisect
-import csv
 import datetime as dt
 import logging
 import math
@@ -27,9 +26,9 @@ import numpy as np
 from .bsgarch import BsGarchModel, ExogenousInputs, gbm_propagate
 from .calibrate import GarchFit, fit_garch, log_returns
 from .config import RunConfig
-from .exceptions import ContractExpiredError, InsufficientDataError, InvalidInputError
+from .exceptions import ContractExpiredError, FormatError, InsufficientDataError, InvalidInputError
 from .filters import FILTER_ORDER, FilterId
-from .marketdata import ContractSeries, load_value_series
+from .marketdata import ContractSeries, load_value_series, read_csv_rows, write_csv
 from .switching import run_adaptive_estimation
 
 logger = logging.getLogger(__name__)
@@ -94,6 +93,9 @@ class ReportBundle:
 
 
 def strategy_bank(strategy: str):
+    """(switching mode, filter bank) of a strategy name from ``STRATEGIES``."""
+    if strategy not in STRATEGIES:
+        raise InvalidInputError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
     if strategy == "AAF":
         return "average", FILTER_ORDER
     if strategy == "ABF":
@@ -131,8 +133,7 @@ def run_backtest(
     expiry truncates forecasting cleanly.
     """
     strategy = str(strategy).upper()
-    if strategy not in STRATEGIES:
-        raise InvalidInputError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
+    mode, bank = strategy_bank(strategy)
     if train_end is not None and test_end is not None and test_end <= train_end:
         raise InvalidInputError("test-end must come after train-end")
 
@@ -163,7 +164,6 @@ def run_backtest(
         )
 
     model = BsGarchModel(cfg_used.model_spec(series.contract))
-    mode, bank = strategy_bank(strategy)
     settings = cfg_used.estimation_settings(mode=mode, filters=bank, seed=seed)
 
     observations = [p.quote.price for p in points]
@@ -233,33 +233,13 @@ def run_backtest(
 # report files
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))  # repr round-trips; float() strips numpy scalar types
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, dt.date):
-        return value.isoformat()
-    return str(value)
-
-
-def _write_csv(path: Path, header, rows):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(c) for c in row])
-
-
 def write_reports(bundle: ReportBundle, bank, out_dir) -> dict:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths = {name: out / f"{name}.csv" for name in REPORT_FILES}
     records = bundle.records
 
-    _write_csv(
+    write_csv(
         paths["decision_log"],
         ["t", "date", "mode", "chosen"]
         + [f"phi_{f.name}" for f in FILTER_ORDER]
@@ -278,7 +258,7 @@ def write_reports(bundle: ReportBundle, bank, out_dir) -> dict:
         ],
     )
 
-    _write_csv(
+    write_csv(
         paths["pcrlb_trace"],
         ["t", "filter", "j_v", "j_r", "jinv_v", "jinv_r", "phi_trace"],
         [
@@ -288,7 +268,7 @@ def write_reports(bundle: ReportBundle, bank, out_dir) -> dict:
         ],
     )
 
-    _write_csv(
+    write_csv(
         paths["rmse"],
         ["series", "rmse_fit", "rmse_forecast", "n_fit", "n_forecast"],
         [
@@ -297,7 +277,7 @@ def write_reports(bundle: ReportBundle, bank, out_dir) -> dict:
         ],
     )
 
-    _write_csv(
+    write_csv(
         paths["frequency"],
         ["series"] + [f.name for f in FILTER_ORDER] + ["total"],
         [
@@ -306,9 +286,9 @@ def write_reports(bundle: ReportBundle, bank, out_dir) -> dict:
         ],
     )
 
-    _write_csv(paths["volatility"], ["t", "date", "vol_annualized"], bundle.volatility)
+    write_csv(paths["volatility"], ["t", "date", "vol_annualized"], bundle.volatility)
 
-    _write_csv(
+    write_csv(
         paths["forecasts"],
         ["t", "date", "observed", "fitted", "forecast"],
         [
@@ -335,15 +315,24 @@ def vol_points_from_records(records) -> list:
 
 def vol_points_from_decision_log(path) -> list:
     """Same rows recovered from a written decision_log.csv."""
-    rows = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        required = {"t", "date", "est_v"}
-        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-            raise InvalidInputError(f"{path}: not a decision log (needs {sorted(required)})")
-        for row in reader:
-            rows.append((int(row["t"]), row["date"] or None, float(row["est_v"])))
-    return rows
+    rows = read_csv_rows(path, "decision log")
+    header = rows[0][1] if rows else []
+    required = ("t", "date", "est_v")
+    if not set(required).issubset(header):
+        raise InvalidInputError(f"{path}: not a decision log (needs {sorted(required)})")
+    columns = [header.index(name) for name in required]
+    points = []
+    for line, row in rows[1:]:
+        try:
+            t, date, v = (row[c] for c in columns)
+            point = (int(t), date or None, float(v))
+        except (IndexError, ValueError):
+            point = None
+        # a run's estimates are finite, so a non-finite est_v is a damaged log
+        if point is None or not math.isfinite(point[2]):
+            raise FormatError(f"{path}: line {line}: short row, or bad t or est_v, in {row!r}")
+        points.append(point)
+    return points
 
 
 def vol_report(points, compare_paths=(), annualization: float = 252.0, out_dir=None):
@@ -391,10 +380,10 @@ def vol_report(points, compare_paths=(), annualization: float = 252.0, out_dir=N
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         paths["volatility"] = out / "volatility.csv"
-        _write_csv(paths["volatility"], ["t", "date", "vol_annualized"], vol_rows)
+        write_csv(paths["volatility"], ["t", "date", "vol_annualized"], vol_rows)
         if comparisons:
             paths["comparison"] = out / "comparison.csv"
-            _write_csv(
+            write_csv(
                 paths["comparison"],
                 ["date", "estimate"] + list(comparisons),
                 [r for r in table if any(c is not None for c in r[2:])],

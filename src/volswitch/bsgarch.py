@@ -143,38 +143,38 @@ class ModelSpec:
 # vectorized kernels
 
 
+def _d1_d2(v, r, s, k, tau, annualization):
+    """(sigma, sigma*sqrt(tau), d1, d2); d1 and d2 are inf or NaN where sigma*sqrt(tau) == 0."""
+    sigma = np.sqrt(annualization * np.asarray(v, dtype=float))
+    vol = sigma * np.sqrt(tau)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d1 = (np.log(s / k) + (r + 0.5 * sigma**2) * tau) / vol
+    return sigma, vol, d1, d1 - vol
+
+
 def _price_kernel(v, r, s, k, tau, is_call, annualization):
     """Black-Scholes price, vectorized over per-step variance v and rate r.
 
     Degenerate rows (sigma*sqrt(tau) == 0) collapse to the discounted
     forward intrinsic value, which is also the tau -> 0 limit.
     """
-    v = np.asarray(v, dtype=float)
     r = np.asarray(r, dtype=float)
-    sigma = np.sqrt(annualization * v)
-    vol = sigma * np.sqrt(tau)
+    _, vol, d1, d2 = _d1_d2(v, r, s, k, tau, annualization)
     disc_k = k * np.exp(-r * tau)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        d1 = (np.log(s / k) + (r + 0.5 * sigma**2) * tau) / vol
-        d2 = d1 - vol
-        if is_call:
-            live = s * ndtr(d1) - disc_k * ndtr(d2)
-            limit = np.maximum(s - disc_k, 0.0)
-        else:
-            live = -s * ndtr(-d1) + disc_k * ndtr(-d2)
-            limit = np.maximum(disc_k - s, 0.0)
+    if is_call:
+        live = s * ndtr(d1) - disc_k * ndtr(d2)
+        limit = np.maximum(s - disc_k, 0.0)
+    else:
+        live = -s * ndtr(-d1) + disc_k * ndtr(-d2)
+        limit = np.maximum(disc_k - s, 0.0)
     price = np.where(vol > 0.0, live, limit)
     return np.maximum(price, 0.0)
 
 
 def _gradient_kernel(v, r, s, k, tau, is_call, annualization):
     """(dprice/dv, dprice/dr); assumes v > 0 and tau > 0 elementwise."""
-    v = np.asarray(v, dtype=float)
     r = np.asarray(r, dtype=float)
-    sigma = np.sqrt(annualization * v)
-    vol = sigma * np.sqrt(tau)
-    d1 = (np.log(s / k) + (r + 0.5 * sigma**2) * tau) / vol
-    d2 = d1 - vol
+    sigma, _, d1, d2 = _d1_d2(v, r, s, k, tau, annualization)
     vega = s * np.sqrt(tau) * np.exp(-0.5 * d1**2) / _SQRT_2PI
     # chain rule through sigma = sqrt(A * v): dsigma/dv = A / (2 sigma)
     d_v = vega * annualization / (2.0 * sigma)

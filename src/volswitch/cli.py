@@ -214,10 +214,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         root.setLevel(logging.INFO if args.verbose else logging.WARNING)
         fallbacks = args.func(args)  # only a backtest counts them
-    except EstimationError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except OSError as e:
+    except (EstimationError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     finally:

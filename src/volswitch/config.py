@@ -117,8 +117,12 @@ _KEY_MAP = {
 _COLUMNS_PREFIX = "data.columns."
 
 
+def _finite(v) -> bool:
+    return bool(np.isfinite(v))
+
+
 def _positive(v) -> bool:
-    return bool(np.isfinite(v)) and v > 0.0
+    return _finite(v) and v > 0.0
 
 
 # checks on values read from a file, each reported at the line that set it
@@ -127,6 +131,13 @@ _CHECKS = (
     ("pcrlb_particles", lambda v: v >= 2, "must be at least 2"),
     ("ess_threshold", lambda v: 0.0 <= v <= 1.0, "must lie in [0, 1]"),
     ("ukf_alpha", _positive, "must be positive"),
+    ("ukf_beta", _finite, "must be finite"),
+    # the sigma-point scale alpha^2 * (n + kappa) must be positive for the n = 2 states
+    ("ukf_kappa", lambda v: _finite(v) and v > -2.0, "must be finite and greater than -2"),
+    ("v0", _positive, "must be positive and finite"),
+    ("r0", _finite, "must be finite"),
+    ("p0_v", _positive, "must be positive and finite"),
+    ("p0_r", _positive, "must be positive and finite"),
     ("q11", _positive, "must be positive and finite"),
     ("q22", _positive, "must be positive and finite"),
     ("noise_r", _positive, "must be positive and finite"),
@@ -191,7 +202,7 @@ def config_from_text(text: str, source: str = "<config>") -> RunConfig:
         # threshold could not change a result
         lineno, key = where["ess_threshold"]
         raise InvalidInputError(
-            f"{source}:{lineno}: {key!r} needs 'switch.independent_chains = true'"
+            f"{source}:{lineno}: {key!r} needs 'switch.independent_chains' set to true"
         )
     return cfg
 

@@ -50,6 +50,17 @@ class GaussianBelief:
             raise InvalidInputError("non-finite belief")
 
 
+def _check_weights(w: np.ndarray) -> None:
+    """Raise unless ``w`` is a non-empty 1-d array of non-negative weights summing to one."""
+    if w.ndim != 1 or not w.size:
+        raise InvalidInputError("weights must be a non-empty 1-d array")
+    # min() is NaN or -inf when any weight is, and the sum is inf when any weight is +inf
+    if not w.min() >= 0.0:
+        raise InvalidInputError("weights must be finite and non-negative")
+    if not abs(w.sum() - 1.0) <= WEIGHT_SUM_TOL:
+        raise InvalidInputError("weights must be normalized: they must sum to one")
+
+
 @dataclass
 class ParticleCloud:
     particles: np.ndarray  # (n, s)
@@ -58,13 +69,9 @@ class ParticleCloud:
     def __post_init__(self):
         particles = self.particles = np.asarray(self.particles, dtype=float)
         w = self.weights = np.asarray(self.weights, dtype=float)
-        if particles.ndim != 2 or w.shape != (particles.shape[0],) or not w.size:
-            raise InvalidInputError("cloud particles/weights shapes disagree or are empty")
-        # min() is NaN or -inf when any weight is, and the sum is inf when any weight is +inf
-        if not w.min() >= 0.0:
-            raise InvalidInputError("weights must be finite and non-negative")
-        if not abs(w.sum() - 1.0) <= WEIGHT_SUM_TOL:
-            raise InvalidInputError("weights must sum to one")
+        if particles.ndim != 2 or w.shape != (particles.shape[0],):
+            raise InvalidInputError("cloud particles/weights shapes disagree")
+        _check_weights(w)
 
     @classmethod
     def uniform(cls, particles) -> "ParticleCloud":
@@ -85,28 +92,20 @@ class SigmaPointParams:
     kappa: float = 0.0
 
 
-def systematic_resample(weights, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
-    """Systematic (low-variance) resampling: weights -> index vector.
+def systematic_resample(weights, rng: np.random.Generator) -> np.ndarray:
+    """Systematic (low-variance) resampling: weights -> as many indices as weights.
 
-    Draws one uniform offset, so each index count differs from
-    ``size * w_i`` by less than one.
+    Draws one uniform offset, so each index count differs from ``n * w_i``
+    by less than one.
     """
     w = np.asarray(weights, dtype=float)
-    if w.ndim != 1 or w.size == 0:
-        raise InvalidInputError("weights must be a non-empty 1-d array")
-    # min() is NaN or -inf when any weight is, and the sum is inf when any weight is +inf
-    if not w.min() >= 0.0:
-        raise InvalidInputError("weights must be finite and non-negative")
-    if not abs(w.sum() - 1.0) <= WEIGHT_SUM_TOL:
-        raise InvalidInputError("weights must be normalized")
-    n_out = w.size if size is None else int(size)
-    if n_out <= 0:
-        raise InvalidInputError("size must be positive")
+    _check_weights(w)
+    n = w.size
     cum = np.cumsum(w)
     cum[-1] = 1.0
-    positions = (np.arange(n_out) + rng.random()) / n_out
+    positions = (np.arange(n) + rng.random()) / n
     idx = np.searchsorted(cum, positions, side="right")
-    return np.minimum(idx, w.size - 1)
+    return np.minimum(idx, n - 1)
 
 
 def effective_sample_size(weights) -> float:
@@ -233,14 +232,9 @@ def ukf_update(prior: GaussianBelief, obs, ex, model, sp: SigmaPointParams = Sig
     p_pred = floor_psd(p_prop + model.process_cov())
 
     pts2, wm2, wc2 = _sigma_points(x_pred, p_pred, sp)
-    z = model.measurement_batch(pts2, ex)
-    z_base = z[0]
-    z_pred = z_base + wm2 @ (z - z_base)
-    z_dev = z - z_pred
-    x_dev = pts2 - x_pred
-    r = model.measurement_cov()
-    s_mat = (z_dev * wc2[:, None]).T @ z_dev + r
-    p_xz = (x_dev * wc2[:, None]).T @ z_dev
+    z_pred, z_dev, p_zz = _reconstruct(model.measurement_batch(pts2, ex), wm2, wc2)
+    s_mat = p_zz + model.measurement_cov()
+    p_xz = ((pts2 - x_pred) * wc2[:, None]).T @ z_dev
     gain = _kalman_gain(s_mat, p_xz)
 
     x_post = model.project(x_pred + gain @ (obs - z_pred))

@@ -484,26 +484,34 @@ def load_chain(path, columns: dict | None = None):
     return chain, rejects
 
 
-def write_chain(path, quotes):
-    """Write quotes back out in the canonical schema (bid = ask = last = price)."""
+def _fmt(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))  # repr round-trips; float() strips numpy scalar types
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, dt.date):
+        return value.isoformat()
+    return str(value)
+
+
+def write_csv(path, header, rows):
+    """The one CSV writer: a header, then rows of floats (``repr``), ints, dates, strings or None (blank)."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(CANONICAL_COLUMNS)
-        for q in quotes:
-            writer.writerow(
-                [
-                    q.quote_date.isoformat(),
-                    q.expiry_date.isoformat(),
-                    repr(q.strike),
-                    q.side,
-                    repr(q.price),
-                    repr(q.price),
-                    repr(q.price),
-                    repr(q.volume),
-                    repr(q.underlying_close),
-                    "" if q.implied_vol is None else repr(q.implied_vol),
-                ]
-            )
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([_fmt(c) for c in row])
+
+
+def write_chain(path, quotes):
+    """Write quotes back out in the canonical schema (bid = ask = last = price)."""
+    write_csv(path, CANONICAL_COLUMNS, (
+        [q.quote_date, q.expiry_date, q.strike, q.side, q.price, q.price, q.price,
+         q.volume, q.underlying_close, q.implied_vol]
+        for q in quotes
+    ))
 
 
 def prior_close_before(quotes, date: dt.date):
@@ -522,22 +530,11 @@ def prior_close_before(quotes, date: dt.date):
 
 def write_truth_states(path, truth: "SyntheticTruth"):
     """Per-step simulated truth: states, spot, clean and observed prices."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "date", "v", "r", "spot", "clean_price", "observed"])
-        for t in range(len(truth.observations)):
-            date = "" if truth.dates is None else truth.dates[t].isoformat()
-            writer.writerow(
-                [
-                    t,
-                    date,
-                    repr(float(truth.states[t, 0])),
-                    repr(float(truth.states[t, 1])),
-                    repr(float(truth.spots[t])),
-                    repr(float(truth.clean_prices[t])),
-                    repr(float(truth.observations[t])),
-                ]
-            )
+    write_csv(path, ["t", "date", "v", "r", "spot", "clean_price", "observed"], (
+        [t, None if truth.dates is None else truth.dates[t], truth.states[t, 0], truth.states[t, 1],
+         truth.spots[t], truth.clean_prices[t], truth.observations[t]]
+        for t in range(len(truth.observations))
+    ))
 
 
 def _max_volume_rows(chain: OptionChain, mask: np.ndarray) -> np.ndarray:
@@ -722,30 +719,36 @@ def truth_to_quotes(truth: SyntheticTruth, model: ModelSpec) -> list:
     return quotes
 
 
+def read_csv_rows(path, what: str) -> list:
+    """(file line, fields) of each non-blank row of a small CSV file, read whole.
+
+    Any failure to read or split the file is a ``FormatError`` naming ``what``
+    and the path.
+    """
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh)
+            return [(reader.line_num, row) for row in reader if "".join(row).strip()]
+    except (OSError, UnicodeDecodeError, csv.Error) as e:
+        raise FormatError(f"cannot read {what} {path}: {e}") from e
+
+
 def load_value_series(path):
     """Two-column date,value CSV used for external comparison series."""
     out = []
-    seen_row = False
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            for i, row in enumerate(csv.reader(fh)):
-                if not row or not "".join(row).strip():
-                    continue
-                if len(row) < 2:
-                    raise FormatError(f"{path}: line {i + 1}: expected date,value")
-                first_row, seen_row = not seen_row, True
-                first = row[0].strip()
-                try:
-                    date = _parse_date(first)
-                except ValueError:
-                    if first_row:  # tolerate a header on the first non-blank row
-                        continue
-                    raise FormatError(f"{path}: line {i + 1}: bad date {first!r}") from None
-                try:
-                    value = float(row[1])
-                except ValueError:
-                    raise FormatError(f"{path}: line {i + 1}: bad value {row[1]!r}") from None
-                out.append((date, value))
-    except (OSError, UnicodeDecodeError) as e:
-        raise FormatError(f"cannot read series file {path}: {e}") from e
+    for i, (line, row) in enumerate(read_csv_rows(path, "series file")):
+        if len(row) < 2:
+            raise FormatError(f"{path}: line {line}: expected date,value")
+        first = row[0].strip()
+        try:
+            date = _parse_date(first)
+        except ValueError:
+            if i == 0:  # tolerate a header on the first non-blank row
+                continue
+            raise FormatError(f"{path}: line {line}: bad date {first!r}") from None
+        try:
+            value = float(row[1])
+        except ValueError:
+            raise FormatError(f"{path}: line {line}: bad value {row[1]!r}") from None
+        out.append((date, value))
     return out

@@ -6,8 +6,9 @@ The information matrix J evolves by the recursion
 
 where the D blocks are Monte-Carlo averages of gradient outer products.
 Particles come from the filter under evaluation: its Gaussian posterior
-seeds the cloud at t, and the filter bank's own propagation and weighting
-primitives move it forward.
+seeds the cloud at t, and ``pcrlb_step`` seeds and propagates that cloud
+itself, through the model's batch transition. It weighs pairs with the
+particle filter's likelihood primitives only when F varies between them.
 
 D11 and D12 average the transition gradients over the one-step joint
 smoothing posterior p(x_t, x_{t+1} | y_{1:t+1}). Propagation keeps

@@ -97,7 +97,10 @@ def perf_metric(fisher: FisherState, belief: GaussianBelief) -> PerfMetric:
 
 
 def _ordered(metrics: Mapping[FilterId, PerfMetric]):
-    return [metrics[f] for f in FILTER_ORDER if f in metrics]
+    ranked = [metrics[f] for f in FILTER_ORDER if f in metrics]
+    if not ranked:
+        raise NoFilterError("no filter produced a usable metric")
+    return ranked
 
 
 def select_average(
@@ -106,8 +109,6 @@ def select_average(
 ) -> SwitchDecision:
     """Whole-state winner: the filter with the largest phi trace."""
     ranked = _ordered(metrics)
-    if not ranked:
-        raise NoFilterError("no filter produced a usable metric")
     best = ranked[0]
     for m in ranked[1:]:
         if m.trace > best.trace:  # strict: ties keep the earlier filter
@@ -131,8 +132,6 @@ def select_best(
     diagonal; cross-covariances between filters are unknown and left zero.
     """
     ranked = _ordered(metrics)
-    if not ranked:
-        raise NoFilterError("no filter produced a usable metric")
     s = ranked[0].phi.shape[0]
     estimate = np.empty(s)
     variances = np.empty(s)
@@ -231,11 +230,18 @@ def run_adaptive_estimation(observations, exogenous, model, settings: Estimation
 
     x0 = np.asarray(settings.x0, dtype=float)
     p0 = symmetrize(np.asarray(settings.p0, dtype=float))
-    shared = GaussianBelief(x0, p0)
-    chains = {f: shared for f in settings.filters}
+    initial = GaussianBelief(x0, p0)
+    priors = dict.fromkeys(settings.filters, initial)  # each filter's prior for the next step
     fisher = {f: FisherState.initial(p0, f) for f in settings.filters}
     pf_cloud = None
-    prev_decision: SwitchDecision | None = None
+    # what a step with no usable filter carries forward: the previous
+    # decision, or at the first step this stand-in built from the initial belief
+    decision = SwitchDecision(
+        mode=settings.mode,
+        chosen=(settings.filters[0],) * (1 if settings.mode == "average" else x0.size),
+        estimate=initial.mean.copy(),
+        cov=initial.cov.copy(),
+    )
     records: list[BacktestRecord] = []
     n_steps = len(observations)
 
@@ -243,7 +249,7 @@ def run_adaptive_estimation(observations, exogenous, model, settings: Estimation
         fallbacks = []
         beliefs = {}
         for fid in settings.filters:
-            prior = chains[fid] if settings.independent_chains else shared
+            prior = priors[fid]
             cloud = pf_cloud if (settings.independent_chains and fid is FilterId.PF) else None
             try:
                 belief, new_cloud = _filter_update(fid, prior, cloud, obs, ex, model, settings, t)
@@ -275,17 +281,7 @@ def run_adaptive_estimation(observations, exogenous, model, settings: Estimation
                 decision = select_best(metrics, beliefs)
         except NoFilterError:
             logger.warning("no usable filter at t=%d; carrying previous decision forward", t)
-            fallbacks.append((DECISION_CARRIED, None))
-            if prev_decision is not None:
-                decision = prev_decision
-            else:
-                fallback = settings.filters[0]
-                decision = SwitchDecision(
-                    mode=settings.mode,
-                    chosen=(fallback,) * (1 if settings.mode == "average" else x0.size),
-                    estimate=shared.mean.copy(),
-                    cov=shared.cov.copy(),
-                )
+            fallbacks.append((DECISION_CARRIED, None))  # ``decision`` is still the previous one
 
         fisher_diags = {
             fid: (fisher[fid].j.diagonal().copy(), fisher[fid].j_inv.diagonal().copy())
@@ -307,12 +303,12 @@ def run_adaptive_estimation(observations, exogenous, model, settings: Estimation
                     )
                     fallbacks.append((BOUND_CARRIED, fid))
 
-        shared = GaussianBelief(decision.estimate.copy(), decision.cov.copy())
         if settings.independent_chains:
-            chains = beliefs
+            priors = beliefs
         else:
-            chains = {f: shared for f in settings.filters}
-        prev_decision = decision
+            priors = dict.fromkeys(
+                settings.filters, GaussianBelief(decision.estimate.copy(), decision.cov.copy())
+            )
 
         records.append(
             BacktestRecord(

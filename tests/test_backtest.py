@@ -35,7 +35,7 @@ from volswitch.exceptions import (
     ContractExpiredError,
     InvalidInputError,
 )
-from volswitch.experiments import SYNTHETIC_CONFIG
+from volswitch.experiments import SYNTHETIC_CONFIG, run_synthetic_comparison
 from volswitch.filters import FILTER_ORDER, FilterId
 from volswitch.marketdata import (
     ContractSeries,
@@ -192,6 +192,14 @@ def test_strategy_bank_mapping():
     assert strategy_bank("AAF") == ("average", FILTER_ORDER)
     assert strategy_bank("ABF") == ("best", FILTER_ORDER)
     assert strategy_bank("UKF") == ("average", (FilterId.UKF,))
+
+
+def test_unknown_strategy_is_an_input_error_everywhere():
+    # strategy_bank owns the check, so every caller gets the same error
+    with pytest.raises(InvalidInputError, match="unknown strategy 'XYZ'"):
+        strategy_bank("XYZ")
+    with pytest.raises(InvalidInputError, match="unknown strategy"):
+        run_synthetic_comparison(0, n_steps=5, strategies=("xyz",))
 
 
 def make_record(t, mode, chosen):

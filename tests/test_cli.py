@@ -98,6 +98,18 @@ def test_strike_without_expiry_rejected(workdir, capsys):
         assert "--strike and --expiry must be given together" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line", ["p0.v = -1e-8", "filters.ukf.kappa = -3", "v0 = nan"])
+def test_backtest_rejects_a_bad_config_value_at_its_line(workdir, capsys, line):
+    # each of these used to load and then fail or fall back mid-run
+    tmp, cfg, chain = workdir
+    cfg.write_text(CONFIG_TEXT + line + "\n")
+    n_line = len(CONFIG_TEXT.splitlines()) + 1
+    assert run(["backtest", "--chain", chain, "--config", cfg, "--out-dir", tmp / "r"]) == 1
+    key = line.split("=")[0].strip()
+    assert capsys.readouterr().err.startswith(f"error: {cfg}:{n_line}: '{key}' ")
+    assert not (tmp / "r").exists()
+
+
 def test_missing_chain_file(workdir, capsys):
     tmp, cfg, chain = workdir
     assert run(["backtest", "--chain", tmp / "absent.csv"]) == 1
@@ -322,6 +334,34 @@ def test_vol_report_rejects_non_decision_log(workdir, capsys):
     other.write_text("x,y\n1,2\n")
     assert run(["vol-report", "--records", other]) == 1
     assert "not a decision log" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("column, bad", [("t", "1.5"), ("est_v", "high"), ("est_v", "nan")])
+def test_vol_report_names_the_line_of_a_bad_decision_log_cell(workdir, capsys, column, bad):
+    tmp, cfg, chain = workdir
+    out = tmp / "reports"
+    assert run(["backtest", "--chain", chain, "--config", cfg, "--strategy", "EKF", "--out-dir", out]) == 0
+    lines = (out / "decision_log.csv").read_text().splitlines()
+    cells = lines[3].split(",")
+    cells[lines[0].split(",").index(column)] = bad
+    lines[3] = ",".join(cells)
+    log = tmp / "decision_log.csv"
+    log.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert run(["vol-report", "--records", log, "--out-dir", tmp / "vol"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {log}: line 4: ")
+    assert "Traceback" not in err
+
+
+def test_decision_log_not_utf8_is_reported_with_the_file(workdir, capsys):
+    tmp, cfg, chain = workdir
+    out = tmp / "reports"
+    assert run(["backtest", "--chain", chain, "--config", cfg, "--strategy", "EKF", "--out-dir", out]) == 0
+    bad = not_utf8(tmp / "bad_log.csv", (out / "decision_log.csv").read_text())
+    capsys.readouterr()
+    assert run(["vol-report", "--records", bad, "--out-dir", tmp / "vol"]) == 1
+    assert_format_error_names(bad, capsys)
 
 
 def test_vol_report_reads_each_comparison_file_once(workdir, monkeypatch):

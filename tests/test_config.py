@@ -130,6 +130,17 @@ def test_load_config_missing_file_and_fragment_round_trip(tmp_path):
         "noise.r = inf",
         "risk_transition = diagonal",
         "dt = 0",
+        "p0.v = -1e-8",
+        "p0.v = inf",
+        "p0.r = 0",
+        "v0 = nan",
+        "v0 = 0",
+        "r0 = nan",
+        "r0 = -inf",
+        "filters.ukf.beta = nan",
+        "filters.ukf.kappa = -3",
+        "filters.ukf.kappa = -2",
+        "filters.ukf.kappa = inf",
     ],
 )
 def test_invalid_value_is_rejected_at_its_line(line):
@@ -152,9 +163,13 @@ def test_nonstationary_garch_is_rejected_at_its_last_line():
 def test_boundary_values_are_accepted():
     cfg = config_from_text(
         "filters.n_particles = 2\npcrlb.n_particles = 2\n"
-        "filters.ess_threshold = 1\nfilters.ukf.alpha = 1e-6\nswitch.independent_chains = true"
+        "filters.ess_threshold = 1\nfilters.ukf.alpha = 1e-6\nswitch.independent_chains = true\n"
+        "v0 = 1e-12\nr0 = -0.05\np0.v = 1e-20\np0.r = 1e-20\n"
+        "filters.ukf.beta = -1\nfilters.ukf.kappa = -1.99"
     )
     assert (cfg.pf_particles, cfg.pcrlb_particles, cfg.ess_threshold) == (2, 2, 1.0)
+    assert (cfg.v0, cfg.r0, cfg.p0_v, cfg.p0_r) == (1e-12, -0.05, 1e-20, 1e-20)
+    assert (cfg.ukf_beta, cfg.ukf_kappa) == (-1.0, -1.99)
 
 
 def test_ess_threshold_without_independent_chains_is_rejected_at_its_line():

@@ -107,9 +107,9 @@ def test_systematic_resample_is_sorted_and_seed_deterministic():
     assert np.all(np.diff(a) >= 0)
 
 
-def test_systematic_resample_size_override_and_point_mass():
-    idx = systematic_resample(np.array([0.0, 1.0, 0.0]), np.random.default_rng(0), size=7)
-    assert idx.shape == (7,)
+def test_systematic_resample_point_mass():
+    idx = systematic_resample(np.array([0.0, 1.0, 0.0]), np.random.default_rng(0))
+    assert idx.shape == (3,)
     assert np.all(idx == 1)
 
 
@@ -121,12 +121,22 @@ def test_systematic_resample_input_validation():
         systematic_resample(np.array([0.5, -0.1, 0.6]), rng)
     with pytest.raises(InvalidInputError):
         systematic_resample(np.array([0.5, 0.6]), rng)  # not normalized
-    with pytest.raises(InvalidInputError):
-        systematic_resample(np.array([0.5, 0.5]), rng, size=0)
     # each check is one reduction: min() must catch NaN and -inf, the sum +inf
     for bad in (np.nan, np.inf, -np.inf, -0.25):
         with pytest.raises(InvalidInputError, match="finite and non-negative|normalized"):
             systematic_resample(np.array([0.25, 0.25, 0.5, bad]), rng)
+
+
+def test_cloud_and_resample_share_one_weight_check():
+    rng = np.random.default_rng(0)
+    for bad in (np.array([0.5, 0.6]), np.array([0.5, -0.5]), np.array([])):
+        with pytest.raises(InvalidInputError) as from_cloud:
+            ParticleCloud(np.zeros((bad.size, 2)), bad)
+        with pytest.raises(InvalidInputError) as from_resample:
+            systematic_resample(bad, rng)
+        assert str(from_cloud.value) == str(from_resample.value)
+    with pytest.raises(InvalidInputError, match="normalized.*sum to one"):
+        systematic_resample(np.array([0.5, 0.6]), rng)
 
 
 def test_effective_sample_size_limits():

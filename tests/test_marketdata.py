@@ -162,6 +162,24 @@ def test_write_chain_round_trips_exactly(tmp_path):
     assert list(loaded) == quotes
 
 
+def test_write_chain_round_trips_numpy_scalar_fields(tmp_path):
+    # numpy 2 reprs a float64 as np.float64(...), which load_chain cannot parse
+    plain = quote("2019-01-02", close=100.123456789, price=5.07 / 3.0, volume=17.0)
+    scalars = dataclasses.replace(
+        plain,
+        strike=np.float64(plain.strike),
+        price=np.float64(plain.price),
+        volume=np.float32(plain.volume),
+        underlying_close=np.float64(plain.underlying_close),
+        implied_vol=np.float64(0.21),
+    )
+    path = tmp_path / "out.csv"
+    write_chain(path, [scalars])
+    loaded, rejects = load_chain(path)
+    assert not rejects
+    assert list(loaded) == [dataclasses.replace(plain, implied_vol=0.21)]
+
+
 def test_blank_lines_are_skipped_and_rejects_carry_their_file_line(tmp_path):
     path = tmp_path / "chain.csv"
     path.write_text(
