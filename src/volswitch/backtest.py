@@ -28,7 +28,7 @@ from .calibrate import GarchFit, fit_garch, log_returns
 from .config import RunConfig
 from .exceptions import ContractExpiredError, FormatError, InsufficientDataError, InvalidInputError
 from .filters import FILTER_ORDER, FilterId
-from .marketdata import ContractSeries, load_value_series, read_csv_rows, write_csv
+from .marketdata import ContractSeries, _parse_date, load_value_series, read_csv_rows, write_csv
 from .switching import run_adaptive_estimation
 
 logger = logging.getLogger(__name__)
@@ -325,12 +325,14 @@ def vol_points_from_decision_log(path) -> list:
     for line, row in rows[1:]:
         try:
             t, date, v = (row[c] for c in columns)
+            if date:
+                _parse_date(date)  # the chain's date format; the text is kept as written
             point = (int(t), date or None, float(v))
         except (IndexError, ValueError):
             point = None
         # a run's estimates are finite, so a non-finite est_v is a damaged log
         if point is None or not math.isfinite(point[2]):
-            raise FormatError(f"{path}: line {line}: short row, or bad t or est_v, in {row!r}")
+            raise FormatError(f"{path}: line {line}: short row, or bad t, date or est_v, in {row!r}")
         points.append(point)
     return points
 

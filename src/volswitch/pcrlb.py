@@ -7,22 +7,17 @@ The information matrix J evolves by the recursion
 where the D blocks are Monte-Carlo averages of gradient outer products.
 Particles come from the filter under evaluation: its Gaussian posterior
 seeds the cloud at t, and ``pcrlb_step`` seeds and propagates that cloud
-itself, through the model's batch transition. It weighs pairs with the
-particle filter's likelihood primitives only when F varies between them.
+itself, through the model's batch transition.
 
-D11 and D12 average the transition gradients over the one-step joint
-smoothing posterior p(x_t, x_{t+1} | y_{1:t+1}). Propagation keeps
-particle indices, so each predicted particle is paired with its own
-ancestor and the pair carries the likelihood weight of the next
-observation (the ancestral-path smoother, Doucet & Johansen 2009).
-When every pair has the same transition Jacobian F, the weights, which
-sum to one, drop out of both averages: D11 = F'Q^{-1}F and
-D12 = -F'Q^{-1} come from that one Jacobian, and the step evaluates no
-likelihood. The shipped models are this case (``BsGarchModel`` in both
-risk-transition modes, a linear model); it is read off the Jacobian at
-every step, never declared by a model: by value, or for a broadcast
-view (zero first stride) at no cost. D11 and D12 are kept read-only on
-the model with their F, and recomputed when a step's F differs.
+The bound step needs one transition Jacobian F shared by every particle
+of a step. D11 = F'Q^{-1}F and D12 = -F'Q^{-1} then come from that one
+Jacobian alone, and the step evaluates no likelihood. The shipped models
+are this case (``BsGarchModel`` in both risk-transition modes, a linear
+model). It is read off the Jacobian at every step, never declared by a
+model: by value, or for a broadcast view (zero first stride) at no cost;
+a Jacobian that differs between particles is rejected. D11 and D12 are
+kept read-only on the model with their F, and recomputed when a step's F
+differs.
 
 D22 averages the measurement gradients over the predicted cloud with
 uniform weights, i.e. under the predictive density of x_{t+1}; it is not
@@ -33,13 +28,13 @@ average.
 A bank of filters shares one pass per step (``pcrlb_step``). The
 posteriors are factored as one stack, then each filter draws its seed
 and its propagation noise from its own rng; projection, transition, the
-Jacobians and the D blocks run once on the stacked clouds. Each D block
-is one weighted Gram product per filter (D11 and D12 one for the whole
-bank when F is constant), not a stack of per-particle matrix products.
-The information step advances every J as one (B, s, s) stack, with one
-eigenvalue solve, inverse or Cholesky per stack in the common case
-(``linalg``). A failure in a filter's factorisation, pair weights, D
-blocks or information step stops that filter's update alone.
+Jacobians and the D blocks run once on the stacked clouds. D22 is one
+weighted Gram product per filter, not a stack of per-particle matrix
+products; D11 and D12 are one for the whole bank. The information step
+advances every J as one (B, s, s) stack, with one eigenvalue solve,
+inverse or Cholesky per stack in the common case (``linalg``). A failure
+in a filter's factorisation, D blocks or information step stops that
+filter's update alone.
 
 Q^{-1} and R^{-1} are constant, so each model inverts them once
 (``StateSpaceModel.noise_precisions``) and every step reuses them.
@@ -60,13 +55,7 @@ from .exceptions import (
     NumericalFailureError,
     SingularityError,
 )
-from .filters import (
-    FilterId,
-    GaussianBelief,
-    ParticleCloud,
-    likelihood_logweights,
-    normalize_logweights,
-)
+from .filters import FilterId, GaussianBelief, ParticleCloud
 from .linalg import floor_psd, regularized_inverse, safe_cholesky, symmetrize
 
 logger = logging.getLogger(__name__)
@@ -136,7 +125,7 @@ def _weighted_gram(jac: np.ndarray, precision: np.ndarray, weights: np.ndarray):
 
 
 def _constant_transition_blocks(f: np.ndarray, model):
-    """(1, s, s) D11 and D12 for a Jacobian ``f`` shared by every pair, kept on the model until F changes."""
+    """(1, s, s) D11 and D12 for a Jacobian ``f`` shared by every particle, kept on the model until F changes."""
     kept = getattr(model, "_transition_blocks", None)
     if kept is None or kept[0].tobytes() != f.tobytes():
         d11, fq = _weighted_gram(f[None, None], model.noise_precisions()[0], np.ones((1, 1)))
@@ -154,20 +143,6 @@ def _d_triple(d11: np.ndarray, d12: np.ndarray, h_jac: np.ndarray, model) -> DTr
     hrh, _ = _weighted_gram(h_jac, r_inv, np.full((bsz, n_pred), 1.0 / n_pred))
     d22 = symmetrize(q_inv + hrh)
     return DTriple(*(np.broadcast_to(m, d22.shape) for m in (d11, d12)), d22)
-
-
-def d_matrices(f_jac: np.ndarray, weights: np.ndarray, h_jac: np.ndarray, model) -> DTriple:
-    """Monte-Carlo D blocks for one recursion step of each filter in a bank.
-
-    ``f_jac`` (B, n, s, s) holds the transition Jacobians at the ancestors of
-    the pairs and ``weights`` (B, n) the pair weights, each row summing to
-    one; B = 1 serves every filter with the same pairs. ``h_jac`` (B, n', m, s)
-    holds the measurement Jacobians over each filter's predicted cloud,
-    averaged with uniform weights. Returns the blocks as (B', s, s) stacks,
-    one slot per filter of ``h_jac``.
-    """
-    d11, fq = _weighted_gram(f_jac, model.noise_precisions()[0], weights)
-    return _d_triple(symmetrize(d11), -fq, h_jac, model)
 
 
 def _information_step(j: np.ndarray, d: DTriple):
@@ -211,17 +186,18 @@ def _information_step(j: np.ndarray, d: DTriple):
     return j_next, j_inv, errors
 
 
-def pcrlb_step(prevs, beliefs, next_obs, ex_next, model, n: int, rngs) -> list:
+def pcrlb_step(prevs, beliefs, ex_next, model, n: int, rngs) -> list:
     """One bound update for every filter of a bank, in one pass.
 
     Filter k seeds n particles from ``beliefs[k]`` and propagates them
-    with draws from ``rngs[k]``, in that order. Each (ancestor, child)
-    pair is weighted against the next observation unless every pair has
-    the same transition Jacobian; D22 is averaged over the predicted
-    cloud with its uniform weights. Then each J advances.
+    with draws from ``rngs[k]``, in that order. D11 and D12 come from the
+    one transition Jacobian shared by every particle; D22 is averaged over
+    the predicted cloud with its uniform weights. Then each J advances.
 
     Returns, per filter in order, its new ``FisherState``, or the
     recoverable error that stopped its update (its J stays as it was).
+    Raises ``InvalidInputError`` when the transition Jacobian differs
+    between particles.
     """
     if n < 2:
         raise InvalidInputError("need at least 2 particles")
@@ -238,29 +214,18 @@ def pcrlb_step(prevs, beliefs, next_obs, ex_next, model, n: int, rngs) -> list:
     bsz, s = len(live), seeds[0].shape[1]
     x_prev = model.project_batch(np.concatenate(seeds))
     noise = (np.stack(draws) @ model.process_noise_factor().T).reshape(bsz * n, s)
-    # the transition keeps row order, so x_next[i] is the child of x_prev[i]
     x_next = model.project_batch(model.transition_batch(x_prev, ex_next, noise))
 
     f_jac = model.transition_jacobian_batch(x_prev, ex_next)
+    # a zero first stride makes every row the same memory, as in a broadcast F;
+    # a non-finite F in every row fails in the information step, as a view's does
+    shared = np.broadcast_to(f_jac[0], f_jac.shape)
+    if not (f_jac.strides[0] == 0 or np.array_equal(f_jac, shared, equal_nan=True)):
+        raise InvalidInputError("the bound step needs one transition Jacobian shared by every particle")
     h_jac = model.measurement_jacobian_batch(x_next, ex_next).reshape(bsz, n, -1, s)
-    # a zero first stride makes every row the same memory, as in a broadcast F
-    if f_jac.strides[0] == 0 or (f_jac == f_jac[0]).all():
-        # every pair has the same F, so weights summing to one drop out of
-        # D11 and D12, and that F alone fixes them for the whole bank
-        d = _d_triple(*_constant_transition_blocks(f_jac[0], model), h_jac, model)
-    else:
-        # the seeded clouds are uniform, so the likelihood alone weights each pair
-        loglik = likelihood_logweights(x_next, next_obs, ex_next, model).reshape(bsz, n)
-        weights = np.zeros((bsz, n))
-        for row, k in enumerate(live):
-            try:
-                weights[row] = normalize_logweights(loglik[row])
-            except NumericalFailureError as e:
-                out[k] = e  # its all-zero row's D blocks go unused
-        d = d_matrices(f_jac.reshape(bsz, n, s, s), weights, h_jac, model)
+    d = _d_triple(*_constant_transition_blocks(f_jac[0], model), h_jac, model)
 
     j_next, j_inv, errors = _information_step(_stack([prevs[k].j for k in live]), d)
     for row, k in enumerate(live):
-        if out[k] is None:
-            out[k] = errors[row] or FisherState(j=j_next[row], j_inv=j_inv[row], filter=prevs[k].filter)
+        out[k] = errors[row] or FisherState(j=j_next[row], j_inv=j_inv[row], filter=prevs[k].filter)
     return out

@@ -292,7 +292,7 @@ def run_adaptive_estimation(observations, exogenous, model, settings: Estimation
             rngs = [substream(settings.seed, _FILTER_INDEX[f], t, _STREAM_BOUND) for f in settings.filters]
             steps = pcrlb_step(
                 [fisher[f] for f in settings.filters], [beliefs[f] for f in settings.filters],
-                observations[t + 1], exogenous[t + 1], model, settings.pcrlb_particles, rngs,
+                exogenous[t + 1], model, settings.pcrlb_particles, rngs,
             )
             for fid, step in zip(settings.filters, steps):
                 if isinstance(step, FisherState):

@@ -186,26 +186,6 @@ def quadratic_measurement_information(a, c, b, q, r, p0, beliefs):
     return out
 
 
-def mixture_smoothing_weights(x_next, means, q):
-    """Normalized W_i = N(x_next_i; means_i, Q) / sum_m N(x_next_i; means_m, Q).
-
-    The importance correction that pairs x_next[i] with the ancestor whose
-    transition mean is means[i], when each x_next[i] was drawn from the
-    equal-weight mixture over all ancestors independently of its index.
-    Builds the full n x n log-density matrix; meant for a few hundred rows.
-    """
-    x_next = np.asarray(x_next, dtype=float)
-    means = np.asarray(means, dtype=float)
-    qi = np.linalg.inv(q)
-    dev = x_next[:, None, :] - means[None, :, :]
-    logd = -0.5 * np.einsum("nmi,ij,nmj->nm", dev, qi, dev)  # shared constants cancel
-    top = logd.max(axis=1, keepdims=True)
-    log_mix = top[:, 0] + np.log(np.exp(logd - top).sum(axis=1))
-    logw = np.diagonal(logd) - log_mix
-    w = np.exp(logw - logw.max())
-    return w / w.sum()
-
-
 CHAIN_COLUMNS = (
     "quote_date", "expiry_date", "strike", "side", "bid", "ask", "last", "volume",
     "underlying_close", "implied_vol",

@@ -196,7 +196,7 @@ def _bound_trace_errors(seed: int, n: int, n_steps: int) -> list[float]:
     bound_rng = np.random.default_rng(10_000 * seed + n)
     errs = []
     for t in range(n_steps):
-        (fisher,) = pcrlb_step([fisher], [prior], ys[t], None, model, n, [bound_rng])
+        (fisher,) = pcrlb_step([fisher], [prior], None, model, n, [bound_rng])
         tr_p = float(np.trace(covs[t]))
         errs.append(abs(float(np.trace(fisher.j_inv)) - tr_p) / tr_p)
         prior = GaussianBelief(means[t], covs[t])
@@ -243,7 +243,7 @@ def _quadratic_bound_error(seed: int, n: int, n_steps: int) -> float:
     bound_rng = np.random.default_rng(10_000 * seed + n)
     errs = []
     for t, (mean, cov) in enumerate(beliefs):
-        (fisher,) = pcrlb_step([fisher], [GaussianBelief(mean, cov)], ys[t], None, model, n, [bound_rng])
+        (fisher,) = pcrlb_step([fisher], [GaussianBelief(mean, cov)], None, model, n, [bound_rng])
         tr_exact = float(np.trace(np.linalg.inv(exact[t])))
         errs.append(abs(float(np.trace(fisher.j_inv)) - tr_exact) / tr_exact)
     return float(np.mean(errs))

@@ -430,6 +430,13 @@ def test_decision_log_round_trips_volatility_points(tmp_path):
     assert from_log == from_records  # repr round-trip keeps floats exact
 
 
+def test_vol_points_load_an_empty_date_as_none(tmp_path):
+    # a bad date is a FormatError (the vol-report CLI test); an empty one means no date
+    path = tmp_path / "decision_log.csv"
+    path.write_text("t,date,est_v\n0,,1e-4\n1,2019-01-03,2e-4\n")
+    assert vol_points_from_decision_log(path) == [(0, None, 1e-4), (1, "2019-01-03", 2e-4)]
+
+
 def test_vol_points_rejects_foreign_csv(tmp_path):
     path = tmp_path / "other.csv"
     path.write_text("a,b\n1,2\n")

@@ -336,7 +336,7 @@ def test_vol_report_rejects_non_decision_log(workdir, capsys):
     assert "not a decision log" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("column, bad", [("t", "1.5"), ("est_v", "high"), ("est_v", "nan")])
+@pytest.mark.parametrize("column, bad", [("t", "1.5"), ("est_v", "high"), ("est_v", "nan"), ("date", "2019-13-45")])
 def test_vol_report_names_the_line_of_a_bad_decision_log_cell(workdir, capsys, column, bad):
     tmp, cfg, chain = workdir
     out = tmp / "reports"

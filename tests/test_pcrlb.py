@@ -2,28 +2,14 @@ import logging
 
 import numpy as np
 import pytest
-from scipy.stats import multivariate_normal
 
 import oracles
 from volswitch.bsgarch import BsGarchModel, V_FLOOR
 from volswitch.exceptions import CovarianceError, InvalidInputError, NumericalFailureError, SingularityError
-from volswitch.filters import (
-    FilterId,
-    GaussianBelief,
-    likelihood_logweights,
-    normalize_logweights,
-    propagate_cloud,
-    systematic_resample,
-)
+from volswitch.filters import FilterId, GaussianBelief, propagate_cloud
 from volswitch import pcrlb
 from volswitch.linalg import COND_LIMIT, regularized_inverse, symmetrize
-from volswitch.pcrlb import (
-    DTriple,
-    FisherState,
-    d_matrices,
-    pcrlb_step,
-    seed_particles,
-)
+from volswitch.pcrlb import DTriple, FisherState, pcrlb_step, seed_particles
 from models import LinearGaussianModel
 
 A = np.array([[0.85, 0.05], [0.0, 0.9]])
@@ -187,33 +173,6 @@ def test_exact_recursion_reproduces_kalman_covariance_on_linear_model():
 
 
 # ---------------------------------------------------------------------------
-# smoothing weights
-
-
-def brute_force_smoothing_weights(x_prev, x_next, ex, model):
-    n = x_prev.shape[0]
-    means = model.transition_batch(x_prev, ex)
-    q = model.process_cov()
-    dens = np.empty((n, n))
-    for i in range(n):
-        for m in range(n):
-            dens[i, m] = multivariate_normal(mean=means[m], cov=q).pdf(x_next[i])
-    w = np.array([dens[i, i] / dens[i].sum() for i in range(n)])
-    return w / w.sum()
-
-
-def test_joint_smoothing_weights_match_brute_force():
-    rng = np.random.default_rng(8)
-    x_prev = rng.standard_normal((6, 2))
-    x_next = rng.standard_normal((6, 2)) * 0.3
-    model = linear_model()
-    w = oracles.mixture_smoothing_weights(x_next, model.transition_batch(x_prev, None), Q)
-    expect = brute_force_smoothing_weights(x_prev, x_next, None, model)
-    np.testing.assert_allclose(w, expect, atol=1e-12)
-    assert w.sum() == pytest.approx(1.0, abs=1e-12)
-
-
-# ---------------------------------------------------------------------------
 # D blocks
 
 
@@ -228,44 +187,22 @@ def bank_of_one(d):
     return DTriple(d11, d12, d22)
 
 
+def d_blocks(model, f_jac, h_jac):
+    """The bound step's D blocks for a bank of one, from the first row's transition Jacobian."""
+    return bank_of_one(pcrlb._d_triple(*pcrlb._constant_transition_blocks(f_jac[0, 0], model), h_jac, model))
+
+
 def test_d_matrices_are_exact_for_constant_jacobians():
     rng = np.random.default_rng(12)
     x_prev = rng.standard_normal((30, 2))
     x_next = rng.standard_normal((30, 2))
-    f_jac, h_jac = jacobians(linear_model(), x_prev, x_next)
-    d = bank_of_one(d_matrices(f_jac, np.full((1, 30), 1.0 / 30), h_jac, linear_model()))
+    model = linear_model()
+    f_jac, h_jac = jacobians(model, x_prev, x_next)
+    d = d_blocks(model, f_jac, h_jac)
     e11, e12, e22 = oracles.exact_linear_dtriple(A, C, Q, R)
     np.testing.assert_allclose(d.d11, e11, atol=1e-12)
     np.testing.assert_allclose(d.d12, e12, atol=1e-12)
     np.testing.assert_allclose(d.d22, e22, atol=1e-12)
-
-
-def test_d_matrices_respect_weights():
-    # put all smoothing mass on one particle of a state-dependent model and
-    # the transition blocks must match that particle's Jacobian alone
-    from volswitch.bsgarch import ContractSpec, GarchParams, ModelSpec, NoiseSpec
-
-    spec = ModelSpec(
-        garch=GarchParams(omega=1e-5, alpha=0.05, beta=0.9),
-        contract=ContractSpec(strike=100.0, expiry_step=252),
-        noise=NoiseSpec(q=np.diag([1e-9, 1e-7]), r=0.25),
-        dt=1.0 / 252.0,
-    )
-    model = BsGarchModel(spec)
-    from volswitch.bsgarch import ExogenousInputs
-
-    ex = ExogenousInputs(s=100.0, u=0.0, tau=0.5)
-    states = np.array([[2e-4, 0.03], [5e-4, 0.01], [1e-4, 0.08]])
-    w = np.array([0.0, 1.0, 0.0])
-    f_jac, _ = jacobians(model, states, states, ex)
-    d = bank_of_one(d_matrices(f_jac, w[None], model.measurement_jacobian_batch(states[1:2], ex)[None], model))
-
-    q_inv = np.linalg.inv(spec.noise.q)
-    f = model.transition_jacobian(states[1], ex)
-    h = model.measurement_jacobian_batch(states[1:2], ex)[0]
-    np.testing.assert_allclose(d.d11, f.T @ q_inv @ f, rtol=1e-12)
-    np.testing.assert_allclose(d.d12, -(f.T @ q_inv), rtol=1e-12)
-    np.testing.assert_allclose(d.d22, q_inv + h.T @ h / spec.noise.r, rtol=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -319,17 +256,17 @@ def test_pcrlb_step_tracks_kalman_covariance_on_linear_model():
     model = linear_model()
     fs = FisherState.initial(P0)
     bound_rng = np.random.default_rng(99)
-    for t, y in enumerate(ys):
+    for t in range(len(ys)):
         belief = GaussianBelief(means[t - 1] if t else np.zeros(2), covs[t - 1] if t else P0)
-        (fs,) = pcrlb_step([fs], [belief], y, None, model, 100, [bound_rng])
+        (fs,) = pcrlb_step([fs], [belief], None, model, 100, [bound_rng])
         np.testing.assert_allclose(fs.j_inv, covs[t], atol=1e-8)
 
 
 class QuadraticTransitionModel(LinearGaussianModel):
     """x'_0 = (A x)_0 + k x_0^2 + w_0, linear otherwise: the transition Jacobian depends on the state."""
 
-    def __init__(self, a, c, q, r, k):
-        super().__init__(a, c, q, r)
+    def __init__(self, k=0.4):
+        super().__init__(A, C, Q, R)
         self.k = k
 
     def transition_batch(self, states, ex, noise=None):
@@ -377,42 +314,25 @@ def test_d_matrices_match_a_per_particle_loop():
     from volswitch.bsgarch import ExogenousInputs
 
     rng = np.random.default_rng(21)
-    quadratic = QuadraticTransitionModel(
-        np.array([[0.8, 0.1], [0.0, 0.75]]), np.array([[1.0, 0.5]]),
-        np.diag([0.08, 0.06]), np.array([[1.0]]), k=0.4,
-    )
-    states = rng.standard_normal((2, 40, 2))
     # BS/GARCH states: variance around 2e-4 per step, rate around 3%
-    bs_states = np.abs(states) * np.array([2e-4, 0.03])
-    bs_ex = ExogenousInputs(s=100.0, u=0.01, tau=0.5)
-    cases = [
-        (quadratic, states, None),
-        (bsgarch_model("random-walk"), bs_states, bs_ex),
-        (bsgarch_model("literal"), bs_states, bs_ex),
-    ]
-    for model, (x_prev, x_next), ex in cases:
-        w = rng.random(40)
-        w /= w.sum()
+    x_prev, x_next = np.abs(rng.standard_normal((2, 40, 2))) * np.array([2e-4, 0.03])
+    ex = ExogenousInputs(s=100.0, u=0.01, tau=0.5)
+    for model in (bsgarch_model("random-walk"), bsgarch_model("literal")):
         f_jac, h_jac = jacobians(model, x_prev, x_next, ex)
-        d = bank_of_one(d_matrices(f_jac, w[None], h_jac, model))
+        d = d_blocks(model, f_jac, h_jac)
 
         q_inv, r_inv = (np.linalg.inv(m) for m in (model.process_cov(), model.measurement_cov()))
         d11, d12, d22 = np.zeros((2, 2)), np.zeros((2, 2)), q_inv.copy()
-        for wi, x in zip(w, x_prev):
+        for x in x_prev:
             f = model.transition_jacobian(x, ex)
-            d11 += wi * f.T @ q_inv @ f
-            d12 -= wi * f.T @ q_inv
+            d11 += f.T @ q_inv @ f / len(x_prev)
+            d12 -= f.T @ q_inv / len(x_prev)
         for x in x_next:
             h = model.measurement_jacobian(x, ex)
             d22 += h.T @ r_inv @ h / len(x_next)
         np.testing.assert_allclose(d.d11, d11, rtol=1e-12)
         np.testing.assert_allclose(d.d12, d12, rtol=1e-12)
         np.testing.assert_allclose(d.d22, d22, rtol=1e-12)
-        if model is not quadratic:
-            # a constant Jacobian: one pair of weight one gives the same blocks
-            one = bank_of_one(d_matrices(f_jac[:, :1], np.ones((1, 1)), h_jac, model))
-            np.testing.assert_allclose(one.d11, d11, rtol=1e-12)
-            np.testing.assert_allclose(one.d12, d12, rtol=1e-12)
 
 
 def test_noise_precisions_are_inverted_once_and_kept():
@@ -426,102 +346,37 @@ def test_noise_precisions_are_inverted_once_and_kept():
     assert not q_inv.flags.writeable and not r_inv.flags.writeable
 
 
-def test_pcrlb_step_transition_blocks_are_unbiased(monkeypatch):
-    # Reference: the mixture-corrected smoother applied to resampled x_{t+1}
-    # shuffled out of index order, so they are independent of their
-    # index-matched x_t as the mixture correction requires. Sorted resampled
-    # indices keep most x_{t+1} next to their own ancestor, which biases
-    # that smoother whenever D11/D12 depend on the particles.
-    model = QuadraticTransitionModel(
-        np.array([[0.8, 0.1], [0.0, 0.75]]), np.array([[1.0, 0.5]]),
-        np.diag([0.08, 0.06]), np.array([[1.0]]), k=0.4,
-    )
-    belief = GaussianBelief(np.zeros(2), np.diag([0.5, 0.5]))
-    y = np.array([0.0])
-    n, runs = 250, 128
-
-    captured = []
-
-    def capture(*args):
-        blocks = d_matrices(*args)
-        captured.append(blocks)
-        return blocks
-
-    monkeypatch.setattr(pcrlb, "d_matrices", capture)
-    for k in range(runs):
-        pcrlb_step([FisherState.initial(belief.cov)], [belief], y, None, model, n, [np.random.default_rng(k)])
-    monkeypatch.undo()
-
-    reference = []
-    for k in range(runs):
-        rng = np.random.default_rng(1000 + k)
-        filtered_t = seed_particles(belief, n, rng, model)
-        predicted = propagate_cloud(filtered_t, None, model, rng)
-        w = normalize_logweights(likelihood_logweights(predicted.particles, y, None, model))
-        idx = rng.permutation(systematic_resample(w, rng))
-        x_next = predicted.particles[idx]
-        means = model.transition_batch(filtered_t.particles, None)
-        ws = oracles.mixture_smoothing_weights(x_next, means, model.q)
-        f_jac, h_jac = jacobians(model, filtered_t.particles, predicted.particles)
-        reference.append(d_matrices(f_jac, ws[None], h_jac, model))
-
-    assert len(captured) == runs
-    for block in ("d11", "d12"):
-        got = np.array([getattr(d, block) for d in captured])
-        ref = np.array([getattr(d, block) for d in reference])
-        stderr = np.sqrt(got.var(axis=0, ddof=1) / runs + ref.var(axis=0, ddof=1) / runs)
-        # entries that do not depend on x_0 are constants; allow them rounding only
-        got_mean, ref_mean = got.mean(axis=0), ref.mean(axis=0)
-        tol = 4.0 * stderr + 1e-9 * np.abs(ref_mean)
-        assert np.all(np.abs(got_mean - ref_mean) <= tol), (block, got_mean, ref_mean, tol)
-
-
 def test_pcrlb_step_is_rng_deterministic():
     model = linear_model()
     belief = GaussianBelief(np.array([0.1, 0.0]), P0)
-    args = ([belief], np.array([0.4]), None, model, 64)
+    args = ([belief], None, model, 64)
     (a,) = pcrlb_step([FisherState.initial(P0)], *args, [np.random.default_rng(5)])
     (b,) = pcrlb_step([FisherState.initial(P0)], *args, [np.random.default_rng(5)])
     np.testing.assert_array_equal(a.j, b.j)
     np.testing.assert_array_equal(a.j_inv, b.j_inv)
 
 
-def test_pcrlb_step_weights_pairs_by_the_likelihood_alone(monkeypatch):
-    # the seeded cloud is uniform, so the pair weights handed to d_matrices
-    # are the normalized likelihood weights of the predicted cloud, bit for bit
-    model = QuadraticTransitionModel(
-        np.array([[0.8, 0.1], [0.0, 0.75]]), np.array([[1.0, 0.5]]),
-        np.diag([0.08, 0.06]), np.array([[1.0]]), k=0.4,
-    )
-    belief = GaussianBelief(np.array([0.2, -0.1]), np.diag([0.5, 0.3]))
-    y, n = np.array([0.7]), 300
+def test_pcrlb_step_averages_d22_over_its_predicted_cloud(monkeypatch):
+    # seeding and propagation draw from the rng in the order seed_particles
+    # and propagate_cloud do, so their cloud is the step's predicted cloud
+    from volswitch.bsgarch import ExogenousInputs
 
+    model = bsgarch_model()
+    ex = ExogenousInputs(s=100.0, u=0.01, tau=0.5)
+    belief = GaussianBelief(np.array([2e-4, 0.03]), np.diag([1e-9, 1e-5]))
+    n = 300
     captured = []
-
-    def capture(*args):
-        captured.append((args, d_matrices(*args)))
-        return captured[-1][1]
-
-    monkeypatch.setattr(pcrlb, "d_matrices", capture)
-    pcrlb_step([FisherState.initial(belief.cov)], [belief], y, None, model, n, [np.random.default_rng(31)])
-    monkeypatch.undo()
+    step = pcrlb._information_step
+    monkeypatch.setattr(pcrlb, "_information_step", lambda j, d: captured.append(d) or step(j, d))
+    pcrlb_step([FisherState.initial(belief.cov)], [belief], ex, model, n, [np.random.default_rng(31)])
 
     rng = np.random.default_rng(31)
-    filtered_t = seed_particles(belief, n, rng, model)
-    predicted = propagate_cloud(filtered_t, None, model, rng)
-    w = normalize_logweights(likelihood_logweights(predicted.particles, y, None, model))
-    assert np.ptp(w) > 0.0
-
-    assert len(captured) == 1
-    (f_jac, weights, h_jac, _), d = captured[0]
-    d = bank_of_one(d)
-    expect_f, expect_h = jacobians(model, filtered_t.particles, predicted.particles)
-    np.testing.assert_array_equal(f_jac, expect_f)
-    np.testing.assert_array_equal(weights, w[None])
-    np.testing.assert_array_equal(h_jac, expect_h)
-    # D22 averages over the predicted cloud with uniform weights
-    hrh = np.einsum("nki,kl,nlj->ij", expect_h[0], np.linalg.inv(model.r), expect_h[0]) / n
-    np.testing.assert_allclose(d.d22, np.linalg.inv(model.q) + hrh, rtol=1e-12)
+    predicted = propagate_cloud(seed_particles(belief, n, rng, model), ex, model, rng)
+    h = model.measurement_jacobian_batch(predicted.particles, ex)
+    assert np.ptp(h) > 0.0
+    hrh = np.einsum("nki,kl,nlj->ij", h, np.linalg.inv(model.measurement_cov()), h) / n
+    (d,) = captured
+    np.testing.assert_allclose(d.d22[0], np.linalg.inv(model.process_cov()) + hrh, rtol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -529,13 +384,9 @@ def test_pcrlb_step_weights_pairs_by_the_likelihood_alone(monkeypatch):
 
 
 def bank_cases():
-    """(model, three beliefs, next observation, exogenous inputs) for each kind of transition Jacobian."""
+    """(model, three beliefs, exogenous inputs) for each kind of shared transition Jacobian."""
     from volswitch.bsgarch import ExogenousInputs
 
-    quadratic = QuadraticTransitionModel(
-        np.array([[0.8, 0.1], [0.0, 0.75]]), np.array([[1.0, 0.5]]),
-        np.diag([0.08, 0.06]), np.array([[1.0]]), k=0.4,
-    )
     plain = [
         GaussianBelief(np.array([0.2, -0.1]), np.diag([0.5, 0.3])),
         GaussianBelief(np.array([-0.3, 0.4]), np.array([[0.4, 0.1], [0.1, 0.2]])),
@@ -547,12 +398,12 @@ def bank_cases():
         GaussianBelief(np.array([3e-4, 0.02]), np.array([[4e-9, 1e-8], [1e-8, 4e-5]])),
         GaussianBelief(np.array([1e-4, 0.05]), np.diag([1e-10, 1e-6])),
     ]
-    cases = [(quadratic, plain, np.array([0.7]), None), (linear_model(), plain, np.array([0.7]), None)]
-    for mode in ("random-walk", "literal"):
-        model = bsgarch_model(mode)
-        cases.append((model, bs, model.measurement(bs[0].mean, ex) + 0.1, ex))
-    cases.append((MaterialisedJacobianModel(A, C, Q, R), plain, np.array([0.7]), None))
-    return cases
+    return [
+        (linear_model(), plain, None),
+        (bsgarch_model("random-walk"), bs, ex),
+        (bsgarch_model("literal"), bs, ex),
+        (MaterialisedJacobianModel(A, C, Q, R), plain, None),
+    ]
 
 
 def bank_of_three(beliefs):
@@ -560,64 +411,80 @@ def bank_of_three(beliefs):
 
 
 def test_a_bank_step_matches_banks_of_one_bit_for_bit():
-    for model, beliefs, y, ex in bank_cases():
+    for model, beliefs, ex in bank_cases():
         prevs = bank_of_three(beliefs)
         for n in (37, 400, 1000):
-            bank = pcrlb_step(prevs, beliefs, y, ex, model, n, [np.random.default_rng(k) for k in range(3)])
+            bank = pcrlb_step(prevs, beliefs, ex, model, n, [np.random.default_rng(k) for k in range(3)])
             for k in range(3):
-                (one,) = pcrlb_step([prevs[k]], [beliefs[k]], y, ex, model, n, [np.random.default_rng(k)])
+                (one,) = pcrlb_step([prevs[k]], [beliefs[k]], ex, model, n, [np.random.default_rng(k)])
                 assert bank[k].filter is prevs[k].filter
                 np.testing.assert_array_equal(bank[k].j, one.j)
                 np.testing.assert_array_equal(bank[k].j_inv, one.j_inv)
 
 
 def test_a_failed_bound_in_a_bank_stops_only_that_filter():
-    model, beliefs, y, ex = bank_cases()[2]
+    model, beliefs, ex = bank_cases()[1]
     prevs = bank_of_three(beliefs)
     # a covariance whose eigenvalue floor overflows cannot be factored
     huge = GaussianBelief(beliefs[0].mean, np.diag([1e308, 1e308]))
     broken = FisherState(j=np.full((2, 2), np.nan), j_inv=prevs[1].j_inv, filter=prevs[1].filter)
     rngs = [np.random.default_rng(k) for k in range(3)]
     with np.errstate(over="ignore"):
-        out = pcrlb_step([prevs[0], broken, prevs[2]], [huge, *beliefs[1:]], y, ex, model, 300, rngs)
+        out = pcrlb_step([prevs[0], broken, prevs[2]], [huge, *beliefs[1:]], ex, model, 300, rngs)
     assert isinstance(out[0], CovarianceError)
     assert isinstance(out[1], SingularityError)
-    (alone,) = pcrlb_step([prevs[2]], [beliefs[2]], y, ex, model, 300, [np.random.default_rng(2)])
+    (alone,) = pcrlb_step([prevs[2]], [beliefs[2]], ex, model, 300, [np.random.default_rng(2)])
     np.testing.assert_array_equal(out[2].j, alone.j)
     np.testing.assert_array_equal(out[2].j_inv, alone.j_inv)
     # a bank of one returns its filter's error
     with np.errstate(over="ignore"):
-        (alone,) = pcrlb_step([prevs[0]], [huge], y, ex, model, 300, [np.random.default_rng(0)])
+        (alone,) = pcrlb_step([prevs[0]], [huge], ex, model, 300, [np.random.default_rng(0)])
     assert isinstance(alone, CovarianceError)
 
 
+def test_a_transition_jacobian_that_differs_between_particles_is_rejected():
+    model = QuadraticTransitionModel()
+    beliefs = bank_cases()[0][1]
+    for bank in (beliefs[:1], beliefs):
+        rngs = [np.random.default_rng(k) for k in range(len(bank))]
+        with pytest.raises(InvalidInputError, match="one transition Jacobian shared by every particle"):
+            pcrlb_step(bank_of_three(bank), bank, None, model, 50, rngs)
+
+
 def test_a_constant_transition_jacobian_skips_the_likelihood(monkeypatch):
-    for model, beliefs, y, ex in bank_cases():
+    # the bound step never reads the quote, so it never prices a particle
+    for model, beliefs, ex in bank_cases():
         calls = []
         measure = model.measurement_batch
         monkeypatch.setattr(model, "measurement_batch", lambda x, e: calls.append(len(x)) or measure(x, e))
-        pcrlb_step(bank_of_three(beliefs), beliefs, y, ex, model, 50,
-                        [np.random.default_rng(k) for k in range(3)])
-        # only the quadratic transition's Jacobian depends on the particle
-        assert calls == ([150] if isinstance(model, QuadraticTransitionModel) else [])
+        pcrlb_step(bank_of_three(beliefs), beliefs, ex, model, 50, [np.random.default_rng(k) for k in range(3)])
+        assert calls == []
 
 
 def test_a_materialised_constant_jacobian_matches_its_broadcast_view():
     # the broadcast view skips the value comparison; the copied rows go through it
-    *_, (copied, beliefs, y, ex) = bank_cases()
+    *_, (copied, beliefs, ex) = bank_cases()
     prevs = bank_of_three(beliefs)
     for n in (37, 400):
-        steps = [pcrlb_step(prevs, beliefs, y, ex, model, n, [np.random.default_rng(k) for k in range(3)])
+        steps = [pcrlb_step(prevs, beliefs, ex, model, n, [np.random.default_rng(k) for k in range(3)])
                  for model in (linear_model(), copied)]
         for viewed, materialised in zip(*steps):
             np.testing.assert_array_equal(viewed.j, materialised.j)
             np.testing.assert_array_equal(viewed.j_inv, materialised.j_inv)
 
 
+def test_a_non_finite_shared_jacobian_fails_its_step_whether_viewed_or_materialised():
+    nan_a = np.full((2, 2), np.nan)
+    beliefs = bank_cases()[0][1][:1]
+    for model in (LinearGaussianModel(nan_a, C, Q, R), MaterialisedJacobianModel(nan_a, C, Q, R)):
+        (out,) = pcrlb_step(bank_of_three(beliefs), beliefs, None, model, 20, [np.random.default_rng(0)])
+        assert isinstance(out, NumericalFailureError)
+
+
 def test_constant_transition_blocks_are_computed_once_and_kept():
-    for model, beliefs, y, ex in bank_cases()[1:]:
+    for model, beliefs, ex in bank_cases():
         rngs = [np.random.default_rng(k) for k in range(3)]
-        pcrlb_step(bank_of_three(beliefs), beliefs, y, ex, model, 50, rngs)
+        pcrlb_step(bank_of_three(beliefs), beliefs, ex, model, 50, rngs)
         f, d11, d12 = model._transition_blocks
         np.testing.assert_array_equal(f, model.transition_jacobian(beliefs[0].mean, ex))
         # the kept arrays are shared by every later step, so they are read-only
@@ -625,21 +492,21 @@ def test_constant_transition_blocks_are_computed_once_and_kept():
         gram, fq = pcrlb._weighted_gram(f[None, None], model.noise_precisions()[0], np.ones((1, 1)))
         np.testing.assert_array_equal(d11, symmetrize(gram))
         np.testing.assert_array_equal(d12, -fq)
-        pcrlb_step(bank_of_three(beliefs), beliefs, y, ex, model, 50, rngs)
+        pcrlb_step(bank_of_three(beliefs), beliefs, ex, model, 50, rngs)
         again = model._transition_blocks
         assert again[1] is d11 and again[2] is d12
 
 
 def test_kept_transition_blocks_follow_a_jacobian_that_changes_between_steps(monkeypatch):
     model = ScaledTransitionModel(A, C, Q, R)
-    beliefs = bank_cases()[1][1]
+    beliefs = bank_cases()[0][1]
     captured = []
     step = pcrlb._information_step
     monkeypatch.setattr(pcrlb, "_information_step", lambda j, d: captured.append(d) or step(j, d))
     scales = (1.0, 0.5, 0.5, 1.0, 0.8)
     for t, scale in enumerate(scales):
-        pcrlb_step(bank_of_three(beliefs), beliefs, np.array([0.7]), scale, model, 50,
-                        [np.random.default_rng(10 * t + k) for k in range(3)])
+        pcrlb_step(bank_of_three(beliefs), beliefs, scale, model, 50,
+                   [np.random.default_rng(10 * t + k) for k in range(3)])
     assert len(captured) == len(scales)
     q_inv = np.linalg.inv(Q)
     for scale, d in zip(scales, captured):
@@ -647,8 +514,7 @@ def test_kept_transition_blocks_follow_a_jacobian_that_changes_between_steps(mon
         for k in range(3):
             np.testing.assert_allclose(d.d11[k], f.T @ q_inv @ f, rtol=1e-13)
             np.testing.assert_allclose(d.d12[k], -(f.T @ q_inv), rtol=1e-13)
-        # and bit for bit what an uncached computation gives
-        fresh = d_matrices(f[None, None], np.ones((1, 1)), np.broadcast_to(C, (1, 1) + C.shape), model)
-        np.testing.assert_array_equal(d.d11[0], fresh.d11[0])
-        np.testing.assert_array_equal(d.d12[0], fresh.d12[0])
-
+        # and bit for bit what an uncached computation, on a model with nothing kept, gives
+        fresh_d11, fresh_d12 = pcrlb._constant_transition_blocks(f, ScaledTransitionModel(A, C, Q, R))
+        np.testing.assert_array_equal(d.d11[0], fresh_d11[0])
+        np.testing.assert_array_equal(d.d12[0], fresh_d12[0])

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 import oracles
-from test_pcrlb import QuadraticTransitionModel
 from volswitch import switching
 from volswitch.exceptions import (
     DegenerateCovarianceError,
@@ -463,19 +462,6 @@ class FailingBankRowsModel(LinearGaussianModel):
         return out
 
 
-def assert_only_the_ukf_bound_carried_forward(records, healthy):
-    """Each step with a next observation carries the UKF's J forward and records it; EKF and PF match a healthy run."""
-    assert [rec.fallbacks for rec in healthy] == [[]] * len(healthy)
-    assert [rec.fallbacks for rec in records] == [[(BOUND_CARRIED, FilterId.UKF)]] * (len(records) - 1) + [[]]
-    j0 = np.diag(np.linalg.inv(P0))
-    for rec, ref in zip(records, healthy):
-        np.testing.assert_array_equal(rec.fisher_diags[FilterId.UKF][0], j0)
-        for fid in (FilterId.EKF, FilterId.PF):
-            for got, expect in zip(rec.fisher_diags[fid], ref.fisher_diags[fid]):
-                np.testing.assert_array_equal(got, expect)
-    assert not np.array_equal(records[-1].fisher_diags[FilterId.EKF][0], j0)
-
-
 def test_a_bound_failure_in_the_bank_carries_only_that_filter_forward(caplog):
     ys = observations(n_steps=6)
     # independent chains keep each filter's beliefs apart from the others' bounds
@@ -486,38 +472,16 @@ def test_a_bound_failure_in_the_bank_carries_only_that_filter_forward(caplog):
     carried = [rec.message for rec in caplog.records if "carrying J forward" in rec.message]
     assert len(carried) == len(ys) - 1
     assert all(message.startswith("bound update for UKF") for message in carried)
-    assert_only_the_ukf_bound_carried_forward(records, healthy)
-
-
-class UnderflowingPairWeightsModel(QuadraticTransitionModel):
-    """The second filter's rows of a stacked bound step price at infinity, so all its pair weights underflow.
-
-    The quadratic transition's Jacobian varies across particles, so the
-    bound step weights its pairs by the likelihood.
-    """
-
-    def __init__(self, n):
-        super().__init__(A, C, Q, R, k=0.4)
-        self.n = n
-
-    def measurement_batch(self, states, ex):
-        out = super().measurement_batch(states, ex)
-        if states.shape[0] == 3 * self.n:
-            out = out.copy()
-            out[self.n : 2 * self.n] = np.inf
-        return out
-
-
-def test_a_pair_weight_underflow_in_the_bank_carries_only_that_filter_forward(caplog):
-    ys = observations(n_steps=6)
-    cfg = settings(pf_particles=100, pcrlb_particles=40, independent_chains=True)
-    healthy = run_adaptive_estimation(ys, [None] * len(ys), QuadraticTransitionModel(A, C, Q, R, k=0.4), cfg)
-    with caplog.at_level(logging.WARNING, logger="volswitch"):
-        records = run_adaptive_estimation(ys, [None] * len(ys), UnderflowingPairWeightsModel(40), cfg)
-    warned = [rec.message for rec in caplog.records]
-    assert len(warned) == len(ys) - 1
-    assert all(m.startswith("bound update for UKF") and "degenerate particle weights" in m for m in warned)
-    assert_only_the_ukf_bound_carried_forward(records, healthy)
+    # each step with a next observation carries the UKF's J forward; EKF and PF match the healthy run
+    assert [rec.fallbacks for rec in healthy] == [[]] * len(healthy)
+    assert [rec.fallbacks for rec in records] == [[(BOUND_CARRIED, FilterId.UKF)]] * (len(records) - 1) + [[]]
+    j0 = np.diag(np.linalg.inv(P0))
+    for rec, ref in zip(records, healthy):
+        np.testing.assert_array_equal(rec.fisher_diags[FilterId.UKF][0], j0)
+        for fid in (FilterId.EKF, FilterId.PF):
+            for got, expect in zip(rec.fisher_diags[fid], ref.fisher_diags[fid]):
+                np.testing.assert_array_equal(got, expect)
+    assert not np.array_equal(records[-1].fisher_diags[FilterId.EKF][0], j0)
 
 
 def test_run_input_validation():
