@@ -16,8 +16,12 @@ SHA-256 of its synthetic comparison at seeds 0-2 over all five strategies
 (each seed's RMSE reprs and chosen counts, the summary the synthetic-bank
 check hashes), and the SHA-256 of load_chain's result on the seed-0 large
 chain (every column's bytes, then the rejects' lines and reasons), which
-perfbench/chaingen.py writes once for both sides. All run in a subprocess
-of that side's checkout. Nothing gates on absolute times.
+perfbench/chaingen.py writes once for both sides. That chain is hashed
+twice: as load_chain loads it, and forced to one byte range by raising
+marketdata._MIN_RANGE_BYTES above the file size. All run in a subprocess
+of that side's checkout. If the two load hashes of a side differ, the
+record is written without runs and the script exits 1. Nothing gates on
+absolute times.
 """
 
 import argparse
@@ -42,15 +46,19 @@ for seed in range(3):
 print(hashlib.sha256(json.dumps(summaries, sort_keys=True).encode()).hexdigest())
 """
 LOAD_DIGEST = """
-import hashlib, sys
+import hashlib, os, sys
 from dataclasses import fields
-from volswitch.marketdata import OptionChain, load_chain
-chain, rejects = load_chain(sys.argv[1])
-digest = hashlib.sha256()
-for f in fields(OptionChain):
-    digest.update(getattr(chain, f.name).tobytes())
-digest.update(repr([(r.line, r.reason) for r in rejects]).encode())
-print(digest.hexdigest())
+from volswitch import marketdata
+def digest():
+    chain, rejects = marketdata.load_chain(sys.argv[1])
+    h = hashlib.sha256()
+    for f in fields(marketdata.OptionChain):
+        h.update(getattr(chain, f.name).tobytes())
+    h.update(repr([(r.line, r.reason) for r in rejects]).encode())
+    return h.hexdigest()
+shipped = digest()
+marketdata._MIN_RANGE_BYTES = os.path.getsize(sys.argv[1]) + 1
+print(shipped, digest())
 """
 
 
@@ -78,8 +86,8 @@ def describe(root: Path, chain: Path) -> dict:
                   for name in ("decision_log.csv", "rmse.csv")}
     synthetic = subprocess.run([sys.executable, "-c", SYNTHETIC_DIGEST], cwd=root, env=env,
                                capture_output=True, text=True, check=True).stdout.strip()
-    loaded = subprocess.run([sys.executable, "-c", LOAD_DIGEST, str(chain)], cwd=root, env=env,
-                            capture_output=True, text=True, check=True).stdout.strip()
+    loaded, one_range = subprocess.run([sys.executable, "-c", LOAD_DIGEST, str(chain)], cwd=root, env=env,
+                                       capture_output=True, text=True, check=True).stdout.split()
     return {
         "commit": subprocess.run(["git", "-C", str(root), "describe", "--always", "--dirty"],
                                  capture_output=True, text=True).stdout.strip(),
@@ -88,6 +96,7 @@ def describe(root: Path, chain: Path) -> dict:
         "sample_aaf_sha256": hashes,
         "synthetic_sha256": synthetic,
         "large_chain_load_sha256": loaded,
+        "large_chain_one_range_load_sha256": one_range,
         "runs": {},
     }
 
@@ -110,6 +119,13 @@ def main(argv=None) -> int:
         chain = Path(chain_dir) / "chain.csv"
         record = {"seconds": spec["run_seconds"], "run_order": [],
                   **{label: describe(root, chain) for label, root in roots.items()}}
+    path = HERE / f"BENCH_{args.pr}.json"
+    differ = [label for label in roots
+              if record[label]["large_chain_load_sha256"] != record[label]["large_chain_one_range_load_sha256"]]
+    if differ:
+        path.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+        print(f"wrote {path}; the ranged and one-range loads differ on: {', '.join(differ)}", file=sys.stderr)
+        return 1
     pairs = [(w["name"], trace, seed) for w in spec["workloads"]
              for trace, trace_seeds in ((0, seeds), (1, [SEED])) for seed in trace_seeds]
     for i, (workload, trace, seed) in enumerate(pairs):
@@ -118,7 +134,6 @@ def main(argv=None) -> int:
             runs.append(run_bench(roots[label], spec["command"], workload, trace, spec["run_seconds"], seed))
             record["run_order"].append(f"{workload} trace{trace} seed{seed} {label}")
             print(record["run_order"][-1], flush=True)
-    path = HERE / f"BENCH_{args.pr}.json"
     path.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     print(f"wrote {path}")
     return 0

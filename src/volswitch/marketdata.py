@@ -11,9 +11,10 @@ Vendor files with different headers are adapted through a
 
 ``load_chain`` reads the file once, a chunk of rows at a time, into numpy
 columns: an ``OptionChain``, which is also a read-only sequence of
-``OptionQuote``. Every non-blank row either becomes a quote of the chain
-or lands in the rejects list with its file line and a reason; nothing is
-dropped silently. The series builders select rows on the columns and
+``OptionQuote``; a big file is cut into line-aligned byte ranges that
+forked workers load side by side. Every non-blank row either becomes a
+quote of the chain or lands in the rejects list with its file line and a
+reason; nothing is dropped silently. The series builders select rows on the columns and
 build quotes only for the rows they keep.
 """
 
@@ -21,10 +22,13 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
+import io
 import itertools
 import logging
 import math
 import operator
+import os
+import sys
 from collections.abc import Sequence
 from dataclasses import dataclass, fields, replace
 
@@ -68,6 +72,7 @@ _CHECK_REASONS = (
     "expiry before quote date",
 )
 _CHUNK_ROWS = 4096  # rows parsed per step: few live row lists, few numpy calls
+_MIN_RANGE_BYTES = 4 << 20  # a file is cut into ranges of at least this many bytes
 _EPOCH_ORDINAL = dt.date(1970, 1, 1).toordinal()
 _NAT = np.iinfo(np.int64).min  # the int64 behind datetime64's NaT
 
@@ -308,12 +313,12 @@ def _plain_fields(lines, width: int):
 
 
 def _csv_chunks(reader, layout: dict, before: int):
-    """(texts per column, field counts or None, file line of each row) of csv rows, a chunk at a time.
+    """(texts per column, field counts or None, file line of each row, file lines read) of csv rows, a chunk at a time.
 
     ``before`` is the number of file lines ahead of the reader's first one.
-    Blank lines are dropped. When some row of a chunk is short, its fields
-    past the end read as blank and the field counts of the chunk's rows
-    come along.
+    Blank lines are dropped, so a chunk may have no rows. When some row of
+    a chunk is short, its fields past the end read as blank and the field
+    counts of the chunk's rows come along.
     """
     width = max(j for _, j in layout.values()) + 1
     while True:
@@ -330,22 +335,21 @@ def _csv_chunks(reader, layout: dict, before: int):
             keep = [i for i, row in enumerate(rows) if row]
             rows = [rows[i] for i in keep]
             lines = lines[keep]
-            if not rows:
-                continue
         lengths = None
-        if min(map(len, rows)) < width:
+        if rows and min(map(len, rows)) < width:
             lengths = np.fromiter(map(len, rows), np.intp, len(rows))
             rows = [row + [""] * (width - len(row)) for row in rows]
-        yield {name: list(map(operator.itemgetter(j), rows)) for name, (_, j) in layout.items()}, lengths, lines
+        texts = {name: list(map(operator.itemgetter(j), rows)) for name, (_, j) in layout.items()}
+        yield texts, lengths, lines, before + reader.line_num
 
 
 def _text_chunks(fh, width: int, layout: dict, before: int):
-    """(texts per column, field counts or None, file line of each row), a chunk at a time.
+    """(texts per column, field counts or None, file line of each row, file lines read), a chunk at a time.
 
-    Reads ``fh`` after its header, which took ``before`` lines. Plain chunks
-    are split on their commas; the first chunk that is not plain and the
-    rest of the file go through one ``csv.reader``, so a quoted field may
-    span the lines of two chunks.
+    Reads the rest of ``fh``, which starts after ``before`` file lines.
+    Plain chunks are split on their commas; the first chunk that is not
+    plain and the rest of ``fh`` go through one ``csv.reader``, so a quoted
+    field may span the lines of two chunks.
     """
     while True:
         lines = list(itertools.islice(fh, _CHUNK_ROWS))
@@ -355,7 +359,7 @@ def _text_chunks(fh, width: int, layout: dict, before: int):
         if flat is None:
             break
         texts = {name: flat[j::width] for name, (_, j) in layout.items()}
-        yield texts, None, np.arange(before + 1, before + len(lines) + 1)
+        yield texts, None, np.arange(before + 1, before + len(lines) + 1), before + len(lines)
         before += len(lines)
     yield from _csv_chunks(csv.reader(itertools.chain(lines, fh)), layout, before)
 
@@ -430,6 +434,85 @@ def _accept(col: dict, errors: dict, lines: np.ndarray):
     return accepted, rejects
 
 
+class _ByteRange(io.FileIO):
+    """A file read through ``readinto`` from byte ``start`` up to byte ``end`` (None: its end)."""
+
+    def __init__(self, path, start: int, end):
+        super().__init__(path)
+        if start:  # a pipe cannot seek, and is never cut
+            self.seek(start)
+        self._left = (sys.maxsize if end is None else end) - start
+
+    def readinto(self, buffer):
+        n = super().readinto(memoryview(buffer)[: self._left])
+        self._left -= n
+        return n
+
+
+def _text(path, start: int, end, encoding: str = "utf-8"):
+    """The lines of bytes ``start`` to ``end`` (None: the end) of a file, endings kept."""
+    return io.TextIOWrapper(io.BufferedReader(_ByteRange(path, start, end)), encoding=encoding, newline="")
+
+
+def _cuts(path) -> list:
+    """Byte offsets [0, ..., None] that cut a chain file into ranges, one per process.
+
+    Up to min(usable CPUs, file bytes // ``_MIN_RANGE_BYTES``) ranges, each
+    cut just after a line feed. A quote before the last cut may open a field
+    that spans a cut, so such a file is one range, as is any without ``fork``.
+    """
+    size = os.path.getsize(path)
+    usable = hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+    k = min(len(os.sched_getaffinity(0)) if usable else 1, size // _MIN_RANGE_BYTES)
+    if k < 2:
+        return [0, None]
+    with open(path, "rb") as fh:
+        cuts = set()
+        for i in range(1, k):
+            fh.seek(size * i // k)
+            fh.readline()
+            cuts.add(fh.tell())
+        cuts = sorted(cuts - {size})
+        fh.seek(0)
+        while cuts and fh.tell() < cuts[-1]:
+            if b'"' in fh.read(min(1 << 20, cuts[-1] - fh.tell())):
+                return [0, None]
+    return [0, *cuts, None]
+
+
+def _load_range(fh, width: int, layout: dict, before: int):
+    """(accepted rows of each chunk per column, rejects, file lines read) of the rest of ``fh``.
+
+    ``fh`` starts after ``before`` file lines.
+    """
+    dates = _ParseOnce(lambda text: _parse_date(text).toordinal() - _EPOCH_ORDINAL, _NAT)
+    sides = _ParseOnce(lambda text: _parse_side(text) == "C", -1)
+    parts = {f.name: [] for f in fields(OptionChain)}
+    rejects = []
+    read = before
+    for texts, lengths, lines, read in _text_chunks(fh, width, layout, before):
+        accepted, chunk_rejects = _accept(*_parse_rows(texts, lengths, layout, dates, sides), lines)
+        for name, column in accepted.items():
+            parts[name].append(column)
+        rejects += chunk_rejects
+    return parts, rejects, read
+
+
+def _send_range(send, path, start: int, end, width: int, layout: dict):
+    """A forked worker: send (rows, rejects, file lines read) of a range, or its error, then each column's bytes."""
+    try:
+        with _text(path, start, end) as fh:
+            parts, rejects, read = _load_range(fh, width, layout, 0)
+        rows = sum(map(len, parts["price"]))
+        send.send((rows, rejects, read))
+        for pieces in parts.values() if rows else ():
+            send.send_bytes(np.concatenate(pieces).view(np.uint8))
+    except Exception as e:
+        send.send(e)
+    finally:
+        os._exit(0)  # at once: a normal exit would flush stdout text the parent had buffered
+
+
 def load_chain(path, columns: dict | None = None):
     """Parse a chain CSV into an ``OptionChain`` plus a rejects list.
 
@@ -440,20 +523,22 @@ def load_chain(path, columns: dict | None = None):
     the number of non-blank rows. A row's reason is its first failing field
     in ``_PARSE_ORDER``, else its first failing value check.
 
-    Each chunk goes from text to the columns of its accepted rows before
-    the next one is read; the columns are joined once at the end.
+    A big file is cut into line-aligned byte ranges (``_cuts``). This
+    process loads the first after the header (read as ``utf-8-sig``, so a
+    BOM is skipped) while forked workers load the others, each a chunk at a
+    time. The columns are joined in file order, the rejects' lines shifted
+    by the lines ahead of their range; the earliest range's error wins, and
+    no worker outlives the call.
     """
     colmap = {c: c for c in CANONICAL_COLUMNS}
     if columns:
         colmap.update(columns)
-    dates = _ParseOnce(lambda text: _parse_date(text).toordinal() - _EPOCH_ORDINAL, _NAT)
-    sides = _ParseOnce(lambda text: _parse_side(text) == "C", -1)
-    parts = {f.name: [] for f in fields(OptionChain)}
-    rejects = []
+    workers = []  # (process, receiving end) of each range after the first
     # until its header has been read, the file is not known to be a chain
     kind = "file"
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
+        cuts = _cuts(path)
+        with _text(path, 0, cuts[1], "utf-8-sig") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
             if header is None:
@@ -465,20 +550,45 @@ def load_chain(path, columns: dict | None = None):
             # a repeated header reads its last column, as csv.DictReader did
             position = {name: j for j, name in enumerate(header)}
             layout = {c: (colmap[c], position[colmap[c]]) for c in _PARSE_ORDER if colmap[c] in position}
-            for texts, lengths, lines in _text_chunks(fh, len(header), layout, reader.line_num):
-                accepted, chunk_rejects = _accept(*_parse_rows(texts, lengths, layout, dates, sides), lines)
-                for name, column in accepted.items():
-                    parts[name].append(column)
-                rejects += chunk_rejects
+            if len(cuts) > 2:
+                import multiprocessing  # here only: the import adds 10-28 ms to every CLI start
+
+                context = multiprocessing.get_context("fork")
+                for start, end in zip(cuts[1:], cuts[2:]):
+                    receive, send = context.Pipe(duplex=False)
+                    process = context.Process(target=_send_range, args=(send, path, start, end, len(header), layout))
+                    process.start()
+                    workers.append((process, receive))
+                    send.close()
+            parts, rejects, lines = _load_range(fh, len(header), layout, reader.line_num)
+        heads = []
+        for _, receive in workers:
+            heads.append(receive.recv())
+            if isinstance(heads[-1], Exception):
+                raise heads[-1]
+        rows = sum(map(len, parts["price"]))
+        total = rows + sum(n for n, _, _ in heads)
+        empty = OptionChain.from_quotes([])
+        chain = {}
+        for name in list(parts):  # each column's pieces are dropped once it is joined
+            chain[name] = np.empty(total, getattr(empty, name).dtype)
+            np.concatenate([getattr(empty, name), *parts.pop(name)], out=chain[name][:rows])
+        for (_, receive), (n, more, read) in zip(workers, heads):
+            for column in chain.values() if n else ():
+                receive.recv_bytes_into(column[rows:rows + n].view(np.uint8))
+            rejects += [RejectedRow(r.line + lines, r.reason) for r in more]
+            rows += n
+            lines += read
     except (OSError, UnicodeDecodeError) as e:
         raise FormatError(f"cannot read {kind} {path}: {e}") from e
     except csv.Error as e:
         raise FormatError(f"cannot parse {kind} {path}: {e}") from e
-    if not parts["price"]:
-        return OptionChain.from_quotes([]), []
-
-    # each column's chunk pieces are dropped once it is joined
-    chain = OptionChain(**{name: np.concatenate(parts.pop(name)) for name in list(parts)})
+    finally:
+        for process, receive in workers:
+            process.kill()  # after an error in an earlier range it may still be parsing
+            process.join()
+            receive.close()
+    chain = OptionChain(**chain)
     if rejects:
         logger.info("chain load: %d quotes accepted, %d rows rejected", len(chain), len(rejects))
     return chain, rejects

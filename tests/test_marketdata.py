@@ -1,8 +1,14 @@
+import codecs
 import csv
 import dataclasses
 import datetime as dt
 import math
+import multiprocessing
+import os
+import re
+import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -41,6 +47,7 @@ from volswitch.marketdata import (
     write_truth_states,
 )
 
+DATA = Path(__file__).resolve().parents[1] / "data"
 HEADER = "quote_date,expiry_date,strike,side,bid,ask,last,volume,underlying_close,implied_vol"
 
 
@@ -239,6 +246,11 @@ CHAIN_ROWS = [
 IRREGULAR_ROWS = CHAIN_ROWS[:6] + ["", "2019-01-09,2019-12-20,100", CHAIN_ROWS[0] + ",extra"] + CHAIN_ROWS[6:]
 
 
+def nan_equal(values):
+    """The values, with NaN (an implied vol of "nan") replaced so that it equals itself."""
+    return tuple("NaN" if isinstance(v, float) and math.isnan(v) else v for v in values)
+
+
 def assert_same_load(a, b):
     (chain_a, rejects_a), (chain_b, rejects_b) = a, b
     assert rejects_a == rejects_b
@@ -289,7 +301,7 @@ def test_a_field_over_the_csv_size_limit_is_a_format_error(tmp_path, monkeypatch
         load_chain(path)
 
 
-def test_load_chain_holds_one_chunk_of_text_at_a_time(tmp_path, monkeypatch):
+def assert_peak_within_three_columns(tmp_path, monkeypatch):
     quotes = [
         OptionQuote(
             quote_date=dt.date(2020, 1, 2) + dt.timedelta(days=i // 600),
@@ -317,6 +329,10 @@ def test_load_chain_holds_one_chunk_of_text_at_a_time(tmp_path, monkeypatch):
     assert peak <= 3 * sum(getattr(chain, f.name).nbytes for f in dataclasses.fields(OptionChain))
 
 
+def test_load_chain_holds_one_chunk_of_text_at_a_time(tmp_path, monkeypatch):
+    assert_peak_within_three_columns(tmp_path, monkeypatch)
+
+
 def test_truncated_rows_are_rejected_naming_the_missing_column(tmp_path):
     path = chain_file(
         tmp_path,
@@ -341,6 +357,156 @@ def test_truncated_row_names_the_vendor_header(tmp_path):
     path = chain_file(tmp_path, ["2020-01-03,2020-04-03,100,C,5.0,5.4,"], header=header)
     _, rejects = load_chain(path, columns={"volume": "VOL"})
     assert rejects == [RejectedRow(2, "missing field: VOL")]
+
+
+# ---------------------------------------------------------------------------
+# chains loaded in byte ranges
+
+
+def ranged(monkeypatch, ranges: int) -> list:
+    """Cut files into ``ranges`` ranges from now on; returns the list each load's cuts go to."""
+    monkeypatch.setattr(marketdata, "_MIN_RANGE_BYTES", 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(ranges)), raising=False)
+    seen = []
+    cuts = marketdata._cuts
+    monkeypatch.setattr(marketdata, "_cuts", lambda path: seen.append(cuts(path)) or seen[-1])
+    return seen
+
+
+def load_in_one_range(monkeypatch, path):
+    with monkeypatch.context() as m:
+        m.setattr(marketdata, "_MIN_RANGE_BYTES", 1 << 62)
+        return load_chain(path)
+
+
+def file_line(data: bytes, offset: int) -> int:
+    """The file line that starts at byte ``offset``."""
+    return data[:offset].count(b"\n") + 1
+
+
+# a quoted side over two lines, to end a file with
+MULTILINE_ROW = '2019-01-10,2019-12-20,100,"C\r\n",5.0,5.4,,-1,100,'
+
+
+def test_a_ranged_load_equals_the_one_range_load_and_the_oracle(tmp_path, monkeypatch):
+    monkeypatch.setattr(marketdata, "_CHUNK_ROWS", 3)
+    seen = ranged(monkeypatch, 3)
+    path = tmp_path / "chain.csv"
+    path.write_bytes("\r\n".join([HEADER, *CHAIN_ROWS * 6, MULTILINE_ROW, ""]).encode())
+    loaded = load_chain(path)
+    assert not multiprocessing.active_children()
+    data = path.read_bytes()
+    (cuts,) = seen
+    assert len(cuts) == 4 and cuts[-1] is None
+    split_lines = [file_line(data, cut) for cut in cuts[1:-1]]
+    reject_lines = [r.line for r in loaded[1]]
+    for line in split_lines:  # rejects on both sides of every cut
+        assert min(reject_lines) < line <= max(reject_lines)
+    assert file_line(data, data.index(b'"')) > split_lines[-1]
+    assert loaded[1][-1] == RejectedRow(len(CHAIN_ROWS) * 6 + 2, "volume < 0")
+    assert_same_load(loaded, load_in_one_range(monkeypatch, path))
+    expect_quotes, expect_rejects = oracles.rowwise_load_chain(path)
+    assert [(r.line, r.reason) for r in loaded[1]] == expect_rejects
+    assert [nan_equal(dataclasses.astuple(q)) for q in loaded[0]] == list(map(nan_equal, expect_quotes))
+    assert len(expect_quotes) > 6 * 2 and len(expect_rejects) > 6 * 8
+
+
+def test_blank_short_and_cr_lines_load_the_same_in_ranges(tmp_path, monkeypatch):
+    # the oracle misnumbers rows after a blank line and fails on short rows,
+    # so this file is compared with the one-range load only
+    monkeypatch.setattr(marketdata, "_CHUNK_ROWS", 3)
+    seen = ranged(monkeypatch, 3)
+    rows = [line for row in CHAIN_ROWS * 6 for line in (row, "")]  # a blank line after every row
+    rows[20] = "2019-01-09,2019-12-20,100"  # short
+    rows[40] += "\r" + CHAIN_ROWS[3]  # a line that ends in a lone CR
+    path = tmp_path / "chain.csv"
+    path.write_bytes("\r\n".join([HEADER, *rows, MULTILINE_ROW, ""]).encode())
+    loaded = load_chain(path)
+    data = path.read_bytes()
+    (cuts,) = seen
+    assert len(cuts) == 4
+    for cut in cuts[1:-1]:  # each cut is next to a blank line
+        assert data[cut - 4:cut] == b"\r\n\r\n" or data[cut:cut + 2] == b"\r\n"
+    assert data.index(b"\r2019") < cuts[-2]
+    assert_same_load(loaded, load_in_one_range(monkeypatch, path))
+    assert RejectedRow(22, "missing field: side") in loaded[1]
+
+
+def test_a_quote_before_the_last_cut_makes_the_file_one_range(tmp_path, monkeypatch):
+    seen = ranged(monkeypatch, 3)
+    quoted_side = CHAIN_ROWS[0].replace(",C,", ',"C",')
+    path = chain_file(tmp_path, [quoted_side, *CHAIN_ROWS * 6])
+    loaded = load_chain(path)
+    assert seen == [[0, None]]
+    assert_same_load(loaded, load_in_one_range(monkeypatch, path))
+    assert [(r.line, r.reason) for r in loaded[1]] == oracles.rowwise_load_chain(path)[1]
+
+
+def bad_bytes_in_ranges(tmp_path, monkeypatch, bad: dict):
+    """A three-range chain with byte ``bad[i]`` just before a line feed late in range ``i``.
+
+    Each range is longer than one 8 KiB read of the text layer, so an error
+    in the first range is raised after the header, while workers run.
+    """
+    seen = ranged(monkeypatch, 3)
+    path = chain_file(tmp_path, CHAIN_ROWS * 60)
+    load_chain(path)
+    data = bytearray(path.read_bytes())
+    starts = [0, *seen[0][1:-1], len(data)]
+    assert min(b - a for a, b in zip(starts, starts[1:])) > 9000
+    for i, byte in bad.items():
+        end = data.index(b"\n", starts[i + 1] - 300)
+        data[end - 1:end] = bytes([byte])
+    path.write_bytes(bytes(data))
+    return path
+
+
+@pytest.mark.parametrize("bad", [{2: 0xFF}, {1: 0xFE, 2: 0xFF}, {0: 0xFE, 1: 0xFF}])
+def test_the_earliest_ranges_decode_error_is_raised_and_no_worker_is_left(tmp_path, monkeypatch, bad):
+    path = bad_bytes_in_ranges(tmp_path, monkeypatch, bad)
+    assert not multiprocessing.active_children()
+    with pytest.raises(FormatError, match=f"cannot read chain file {re.escape(str(path))}: .*{min(bad.values()):#x}"):
+        load_chain(path)
+    assert not multiprocessing.active_children()
+
+
+def test_a_chain_not_utf8_in_its_last_range_fails_the_backtest(tmp_path, monkeypatch, capsys):
+    from volswitch import cli
+
+    path = bad_bytes_in_ranges(tmp_path, monkeypatch, {2: 0xFF})
+    assert cli.main(["backtest", "--chain", str(path), "--out-dir", str(tmp_path / "reports")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read chain file {path}: ") and "Traceback" not in err
+
+
+def test_load_chain_holds_one_chunk_of_text_at_a_time_in_ranges(tmp_path, monkeypatch):
+    seen = ranged(monkeypatch, 2)
+    monkeypatch.setattr(marketdata, "_MIN_RANGE_BYTES", 1 << 20)
+    assert_peak_within_three_columns(tmp_path, monkeypatch)
+    assert len(seen[0]) == 3
+
+
+def test_a_utf8_bom_before_the_header_is_skipped(tmp_path):
+    for plain in (DATA / "sample_chain.csv", chain_file(tmp_path, CHAIN_ROWS)):
+        with_bom = tmp_path / f"bom_{plain.name}"
+        with_bom.write_bytes(codecs.BOM_UTF8 + plain.read_bytes())
+        loaded = load_chain(with_bom)
+        assert_same_load(loaded, load_chain(plain))
+        assert len(loaded[0]) > 0
+    assert len(loaded[1]) == 9
+
+
+def test_a_chain_read_from_a_pipe_loads_in_one_range(tmp_path, monkeypatch):
+    seen = ranged(monkeypatch, 3)
+    plain = chain_file(tmp_path, CHAIN_ROWS * 6)
+    pipe = tmp_path / "chain.pipe"
+    os.mkfifo(pipe)
+    writer = threading.Thread(target=pipe.write_bytes, args=(plain.read_bytes(),), daemon=True)
+    writer.start()
+    loaded = load_chain(pipe)
+    writer.join()
+    assert seen == [[0, None]]
+    assert_same_load(loaded, load_in_one_range(monkeypatch, plain))
 
 
 def test_option_chain_is_a_sequence_of_plain_quotes():
@@ -400,11 +566,7 @@ def test_load_chain_matches_the_rowwise_oracle(tmp_path_factory, rows, order):
     chain, rejects = load_chain(path)
     expect_quotes, expect_rejects = oracles.rowwise_load_chain(path)
     assert [(r.line, r.reason) for r in rejects] == expect_rejects
-
-    def fields(values):  # NaN (an implied vol of "nan") equals itself here
-        return tuple("NaN" if isinstance(v, float) and math.isnan(v) else v for v in values)
-
-    assert [fields(dataclasses.astuple(q)) for q in chain] == [fields(q) for q in expect_quotes]
+    assert [nan_equal(dataclasses.astuple(q)) for q in chain] == list(map(nan_equal, expect_quotes))
 
 
 def test_selection_on_a_loaded_chain_matches_the_oracle_quotes(tmp_path):
