@@ -10,9 +10,9 @@ pair, and "run_order" lists the runs as they ran. By default each trace
 setting gets one pair at seed 0. With --pairs N the --trace 0 pairs run N
 times per workload, at seeds 1..N, as a claimed gain needs; --trace 1 stays
 at one pair at seed 0. Each run is stored with its seed, in run order.
-Each side also records the line count of its src/, the SHA-256 of its
-sample backtest's decision_log.csv and rmse.csv (AAF, seed 0), and the
-SHA-256 of its synthetic comparison at seeds 0-2 over all five strategies
+Each side also records the line count of its src/, the SHA-256 of each of
+the six reports of its sample backtest for every strategy in STRATEGIES
+(seed 0), and the SHA-256 of its synthetic comparison at seeds 0-2 over all five strategies
 (each seed's RMSE reprs and chosen counts, the summary the synthetic-bank
 check hashes), and the SHA-256 of load_chain's result on the seed-0 large
 chain (every column's bytes, then the rejects' lines and reasons), which
@@ -21,11 +21,11 @@ twice: as load_chain loads it, and forced to one byte range by raising
 marketdata._MIN_RANGE_BYTES above the file size. All run in a subprocess
 of that side's checkout. If the two load hashes of a side differ, the
 record is written without runs and the script exits 1. Nothing gates on
-absolute times.
+absolute times. Every (strategy, report) whose hash differs between the
+sides is printed.
 """
 
 import argparse
-import hashlib
 import json
 import os
 import subprocess
@@ -35,6 +35,20 @@ from pathlib import Path
 
 HERE = Path(__file__).resolve().parent.parent
 SEED = 0
+SAMPLE_DIGEST = """
+import contextlib, hashlib, io, json, pathlib, tempfile
+from volswitch.backtest import STRATEGIES
+from volswitch.cli import main
+hashes = {}
+for strategy in STRATEGIES:
+    with tempfile.TemporaryDirectory() as out, contextlib.redirect_stdout(io.StringIO()):
+        code = main(["backtest", "--chain", "data/sample_chain.csv", "--config", "data/sample_config.cfg",
+                     "--strategy", strategy, "--seed", "0", "--out-dir", out])
+        assert code == 0, (strategy, code)
+        hashes[strategy] = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+                            for path in sorted(pathlib.Path(out).iterdir())}
+print(json.dumps(hashes))
+"""
 SYNTHETIC_DIGEST = """
 import hashlib, json
 from volswitch.backtest import STRATEGIES
@@ -76,14 +90,8 @@ def run_bench(root: Path, command: list, workload: str, trace: int, seconds: int
 
 def describe(root: Path, chain: Path) -> dict:
     env = {**os.environ, "PYTHONPATH": str(root / "src")}
-    with tempfile.TemporaryDirectory() as out:
-        subprocess.run(
-            [sys.executable, "-m", "volswitch", "backtest", "--chain", "data/sample_chain.csv",
-             "--config", "data/sample_config.cfg", "--strategy", "AAF", "--seed", "0", "--out-dir", out],
-            cwd=root, env=env, capture_output=True, check=True,
-        )
-        hashes = {name: hashlib.sha256((Path(out) / name).read_bytes()).hexdigest()
-                  for name in ("decision_log.csv", "rmse.csv")}
+    sample = json.loads(subprocess.run([sys.executable, "-c", SAMPLE_DIGEST], cwd=root, env=env,
+                                       capture_output=True, text=True, check=True).stdout)
     synthetic = subprocess.run([sys.executable, "-c", SYNTHETIC_DIGEST], cwd=root, env=env,
                                capture_output=True, text=True, check=True).stdout.strip()
     loaded, one_range = subprocess.run([sys.executable, "-c", LOAD_DIGEST, str(chain)], cwd=root, env=env,
@@ -93,7 +101,7 @@ def describe(root: Path, chain: Path) -> dict:
                                  capture_output=True, text=True).stdout.strip(),
         "src_lines": sum(len(p.read_text(encoding="utf-8").splitlines())
                          for p in sorted((root / "src").rglob("*.py"))),
-        "sample_aaf_sha256": hashes,
+        "sample_sha256": sample,
         "synthetic_sha256": synthetic,
         "large_chain_load_sha256": loaded,
         "large_chain_one_range_load_sha256": one_range,
@@ -120,6 +128,11 @@ def main(argv=None) -> int:
         record = {"seconds": spec["run_seconds"], "run_order": [],
                   **{label: describe(root, chain) for label, root in roots.items()}}
     path = HERE / f"BENCH_{args.pr}.json"
+    parent_sample = record["parent"]["sample_sha256"]
+    for strategy, reports in record["change"]["sample_sha256"].items():
+        for name, digest in reports.items():
+            if parent_sample.get(strategy, {}).get(name) != digest:
+                print(f"sample {strategy} {name} differs from the parent", flush=True)
     differ = [label for label in roots
               if record[label]["large_chain_load_sha256"] != record[label]["large_chain_one_range_load_sha256"]]
     if differ:

@@ -137,25 +137,22 @@ def run_backtest(
     if train_end is not None and test_end is not None and test_end <= train_end:
         raise InvalidInputError("test-end must come after train-end")
 
-    points = list(series.points)
-    if test_end is not None:
-        points = [p for p in points if p.quote.quote_date <= test_end]
-    if len(points) < 2:
+    n = len(series) if test_end is None else bisect.bisect_right(series.dates, test_end)
+    if n < 2:
         raise InsufficientDataError("need at least two steps after applying test-end")
-    dates = [p.quote.quote_date for p in points]
+    dates, observations, exogenous = series.dates[:n], series.prices[:n], series.exogenous[:n]
 
     if train_end is None:
         test_start = 1
     else:
         test_start = max(bisect.bisect_right(dates, train_end), 1)
-    if test_start >= len(points):
+    if test_start >= n:
         raise InvalidInputError("no test steps after train-end")
 
     garch_fit = None
     cfg_used = cfg
     if cfg.calibrate_garch:
-        closes = [p.quote.underlying_close for p in points[:test_start]]
-        garch_fit = fit_garch(log_returns(closes))
+        garch_fit = fit_garch(log_returns(series.closes[:test_start]))
         cfg_used = replace(
             cfg,
             garch_omega=garch_fit.params.omega,
@@ -166,8 +163,6 @@ def run_backtest(
     model = BsGarchModel(cfg_used.model_spec(series.contract))
     settings = cfg_used.estimation_settings(mode=mode, filters=bank, seed=seed)
 
-    observations = [p.quote.price for p in points]
-    exogenous = [p.ex for p in points]
     records = run_adaptive_estimation(observations, exogenous, model, settings)
     for rec, date in zip(records, dates):
         rec.date = date.isoformat()
@@ -182,26 +177,27 @@ def run_backtest(
     # step's inputs, so it stops every series at the same step
     forecast_steps = []  # {label: price} per forecast step
     truncated = 0
-    for t in range(test_start, len(points)):
+    for t in range(test_start, n):
         try:
             forecast_steps.append({
                 label: _forecast_from_estimate(xs[t - 1], exogenous[t - 1], model)
                 for label, xs in estimates.items()
             })
         except ContractExpiredError:
-            truncated = len(points) - t
+            truncated = n - t
             logger.info("forecasting stopped at step %d: contract expired", t)
             break
 
     test_records = records[test_start:]
     observed = observations[test_start:]
+    strike = series.contract.strike
     rmse_table: dict = {}
     for label, xs in estimates.items():
         fits = [fitted_price(xs[r.t], exogenous[r.t], model) for r in test_records]
         fc = [step[label] for step in forecast_steps]
         rmse_table[label] = {
-            "fit": rmse(observed, fits, series.strike),
-            "forecast": rmse(observed[:len(fc)], fc, series.strike) if fc else None,
+            "fit": rmse(observed, fits, strike),
+            "forecast": rmse(observed[:len(fc)], fc, strike) if fc else None,
             "n_fit": len(fits),
             "n_forecast": len(fc),
         }

@@ -14,8 +14,9 @@ columns: an ``OptionChain``, which is also a read-only sequence of
 ``OptionQuote``; a big file is cut into line-aligned byte ranges that
 forked workers load side by side. Every non-blank row either becomes a
 quote of the chain or lands in the rejects list with its file line and a
-reason; nothing is dropped silently. The series builders select rows on the columns and
-build quotes only for the rows they keep.
+reason; nothing is dropped silently. The series builders select rows on
+the columns and read a ``ContractSeries``, also columns, from the rows
+they keep.
 """
 
 from __future__ import annotations
@@ -70,6 +71,7 @@ _CHECK_REASONS = (
     "underlying_close <= 0",
     "volume < 0",
     "expiry before quote date",
+    "call price > underlying_close",  # no call is worth more than its underlying
 )
 _CHUNK_ROWS = 4096  # rows parsed per step: few live row lists, few numpy calls
 _MIN_RANGE_BYTES = 4 << 20  # a file is cut into ranges of at least this many bytes
@@ -95,8 +97,7 @@ class OptionChain(Sequence):
 
     A read-only sequence of ``OptionQuote``: ``chain[i]`` builds the quote
     of row ``i`` when asked, with Python ``float``, ``dt.date`` and ``str``
-    fields. The series builders select rows on the columns and build
-    quotes only for the rows they keep.
+    fields. The series builders read the columns of the rows they keep.
     """
 
     quote_date: np.ndarray  # datetime64[D]
@@ -162,48 +163,30 @@ class RejectedRow:
     reason: str
 
 
-@dataclass(frozen=True)
-class SeriesPoint:
-    quote: OptionQuote
-    ex: ExogenousInputs
-
-
 @dataclass
 class ContractSeries:
-    """Chronological single-contract view ready for estimation.
+    """One contract's price path as columns, one entry per step.
 
-    For the liquidity-driven series the traded contract changes per step;
-    each point's exogenous inputs then carry their own contract and
-    ``contract`` below describes the first step only.
+    ``dates`` are the quote dates, strictly increasing; ``prices`` the
+    quotes the filters observe, ``closes`` the underlying's closes and
+    ``exogenous`` each step's ``ExogenousInputs``. For the liquidity-driven
+    series the traded contract changes per step; each step's inputs then
+    carry their own contract and ``contract`` describes the first step only.
     """
 
-    points: list
-    strike: float
-    expiry_date: dt.date
-    is_call: bool
+    dates: list
+    prices: list
+    closes: list
+    exogenous: list
     contract: ContractSpec
 
     def __len__(self):
-        return len(self.points)
-
-    @property
-    def observations(self):
-        return [p.quote.price for p in self.points]
-
-    @property
-    def exogenous(self):
-        return [p.ex for p in self.points]
-
-    @property
-    def dates(self):
-        return [p.quote.quote_date for p in self.points]
+        return len(self.prices)
 
     def with_prior_close(self, prior_close: float) -> "ContractSeries":
         """The same series with the first step's log-return taken from ``prior_close``."""
-        first = self.points[0]
-        u = math.log(first.quote.underlying_close / prior_close)
-        head = SeriesPoint(quote=first.quote, ex=replace(first.ex, u=u))
-        return replace(self, points=[head, *self.points[1:]])
+        head = replace(self.exogenous[0], u=math.log(self.closes[0] / prior_close))
+        return replace(self, exogenous=[head, *self.exogenous[1:]])
 
 
 @dataclass
@@ -410,6 +393,7 @@ def _accept(col: dict, errors: dict, lines: np.ndarray):
                 (col["underlying_close"] <= 0.0) | ~np.isfinite(col["underlying_close"]),
                 (col["volume"] < 0.0) | ~np.isfinite(col["volume"]),
                 col["expiry_date"] < col["quote_date"],
+                (col["side"] == 1) & (price > col["underlying_close"]),
             ],
             range(len(_CHECK_REASONS)),
             -1,
@@ -661,25 +645,34 @@ def _max_volume_rows(chain: OptionChain, mask: np.ndarray) -> np.ndarray:
     return rows[first]
 
 
-def _series_points(chain: OptionChain, rows: np.ndarray, per_point_contract: bool):
-    """Points of the chosen rows; the first step's log-return is 0."""
+def _series(chain: OptionChain, rows: np.ndarray, contract: ContractSpec | None) -> ContractSeries:
+    """Series of the chosen rows; the first step's log-return is 0.
+
+    With no ``contract``, each step's inputs carry the contract of its own
+    row, and the first of them describes the series.
+    """
+    dates = chain.quote_date[rows].tolist()
+    closes = chain.underlying_close[rows].tolist()
     tau_days = np.busday_count(chain.quote_date[rows], chain.expiry_date[rows]).tolist()
-    points = []
-    prev_close = None
-    for i, days in zip(rows.tolist(), tau_days):
-        q = chain[i]
-        contract = None
-        if per_point_contract:
-            contract = ContractSpec(strike=q.strike, expiry_step=days, is_call=q.side == "C")
-        ex = ExogenousInputs(
-            s=q.underlying_close,
-            u=0.0 if prev_close is None else math.log(q.underlying_close / prev_close),
-            tau=days / TRADING_DAYS_PER_YEAR,
-            contract=contract,
-        )
-        points.append(SeriesPoint(quote=q, ex=ex))
-        prev_close = q.underlying_close
-    return points
+    contracts = [None] * len(dates)
+    if contract is None:
+        contracts = [
+            ContractSpec(strike=k, expiry_step=days, is_call=call)
+            for k, days, call in zip(chain.strike[rows].tolist(), tau_days, chain.is_call[rows].tolist())
+        ]
+        contract = contracts[0]
+    us = [0.0] + [math.log(close / prev) for prev, close in zip(closes, closes[1:])]
+    exogenous = [
+        ExogenousInputs(s=s, u=u, tau=days / TRADING_DAYS_PER_YEAR, contract=c)
+        for s, u, days, c in zip(closes, us, tau_days, contracts)
+    ]
+    return ContractSeries(
+        dates=dates,
+        prices=chain.price[rows].tolist(),
+        closes=closes,
+        exogenous=exogenous,
+        contract=contract,
+    )
 
 
 def build_series(
@@ -705,37 +698,25 @@ def build_series(
         raise InsufficientDataError(
             f"only {rows.size} usable dates for strike {strike} expiring {expiry_date}"
         )
-    points = _series_points(chain, rows, per_point_contract=False)
-    first_date = points[0].quote.quote_date
     contract = ContractSpec(
         strike=strike,
-        expiry_step=trading_days_between(first_date, expiry_date),
+        expiry_step=trading_days_between(chain.quote_date[rows[0]].item(), expiry_date),
         is_call=is_call,
     )
-    return ContractSeries(
-        points=points, strike=strike, expiry_date=expiry_date, is_call=is_call, contract=contract
-    )
+    return _series(chain, rows, contract)
 
 
 def max_volume_series(quotes) -> ContractSeries:
     """Liquidity-driven call series: per date, the call with the highest volume.
 
-    The traded contract changes from step to step, so each point's
+    The traded contract changes from step to step, so each step's
     exogenous inputs carry their own strike and expiry.
     """
     chain = OptionChain.from_quotes(quotes)
     rows = _max_volume_rows(chain, chain.is_call)
     if rows.size < 2:
         raise InsufficientDataError(f"only {rows.size} dates with call quotes")
-    points = _series_points(chain, rows, per_point_contract=True)
-    first = points[0]
-    return ContractSeries(
-        points=points,
-        strike=first.quote.strike,
-        expiry_date=first.quote.expiry_date,
-        is_call=True,
-        contract=first.ex.contract,
-    )
+    return _series(chain, rows, None)
 
 
 def generate_synthetic(

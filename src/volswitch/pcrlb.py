@@ -112,14 +112,14 @@ def _stack(arrays: list) -> np.ndarray:
     return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
 
 
-def _weighted_gram(jac: np.ndarray, precision: np.ndarray, weights: np.ndarray):
-    """Per filter, (sum_i w_i J_i' P J_i, sum_i w_i J_i' P) over stacked (B, n, k, s) Jacobians.
+def _weighted_gram(jac: np.ndarray, precision: np.ndarray, weight: float = 1.0):
+    """Per filter, (w sum_i J_i' P J_i, w sum_i J_i' P) over stacked (B, n, k, s) Jacobians.
 
-    J_i' P is formed elementwise, and the sum over particles is one
+    w J_i' P is formed elementwise, and the sum over particles is one
     (s, n k) @ (n k, s) product per filter.
     """
     bsz, n, k, s = jac.shape
-    wjp = np.einsum("bnks,kl->bnsl", jac, precision) * weights[:, :, None, None]
+    wjp = np.einsum("bnks,kl->bnsl", jac, precision) * weight
     gram = wjp.transpose(0, 2, 1, 3).reshape(bsz, s, n * k) @ jac.reshape(bsz, n * k, s)
     return gram, wjp.sum(axis=1)
 
@@ -128,7 +128,7 @@ def _constant_transition_blocks(f: np.ndarray, model):
     """(1, s, s) D11 and D12 for a Jacobian ``f`` shared by every particle, kept on the model until F changes."""
     kept = getattr(model, "_transition_blocks", None)
     if kept is None or kept[0].tobytes() != f.tobytes():
-        d11, fq = _weighted_gram(f[None, None], model.noise_precisions()[0], np.ones((1, 1)))
+        d11, fq = _weighted_gram(f[None, None], model.noise_precisions()[0])
         kept = (f.copy(), symmetrize(d11), -fq)
         for m in kept:
             m.flags.writeable = False
@@ -139,8 +139,7 @@ def _constant_transition_blocks(f: np.ndarray, model):
 def _d_triple(d11: np.ndarray, d12: np.ndarray, h_jac: np.ndarray, model) -> DTriple:
     """D11 and D12 spread over the bank, and D22 averaged over ``h_jac`` (B, n', m, s) with uniform weights."""
     q_inv, r_inv = model.noise_precisions()
-    bsz, n_pred = h_jac.shape[:2]
-    hrh, _ = _weighted_gram(h_jac, r_inv, np.full((bsz, n_pred), 1.0 / n_pred))
+    hrh, _ = _weighted_gram(h_jac, r_inv, 1.0 / h_jac.shape[1])
     d22 = symmetrize(q_inv + hrh)
     return DTriple(*(np.broadcast_to(m, d22.shape) for m in (d11, d12)), d22)
 

@@ -258,6 +258,8 @@ def rowwise_load_chain(path, columns=None):
             reason = "volume < 0"
         elif expiry_date < quote_date:
             reason = "expiry before quote date"
+        elif side == "C" and price > underlying:
+            reason = "call price > underlying_close"
         if reason is not None:
             rejects.append((line, reason))
             continue

@@ -39,8 +39,6 @@ from volswitch.experiments import SYNTHETIC_CONFIG, run_synthetic_comparison
 from volswitch.filters import FILTER_ORDER, FilterId
 from volswitch.marketdata import (
     ContractSeries,
-    OptionQuote,
-    SeriesPoint,
     build_series,
     generate_synthetic,
     truth_to_quotes,
@@ -283,10 +281,9 @@ def test_single_filter_backtest_forecasts_each_step_once(tmp_path, monkeypatch):
     test_records = bundle.records[bundle.test_start:]
     observed = [r.observed_price for r in test_records]
     row = bundle.rmse_table["EKF"]
-    assert row["fit"] == rmse(observed, [r.fitted_price for r in test_records], series.strike)
-    assert row["forecast"] == rmse(
-        observed, [r.forecast_price for r in test_records], series.strike
-    )
+    strike = series.contract.strike
+    assert row["fit"] == rmse(observed, [r.fitted_price for r in test_records], strike)
+    assert row["forecast"] == rmse(observed, [r.forecast_price for r in test_records], strike)
 
 
 def test_adaptive_backtest_rmse_rows_and_volatility():
@@ -300,7 +297,7 @@ def test_adaptive_backtest_rmse_rows_and_volatility():
     # the strategy's forecast RMSE re-derives from its own records
     fc = [r for r in bundle.records[bundle.test_start:] if r.forecast_price is not None]
     direct = rmse(
-        [r.observed_price for r in fc], [r.forecast_price for r in fc], series.strike
+        [r.observed_price for r in fc], [r.forecast_price for r in fc], series.contract.strike
     )
     assert bundle.rmse_table["AAF"]["forecast"] == pytest.approx(direct, abs=1e-15)
     # volatility rows annualize the variance estimates
@@ -350,27 +347,12 @@ def test_calibration_replaces_garch_parameters():
 
 def expiring_series():
     """Hand-built series whose tau hits zero before the data ends."""
-    day0 = dt.date(2019, 1, 2)
-    days = [dt.date(2019, 1, 2), dt.date(2019, 1, 3), dt.date(2019, 1, 4), dt.date(2019, 1, 7)]
     taus = [3 * DT, 2 * DT, 0.0, 0.0]
-    expiry = dt.date(2019, 1, 4)
-    points = []
-    for date, tau in zip(days, taus):
-        quote = OptionQuote(
-            quote_date=date,
-            expiry_date=expiry,
-            strike=100.0,
-            side="C",
-            price=4.0,
-            volume=1.0,
-            underlying_close=100.0,
-        )
-        points.append(SeriesPoint(quote=quote, ex=ExogenousInputs(s=100.0, u=0.0, tau=tau)))
     return ContractSeries(
-        points=points,
-        strike=100.0,
-        expiry_date=expiry,
-        is_call=True,
+        dates=[dt.date(2019, 1, 2), dt.date(2019, 1, 3), dt.date(2019, 1, 4), dt.date(2019, 1, 7)],
+        prices=[4.0] * 4,
+        closes=[100.0] * 4,
+        exogenous=[ExogenousInputs(s=100.0, u=0.0, tau=tau) for tau in taus],
         contract=ContractSpec(strike=100.0, expiry_step=3),
     )
 

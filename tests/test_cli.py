@@ -225,9 +225,10 @@ def test_backtest_rejects_a_truncated_row_and_runs(workdir, capsys):
 
 
 def poisoned_chain(tmp, chain):
-    """The chain plus one absurd quote at the end: every particle's squared
-    pricing error overflows, so the weight normalizations fail and the run
-    must fall back and flag it."""
+    """The chain plus one absurd quote at the end that passes every load
+    check (a call at 99.9 on strike 100, below its underlying close of
+    1e200): every particle's squared pricing error overflows, so the weight
+    normalizations fail and the run must fall back and flag it."""
     quotes, _ = load_chain(chain)
     next_day = np.busday_offset(quotes[-1].quote_date.isoformat(), 1).astype(dt.date)
     absurd = OptionQuote(
@@ -235,9 +236,9 @@ def poisoned_chain(tmp, chain):
         expiry_date=quotes[0].expiry_date,
         strike=100.0,
         side="C",
-        price=1e300,
+        price=99.9,
         volume=5.0,
-        underlying_close=100.0,
+        underlying_close=1e200,
     )
     poisoned = tmp / "poisoned.csv"
     write_chain(poisoned, list(quotes) + [absurd])

@@ -308,7 +308,7 @@ def assert_peak_within_three_columns(tmp_path, monkeypatch):
             expiry_date=dt.date(2021, 6, 18),
             strike=50.0 + i % 120,
             side="CP"[i % 2],
-            price=1.0 + (i % 997) / 7.0,
+            price=1.0 + (i % 997) / 11.0,  # below every close: no call is rejected
             volume=float(1 + i % 5000),
             underlying_close=100.0 + (i % 313) / 3.0,
             implied_vol=0.2 + (i % 89) / 1000.0 if i % 3 else None,
@@ -409,6 +409,30 @@ def test_a_ranged_load_equals_the_one_range_load_and_the_oracle(tmp_path, monkey
     assert [(r.line, r.reason) for r in loaded[1]] == expect_rejects
     assert [nan_equal(dataclasses.astuple(q)) for q in loaded[0]] == list(map(nan_equal, expect_quotes))
     assert len(expect_quotes) > 6 * 2 and len(expect_rejects) > 6 * 8
+
+
+def test_a_call_above_its_close_is_rejected_in_one_range_and_in_ranges(tmp_path, monkeypatch):
+    above = "2019-01-03,2019-12-20,100,C,,,100.5,10,100,"
+    rows = [above] + [CHAIN_ROWS[0]] * 20 + [
+        above,
+        "2019-01-03,2019-12-20,100,call,100.25,100.5,,10,100,",  # the bid/ask mid is above
+        "2019-01-03,2019-12-20,150,P,,,100.5,10,100,",  # a put above its close is kept
+        "2019-01-03,2019-12-20,100,C,,,100,10,100,",  # a call at its close is kept
+        "2019-01-03,2018-12-20,100,C,,,100.5,10,100,",  # an earlier check gives the reason
+    ]
+    path = chain_file(tmp_path, rows)
+    reason = "call price > underlying_close"
+    expect = [RejectedRow(2, reason), RejectedRow(23, reason), RejectedRow(24, reason),
+              RejectedRow(27, "expiry before quote date")]
+    one_range = load_in_one_range(monkeypatch, path)
+    assert one_range[1] == expect
+    assert [q.price for q in one_range[0][-2:]] == [100.5, 100.0]
+    seen = ranged(monkeypatch, 2)
+    loaded = load_chain(path)
+    (cuts,) = seen
+    assert len(cuts) == 3 and file_line(path.read_bytes(), cuts[1]) < 23  # one reject per side of the cut
+    assert_same_load(loaded, one_range)
+    assert [(r.line, r.reason) for r in expect] == oracles.rowwise_load_chain(path)[1]
 
 
 def test_blank_short_and_cr_lines_load_the_same_in_ranges(tmp_path, monkeypatch):
@@ -587,19 +611,29 @@ def test_selection_on_a_loaded_chain_matches_the_oracle_quotes(tmp_path):
     quotes = [OptionQuote(*q) for q in oracle_quotes]
     assert list(chain) == quotes
 
-    def chosen(series):
-        return [dataclasses.astuple(p.quote) for p in series.points]
+    def columns(series):
+        assert [ex.s for ex in series.exogenous] == series.closes
+        return series.dates, series.prices, series.closes
+
+    def oracle_columns(chosen):
+        return [q[0] for q in chosen], [q[4] for q in chosen], [q[6] for q in chosen]
 
     expiry = dt.date(2019, 3, 15)
     for strike, side in ((100.0, "C"), (95.0, "P")):
         a = build_series(chain, strike, expiry, is_call=side == "C").with_prior_close(87.0)
         assert a == build_series(quotes, strike, expiry, is_call=side == "C").with_prior_close(87.0)
-        assert chosen(a) == oracles.rowwise_max_volume(
+        chosen = oracles.rowwise_max_volume(
             oracle_quotes, lambda q: q[1] == expiry and q[2] == strike and q[3] == side
         )
+        assert columns(a) == oracle_columns(chosen)
+        closes = [87.0] + a.closes
+        assert [ex.u for ex in a.exogenous] == [math.log(b / c) for c, b in zip(closes, closes[1:])]
+        assert a.contract.strike == strike and a.contract.is_call == (side == "C")
     calls = max_volume_series(chain)
     assert calls == max_volume_series(quotes)
-    assert chosen(calls) == oracles.rowwise_max_volume(oracle_quotes, lambda q: q[3] == "C")
+    chosen = oracles.rowwise_max_volume(oracle_quotes, lambda q: q[3] == "C")
+    assert columns(calls) == oracle_columns(chosen)
+    assert [ex.contract.strike for ex in calls.exogenous] == [q[2] for q in chosen]
     for day in (1, 2, 5, 9):
         date = dt.date(2019, 1, day)
         assert prior_close_before(chain, date) == prior_close_before(quotes, date)
@@ -619,28 +653,30 @@ def test_build_series_exogenous_inputs():
         quote("2019-01-04", close=99.0),
     ]
     series = build_series(quotes, strike=100.0, expiry_date=dt.date(2019, 12, 20))
-    assert [p.quote.quote_date.isoformat() for p in series.points] == [
-        "2019-01-02",
-        "2019-01-03",
-        "2019-01-04",
-    ]
-    us = [p.ex.u for p in series.points]
+    assert [d.isoformat() for d in series.dates] == ["2019-01-02", "2019-01-03", "2019-01-04"]
+    assert series.closes == [100.0, 101.0, 99.0]
+    assert [ex.s for ex in series.exogenous] == series.closes
+    us = [ex.u for ex in series.exogenous]
     assert us[0] == 0.0  # no prior close given
     assert us[1] == pytest.approx(math.log(1.01), abs=1e-15)
     assert us[2] == pytest.approx(math.log(99.0 / 101.0), abs=1e-15)
     # 2019-12-20 is exactly 252 trading days after 2019-01-02
     assert trading_days_between(dt.date(2019, 1, 2), dt.date(2019, 12, 20)) == 252
-    assert series.points[0].ex.tau == pytest.approx(252 / TRADING_DAYS_PER_YEAR)
-    assert series.contract.expiry_step == 252
-    assert series.points[1].ex.tau == pytest.approx(251 / 252)
-    assert series.points[0].ex.contract is None  # fixed-contract series
+    assert series.exogenous[0].tau == pytest.approx(252 / TRADING_DAYS_PER_YEAR)
+    assert series.contract == ContractSpec(strike=100.0, expiry_step=252, is_call=True)
+    assert series.exogenous[1].tau == pytest.approx(251 / 252)
+    assert all(ex.contract is None for ex in series.exogenous)  # fixed-contract series
 
 
 def test_build_series_uses_prior_close_for_first_return():
     quotes = [quote("2019-01-02", close=101.0), quote("2019-01-03", close=102.0)]
     series = build_series(quotes, strike=100.0, expiry_date=dt.date(2019, 12, 20))
-    series = series.with_prior_close(100.0)
-    assert series.points[0].ex.u == pytest.approx(math.log(1.01), abs=1e-15)
+    moved = series.with_prior_close(100.0)
+    assert moved.exogenous[0].u == pytest.approx(math.log(1.01), abs=1e-15)
+    # only the first step's log-return moves
+    assert moved.exogenous[0] == dataclasses.replace(series.exogenous[0], u=moved.exogenous[0].u)
+    assert moved.exogenous[1:] == series.exogenous[1:]
+    assert (moved.dates, moved.prices, moved.closes) == (series.dates, series.prices, series.closes)
 
 
 def test_build_series_max_volume_dedupe_and_tie_break():
@@ -651,7 +687,7 @@ def test_build_series_max_volume_dedupe_and_tie_break():
         quote("2019-01-03", volume=4.0, price=8.0),  # same strike: file order keeps first
     ]
     series = build_series(quotes, strike=100.0, expiry_date=dt.date(2019, 12, 20))
-    assert [p.quote.price for p in series.points] == [6.0, 7.0]
+    assert series.prices == [6.0, 7.0]
 
 
 def test_build_series_filters_side_expiry_and_strike():
@@ -664,7 +700,7 @@ def test_build_series_filters_side_expiry_and_strike():
     ]
     series = build_series(quotes, strike=100.0, expiry_date=dt.date(2019, 12, 20))
     assert len(series) == 2
-    assert all(p.quote.price == 5.0 for p in series.points)
+    assert series.prices == [5.0, 5.0]
 
 
 def test_build_series_requires_two_dates():
@@ -681,9 +717,9 @@ def test_max_volume_series_tracks_liquidity():
         quote("2019-01-02", side="P", strike=90.0, volume=999.0, price=1.1),  # puts excluded
     ]
     series = max_volume_series(quotes)
-    assert [p.quote.strike for p in series.points] == [110.0, 95.0]
-    # each point carries its own contract
-    c0, c1 = (p.ex.contract for p in series.points)
+    assert series.prices == [1.0, 7.0]
+    # each step carries its own contract
+    c0, c1 = (ex.contract for ex in series.exogenous)
     assert c0.strike == 110.0 and c1.strike == 95.0
     assert c1.expiry_step == trading_days_between(dt.date(2019, 1, 3), dt.date(2020, 1, 17))
     assert series.contract == c0
@@ -787,7 +823,7 @@ def test_truth_round_trips_through_chain_files(tmp_path):
     expiry = quotes[0].expiry_date
     series = build_series(quotes, strike=100.0, expiry_date=expiry)
     assert len(series) == 30
-    np.testing.assert_array_equal(series.observations, truth.observations)
+    np.testing.assert_array_equal(series.prices, truth.observations)
     for ex_file, ex_truth in zip(series.exogenous, truth.exogenous):
         assert ex_file.s == ex_truth.s
         assert ex_file.u == pytest.approx(ex_truth.u, abs=1e-14)

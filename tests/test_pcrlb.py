@@ -489,12 +489,25 @@ def test_constant_transition_blocks_are_computed_once_and_kept():
         np.testing.assert_array_equal(f, model.transition_jacobian(beliefs[0].mean, ex))
         # the kept arrays are shared by every later step, so they are read-only
         assert not (f.flags.writeable or d11.flags.writeable or d12.flags.writeable)
-        gram, fq = pcrlb._weighted_gram(f[None, None], model.noise_precisions()[0], np.ones((1, 1)))
+        gram, fq = pcrlb._weighted_gram(f[None, None], model.noise_precisions()[0])
         np.testing.assert_array_equal(d11, symmetrize(gram))
         np.testing.assert_array_equal(d12, -fq)
         pcrlb_step(bank_of_three(beliefs), beliefs, ex, model, 50, rngs)
         again = model._transition_blocks
         assert again[1] is d11 and again[2] is d12
+
+
+def test_a_scalar_gram_weight_equals_uniform_per_particle_weights_bit_for_bit():
+    rng = np.random.default_rng(0)
+    precision = np.array([[400.0]])
+    for n in (40, 400, 1000):
+        jac = rng.standard_normal((3, n, 1, 2))
+        gram, jp = pcrlb._weighted_gram(jac, precision, 1.0 / n)
+        # the same sums with one weight per particle
+        wjp = np.einsum("bnks,kl->bnsl", jac, precision) * np.full((3, n, 1, 1), 1.0 / n)
+        expect = wjp.transpose(0, 2, 1, 3).reshape(3, 2, n) @ jac.reshape(3, n, 2)
+        assert gram.tobytes() == expect.tobytes()
+        assert jp.tobytes() == wjp.sum(axis=1).tobytes()
 
 
 def test_kept_transition_blocks_follow_a_jacobian_that_changes_between_steps(monkeypatch):
