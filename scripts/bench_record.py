@@ -12,9 +12,9 @@ times per workload, at seeds 1..N, as a claimed gain needs; --trace 1 stays
 at one pair at seed 0. Each run is stored with its seed, in run order.
 Each side also records the line count of its src/, the SHA-256 of each of
 the six reports of its sample backtest for every strategy in STRATEGIES
-(seed 0), and the SHA-256 of its synthetic comparison at seeds 0-2 over all five strategies
-(each seed's RMSE reprs and chosen counts, the summary the synthetic-bank
-check hashes), and the SHA-256 of load_chain's result on the seed-0 large
+(seed 0), and the SHA-256 of its synthetic comparison at seeds 0-2 over
+all five strategies (each seed's RMSE reprs and chosen counts, the summary
+the synthetic-bank check hashes), and the SHA-256 of load_chain's result on the seed-0 large
 chain (every column's bytes, then the rejects' lines and reasons), which
 perfbench/chaingen.py writes once for both sides. That chain is hashed
 twice: as load_chain loads it, and forced to one byte range by raising
