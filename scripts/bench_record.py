@@ -12,17 +12,17 @@ times per workload, at seeds 1..N, as a claimed gain needs; --trace 1 stays
 at one pair at seed 0. Each run is stored with its seed, in run order.
 Each side also records the line count of its src/, the SHA-256 of each of
 the six reports of its sample backtest for every strategy in STRATEGIES
-(seed 0), and the SHA-256 of its synthetic comparison at seeds 0-2 over
-all five strategies (each seed's RMSE reprs and chosen counts, the summary
-the synthetic-bank check hashes), and the SHA-256 of load_chain's result on the seed-0 large
-chain (every column's bytes, then the rejects' lines and reasons), which
-perfbench/chaingen.py writes once for both sides. That chain is hashed
-twice: as load_chain loads it, and forced to one byte range by raising
-marketdata._MIN_RANGE_BYTES above the file size. All run in a subprocess
-of that side's checkout. If the two load hashes of a side differ, the
-record is written without runs and the script exits 1. Nothing gates on
-absolute times. Every (strategy, report) whose hash differs between the
-sides is printed.
+(seed 0), the SHA-256 of its synthetic comparison at seeds 0-2 over all
+five strategies (each seed's RMSE reprs and chosen counts, the summary the
+synthetic-bank check hashes), and the SHA-256 of load_chain's result on
+the seed-0 large chain (every column's bytes, then the rejects' lines and
+reasons), which perfbench/chaingen.py writes once for both sides. That
+chain is hashed twice: as load_chain loads it, and forced to one byte
+range by raising marketdata._MIN_RANGE_BYTES above the file size. All run
+in a subprocess of that side's checkout. If the two load hashes of a side
+differ, the record is written without runs and the script exits 1.
+Nothing gates on absolute times. Every (strategy, report) whose hash
+differs between the sides, or that one side lacks, is printed.
 """
 
 import argparse
@@ -128,10 +128,11 @@ def main(argv=None) -> int:
         record = {"seconds": spec["run_seconds"], "run_order": [],
                   **{label: describe(root, chain) for label, root in roots.items()}}
     path = HERE / f"BENCH_{args.pr}.json"
-    parent_sample = record["parent"]["sample_sha256"]
-    for strategy, reports in record["change"]["sample_sha256"].items():
-        for name, digest in reports.items():
-            if parent_sample.get(strategy, {}).get(name) != digest:
+    parent_sample, change_sample = (record[label]["sample_sha256"] for label in roots)
+    for strategy in sorted(parent_sample.keys() | change_sample.keys()):
+        parent_reports, change_reports = parent_sample.get(strategy, {}), change_sample.get(strategy, {})
+        for name in sorted(parent_reports.keys() | change_reports.keys()):
+            if parent_reports.get(name) != change_reports.get(name):
                 print(f"sample {strategy} {name} differs from the parent", flush=True)
     differ = [label for label in roots
               if record[label]["large_chain_load_sha256"] != record[label]["large_chain_one_range_load_sha256"]]

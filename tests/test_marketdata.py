@@ -613,10 +613,12 @@ def test_selection_on_a_loaded_chain_matches_the_oracle_quotes(tmp_path):
 
     def columns(series):
         assert [ex.s for ex in series.exogenous] == series.closes
-        return series.dates, series.prices, series.closes
+        return series.dates, series.prices, series.closes, [ex.tau for ex in series.exogenous]
 
     def oracle_columns(chosen):
-        return [q[0] for q in chosen], [q[4] for q in chosen], [q[6] for q in chosen]
+        # the expiry tells apart rows equal on everything else, so each step's tau is compared
+        taus = [trading_days_between(q[0], q[1]) / TRADING_DAYS_PER_YEAR for q in chosen]
+        return [q[0] for q in chosen], [q[4] for q in chosen], [q[6] for q in chosen], taus
 
     expiry = dt.date(2019, 3, 15)
     for strike, side in ((100.0, "C"), (95.0, "P")):
@@ -633,7 +635,10 @@ def test_selection_on_a_loaded_chain_matches_the_oracle_quotes(tmp_path):
     assert calls == max_volume_series(quotes)
     chosen = oracles.rowwise_max_volume(oracle_quotes, lambda q: q[3] == "C")
     assert columns(calls) == oracle_columns(chosen)
-    assert [ex.contract.strike for ex in calls.exogenous] == [q[2] for q in chosen]
+    assert [ex.contract for ex in calls.exogenous] == [
+        ContractSpec(strike=q[2], expiry_step=trading_days_between(q[0], q[1]), is_call=True) for q in chosen
+    ]
+    assert calls.contract == calls.exogenous[0].contract
     for day in (1, 2, 5, 9):
         date = dt.date(2019, 1, day)
         assert prior_close_before(chain, date) == prior_close_before(quotes, date)

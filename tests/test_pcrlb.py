@@ -364,19 +364,19 @@ def test_pcrlb_step_averages_d22_over_its_predicted_cloud(monkeypatch):
     model = bsgarch_model()
     ex = ExogenousInputs(s=100.0, u=0.01, tau=0.5)
     belief = GaussianBelief(np.array([2e-4, 0.03]), np.diag([1e-9, 1e-5]))
-    n = 300
-    captured = []
     step = pcrlb._information_step
-    monkeypatch.setattr(pcrlb, "_information_step", lambda j, d: captured.append(d) or step(j, d))
-    pcrlb_step([FisherState.initial(belief.cov)], [belief], ex, model, n, [np.random.default_rng(31)])
+    for n in (40, 300, 1000):
+        captured = []
+        monkeypatch.setattr(pcrlb, "_information_step", lambda j, d: captured.append(d) or step(j, d))
+        pcrlb_step([FisherState.initial(belief.cov)], [belief], ex, model, n, [np.random.default_rng(31)])
 
-    rng = np.random.default_rng(31)
-    predicted = propagate_cloud(seed_particles(belief, n, rng, model), ex, model, rng)
-    h = model.measurement_jacobian_batch(predicted.particles, ex)
-    assert np.ptp(h) > 0.0
-    hrh = np.einsum("nki,kl,nlj->ij", h, np.linalg.inv(model.measurement_cov()), h) / n
-    (d,) = captured
-    np.testing.assert_allclose(d.d22[0], np.linalg.inv(model.process_cov()) + hrh, rtol=1e-12)
+        rng = np.random.default_rng(31)
+        predicted = propagate_cloud(seed_particles(belief, n, rng, model), ex, model, rng)
+        h = model.measurement_jacobian_batch(predicted.particles, ex)
+        assert np.ptp(h) > 0.0
+        hrh = np.einsum("nki,kl,nlj->ij", h, np.linalg.inv(model.measurement_cov()), h) / n
+        (d,) = captured
+        np.testing.assert_allclose(d.d22[0], np.linalg.inv(model.process_cov()) + hrh, rtol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -495,19 +495,6 @@ def test_constant_transition_blocks_are_computed_once_and_kept():
         pcrlb_step(bank_of_three(beliefs), beliefs, ex, model, 50, rngs)
         again = model._transition_blocks
         assert again[1] is d11 and again[2] is d12
-
-
-def test_a_scalar_gram_weight_equals_uniform_per_particle_weights_bit_for_bit():
-    rng = np.random.default_rng(0)
-    precision = np.array([[400.0]])
-    for n in (40, 400, 1000):
-        jac = rng.standard_normal((3, n, 1, 2))
-        gram, jp = pcrlb._weighted_gram(jac, precision, 1.0 / n)
-        # the same sums with one weight per particle
-        wjp = np.einsum("bnks,kl->bnsl", jac, precision) * np.full((3, n, 1, 1), 1.0 / n)
-        expect = wjp.transpose(0, 2, 1, 3).reshape(3, 2, n) @ jac.reshape(3, n, 2)
-        assert gram.tobytes() == expect.tobytes()
-        assert jp.tobytes() == wjp.sum(axis=1).tobytes()
 
 
 def test_kept_transition_blocks_follow_a_jacobian_that_changes_between_steps(monkeypatch):
