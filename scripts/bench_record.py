@@ -18,10 +18,13 @@ synthetic-bank check hashes), and the SHA-256 of load_chain's result on
 the seed-0 large chain (every column's bytes, then the rejects' lines and
 reasons), which perfbench/chaingen.py writes once for both sides. That
 chain is hashed twice: as load_chain loads it, and forced to one byte
-range by raising marketdata._MIN_RANGE_BYTES above the file size. All run
-in a subprocess of that side's checkout. If the two load hashes of a side
-differ, the record is written without runs and the script exits 1.
-Nothing gates on absolute times. Every (strategy, report) whose hash
+range by raising marketdata._MIN_RANGE_BYTES above the file size. On the
+same chain each side runs the large-chain workload's calibrating EKF
+backtest (seed 0, the arguments of chaingen's manifest.json) and records
+the SHA-256 of its six reports. All run in a subprocess of that side's
+checkout. If the two load hashes of a side differ, the record is written
+without runs and the script exits 1. Nothing gates on absolute times.
+Every sample (strategy, report) and every large-chain report whose hash
 differs between the sides, or that one side lacks, is printed.
 """
 
@@ -58,6 +61,21 @@ for seed in range(3):
     result = run_synthetic_comparison(seed, strategies=STRATEGIES)
     summaries.append({"rmse": {k: repr(v) for k, v in result.rmse.items()}, "counts": result.chosen_counts})
 print(hashlib.sha256(json.dumps(summaries, sort_keys=True).encode()).hexdigest())
+"""
+LARGE_CHAIN_DIGEST = """
+import contextlib, hashlib, io, json, pathlib, sys, tempfile
+from volswitch.cli import main
+chain_dir = pathlib.Path(sys.argv[1])
+manifest = json.loads((chain_dir / "manifest.json").read_text(encoding="utf-8"))
+with tempfile.TemporaryDirectory() as out, contextlib.redirect_stdout(io.StringIO()):
+    code = main(["backtest", "--chain", str(chain_dir / "chain.csv"), "--config", str(chain_dir / "run.cfg"),
+                 "--strike", repr(manifest["strike"]), "--expiry", manifest["expiry"],
+                 "--train-end", manifest["train_end"], "--test-end", manifest["test_end"],
+                 "--seed", sys.argv[2], "--strategy", "EKF", "--out-dir", out])
+    assert code in (0, 2), code
+    hashes = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+              for path in sorted(pathlib.Path(out).iterdir())}
+print(json.dumps(hashes))
 """
 LOAD_DIGEST = """
 import hashlib, os, sys
@@ -96,6 +114,8 @@ def describe(root: Path, chain: Path) -> dict:
                                capture_output=True, text=True, check=True).stdout.strip()
     loaded, one_range = subprocess.run([sys.executable, "-c", LOAD_DIGEST, str(chain)], cwd=root, env=env,
                                        capture_output=True, text=True, check=True).stdout.split()
+    large_chain = json.loads(subprocess.run([sys.executable, "-c", LARGE_CHAIN_DIGEST, str(chain.parent), str(SEED)],
+                                            cwd=root, env=env, capture_output=True, text=True, check=True).stdout)
     return {
         "commit": subprocess.run(["git", "-C", str(root), "describe", "--always", "--dirty"],
                                  capture_output=True, text=True).stdout.strip(),
@@ -105,8 +125,14 @@ def describe(root: Path, chain: Path) -> dict:
         "synthetic_sha256": synthetic,
         "large_chain_load_sha256": loaded,
         "large_chain_one_range_load_sha256": one_range,
+        "large_chain_reports_sha256": large_chain,
         "runs": {},
     }
+
+
+def differing(parent: dict, change: dict) -> list:
+    """Names whose hash differs between the sides, or that one side lacks."""
+    return [name for name in sorted(parent.keys() | change.keys()) if parent.get(name) != change.get(name)]
 
 
 def main(argv=None) -> int:
@@ -130,10 +156,10 @@ def main(argv=None) -> int:
     path = HERE / f"BENCH_{args.pr}.json"
     parent_sample, change_sample = (record[label]["sample_sha256"] for label in roots)
     for strategy in sorted(parent_sample.keys() | change_sample.keys()):
-        parent_reports, change_reports = parent_sample.get(strategy, {}), change_sample.get(strategy, {})
-        for name in sorted(parent_reports.keys() | change_reports.keys()):
-            if parent_reports.get(name) != change_reports.get(name):
-                print(f"sample {strategy} {name} differs from the parent", flush=True)
+        for name in differing(parent_sample.get(strategy, {}), change_sample.get(strategy, {})):
+            print(f"sample {strategy} {name} differs from the parent", flush=True)
+    for name in differing(*(record[label]["large_chain_reports_sha256"] for label in roots)):
+        print(f"large-chain {name} differs from the parent", flush=True)
     differ = [label for label in roots
               if record[label]["large_chain_load_sha256"] != record[label]["large_chain_one_range_load_sha256"]]
     if differ:

@@ -84,6 +84,78 @@ def _unpack(z) -> tuple[float, float]:
     return alpha, beta
 
 
+class _BudgetSpent(Exception):
+    pass
+
+
+def _by_value(sim, fsim):
+    order = np.argsort(fsim)
+    return np.take(sim, order, 0), np.take(fsim, order, 0)
+
+
+def _nelder_mead(fun, x0, xatol, fatol):
+    """Minimize ``fun`` from ``x0``; returns (best vertex, lowest value, converged).
+
+    scipy.optimize.minimize(method="Nelder-Mead") without bounds or
+    adaptation, step for step, so both return the same floats: the same
+    first simplex, the same expressions (rho = 1, chi = 2, psi = sigma = 0.5
+    folded into constants; every folded product is exact), the same argsort
+    re-sorting, and a budget of 200 * N evaluations and 200 * N iterations.
+    """
+    x0 = np.asarray(x0, dtype=float).ravel()
+    n = x0.size
+    budget = 200 * n
+    sim = np.tile(x0, (n + 1, 1))
+    for k in range(n):
+        sim[k + 1, k] = 1.05 * x0[k] if x0[k] != 0 else 0.00025
+    nfev = 0
+
+    def f(x):
+        nonlocal nfev
+        if nfev >= budget:
+            raise _BudgetSpent
+        nfev += 1
+        return fun(x)
+
+    fsim = np.array([f(x) for x in sim], dtype=float)
+    sim, fsim = _by_value(*_by_value(sim, fsim))  # scipy sorts the first simplex twice
+    iterations = 1
+    while nfev < budget and iterations < budget:
+        if (np.max(np.abs(sim[1:] - sim[0])) <= xatol
+                and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+            break
+        try:
+            xbar = np.add.reduce(sim[:-1], 0) / n
+            xr = 2 * xbar - sim[-1]
+            fxr = f(xr)
+            if fxr < fsim[0]:
+                xe = 3 * xbar - 2 * sim[-1]
+                fxe = f(xe)
+                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+            else:
+                if fxr < fsim[-1]:  # outside contraction
+                    xc = 1.5 * xbar - 0.5 * sim[-1]
+                    fxc = f(xc)
+                    keep = fxc <= fxr
+                else:  # inside contraction
+                    xc = 0.5 * xbar + 0.5 * sim[-1]
+                    fxc = f(xc)
+                    keep = fxc < fsim[-1]
+                if keep:
+                    sim[-1], fsim[-1] = xc, fxc
+                else:  # shrink towards the best vertex
+                    for j in range(1, n + 1):
+                        sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
+                        fsim[j] = f(sim[j])
+            iterations += 1
+        except _BudgetSpent:
+            pass
+        sim, fsim = _by_value(sim, fsim)
+    return sim[0], float(np.min(fsim)), nfev < budget and iterations < budget
+
+
 def fit_garch(returns) -> GarchFit:
     """Variance-targeting quasi-MLE; multi-start Nelder-Mead in 2 parameters."""
     returns = np.asarray(returns, dtype=float)
@@ -102,23 +174,17 @@ def fit_garch(returns) -> GarchFit:
         omega = var * (1.0 - alpha - beta)
         return -garch_log_likelihood(returns, omega, alpha, beta)
 
-    # imported here: scipy.optimize is a large import that only a fit needs
-    from scipy.optimize import minimize
-
-    best = None
-    converged = False
-    for a0, b0 in _STARTS:
-        z0 = (_logit(min((a0 + b0) / 0.9999, 0.999)), _logit(a0 / (a0 + b0)))
-        res = minimize(negloglik, z0, method="Nelder-Mead", options={"xatol": 1e-8, "fatol": 1e-10})
-        if best is None or res.fun < best.fun:
-            best = res
-            converged = bool(res.success)
-    alpha, beta = _unpack(best.x)
+    starts = [(_logit(min((a0 + b0) / 0.9999, 0.999)), _logit(a0 / (a0 + b0))) for a0, b0 in _STARTS]
+    # the first start with the lowest value wins
+    z, fun, converged = min(
+        (_nelder_mead(negloglik, z0, xatol=1e-8, fatol=1e-10) for z0 in starts), key=lambda res: res[1]
+    )
+    alpha, beta = _unpack(z)
     omega = var * (1.0 - alpha - beta)
     params = GarchParams(omega, alpha, beta)
     fit = GarchFit(
         params=params,
-        log_likelihood=-float(best.fun),
+        log_likelihood=-fun,
         n_obs=int(returns.size),
         sample_variance=var,
         converged=converged,

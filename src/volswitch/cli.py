@@ -56,13 +56,18 @@ def _load_cfg(args) -> RunConfig:
     return RunConfig()
 
 
+def _load_chain(path, cfg: RunConfig):
+    chain, rejects = load_chain(path, cfg.columns)
+    if rejects:
+        print(f"note: {len(rejects)} row(s) rejected while loading {path}", file=sys.stderr)
+    return chain
+
+
 def _cmd_backtest(args) -> int:
     if (args.strike is None) != (args.expiry is None):
         raise InvalidInputError("--strike and --expiry must be given together")
     cfg = _load_cfg(args)
-    chain, rejects = load_chain(args.chain, cfg.columns)
-    if rejects:
-        print(f"note: {len(rejects)} row(s) rejected while loading {args.chain}", file=sys.stderr)
+    chain = _load_chain(args.chain, cfg)
     if args.strike is not None:
         series = build_series(chain, args.strike, args.expiry)
     else:
@@ -141,7 +146,7 @@ def _cmd_vol_report(args) -> None:
 def _cmd_calibrate(args) -> None:
     cfg = _load_cfg(args)
     try:
-        chain, _rejects = load_chain(args.underlying, cfg.columns)
+        chain = _load_chain(args.underlying, cfg)
         closes = [c for _, c in closes_by_date(chain)]
     except SchemaError:
         closes = [v for _, v in load_value_series(args.underlying)]

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import oracles
+from volswitch import calibrate
 from volswitch.calibrate import (
     MIN_RETURNS,
     closes_by_date,
@@ -96,6 +97,74 @@ def test_fit_recovers_parameters_on_a_long_series():
     fit = fit_garch(u)
     assert fit.params.alpha == pytest.approx(TRUE["alpha"], abs=0.03)
     assert fit.params.beta == pytest.approx(TRUE["beta"], abs=0.05)
+
+
+def _rosenbrock(z):
+    return 100.0 * (z[1] - z[0] ** 2) ** 2 + (1.0 - z[0]) ** 2
+
+
+def _rosenbrock_cut(z):
+    # infinite on half the plane, the minimum on the boundary
+    return math.inf if z[0] + z[1] > 1.5 else _rosenbrock(z)
+
+
+def _terraces(z):
+    # piecewise constant: reflected and contracted points often tie
+    return math.floor(4.36 * abs(z[0] - 1.38)) + math.floor(0.65 * abs(z[1] + 1.95))
+
+
+def _garch_objective(returns):
+    var = float(np.var(returns))
+
+    def negloglik(z):
+        alpha, beta = calibrate._unpack(z)
+        return -garch_log_likelihood(returns, var * (1.0 - alpha - beta), alpha, beta)
+
+    return negloglik
+
+
+def _counted(fun):
+    calls = []
+
+    def wrapped(z):
+        value = fun(z)
+        calls.append(value)
+        return value
+
+    return wrapped, calls
+
+
+def test_nelder_mead_reproduces_scipy_bit_for_bit():
+    minimize = pytest.importorskip("scipy.optimize").minimize
+    garch = _garch_objective(simulate_garch_returns(300, **TRUE, seed=3))
+    cases = {
+        f"garch start {a0, b0}": (
+            garch,
+            (calibrate._logit(min((a0 + b0) / 0.9999, 0.999)), calibrate._logit(a0 / (a0 + b0))),
+            1e-8, 1e-10,
+        )
+        for a0, b0 in calibrate._STARTS
+    }
+    cases["rosenbrock"] = (_rosenbrock, (-1.2, 1.0), 1e-8, 1e-10)
+    cases["budget"] = (_rosenbrock, (-30.0, 40.0), 1e-300, 0.0)
+    cases["zero coordinate"] = (_rosenbrock, (0.0, 2.0), 1e-8, 1e-10)
+    cases["infinite half-plane"] = (_rosenbrock_cut, (-1.2, 1.0), 1e-8, 1e-10)
+    cases["ties"] = (_terraces, (7.3, 0.8), 1e-8, 1e-10)
+    outcomes = {}
+    for name, (fun, x0, xatol, fatol) in cases.items():
+        ours, our_calls = _counted(fun)
+        x, value, converged = calibrate._nelder_mead(ours, x0, xatol=xatol, fatol=fatol)
+        theirs, their_calls = _counted(fun)
+        ref = minimize(theirs, x0, method="Nelder-Mead", options={"xatol": xatol, "fatol": fatol})
+        assert [v.hex() for v in x.tolist()] == [v.hex() for v in ref.x.tolist()], name
+        assert value.hex() == float(ref.fun).hex(), name
+        assert converged == ref.success, name
+        # every evaluation, in order, with the same value
+        assert our_calls == their_calls and len(our_calls) == ref.nfev, name
+        outcomes[name] = converged, our_calls
+    assert outcomes["budget"][0] is False and len(outcomes["budget"][1]) == 400
+    assert all(converged for name, (converged, _) in outcomes.items() if name != "budget")
+    assert math.inf in outcomes["infinite half-plane"][1]
 
 
 def test_fit_requires_enough_data_and_finite_variance():

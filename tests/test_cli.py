@@ -58,12 +58,28 @@ def run(args):
 # argument handling
 
 
-def test_cli_import_leaves_the_optimizer_unloaded():
-    # scipy.optimize is only needed by a GARCH fit; every command pays for it otherwise
-    code = "import sys, volswitch.cli; assert 'scipy.optimize' not in sys.modules"
+def test_cli_import_leaves_the_optimizer_unloaded(tmp_path):
+    # the GARCH fit is in-package: neither the import nor a calibrating
+    # command pays for scipy.optimize
+    data = Path(__file__).resolve().parents[1] / "data"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text((data / "sample_config.cfg").read_text() + "garch.calibrate = true\n")
+    code = f"""
+import sys, volswitch.cli
+assert 'scipy.optimize' not in sys.modules
+chain = {str(data / "sample_chain.csv")!r}
+assert volswitch.cli.main(["calibrate-garch", "--underlying", chain,
+                           "--config-out", {str(tmp_path / "fit.cfg")!r}]) == 0
+assert volswitch.cli.main(["backtest", "--chain", chain, "--config", {str(cfg)!r}, "--strategy", "EKF",
+                           "--train-end", "2019-03-01", "--test-end", "2019-03-08",
+                           "--out-dir", {str(tmp_path / "reports")!r}]) in (0, 2)
+assert 'scipy.optimize' not in sys.modules
+"""
     src = str(Path(volswitch.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert "calibrated GARCH" in proc.stdout
 
 
 def test_help_exits_zero():
@@ -477,3 +493,21 @@ def test_calibrate_from_long_chain(tmp_path, capsys):
     assert run(["calibrate-garch", "--underlying", chain, "--config-out", frag]) == 0
     assert frag.exists()
     assert "79 returns" in capsys.readouterr().out
+
+
+def test_calibrate_notes_rejected_chain_rows(tmp_path, capsys):
+    closes = gbm_closes(40)
+    days = np.busday_offset(np.datetime64("2019-01-02"), np.arange(40))
+    chain = tmp_path / "chain.csv"
+    write_chain(chain, [
+        OptionQuote(quote_date=dt.date.fromisoformat(str(d)), expiry_date=dt.date(2019, 12, 20),
+                    strike=100.0, side="C", price=5.0, volume=1.0, underlying_close=float(c))
+        for d, c in zip(days, closes)
+    ])
+    with open(chain, "a", encoding="utf-8") as fh:
+        fh.write(f"{days[3]},2019-12-20,100.0,P,,,,1.0,{float(closes[3])!r},\n")  # no price
+    frag = tmp_path / "fitted.cfg"
+    assert run(["calibrate-garch", "--underlying", chain, "--config-out", frag]) == 0
+    captured = capsys.readouterr()
+    assert "39 returns" in captured.out
+    assert f"note: 1 row(s) rejected while loading {chain}" in captured.err
