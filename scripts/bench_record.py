@@ -23,7 +23,12 @@ same chain each side runs the large-chain workload's calibrating EKF
 backtest (seed 0, the arguments of chaingen's manifest.json) and records
 the SHA-256 of its six reports. All run in a subprocess of that side's
 checkout. If the two load hashes of a side differ, the record is written
-without runs and the script exits 1. Nothing gates on absolute times.
+without runs and the script exits 1. Before the benchmark runs, each side
+times CLI_RUNS fresh processes of the ROADMAP's end-to-end command,
+`python -m volswitch backtest` of the sample chain and config with
+--strategy AAF, alternated with the other side's, and records their wall
+times, median and quartiles as "sample_backtest_s". Nothing gates on
+absolute times.
 Every sample (strategy, report) and every large-chain report whose hash
 differs between the sides, or that one side lacks, is printed.
 """
@@ -31,13 +36,18 @@ differs between the sides, or that one side lacks, is printed.
 import argparse
 import json
 import os
+import statistics
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent.parent
 SEED = 0
+CLI_RUNS = 10
+SAMPLE_BACKTEST = ["-m", "volswitch", "backtest", "--chain", "data/sample_chain.csv",
+                   "--config", "data/sample_config.cfg", "--strategy", "AAF"]
 SAMPLE_DIGEST = """
 import contextlib, hashlib, io, json, pathlib, tempfile
 from volswitch.backtest import STRATEGIES
@@ -106,6 +116,16 @@ def run_bench(root: Path, command: list, workload: str, trace: int, seconds: int
             "result": json.loads(lines[-1])}
 
 
+def time_sample_backtest(root: Path) -> float:
+    """Wall seconds of one fresh process running SAMPLE_BACKTEST in ``root``, imports included."""
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    with tempfile.TemporaryDirectory() as out:
+        start = time.perf_counter()
+        subprocess.run([sys.executable, *SAMPLE_BACKTEST, "--out-dir", out], cwd=root, env=env,
+                       capture_output=True, check=True)
+        return time.perf_counter() - start
+
+
 def describe(root: Path, chain: Path) -> dict:
     env = {**os.environ, "PYTHONPATH": str(root / "src")}
     sample = json.loads(subprocess.run([sys.executable, "-c", SAMPLE_DIGEST], cwd=root, env=env,
@@ -166,6 +186,16 @@ def main(argv=None) -> int:
         path.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n", encoding="utf-8")
         print(f"wrote {path}; the ranged and one-range loads differ on: {', '.join(differ)}", file=sys.stderr)
         return 1
+    for i in range(CLI_RUNS):
+        for label in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
+            times = record[label].setdefault("sample_backtest_s", {"runs": []})["runs"]
+            times.append(time_sample_backtest(roots[label]))
+            record["run_order"].append(f"sample-backtest run{i} {label}")
+            print(record["run_order"][-1], flush=True)
+    for label in roots:
+        times = record[label]["sample_backtest_s"]
+        q1, median, q3 = statistics.quantiles(times["runs"], n=4)
+        times.update(median=median, quartiles=[q1, q3])
     pairs = [(w["name"], trace, seed) for w in spec["workloads"]
              for trace, trace_seeds in ((0, seeds), (1, [SEED])) for seed in trace_seeds]
     for i, (workload, trace, seed) in enumerate(pairs):

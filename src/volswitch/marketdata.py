@@ -35,6 +35,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
+from . import workers
 from .bsgarch import BsGarchModel, ContractSpec, ExogenousInputs, ModelSpec, gbm_propagate
 from .exceptions import FormatError, InsufficientDataError, InvalidInputError, SchemaError
 
@@ -446,8 +447,7 @@ def _cuts(path) -> list:
     that spans a cut, so such a file is one range, as is any without ``fork``.
     """
     size = os.path.getsize(path)
-    usable = hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
-    k = min(len(os.sched_getaffinity(0)) if usable else 1, size // _MIN_RANGE_BYTES)
+    k = min(workers.fork_cpus(), size // _MIN_RANGE_BYTES)
     if k < 2:
         return [0, None]
     with open(path, "rb") as fh:
@@ -493,8 +493,14 @@ def _send_range(send, path, start: int, end, width: int, layout: dict):
             send.send_bytes(np.concatenate(pieces).view(np.uint8))
     except Exception as e:
         send.send(e)
-    finally:
-        os._exit(0)  # at once: a normal exit would flush stdout text the parent had buffered
+
+
+def _died(path, process, start: int, end) -> FormatError:
+    """The error for a range worker that exited before it sent all it owed."""
+    return FormatError(
+        f"cannot read chain file {path}: the worker loading bytes {start} to "
+        f"{'the end' if end is None else end} exited with code {workers.exit_code(process)}"
+    )
 
 
 def load_chain(path, columns: dict | None = None):
@@ -517,7 +523,7 @@ def load_chain(path, columns: dict | None = None):
     colmap = {c: c for c in CANONICAL_COLUMNS}
     if columns:
         colmap.update(columns)
-    workers = []  # (process, receiving end) of each range after the first
+    started = []  # (process, receiving end, start, end) of each range after the first
     # until its header has been read, the file is not known to be a chain
     kind = "file"
     try:
@@ -534,20 +540,15 @@ def load_chain(path, columns: dict | None = None):
             # a repeated header reads its last column, as csv.DictReader did
             position = {name: j for j, name in enumerate(header)}
             layout = {c: (colmap[c], position[colmap[c]]) for c in _PARSE_ORDER if colmap[c] in position}
-            if len(cuts) > 2:
-                import multiprocessing  # here only: the import adds 10-28 ms to every CLI start
-
-                context = multiprocessing.get_context("fork")
-                for start, end in zip(cuts[1:], cuts[2:]):
-                    receive, send = context.Pipe(duplex=False)
-                    process = context.Process(target=_send_range, args=(send, path, start, end, len(header), layout))
-                    process.start()
-                    workers.append((process, receive))
-                    send.close()
+            for start, end in zip(cuts[1:], cuts[2:]):
+                started.append((*workers.start(_send_range, path, start, end, len(header), layout), start, end))
             parts, rejects, lines = _load_range(fh, len(header), layout, reader.line_num)
         heads = []
-        for _, receive in workers:
-            heads.append(receive.recv())
+        for process, receive, start, end in started:
+            try:
+                heads.append(receive.recv())
+            except EOFError:
+                raise _died(path, process, start, end) from None
             if isinstance(heads[-1], Exception):
                 raise heads[-1]
         rows = sum(map(len, parts["price"]))
@@ -557,9 +558,12 @@ def load_chain(path, columns: dict | None = None):
         for name in list(parts):  # each column's pieces are dropped once it is joined
             chain[name] = np.empty(total, getattr(empty, name).dtype)
             np.concatenate([getattr(empty, name), *parts.pop(name)], out=chain[name][:rows])
-        for (_, receive), (n, more, read) in zip(workers, heads):
-            for column in chain.values() if n else ():
-                receive.recv_bytes_into(column[rows:rows + n].view(np.uint8))
+        for (process, receive, start, end), (n, more, read) in zip(started, heads):
+            try:
+                for column in chain.values() if n else ():
+                    receive.recv_bytes_into(column[rows:rows + n].view(np.uint8))
+            except EOFError:
+                raise _died(path, process, start, end) from None
             rejects += [RejectedRow(r.line + lines, r.reason) for r in more]
             rows += n
             lines += read
@@ -568,10 +572,8 @@ def load_chain(path, columns: dict | None = None):
     except csv.Error as e:
         raise FormatError(f"cannot parse {kind} {path}: {e}") from e
     finally:
-        for process, receive in workers:
-            process.kill()  # after an error in an earlier range it may still be parsing
-            process.join()
-            receive.close()
+        for process, receive, _, _ in started:
+            workers.stop(process, receive)  # after an error in an earlier range it may still be parsing
     chain = OptionChain(**chain)
     if rejects:
         logger.info("chain load: %d quotes accepted, %d rows rejected", len(chain), len(rejects))

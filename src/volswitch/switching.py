@@ -15,9 +15,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import workers
 from .exceptions import (
     RECOVERABLE,
     DegenerateCovarianceError,
+    EstimationError,
     InvalidInputError,
     NoFilterError,
 )
@@ -174,6 +176,9 @@ class EstimationSettings:
             raise InvalidInputError("at least one filter is required")
         if len(set(self.filters)) != len(self.filters):
             raise InvalidInputError("duplicate filters in bank")
+        for name in ("pf_particles", "pcrlb_particles"):
+            if getattr(self, name) < 2:
+                raise InvalidInputError(f"{name!r} must be at least 2, got {getattr(self, name)!r}")
 
 
 @dataclass
@@ -207,6 +212,104 @@ def _filter_update(fid, prior, cloud, obs, ex, model, settings, t):
     return summary, new_cloud
 
 
+class _BankBound:
+    """The bank's bound recursion, one step behind the filters; it owns each filter's J.
+
+    ``submit(t, beliefs)`` hands it the bank's posteriors at step t, and
+    ``collect()`` then advances every J to t+1 with ``pcrlb_step`` and the
+    (seed, filter, t, bound) substreams. It returns, per filter in bank
+    order, the new ``FisherState`` or the recoverable error that carried
+    that filter's J forward.
+    """
+
+    def __init__(self, fisher: list, exogenous: list, model, settings: EstimationSettings):
+        self.fisher = fisher
+        self.exogenous = exogenous
+        self.model = model
+        self.settings = settings
+        self._submitted = None
+
+    def submit(self, t: int, beliefs: list) -> None:
+        self._submitted = t, beliefs
+
+    def collect(self) -> list:
+        t, beliefs = self._submitted
+        cfg = self.settings
+        rngs = [substream(cfg.seed, _FILTER_INDEX[f], t, _STREAM_BOUND) for f in cfg.filters]
+        steps = pcrlb_step(self.fisher, beliefs, self.exogenous[t + 1], self.model, cfg.pcrlb_particles, rngs)
+        self.fisher = [step if isinstance(step, FisherState) else j for step, j in zip(steps, self.fisher)]
+        return steps
+
+    def close(self) -> None:
+        pass
+
+
+class _ForkedBankBound:
+    """A ``_BankBound`` run in a forked worker, so that step t's bound update overlaps step t+1's filters.
+
+    The posteriors go out as one raw float64 frame, [t, means, covs], and
+    come back as [flag, every J, every J^{-1}]. A nonzero flag means that
+    a pickled object follows: the per-filter errors, or the exception that
+    stopped the worker.
+    """
+
+    def __init__(self, bound: _BankBound):
+        self.filters = [f.filter for f in bound.fisher]
+        self.size = bound.fisher[0].j.shape[0]
+        self.frame = np.empty(1 + 2 * len(self.filters) * self.size**2)
+        self.process, self.end = workers.start(_serve_bound, bound, duplex=True)
+
+    def _died(self) -> EstimationError:
+        return EstimationError(f"the bound worker exited with code {workers.exit_code(self.process)}")
+
+    def submit(self, t: int, beliefs: list) -> None:
+        frame = np.concatenate([[t], *(b.mean for b in beliefs), *(b.cov.ravel() for b in beliefs)])
+        try:
+            self.end.send_bytes(frame)
+        except OSError:
+            raise self._died() from None
+
+    def collect(self) -> list:
+        try:
+            self.end.recv_bytes_into(self.frame)
+            errors = self.end.recv() if self.frame[0] else [None] * len(self.filters)
+        except (EOFError, OSError):
+            raise self._died() from None
+        if isinstance(errors, BaseException):
+            raise errors
+        j, j_inv = self.frame[1:].reshape(2, len(self.filters), self.size, self.size)
+        return [e or FisherState(j=j[k].copy(), j_inv=j_inv[k].copy(), filter=f)
+                for k, (e, f) in enumerate(zip(errors, self.filters))]
+
+    def close(self) -> None:
+        workers.stop(self.process, self.end)
+
+
+def _serve_bound(end, bound: _BankBound):
+    """A forked worker: advance ``bound`` on every posteriors frame until EOF or an error."""
+    b, s = len(bound.fisher), bound.fisher[0].j.shape[0]
+    frame = np.empty(1 + b * s * (1 + s))
+    while True:
+        try:
+            end.recv_bytes_into(frame)
+        except EOFError:
+            return
+        means, covs = frame[1:1 + b * s].reshape(b, s), frame[1 + b * s:].reshape(b, s, s)
+        bound.submit(int(frame[0]), [GaussianBelief(m, c) for m, c in zip(means, covs)])
+        try:
+            steps = bound.collect()
+        except Exception as e:
+            end.send_bytes(np.ones(1))
+            end.send(e)
+            return
+        errors = [None if isinstance(step, FisherState) else step for step in steps]
+        end.send_bytes(np.concatenate(
+            [[float(any(errors))], *(f.j.ravel() for f in bound.fisher), *(f.j_inv.ravel() for f in bound.fisher)]
+        ))
+        if any(errors):
+            end.send(errors)
+
+
 def run_adaptive_estimation(observations, exogenous, model, settings: EstimationSettings):
     """Run the full bank over an observation sequence, switching every step.
 
@@ -218,6 +321,12 @@ def run_adaptive_estimation(observations, exogenous, model, settings: Estimation
     BacktestRecord per observation. Only the PF draws, from its (seed,
     filter, t) substream; with shared chains its cloud is discarded, so it
     never resamples.
+
+    The bound update from step t's posteriors runs while step t+1's filters
+    update: in a forked worker where ``fork`` exists and two or more CPUs
+    are usable (``workers.fork_cpus``), else in this process. Its warnings
+    are logged once it is collected, before step t+1 is scored, and its
+    fallbacks go on step t's record. No worker outlives the call.
     """
     observations = [float(y) for y in observations]
     exogenous = list(exogenous)
@@ -244,82 +353,87 @@ def run_adaptive_estimation(observations, exogenous, model, settings: Estimation
     )
     records: list[BacktestRecord] = []
     n_steps = len(observations)
-
-    for t, (obs, ex) in enumerate(zip(observations, exogenous)):
-        fallbacks = []
-        beliefs = {}
-        for fid in settings.filters:
-            prior = priors[fid]
-            cloud = pf_cloud if (settings.independent_chains and fid is FilterId.PF) else None
-            try:
-                belief, new_cloud = _filter_update(fid, prior, cloud, obs, ex, model, settings, t)
-                if fid is FilterId.PF:
-                    pf_cloud = new_cloud
-            except RECOVERABLE as e:
-                logger.warning("%s update failed at t=%d (%s); holding prior with inflated covariance",
-                               fid, t, e)
-                fallbacks.append((HELD_PRIOR, fid))
-                belief = GaussianBelief(
-                    prior.mean.copy(), floor_psd(prior.cov * COV_INFLATION_ON_FAILURE)
-                )
-                if fid is FilterId.PF:
-                    pf_cloud = None
-            beliefs[fid] = belief
-
-        metrics = {}
-        for fid in settings.filters:
-            try:
-                metrics[fid] = perf_metric(fisher[fid], beliefs[fid])
-            except DegenerateCovarianceError as e:
-                logger.warning("filter %s excluded from switch at t=%d: %s", fid, t, e)
-                fallbacks.append((EXCLUDED, fid))
-
-        try:
-            if settings.mode == "average":
-                decision = select_average(metrics, beliefs)
-            else:
-                decision = select_best(metrics, beliefs)
-        except NoFilterError:
-            logger.warning("no usable filter at t=%d; carrying previous decision forward", t)
-            fallbacks.append((DECISION_CARRIED, None))  # ``decision`` is still the previous one
-
-        fisher_diags = {
-            fid: (fisher[fid].j.diagonal().copy(), fisher[fid].j_inv.diagonal().copy())
-            for fid in settings.filters
-        }
-
-        if settings.compute_pcrlb and t + 1 < n_steps:
-            rngs = [substream(settings.seed, _FILTER_INDEX[f], t, _STREAM_BOUND) for f in settings.filters]
-            steps = pcrlb_step(
-                [fisher[f] for f in settings.filters], [beliefs[f] for f in settings.filters],
-                exogenous[t + 1], model, settings.pcrlb_particles, rngs,
-            )
-            for fid, step in zip(settings.filters, steps):
-                if isinstance(step, FisherState):
-                    fisher[fid] = step
-                else:
-                    logger.warning(
-                        "bound update for %s failed at t=%d (%s); carrying J forward", fid, t, step
+    bound = None
+    if settings.compute_pcrlb and n_steps > 1:
+        bound = _BankBound(list(fisher.values()), exogenous, model, settings)
+        if workers.fork_cpus() >= 2:
+            bound = _ForkedBankBound(bound)
+    try:
+        for t, (obs, ex) in enumerate(zip(observations, exogenous)):
+            fallbacks = []
+            beliefs = {}
+            for fid in settings.filters:
+                prior = priors[fid]
+                cloud = pf_cloud if (settings.independent_chains and fid is FilterId.PF) else None
+                try:
+                    belief, new_cloud = _filter_update(fid, prior, cloud, obs, ex, model, settings, t)
+                    if fid is FilterId.PF:
+                        pf_cloud = new_cloud
+                except RECOVERABLE as e:
+                    logger.warning("%s update failed at t=%d (%s); holding prior with inflated covariance",
+                                   fid, t, e)
+                    fallbacks.append((HELD_PRIOR, fid))
+                    belief = GaussianBelief(
+                        prior.mean.copy(), floor_psd(prior.cov * COV_INFLATION_ON_FAILURE)
                     )
-                    fallbacks.append((BOUND_CARRIED, fid))
+                    if fid is FilterId.PF:
+                        pf_cloud = None
+                beliefs[fid] = belief
 
-        if settings.independent_chains:
-            priors = beliefs
-        else:
-            priors = dict.fromkeys(
-                settings.filters, GaussianBelief(decision.estimate.copy(), decision.cov.copy())
-            )
+            if bound is not None and t > 0:  # J_t, from step t-1's posteriors
+                for fid, step in zip(settings.filters, bound.collect()):
+                    if isinstance(step, FisherState):
+                        fisher[fid] = step
+                    else:
+                        logger.warning(
+                            "bound update for %s failed at t=%d (%s); carrying J forward", fid, t - 1, step
+                        )
+                        records[t - 1].fallbacks.append((BOUND_CARRIED, fid))
+            if bound is not None and t + 1 < n_steps:
+                bound.submit(t, [beliefs[f] for f in settings.filters])
 
-        records.append(
-            BacktestRecord(
-                t=t,
-                decision=decision,
-                estimate=decision.estimate.copy(),
-                observed_price=obs,
-                filter_estimates={f: b.mean.copy() for f, b in beliefs.items()},
-                phi_traces={f: m.trace for f, m in metrics.items()},
-                fisher_diags=fisher_diags,
-                fallbacks=fallbacks,
+            metrics = {}
+            for fid in settings.filters:
+                try:
+                    metrics[fid] = perf_metric(fisher[fid], beliefs[fid])
+                except DegenerateCovarianceError as e:
+                    logger.warning("filter %s excluded from switch at t=%d: %s", fid, t, e)
+                    fallbacks.append((EXCLUDED, fid))
+
+            try:
+                if settings.mode == "average":
+                    decision = select_average(metrics, beliefs)
+                else:
+                    decision = select_best(metrics, beliefs)
+            except NoFilterError:
+                logger.warning("no usable filter at t=%d; carrying previous decision forward", t)
+                fallbacks.append((DECISION_CARRIED, None))  # ``decision`` is still the previous one
+
+            fisher_diags = {
+                fid: (fisher[fid].j.diagonal().copy(), fisher[fid].j_inv.diagonal().copy())
+                for fid in settings.filters
+            }
+
+            if settings.independent_chains:
+                priors = beliefs
+            else:
+                priors = dict.fromkeys(
+                    settings.filters, GaussianBelief(decision.estimate.copy(), decision.cov.copy())
+                )
+
+            records.append(
+                BacktestRecord(
+                    t=t,
+                    decision=decision,
+                    estimate=decision.estimate.copy(),
+                    observed_price=obs,
+                    filter_estimates={f: b.mean.copy() for f, b in beliefs.items()},
+                    phi_traces={f: m.trace for f, m in metrics.items()},
+                    fisher_diags=fisher_diags,
+                    fallbacks=fallbacks,
+                )
             )
-        )
+    finally:
+        if bound is not None:
+            bound.close()
     return records

@@ -60,13 +60,15 @@ def run(args):
 
 def test_cli_import_leaves_the_optimizer_unloaded(tmp_path):
     # the GARCH fit is in-package: neither the import nor a calibrating
-    # command pays for scipy.optimize
+    # command pays for scipy.optimize; multiprocessing loads only when a
+    # worker starts
     data = Path(__file__).resolve().parents[1] / "data"
     cfg = tmp_path / "run.cfg"
     cfg.write_text((data / "sample_config.cfg").read_text() + "garch.calibrate = true\n")
     code = f"""
 import sys, volswitch.cli
 assert 'scipy.optimize' not in sys.modules
+assert 'multiprocessing' not in sys.modules
 chain = {str(data / "sample_chain.csv")!r}
 assert volswitch.cli.main(["calibrate-garch", "--underlying", chain,
                            "--config-out", {str(tmp_path / "fit.cfg")!r}]) == 0

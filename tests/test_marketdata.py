@@ -503,6 +503,27 @@ def test_a_chain_not_utf8_in_its_last_range_fails_the_backtest(tmp_path, monkeyp
     assert err.startswith(f"error: cannot read chain file {path}: ") and "Traceback" not in err
 
 
+def test_a_dead_range_worker_is_a_format_error_naming_its_range(tmp_path, monkeypatch, capsys):
+    from volswitch import cli
+
+    seen = ranged(monkeypatch, 3)
+    path = chain_file(tmp_path, CHAIN_ROWS * 60)
+    # a worker that exits without sending anything, as after a signal or an OOM kill
+    monkeypatch.setattr(marketdata, "_send_range", lambda *args: os._exit(3))
+    with pytest.raises(FormatError) as raised:
+        load_chain(path)
+    start = seen[0][1]
+    assert str(raised.value) == (
+        f"cannot read chain file {path}: the worker loading bytes {start} to {seen[0][2]} exited with code 3"
+    )
+    assert not multiprocessing.active_children()
+    assert cli.main(["backtest", "--chain", str(path), "--out-dir", str(tmp_path / "reports")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read chain file {path}: the worker loading bytes ")
+    assert err.rstrip().endswith("exited with code 3") and "Traceback" not in err
+    assert not multiprocessing.active_children()
+
+
 def test_load_chain_holds_one_chunk_of_text_at_a_time_in_ranges(tmp_path, monkeypatch):
     seen = ranged(monkeypatch, 2)
     monkeypatch.setattr(marketdata, "_MIN_RANGE_BYTES", 1 << 20)

@@ -1,4 +1,6 @@
 import logging
+import multiprocessing
+import os
 import re
 from collections import Counter
 
@@ -6,9 +8,10 @@ import numpy as np
 import pytest
 
 import oracles
-from volswitch import switching
+from volswitch import switching, workers
 from volswitch.exceptions import (
     DegenerateCovarianceError,
+    EstimationError,
     InvalidInputError,
     NoFilterError,
     NumericalFailureError,
@@ -29,6 +32,8 @@ from volswitch.switching import (
     select_average,
     select_best,
 )
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="the bound worker needs fork")
 
 A = np.array([[0.9, 0.05], [0.0, 0.92]])
 C = np.array([[1.0, 0.3]])
@@ -184,6 +189,13 @@ def test_settings_validation():
         settings(filters=(FilterId.EKF, FilterId.EKF))
 
 
+@pytest.mark.parametrize("name", ["pf_particles", "pcrlb_particles"])
+def test_settings_need_two_particles(name):
+    with pytest.raises(InvalidInputError, match=f"^'{name}' must be at least 2, got 1$"):
+        settings(**{name: 1})
+    settings(**{name: 2})
+
+
 # ---------------------------------------------------------------------------
 # orchestration
 
@@ -229,7 +241,7 @@ def test_independent_chains_keep_the_ekf_pure():
         np.testing.assert_allclose(rec.filter_estimates[FilterId.EKF], means[t], atol=1e-10)
 
 
-def test_only_the_pf_builds_a_filter_substream(monkeypatch):
+def count_substreams(monkeypatch) -> Counter:
     calls = Counter()
     real = switching.substream
 
@@ -238,6 +250,12 @@ def test_only_the_pf_builds_a_filter_substream(monkeypatch):
         return real(seed, filter_index, t, purpose)
 
     monkeypatch.setattr(switching, "substream", counting)
+    return calls
+
+
+def test_only_the_pf_builds_a_filter_substream(monkeypatch):
+    monkeypatch.setattr(workers, "fork_cpus", lambda: 1)  # the bound runs in this process
+    calls = count_substreams(monkeypatch)
     ys = observations(n_steps=8)
     run_adaptive_estimation(ys, [None] * len(ys), linear_model(), settings(pf_particles=100, pcrlb_particles=50))
     # the EKF and UKF never draw; the bound draws for every filter but not after the last step
@@ -246,13 +264,24 @@ def test_only_the_pf_builds_a_filter_substream(monkeypatch):
     assert calls == expect
 
 
+@needs_fork
+def test_the_bound_worker_builds_the_bound_substreams(monkeypatch):
+    monkeypatch.setattr(workers, "fork_cpus", lambda: 2)
+    calls = count_substreams(monkeypatch)
+    ys = observations(n_steps=8)
+    run_adaptive_estimation(ys, [None] * len(ys), linear_model(), settings(pf_particles=100, pcrlb_particles=50))
+    # this process builds only the PF's streams; the worker counts its own
+    assert calls == {(switching._STREAM_FILTER, FilterId.PF): len(ys)}
+
+
 def _assert_same_records(a, b):
     assert len(a) == len(b)
     for ra, rb in zip(a, b):
         assert ra.decision.chosen == rb.decision.chosen
         np.testing.assert_array_equal(ra.estimate, rb.estimate)
         np.testing.assert_array_equal(ra.decision.cov, rb.decision.cov)
-        for fid in FILTER_ORDER:
+        assert ra.filter_estimates.keys() == rb.filter_estimates.keys() == ra.fisher_diags.keys()
+        for fid in ra.filter_estimates:
             np.testing.assert_array_equal(ra.filter_estimates[fid], rb.filter_estimates[fid])
             np.testing.assert_array_equal(ra.fisher_diags[fid], rb.fisher_diags[fid])
         assert ra.phi_traces == rb.phi_traces
@@ -482,6 +511,110 @@ def test_a_bound_failure_in_the_bank_carries_only_that_filter_forward(caplog):
             for got, expect in zip(rec.fisher_diags[fid], ref.fisher_diags[fid]):
                 np.testing.assert_array_equal(got, expect)
     assert not np.array_equal(records[-1].fisher_diags[FilterId.EKF][0], j0)
+
+
+# ---------------------------------------------------------------------------
+# the bound worker
+
+
+class VaryingJacobianModel(LinearGaussianModel):
+    """The linear model, but its transition Jacobian differs between particles."""
+
+    def __init__(self):
+        super().__init__(A, C, Q, R)
+
+    def transition_jacobian_batch(self, states, ex):
+        jac = np.repeat(self.a[None], states.shape[0], axis=0)
+        jac[:, 0, 0] += 1e-3 * states[:, 0]
+        return jac
+
+
+def run_on_each_path(monkeypatch, caplog, ys, model_class, cfg):
+    """(in-process records, worker records), and the warnings each run logged."""
+    runs, warnings = [], []
+    for cpus in (1, 2):
+        monkeypatch.setattr(workers, "fork_cpus", lambda: cpus)
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="volswitch"):
+            runs.append(run_adaptive_estimation(ys, [None] * len(ys), model_class(), cfg))
+        warnings.append(list(caplog.messages))
+        assert not multiprocessing.active_children()
+    return runs, warnings
+
+
+@needs_fork
+@pytest.mark.parametrize(
+    "model_class, kw",
+    [
+        (linear_model, {}),  # AAF
+        (linear_model, {"mode": "best"}),  # ABF
+        (linear_model, {"filters": (FilterId.UKF,)}),
+        (FailingBoundModel, {}),
+    ],
+    ids=["AAF", "ABF", "bank-of-one", "failing-bound"],
+)
+def test_the_bound_worker_gives_the_in_process_records(monkeypatch, caplog, model_class, kw):
+    ys = observations(n_steps=10)
+    (alone, forked), (alone_warnings, forked_warnings) = run_on_each_path(
+        monkeypatch, caplog, ys, model_class, settings(pf_particles=100, pcrlb_particles=50, **kw)
+    )
+    _assert_same_records(alone, forked)
+    assert alone_warnings == forked_warnings
+    if model_class is FailingBoundModel:
+        bound = [(BOUND_CARRIED, f) for f in FILTER_ORDER]
+        assert [rec.fallbacks for rec in forked] == [bound] * (len(ys) - 1) + [[]]
+        assert len(forked_warnings) == len(FILTER_ORDER) * (len(ys) - 1)
+    else:
+        assert forked_warnings == []
+
+
+@needs_fork
+def test_a_varying_jacobian_raises_the_same_error_on_each_path(monkeypatch):
+    ys = observations(n_steps=6)
+    for cpus in (1, 2):
+        monkeypatch.setattr(workers, "fork_cpus", lambda: cpus)
+        with pytest.raises(InvalidInputError) as raised:
+            run_adaptive_estimation(ys, [None] * len(ys), VaryingJacobianModel(), settings(pf_particles=100))
+        assert type(raised.value) is InvalidInputError
+        assert str(raised.value) == "the bound step needs one transition Jacobian shared by every particle"
+        assert not multiprocessing.active_children()
+
+
+@needs_fork
+@pytest.mark.parametrize("failure", [None, "filter", "bound", "worker"])
+def test_no_bound_worker_outlives_the_run(monkeypatch, failure):
+    monkeypatch.setattr(workers, "fork_cpus", lambda: 2)
+    started = []
+    start = workers.start
+    monkeypatch.setattr(workers, "start", lambda *args, **kw: started.append(start(*args, **kw)) or started[-1])
+    model = VaryingJacobianModel() if failure == "bound" else linear_model()
+    if failure == "filter":
+        real, calls = switching.ukf_update, Counter()
+
+        def failing_ukf(*args):
+            calls["ukf"] += 1
+            if calls["ukf"] == 3:
+                raise InvalidInputError("injected")
+            return real(*args)
+
+        monkeypatch.setattr(switching, "ukf_update", failing_ukf)
+    if failure == "worker":  # a worker that dies, as after a signal or an OOM kill
+        monkeypatch.setattr(switching, "_serve_bound", lambda end, bound: os._exit(3))
+    ys = observations(n_steps=6)
+    expect = {
+        None: None,
+        "filter": (InvalidInputError, "injected"),
+        "bound": (InvalidInputError, "one transition Jacobian"),
+        "worker": (EstimationError, "^the bound worker exited with code 3$"),
+    }[failure]
+    if expect is None:
+        run_adaptive_estimation(ys, [None] * len(ys), model, settings(pf_particles=100))
+    else:
+        with pytest.raises(expect[0], match=expect[1]):
+            run_adaptive_estimation(ys, [None] * len(ys), model, settings(pf_particles=100))
+    ((process, end),) = started
+    assert process.exitcode is not None and end.closed
+    assert not multiprocessing.active_children()
 
 
 def test_run_input_validation():
