@@ -45,6 +45,10 @@ class ContractExpiredError(EstimationError):
     """A forecast horizon extends past the contract's expiry."""
 
 
+class WorkerExitedError(EstimationError):
+    """A forked worker exited before it sent its answer."""
+
+
 # Numerical trouble that degrades a run instead of stopping it: a filter
 # holds its prior, a bound carries its J forward.
 RECOVERABLE = (NumericalFailureError, CovarianceError, SingularityError)

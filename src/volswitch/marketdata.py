@@ -37,7 +37,7 @@ import numpy as np
 
 from . import workers
 from .bsgarch import BsGarchModel, ContractSpec, ExogenousInputs, ModelSpec, gbm_propagate
-from .exceptions import FormatError, InsufficientDataError, InvalidInputError, SchemaError
+from .exceptions import FormatError, InsufficientDataError, InvalidInputError, SchemaError, WorkerExitedError
 
 logger = logging.getLogger(__name__)
 
@@ -483,24 +483,13 @@ def _load_range(fh, width: int, layout: dict, before: int):
 
 
 def _send_range(send, path, start: int, end, width: int, layout: dict):
-    """A forked worker: send (rows, rejects, file lines read) of a range, or its error, then each column's bytes."""
-    try:
-        with _text(path, start, end) as fh:
-            parts, rejects, read = _load_range(fh, width, layout, 0)
-        rows = sum(map(len, parts["price"]))
-        send.send((rows, rejects, read))
-        for pieces in parts.values() if rows else ():
-            send.send_bytes(np.concatenate(pieces).view(np.uint8))
-    except Exception as e:
-        send.send(e)
-
-
-def _died(path, process, start: int, end) -> FormatError:
-    """The error for a range worker that exited before it sent all it owed."""
-    return FormatError(
-        f"cannot read chain file {path}: the worker loading bytes {start} to "
-        f"{'the end' if end is None else end} exited with code {workers.exit_code(process)}"
-    )
+    """A forked worker: send (rows, rejects, file lines read) of a range, then each column's bytes."""
+    with _text(path, start, end) as fh:
+        parts, rejects, read = _load_range(fh, width, layout, 0)
+    rows = sum(map(len, parts["price"]))
+    send.send((rows, rejects, read))
+    for pieces in parts.values() if rows else ():
+        send.send_bytes(np.concatenate(pieces).view(np.uint8))
 
 
 def load_chain(path, columns: dict | None = None):
@@ -523,7 +512,7 @@ def load_chain(path, columns: dict | None = None):
     colmap = {c: c for c in CANONICAL_COLUMNS}
     if columns:
         colmap.update(columns)
-    started = []  # (process, receiving end, start, end) of each range after the first
+    started = []  # the worker of each range after the first
     # until its header has been read, the file is not known to be a chain
     kind = "file"
     try:
@@ -541,16 +530,10 @@ def load_chain(path, columns: dict | None = None):
             position = {name: j for j, name in enumerate(header)}
             layout = {c: (colmap[c], position[colmap[c]]) for c in _PARSE_ORDER if colmap[c] in position}
             for start, end in zip(cuts[1:], cuts[2:]):
-                started.append((*workers.start(_send_range, path, start, end, len(header), layout), start, end))
+                name = f"the worker loading bytes {start} to {'the end' if end is None else end}"
+                started.append(workers.start(_send_range, path, start, end, len(header), layout, name=name))
             parts, rejects, lines = _load_range(fh, len(header), layout, reader.line_num)
-        heads = []
-        for process, receive, start, end in started:
-            try:
-                heads.append(receive.recv())
-            except EOFError:
-                raise _died(path, process, start, end) from None
-            if isinstance(heads[-1], Exception):
-                raise heads[-1]
+        heads = [worker.recv() for worker in started]
         rows = sum(map(len, parts["price"]))
         total = rows + sum(n for n, _, _ in heads)
         empty = OptionChain.from_quotes([])
@@ -558,22 +541,19 @@ def load_chain(path, columns: dict | None = None):
         for name in list(parts):  # each column's pieces are dropped once it is joined
             chain[name] = np.empty(total, getattr(empty, name).dtype)
             np.concatenate([getattr(empty, name), *parts.pop(name)], out=chain[name][:rows])
-        for (process, receive, start, end), (n, more, read) in zip(started, heads):
-            try:
-                for column in chain.values() if n else ():
-                    receive.recv_bytes_into(column[rows:rows + n].view(np.uint8))
-            except EOFError:
-                raise _died(path, process, start, end) from None
+        for worker, (n, more, read) in zip(started, heads):
+            for column in chain.values() if n else ():
+                worker.recv_bytes_into(column[rows:rows + n].view(np.uint8))
             rejects += [RejectedRow(r.line + lines, r.reason) for r in more]
             rows += n
             lines += read
-    except (OSError, UnicodeDecodeError) as e:
+    except (OSError, UnicodeDecodeError, WorkerExitedError) as e:
         raise FormatError(f"cannot read {kind} {path}: {e}") from e
     except csv.Error as e:
         raise FormatError(f"cannot parse {kind} {path}: {e}") from e
     finally:
-        for process, receive, _, _ in started:
-            workers.stop(process, receive)  # after an error in an earlier range it may still be parsing
+        for worker in started:
+            worker.stop()  # after an error in an earlier range it may still be parsing
     chain = OptionChain(**chain)
     if rejects:
         logger.info("chain load: %d quotes accepted, %d rows rejected", len(chain), len(rejects))

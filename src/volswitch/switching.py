@@ -19,7 +19,6 @@ from . import workers
 from .exceptions import (
     RECOVERABLE,
     DegenerateCovarianceError,
-    EstimationError,
     InvalidInputError,
     NoFilterError,
 )
@@ -212,82 +211,47 @@ def _filter_update(fid, prior, cloud, obs, ex, model, settings, t):
     return summary, new_cloud
 
 
-class _BankBound:
-    """The bank's bound recursion, one step behind the filters; it owns each filter's J.
+def _bound_step(model, settings: EstimationSettings, exogenous: list, t: int, fisher: list, beliefs: list) -> list:
+    """Advance the bank's J from step t to t+1 with step t's posteriors, both in bank order.
 
-    ``submit(t, beliefs)`` hands it the bank's posteriors at step t, and
-    ``collect()`` then advances every J to t+1 with ``pcrlb_step`` and the
-    (seed, filter, t, bound) substreams. It returns, per filter in bank
-    order, the new ``FisherState`` or the recoverable error that carried
-    that filter's J forward.
+    Filter k draws from its (seed, filter, t, bound) substream. Returns,
+    per filter, its new ``FisherState`` or the recoverable error that
+    carries its J forward.
     """
-
-    def __init__(self, fisher: list, exogenous: list, model, settings: EstimationSettings):
-        self.fisher = fisher
-        self.exogenous = exogenous
-        self.model = model
-        self.settings = settings
-        self._submitted = None
-
-    def submit(self, t: int, beliefs: list) -> None:
-        self._submitted = t, beliefs
-
-    def collect(self) -> list:
-        t, beliefs = self._submitted
-        cfg = self.settings
-        rngs = [substream(cfg.seed, _FILTER_INDEX[f], t, _STREAM_BOUND) for f in cfg.filters]
-        steps = pcrlb_step(self.fisher, beliefs, self.exogenous[t + 1], self.model, cfg.pcrlb_particles, rngs)
-        self.fisher = [step if isinstance(step, FisherState) else j for step, j in zip(steps, self.fisher)]
-        return steps
-
-    def close(self) -> None:
-        pass
+    rngs = [substream(settings.seed, _FILTER_INDEX[f], t, _STREAM_BOUND) for f in settings.filters]
+    return pcrlb_step(fisher, beliefs, exogenous[t + 1], model, settings.pcrlb_particles, rngs)
 
 
-class _ForkedBankBound:
-    """A ``_BankBound`` run in a forked worker, so that step t's bound update overlaps step t+1's filters.
+class _ForkedBound:
+    """``_bound_step`` in a forked worker, so that step t's bound update overlaps step t+1's filters.
 
     The posteriors go out as one raw float64 frame, [t, means, covs], and
     come back as [flag, every J, every J^{-1}]. A nonzero flag means that
-    a pickled object follows: the per-filter errors, or the exception that
-    stopped the worker.
+    the pickled per-filter errors follow.
     """
 
-    def __init__(self, bound: _BankBound):
-        self.filters = [f.filter for f in bound.fisher]
-        self.size = bound.fisher[0].j.shape[0]
+    def __init__(self, model, settings: EstimationSettings, exogenous: list, fisher: list):
+        self.filters = settings.filters
+        self.size = fisher[0].j.shape[0]
         self.frame = np.empty(1 + 2 * len(self.filters) * self.size**2)
-        self.process, self.end = workers.start(_serve_bound, bound, duplex=True)
-
-    def _died(self) -> EstimationError:
-        return EstimationError(f"the bound worker exited with code {workers.exit_code(self.process)}")
+        self.worker = workers.start(
+            _serve_bound, model, settings, exogenous, fisher, name="the bound worker", duplex=True
+        )
 
     def submit(self, t: int, beliefs: list) -> None:
-        frame = np.concatenate([[t], *(b.mean for b in beliefs), *(b.cov.ravel() for b in beliefs)])
-        try:
-            self.end.send_bytes(frame)
-        except OSError:
-            raise self._died() from None
+        self.worker.send_bytes(np.concatenate([[t], *(b.mean for b in beliefs), *(b.cov.ravel() for b in beliefs)]))
 
     def collect(self) -> list:
-        try:
-            self.end.recv_bytes_into(self.frame)
-            errors = self.end.recv() if self.frame[0] else [None] * len(self.filters)
-        except (EOFError, OSError):
-            raise self._died() from None
-        if isinstance(errors, BaseException):
-            raise errors
+        self.worker.recv_bytes_into(self.frame)
+        errors = self.worker.recv() if self.frame[0] else [None] * len(self.filters)
         j, j_inv = self.frame[1:].reshape(2, len(self.filters), self.size, self.size)
         return [e or FisherState(j=j[k].copy(), j_inv=j_inv[k].copy(), filter=f)
                 for k, (e, f) in enumerate(zip(errors, self.filters))]
 
-    def close(self) -> None:
-        workers.stop(self.process, self.end)
 
-
-def _serve_bound(end, bound: _BankBound):
-    """A forked worker: advance ``bound`` on every posteriors frame until EOF or an error."""
-    b, s = len(bound.fisher), bound.fisher[0].j.shape[0]
+def _serve_bound(end, model, settings: EstimationSettings, exogenous: list, fisher: list):
+    """A forked worker: run ``_bound_step`` on every posteriors frame until EOF, keeping the bank's J."""
+    b, s = len(fisher), fisher[0].j.shape[0]
     frame = np.empty(1 + b * s * (1 + s))
     while True:
         try:
@@ -295,16 +259,12 @@ def _serve_bound(end, bound: _BankBound):
         except EOFError:
             return
         means, covs = frame[1:1 + b * s].reshape(b, s), frame[1 + b * s:].reshape(b, s, s)
-        bound.submit(int(frame[0]), [GaussianBelief(m, c) for m, c in zip(means, covs)])
-        try:
-            steps = bound.collect()
-        except Exception as e:
-            end.send_bytes(np.ones(1))
-            end.send(e)
-            return
+        beliefs = [GaussianBelief(m, c) for m, c in zip(means, covs)]
+        steps = _bound_step(model, settings, exogenous, int(frame[0]), fisher, beliefs)
+        fisher = [step if isinstance(step, FisherState) else j for step, j in zip(steps, fisher)]
         errors = [None if isinstance(step, FisherState) else step for step in steps]
         end.send_bytes(np.concatenate(
-            [[float(any(errors))], *(f.j.ravel() for f in bound.fisher), *(f.j_inv.ravel() for f in bound.fisher)]
+            [[float(any(errors))], *(f.j.ravel() for f in fisher), *(f.j_inv.ravel() for f in fisher)]
         ))
         if any(errors):
             end.send(errors)
@@ -322,11 +282,12 @@ def run_adaptive_estimation(observations, exogenous, model, settings: Estimation
     filter, t) substream; with shared chains its cloud is discarded, so it
     never resamples.
 
-    The bound update from step t's posteriors runs while step t+1's filters
-    update: in a forked worker where ``fork`` exists and two or more CPUs
-    are usable (``workers.fork_cpus``), else in this process. Its warnings
-    are logged once it is collected, before step t+1 is scored, and its
-    fallbacks go on step t's record. No worker outlives the call.
+    The bound update from step t's posteriors (``_bound_step``) is
+    collected just before step t+1 is scored. Where ``workers.fork_cpus``
+    gives two or more CPUs it runs in a forked worker while step t+1's
+    filters update, else in this process when it is collected. Its warnings
+    are logged at collection and its fallbacks go on step t's record. No
+    worker outlives the call.
     """
     observations = [float(y) for y in observations]
     exogenous = list(exogenous)
@@ -353,11 +314,10 @@ def run_adaptive_estimation(observations, exogenous, model, settings: Estimation
     )
     records: list[BacktestRecord] = []
     n_steps = len(observations)
-    bound = None
-    if settings.compute_pcrlb and n_steps > 1:
-        bound = _BankBound(list(fisher.values()), exogenous, model, settings)
-        if workers.fork_cpus() >= 2:
-            bound = _ForkedBankBound(bound)
+    submitted = None  # step t's posteriors, whose bound update is collected at step t+1
+    forked = None
+    if settings.compute_pcrlb and n_steps > 1 and workers.fork_cpus() >= 2:
+        forked = _ForkedBound(model, settings, exogenous, list(fisher.values()))
     try:
         for t, (obs, ex) in enumerate(zip(observations, exogenous)):
             fallbacks = []
@@ -380,8 +340,12 @@ def run_adaptive_estimation(observations, exogenous, model, settings: Estimation
                         pf_cloud = None
                 beliefs[fid] = belief
 
-            if bound is not None and t > 0:  # J_t, from step t-1's posteriors
-                for fid, step in zip(settings.filters, bound.collect()):
+            if submitted is not None:  # J_t, from step t-1's posteriors
+                if forked is None:
+                    steps = _bound_step(model, settings, exogenous, t - 1, list(fisher.values()), submitted)
+                else:
+                    steps = forked.collect()
+                for fid, step in zip(settings.filters, steps):
                     if isinstance(step, FisherState):
                         fisher[fid] = step
                     else:
@@ -389,8 +353,9 @@ def run_adaptive_estimation(observations, exogenous, model, settings: Estimation
                             "bound update for %s failed at t=%d (%s); carrying J forward", fid, t - 1, step
                         )
                         records[t - 1].fallbacks.append((BOUND_CARRIED, fid))
-            if bound is not None and t + 1 < n_steps:
-                bound.submit(t, [beliefs[f] for f in settings.filters])
+            submitted = [beliefs[f] for f in settings.filters] if settings.compute_pcrlb and t + 1 < n_steps else None
+            if forked is not None and submitted is not None:
+                forked.submit(t, submitted)
 
             metrics = {}
             for fid in settings.filters:
@@ -434,6 +399,6 @@ def run_adaptive_estimation(observations, exogenous, model, settings: Estimation
                 )
             )
     finally:
-        if bound is not None:
-            bound.close()
+        if forked is not None:
+            forked.worker.stop()
     return records

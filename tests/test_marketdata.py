@@ -524,6 +524,54 @@ def test_a_dead_range_worker_is_a_format_error_naming_its_range(tmp_path, monkey
     assert not multiprocessing.active_children()
 
 
+class ColumnsFail:
+    """A range worker's end of its pipe whose column sends raise ``error``."""
+
+    def __init__(self, end, error):
+        self.end, self.error = end, error
+
+    def send(self, obj):
+        self.end.send(obj)
+
+    def send_bytes(self, data):
+        raise self.error
+
+
+@pytest.mark.parametrize(
+    "error, expect",
+    [
+        (MemoryError("injected"), (MemoryError, "injected")),
+        (
+            OSError(28, "No space left on device"),
+            (FormatError, "cannot read chain file {path}: [Errno 28] No space left on device"),
+        ),
+    ],
+    ids=["memory", "os"],
+)
+def test_a_range_workers_error_after_its_head_reaches_the_caller(tmp_path, monkeypatch, error, expect):
+    seen = ranged(monkeypatch, 3)
+    path = chain_file(tmp_path, CHAIN_ROWS * 60)
+    send_range = marketdata._send_range
+    monkeypatch.setattr(marketdata, "_send_range", lambda send, *args: send_range(ColumnsFail(send, error), *args))
+    with pytest.raises(expect[0]) as raised:
+        load_chain(path)
+    # the worker's own exception, raised and wrapped here as a one-range load's would be
+    assert type(raised.value) is expect[0] and str(raised.value) == expect[1].format(path=path)
+    assert len(seen[0]) == 4
+    assert not multiprocessing.active_children()
+
+
+def test_a_ranged_load_in_a_daemonic_pool_worker_equals_the_parents(tmp_path, monkeypatch):
+    # a pool worker may not fork, so it loads the file as one range
+    seen = ranged(monkeypatch, 3)
+    path = chain_file(tmp_path, CHAIN_ROWS * 60)
+    loaded = load_chain(path)
+    assert len(seen[0]) == 4
+    with multiprocessing.get_context("fork").Pool(1) as pool:
+        assert_same_load(pool.apply(load_chain, (path,)), loaded)
+    assert not multiprocessing.active_children()
+
+
 def test_load_chain_holds_one_chunk_of_text_at_a_time_in_ranges(tmp_path, monkeypatch):
     seen = ranged(monkeypatch, 2)
     monkeypatch.setattr(marketdata, "_MIN_RANGE_BYTES", 1 << 20)

@@ -1,3 +1,4 @@
+import functools
 import logging
 import multiprocessing
 import os
@@ -599,7 +600,7 @@ def test_no_bound_worker_outlives_the_run(monkeypatch, failure):
 
         monkeypatch.setattr(switching, "ukf_update", failing_ukf)
     if failure == "worker":  # a worker that dies, as after a signal or an OOM kill
-        monkeypatch.setattr(switching, "_serve_bound", lambda end, bound: os._exit(3))
+        monkeypatch.setattr(switching, "_serve_bound", lambda *args: os._exit(3))
     ys = observations(n_steps=6)
     expect = {
         None: None,
@@ -614,6 +615,19 @@ def test_no_bound_worker_outlives_the_run(monkeypatch, failure):
             run_adaptive_estimation(ys, [None] * len(ys), model, settings(pf_particles=100))
     ((process, end),) = started
     assert process.exitcode is not None and end.closed
+    assert not multiprocessing.active_children()
+
+
+@needs_fork
+def test_an_aaf_run_in_a_daemonic_pool_worker_equals_the_parents():
+    # a pool worker may not fork, so its run keeps the bound in-process
+    ys = observations(n_steps=8)
+    run = functools.partial(
+        run_adaptive_estimation, ys, [None] * len(ys), linear_model(), settings(pf_particles=100, pcrlb_particles=50)
+    )
+    with multiprocessing.get_context("fork").Pool(1) as pool:
+        pooled = pool.apply(run)
+    _assert_same_records(run(), pooled)
     assert not multiprocessing.active_children()
 
 
