@@ -24,7 +24,7 @@ from volswitch.bsgarch import ContractSpec
 from volswitch.config import config_from_text
 from volswitch.marketdata import (
     generate_synthetic,
-    truth_to_quotes,
+    truth_to_chain,
     write_chain,
     write_csv,
     write_truth_states,
@@ -69,7 +69,8 @@ def main(argv=None):
     )
 
     (data / "sample_config.cfg").write_text(CONFIG_TEXT, encoding="utf-8")
-    write_chain(data / "sample_chain.csv", truth_to_quotes(truth, model))
+    chain = truth_to_chain(truth, model)
+    write_chain(data / "sample_chain.csv", chain)
     write_truth_states(data / "sample_truth.csv", truth)
 
     # true annualized volatility as a date,value series -- a natural external
@@ -78,7 +79,7 @@ def main(argv=None):
         [date, math.sqrt(truth.states[t, 0] / model.dt)] for t, date in enumerate(truth.dates)
     ))
 
-    expiry = truth_to_quotes(truth, model)[0].expiry_date
+    expiry = chain.expiry_date[0].item()
     print(f"wrote sample data to {data} (expiry {expiry})")
     print("backtest it with:")
     print(f"  volswitch backtest --config {data / 'sample_config.cfg'} --chain {data / 'sample_chain.csv'} \\")

@@ -21,6 +21,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from volswitch import workers
+from volswitch.backtest import STRATEGIES
 from volswitch.experiments import run_synthetic_comparison
 
 
@@ -40,8 +41,10 @@ def main(argv=None):
     parser.add_argument("--steps", type=int, default=150)
     parser.add_argument("--pf-particles", type=int, default=500)
     parser.add_argument("--pcrlb-particles", type=int, default=400)
-    parser.add_argument("--strategies", nargs="+", default=["EKF", "UKF", "PF", "AAF"])
+    parser.add_argument("--strategies", nargs="+", choices=STRATEGIES, default=["EKF", "UKF", "PF", "AAF"])
     args = parser.parse_args(argv)
+    if args.seeds < 1:
+        parser.error(f"--seeds must be at least 1, got {args.seeds}")
 
     run = partial(
         run_synthetic_comparison,

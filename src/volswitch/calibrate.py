@@ -196,11 +196,10 @@ def fit_garch(returns) -> GarchFit:
     return fit
 
 
-def closes_by_date(quotes) -> list:
+def closes_by_date(chain: OptionChain) -> list:
     """Chronological (date, underlying close) pairs, one per quote date.
 
-    A date's first quote, in file or list order, gives its close.
+    A date's first quote, in file order, gives its close.
     """
-    chain = OptionChain.from_quotes(quotes)
     dates, first = np.unique(chain.quote_date, return_index=True)
     return list(zip(dates.tolist(), chain.underlying_close[first].tolist()))

@@ -30,7 +30,7 @@ from .marketdata import (
     load_value_series,
     max_volume_series,
     prior_close_before,
-    truth_to_quotes,
+    truth_to_chain,
     write_chain,
     write_truth_states,
 )
@@ -48,6 +48,12 @@ def _date(text: str) -> dt.date:
         return dt.date.fromisoformat(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected ISO date (YYYY-MM-DD), got {text!r}") from None
+
+
+def _seed(text: str) -> int:
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer seed, got {text!r}")
+    return int(text)
 
 
 def _load_cfg(args) -> RunConfig:
@@ -119,7 +125,7 @@ def _cmd_simulate(args) -> None:
     out.mkdir(parents=True, exist_ok=True)
     chain_path = out / "synthetic_chain.csv"
     truth_path = out / "synthetic_truth.csv"
-    write_chain(chain_path, truth_to_quotes(truth, model))
+    write_chain(chain_path, truth_to_chain(truth, model))
     write_truth_states(truth_path, truth)
     print(f"simulated {args.steps} steps (seed {args.seed}, strike {args.strike}, "
           f"expiry in {args.expiry_steps} steps)")
@@ -176,14 +182,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strategy", default="AAF", type=str.upper, choices=STRATEGIES)
     p.add_argument("--train-end", type=_date, help="last in-sample date (inclusive)")
     p.add_argument("--test-end", type=_date, help="drop quotes after this date")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out-dir", default="reports")
     p.set_defaults(func=_cmd_backtest)
 
     p = sub.add_parser("simulate", help="generate a synthetic chain with known true states")
     p.add_argument("--config", help="key = value run configuration file")
     p.add_argument("--steps", type=int, default=150)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--strike", type=float, default=100.0)
     p.add_argument("--s0", type=float, default=100.0, help="initial underlying price")
     p.add_argument("--expiry-steps", type=int, default=252,

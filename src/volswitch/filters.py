@@ -114,7 +114,7 @@ def effective_sample_size(weights) -> float:
 
 
 # ---------------------------------------------------------------------------
-# shared particle primitives (also used by the information recursion)
+# particle primitives of the bootstrap filter
 
 
 def propagate_cloud(cloud: ParticleCloud, ex, model, rng: np.random.Generator) -> ParticleCloud:

@@ -9,14 +9,13 @@ Dates are ISO-8601, the file is comma-separated UTF-8 with a header.
 Vendor files with different headers are adapted through a
 ``data.columns.*`` mapping in the run config.
 
-``load_chain`` reads the file once, a chunk of rows at a time, into numpy
-columns: an ``OptionChain``, which is also a read-only sequence of
-``OptionQuote``; a big file is cut into line-aligned byte ranges that
-forked workers load side by side. Every non-blank row either becomes a
-quote of the chain or lands in the rejects list with its file line and a
-reason; nothing is dropped silently. The series builders select rows on
-the columns and read a ``ContractSeries``, also columns, from the rows
-they keep.
+``load_chain`` reads the file once, a chunk of rows at a time, into the
+read-only numpy columns of an ``OptionChain``; a big file is cut into
+line-aligned byte ranges that forked workers load side by side. Every
+non-blank row either becomes a row of the chain or lands in the rejects
+list with its file line and a reason; nothing is dropped silently. The
+series builders select rows on the columns and read a ``ContractSeries``,
+also columns, from the rows they keep.
 """
 
 from __future__ import annotations
@@ -30,7 +29,6 @@ import math
 import operator
 import os
 import sys
-from collections.abc import Sequence
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -80,26 +78,15 @@ _EPOCH_ORDINAL = dt.date(1970, 1, 1).toordinal()
 _NAT = np.iinfo(np.int64).min  # the int64 behind datetime64's NaT
 
 
-@dataclass(frozen=True)
-class OptionQuote:
-    quote_date: dt.date
-    expiry_date: dt.date
-    strike: float
-    side: str  # "C" | "P"
-    price: float
-    volume: float
-    underlying_close: float
-    implied_vol: float | None = None
+_CHAIN_DTYPES = dict(  # of each ``OptionChain`` column, also when the chain is empty
+    quote_date="datetime64[D]", expiry_date="datetime64[D]", strike=float, is_call=bool, price=float,
+    volume=float, underlying_close=float, implied_vol=float, has_implied_vol=bool,
+)
 
 
 @dataclass(frozen=True, eq=False)
-class OptionChain(Sequence):
-    """Accepted quotes of a chain as read-only numpy columns, one entry per row.
-
-    A read-only sequence of ``OptionQuote``: ``chain[i]`` builds the quote
-    of row ``i`` when asked, with Python ``float``, ``dt.date`` and ``str``
-    fields. The series builders read the columns of the rows they keep.
-    """
+class OptionChain:
+    """Accepted quotes of a chain as read-only numpy columns, one entry per row."""
 
     quote_date: np.ndarray  # datetime64[D]
     expiry_date: np.ndarray  # datetime64[D]
@@ -115,47 +102,8 @@ class OptionChain(Sequence):
         for f in fields(self):
             getattr(self, f.name).flags.writeable = False
 
-    @classmethod
-    def from_quotes(cls, quotes) -> "OptionChain":
-        """Columns of a sequence of quotes; a chain is returned as it is."""
-        if isinstance(quotes, cls):
-            return quotes
-        quotes = list(quotes)
-        ivs = [q.implied_vol for q in quotes]
-        return cls(
-            quote_date=np.array([q.quote_date for q in quotes], dtype="datetime64[D]"),
-            expiry_date=np.array([q.expiry_date for q in quotes], dtype="datetime64[D]"),
-            strike=np.array([q.strike for q in quotes], dtype=float),
-            is_call=np.array([q.side == "C" for q in quotes], dtype=bool),
-            price=np.array([q.price for q in quotes], dtype=float),
-            volume=np.array([q.volume for q in quotes], dtype=float),
-            underlying_close=np.array([q.underlying_close for q in quotes], dtype=float),
-            implied_vol=np.array([np.nan if v is None else v for v in ivs], dtype=float),
-            has_implied_vol=np.array([v is not None for v in ivs], dtype=bool),
-        )
-
     def __len__(self):
         return len(self.price)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[j] for j in range(len(self))[i]]
-        i = range(len(self))[i]
-        return OptionQuote(
-            quote_date=self.quote_date[i].item(),
-            expiry_date=self.expiry_date[i].item(),
-            strike=self.strike[i].item(),
-            side="C" if self.is_call[i] else "P",
-            price=self.price[i].item(),
-            volume=self.volume[i].item(),
-            underlying_close=self.underlying_close[i].item(),
-            implied_vol=self.implied_vol[i].item() if self.has_implied_vol[i] else None,
-        )
-
-    def __iter__(self):
-        rows = zip(*(getattr(self, f.name).tolist() for f in fields(self)))
-        for qd, ed, k, call, p, v, s, iv, has_iv in rows:
-            yield OptionQuote(qd, ed, k, "C" if call else "P", p, v, s, iv if has_iv else None)
 
 
 @dataclass(frozen=True)
@@ -536,11 +484,11 @@ def load_chain(path, columns: dict | None = None):
         heads = [worker.recv() for worker in started]
         rows = sum(map(len, parts["price"]))
         total = rows + sum(n for n, _, _ in heads)
-        empty = OptionChain.from_quotes([])
         chain = {}
         for name in list(parts):  # each column's pieces are dropped once it is joined
-            chain[name] = np.empty(total, getattr(empty, name).dtype)
-            np.concatenate([getattr(empty, name), *parts.pop(name)], out=chain[name][:rows])
+            dtype = _CHAIN_DTYPES[name]
+            chain[name] = np.empty(total, dtype)
+            np.concatenate([np.empty(0, dtype), *parts.pop(name)], out=chain[name][:rows])
         for worker, (n, more, read) in zip(started, heads):
             for column in chain.values() if n else ():
                 worker.recv_bytes_into(column[rows:rows + n].view(np.uint8))
@@ -581,22 +529,23 @@ def write_csv(path, header, rows):
             writer.writerow([_fmt(c) for c in row])
 
 
-def write_chain(path, quotes):
-    """Write quotes back out in the canonical schema (bid = ask = last = price)."""
-    write_csv(path, CANONICAL_COLUMNS, (
-        [q.quote_date, q.expiry_date, q.strike, q.side, q.price, q.price, q.price,
-         q.volume, q.underlying_close, q.implied_vol]
-        for q in quotes
+def write_chain(path, chain: OptionChain):
+    """Write a chain out in the canonical schema (bid = ask = last = price)."""
+    price = chain.price.tolist()
+    sides = np.where(chain.is_call, "C", "P").tolist()
+    ivs = np.where(chain.has_implied_vol, chain.implied_vol, None).tolist()
+    write_csv(path, CANONICAL_COLUMNS, zip(
+        chain.quote_date.tolist(), chain.expiry_date.tolist(), chain.strike.tolist(), sides,
+        price, price, price, chain.volume.tolist(), chain.underlying_close.tolist(), ivs,
     ))
 
 
-def prior_close_before(quotes, date: dt.date):
+def prior_close_before(chain: OptionChain, date: dt.date):
     """Latest underlying close strictly before ``date``, if the chain has one.
 
     Of several rows on that latest date, the first in file order counts.
     Lets the first step's log-return come from real data instead of zero.
     """
-    chain = OptionChain.from_quotes(quotes)
     before = chain.quote_date < np.datetime64(date, "D")
     if not before.any():
         return None
@@ -658,18 +607,16 @@ def _series(chain: OptionChain, rows: np.ndarray, contract: ContractSpec | None)
 
 
 def build_series(
-    quotes,
+    chain: OptionChain,
     strike: float,
     expiry_date: dt.date,
     is_call: bool = True,
 ) -> ContractSeries:
     """Chronological series for one contract, one quote per date by max volume.
 
-    ``quotes`` is an ``OptionChain`` or any sequence of ``OptionQuote``.
     The first step's log-return is 0; ``ContractSeries.with_prior_close``
     takes it from the close before the series instead.
     """
-    chain = OptionChain.from_quotes(quotes)
     mask = (
         (chain.is_call == is_call)
         & (chain.expiry_date == np.datetime64(expiry_date, "D"))
@@ -688,13 +635,12 @@ def build_series(
     return _series(chain, rows, contract)
 
 
-def max_volume_series(quotes) -> ContractSeries:
+def max_volume_series(chain: OptionChain) -> ContractSeries:
     """Liquidity-driven call series: per date, the call with the highest volume.
 
     The traded contract changes from step to step, so each step's
     exogenous inputs carry their own strike and expiry.
     """
-    chain = OptionChain.from_quotes(quotes)
     rows = _max_volume_rows(chain, chain.is_call)
     if rows.size < 2:
         raise InsufficientDataError(f"only {rows.size} dates with call quotes")
@@ -769,27 +715,23 @@ def generate_synthetic(
     )
 
 
-def truth_to_quotes(truth: SyntheticTruth, model: ModelSpec) -> list:
-    """Render a synthetic run as canonical chain quotes (needs dated output)."""
+def truth_to_chain(truth: SyntheticTruth, model: ModelSpec) -> OptionChain:
+    """Render a synthetic run as a chain of one contract (needs dated output)."""
     if truth.dates is None:
         raise InvalidInputError("synthetic truth has no dates; pass start_date when generating")
-    expiry = truth.dates[0]
-    expiry = np.busday_offset(np.datetime64(expiry), model.contract.expiry_step).astype(dt.date)
-    quotes = []
-    for t, date in enumerate(truth.dates):
-        quotes.append(
-            OptionQuote(
-                quote_date=date,
-                expiry_date=expiry,
-                strike=model.contract.strike,
-                side="C" if model.contract.is_call else "P",
-                price=float(truth.observations[t]),
-                volume=float(100 + t),
-                underlying_close=float(truth.spots[t]),
-                implied_vol=None,
-            )
-        )
-    return quotes
+    n = len(truth.dates)
+    dates = np.array(truth.dates, dtype="datetime64[D]")
+    return OptionChain(
+        quote_date=dates,
+        expiry_date=np.full(n, np.busday_offset(dates[0], model.contract.expiry_step)),
+        strike=np.full(n, model.contract.strike, dtype=float),
+        is_call=np.full(n, model.contract.is_call),
+        price=np.array(truth.observations, dtype=float),  # copies: a chain's columns are read-only
+        volume=100.0 + np.arange(n),
+        underlying_close=np.array(truth.spots, dtype=float),
+        implied_vol=np.full(n, np.nan),
+        has_implied_vol=np.zeros(n, dtype=bool),
+    )
 
 
 def read_csv_rows(path, what: str) -> list:

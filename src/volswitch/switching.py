@@ -178,6 +178,8 @@ class EstimationSettings:
         for name in ("pf_particles", "pcrlb_particles"):
             if getattr(self, name) < 2:
                 raise InvalidInputError(f"{name!r} must be at least 2, got {getattr(self, name)!r}")
+        if self.seed < 0:
+            raise InvalidInputError(f"seed must be non-negative, got {self.seed!r}")
 
 
 @dataclass

@@ -43,7 +43,7 @@ from volswitch.filters import (
     systematic_resample,
     ukf_update,
 )
-from volswitch.marketdata import build_series, generate_synthetic, truth_to_quotes
+from volswitch.marketdata import build_series, generate_synthetic, truth_to_chain
 from volswitch.pcrlb import FisherState, pcrlb_step
 from models import LinearGaussianModel
 from volswitch.switching import (
@@ -491,8 +491,8 @@ def test_gate_report_accounting_identities(capsys, tmp_path):
     truth = generate_synthetic(
         spec, 40, 100.0, (cfg.v0, cfg.r0), seed=7, start_date=dt.date(2019, 1, 2)
     )
-    quotes = truth_to_quotes(truth, spec)
-    series = build_series(quotes, 100.0, quotes[0].expiry_date)
+    chain = truth_to_chain(truth, spec)
+    series = build_series(chain, 100.0, chain.expiry_date[0].item())
 
     bundles = [
         run_backtest(cfg, series, strategy="AAF", out_dir=tmp_path / f"run{i}", seed=3)

@@ -41,7 +41,7 @@ from volswitch.marketdata import (
     ContractSeries,
     build_series,
     generate_synthetic,
-    truth_to_quotes,
+    truth_to_chain,
     write_chain,
 )
 from volswitch.switching import SwitchDecision
@@ -60,8 +60,8 @@ def synthetic_series(cfg, n_steps=40, seed=2, expiry_step=252):
         spec, n_steps, 100.0, (cfg.v0, cfg.r0), seed=seed,
         start_date=dt.date(2019, 1, 2),
     )
-    quotes = truth_to_quotes(truth, spec)
-    series = build_series(quotes, strike=100.0, expiry_date=quotes[0].expiry_date)
+    chain = truth_to_chain(truth, spec)
+    series = build_series(chain, strike=100.0, expiry_date=chain.expiry_date[0].item())
     return series, truth
 
 

@@ -14,7 +14,7 @@ from volswitch.calibrate import (
     log_returns,
 )
 from volswitch.exceptions import InsufficientDataError, InvalidInputError
-from volswitch.marketdata import OptionQuote
+from volswitch.marketdata import CANONICAL_COLUMNS, load_chain
 
 TRUE = dict(omega=5e-6, alpha=0.08, beta=0.90)
 
@@ -178,20 +178,16 @@ def test_fit_requires_enough_data_and_finite_variance():
         fit_garch(bad)
 
 
-def test_closes_by_date_dedupes_and_sorts():
-    def q(date, close):
-        return OptionQuote(
-            quote_date=dt.date.fromisoformat(date),
-            expiry_date=dt.date(2019, 12, 20),
-            strike=100.0,
-            side="C",
-            price=5.0,
-            volume=1.0,
-            underlying_close=close,
-        )
-
-    quotes = [q("2019-01-03", 101.0), q("2019-01-02", 100.0), q("2019-01-03", 999.0)]
-    assert closes_by_date(quotes) == [
+def test_closes_by_date_dedupes_and_sorts(tmp_path):
+    path = tmp_path / "chain.csv"
+    path.write_text("\n".join([
+        ",".join(CANONICAL_COLUMNS),
+        *(f"{date},2019-12-20,100.0,C,,,5.0,1.0,{close}," for date, close in
+          [("2019-01-03", 101.0), ("2019-01-02", 100.0), ("2019-01-03", 999.0)]),
+    ]) + "\n")
+    chain, rejects = load_chain(path)
+    assert len(chain) == 3 and not rejects
+    assert closes_by_date(chain) == [
         (dt.date(2019, 1, 2), 100.0),
         (dt.date(2019, 1, 3), 101.0),  # first quote for a date wins
     ]

@@ -14,11 +14,11 @@ from volswitch.bsgarch import ContractSpec
 from volswitch.cli import main
 from volswitch.config import RunConfig, load_config
 from volswitch.marketdata import (
-    OptionQuote,
+    CANONICAL_COLUMNS,
     generate_synthetic,
     load_chain,
     load_value_series,
-    truth_to_quotes,
+    truth_to_chain,
     write_chain,
 )
 
@@ -46,7 +46,7 @@ def workdir(tmp_path):
         spec, 20, 100.0, (cfg.v0, cfg.r0), seed=2, start_date=dt.date(2019, 1, 2)
     )
     chain_path = tmp_path / "chain.csv"
-    write_chain(chain_path, truth_to_quotes(truth, spec))
+    write_chain(chain_path, truth_to_chain(truth, spec))
     return tmp_path, cfg_path, chain_path
 
 
@@ -105,6 +105,18 @@ def test_bad_date_flag(workdir, capsys):
     code = run(["backtest", "--chain", chain, "--train-end", "Jan 5"])
     assert code == 1
     assert "expected ISO date" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["backtest", "simulate"])
+@pytest.mark.parametrize("seed", ["-1", "x"])
+def test_a_bad_seed_is_a_usage_error(workdir, capsys, command, seed):
+    tmp, cfg, chain = workdir
+    out = tmp / "r"
+    args = ["--chain", chain, "--strategy", "EKF"] if command == "backtest" else []
+    assert run([command, *args, "--config", cfg, "--seed", seed, "--out-dir", out]) == 1
+    err = capsys.readouterr().err
+    assert "usage:" in err and f"expected a non-negative integer seed, got {seed!r}" in err
+    assert "Traceback" not in err and not out.exists()
 
 
 def test_strike_without_expiry_rejected(workdir, capsys):
@@ -212,8 +224,7 @@ def test_backtest_single_filter_end_to_end(workdir, capsys):
 
 def test_backtest_explicit_contract_and_adaptive_strategy(workdir, capsys):
     tmp, cfg, chain = workdir
-    quotes, _ = load_chain(chain)
-    expiry = quotes[0].expiry_date.isoformat()
+    expiry = str(load_chain(chain)[0].expiry_date[0])
     out = tmp / "reports_aaf"
     code = run(
         [
@@ -248,18 +259,9 @@ def poisoned_chain(tmp, chain):
     1e200): every particle's squared pricing error overflows, so the weight
     normalizations fail and the run must fall back and flag it."""
     quotes, _ = load_chain(chain)
-    next_day = np.busday_offset(quotes[-1].quote_date.isoformat(), 1).astype(dt.date)
-    absurd = OptionQuote(
-        quote_date=next_day,
-        expiry_date=quotes[0].expiry_date,
-        strike=100.0,
-        side="C",
-        price=99.9,
-        volume=5.0,
-        underlying_close=1e200,
-    )
+    next_day = np.busday_offset(quotes.quote_date[-1], 1)
     poisoned = tmp / "poisoned.csv"
-    write_chain(poisoned, list(quotes) + [absurd])
+    poisoned.write_text(chain.read_text() + f"{next_day},{quotes.expiry_date[0]},100.0,C,,,99.9,5.0,1e200,\n")
     return poisoned
 
 
@@ -311,6 +313,7 @@ def test_simulate_roundtrip_through_backtest(workdir, capsys):
     assert chain_path.exists() and truth_path.exists()
     quotes, rejects = load_chain(chain_path)
     assert len(quotes) == 15 and not rejects
+    assert quotes.strike.tolist() == [100.0] * 15
     assert len(truth_path.read_text().strip().splitlines()) == 16
 
     code = run(["backtest", "--chain", chain_path, "--config", cfg,
@@ -490,7 +493,7 @@ def test_calibrate_from_long_chain(tmp_path, capsys):
         spec, 80, 100.0, (1.6e-4, 0.02), seed=3, start_date=dt.date(2019, 1, 2)
     )
     chain = tmp_path / "chain.csv"
-    write_chain(chain, truth_to_quotes(truth, spec))
+    write_chain(chain, truth_to_chain(truth, spec))
     frag = tmp_path / "fitted.cfg"
     assert run(["calibrate-garch", "--underlying", chain, "--config-out", frag]) == 0
     assert frag.exists()
@@ -501,13 +504,11 @@ def test_calibrate_notes_rejected_chain_rows(tmp_path, capsys):
     closes = gbm_closes(40)
     days = np.busday_offset(np.datetime64("2019-01-02"), np.arange(40))
     chain = tmp_path / "chain.csv"
-    write_chain(chain, [
-        OptionQuote(quote_date=dt.date.fromisoformat(str(d)), expiry_date=dt.date(2019, 12, 20),
-                    strike=100.0, side="C", price=5.0, volume=1.0, underlying_close=float(c))
-        for d, c in zip(days, closes)
-    ])
-    with open(chain, "a", encoding="utf-8") as fh:
-        fh.write(f"{days[3]},2019-12-20,100.0,P,,,,1.0,{float(closes[3])!r},\n")  # no price
+    chain.write_text("\n".join([
+        ",".join(CANONICAL_COLUMNS),
+        *(f"{d},2019-12-20,100.0,C,5.0,5.0,5.0,1.0,{float(c)!r}," for d, c in zip(days, closes)),
+        f"{days[3]},2019-12-20,100.0,P,,,,1.0,{float(closes[3])!r},",  # no price
+    ]) + "\n")
     frag = tmp_path / "fitted.cfg"
     assert run(["calibrate-garch", "--underlying", chain, "--config-out", frag]) == 0
     captured = capsys.readouterr()

@@ -33,7 +33,6 @@ from volswitch.exceptions import (
 from volswitch.marketdata import (
     TRADING_DAYS_PER_YEAR,
     OptionChain,
-    OptionQuote,
     RejectedRow,
     build_series,
     generate_synthetic,
@@ -42,7 +41,7 @@ from volswitch.marketdata import (
     max_volume_series,
     prior_close_before,
     trading_days_between,
-    truth_to_quotes,
+    truth_to_chain,
     write_chain,
     write_truth_states,
 )
@@ -57,16 +56,40 @@ def chain_file(tmp_path, rows, header=HEADER, name="chain.csv"):
     return path
 
 
-def quote(date, close=100.0, strike=100.0, volume=10.0, expiry="2019-12-20", side="C", price=5.0):
-    return OptionQuote(
-        quote_date=dt.date.fromisoformat(date),
-        expiry_date=dt.date.fromisoformat(expiry),
-        strike=strike,
-        side=side,
-        price=price,
-        volume=volume,
-        underlying_close=close,
-    )
+def row(date, close=100.0, strike=100.0, volume=10.0, expiry="2019-12-20", side="C", price=5.0, iv=None):
+    """A chain file row of one quote, priced by its last trade."""
+    return f"{date},{expiry},{strike!r},{side},,,{price!r},{volume!r},{close!r},{'' if iv is None else repr(iv)}"
+
+
+def chain_of(tmp_path, rows):
+    """The chain of a file of ``rows``, all of which load."""
+    chain, rejects = load_chain(chain_file(tmp_path, rows))
+    assert not rejects
+    return chain
+
+
+def nan_equal(values):
+    """The values, with NaN (an implied vol of "nan") replaced so that it equals itself."""
+    return tuple("NaN" if isinstance(v, float) and math.isnan(v) else v for v in values)
+
+
+def assert_rows(chain, quotes):
+    """The chain's columns equal those of ``quotes``, column by column.
+
+    Each quote is a tuple in ``oracles.rowwise_load_chain``'s field order,
+    its implied vol None where the row has none.
+    """
+    dates, expiries, strikes, sides, prices, volumes, closes, ivs = zip(*quotes) if quotes else [()] * 8
+    assert chain.quote_date.tolist() == list(dates)
+    assert chain.expiry_date.tolist() == list(expiries)
+    assert chain.strike.tolist() == list(strikes)
+    assert chain.is_call.tolist() == [side == "C" for side in sides]
+    assert chain.price.tolist() == list(prices)
+    assert chain.volume.tolist() == list(volumes)
+    assert chain.underlying_close.tolist() == list(closes)
+    assert chain.has_implied_vol.tolist() == [iv is not None for iv in ivs]
+    assert nan_equal(chain.implied_vol[chain.has_implied_vol].tolist()) == nan_equal(iv for iv in ivs if iv is not None)
+    assert np.isnan(chain.implied_vol[~chain.has_implied_vol]).all()
 
 
 # ---------------------------------------------------------------------------
@@ -82,10 +105,12 @@ def test_load_chain_prices_and_fallbacks(tmp_path):
             "2019-01-04,2019-12-20,100,C,5.0,,,10,101.0,",  # one-sided -> no price
         ],
     )
-    quotes, rejects = load_chain(path)
-    assert [q.price for q in quotes] == [pytest.approx(5.2), 6.25]
-    assert quotes[0].implied_vol == 0.21
-    assert quotes[1].implied_vol is None
+    chain, rejects = load_chain(path)
+    assert chain.price.tolist() == [pytest.approx(5.2), 6.25]
+    assert chain.implied_vol[0] == 0.21
+    assert chain.has_implied_vol.tolist() == [True, False]
+    with pytest.raises(ValueError, match="read-only"):
+        chain.price[0] = 1.0
     assert len(rejects) == 1
     assert rejects[0].line == 4
     assert rejects[0].reason == "no usable price (bid/ask pair or last required)"
@@ -136,9 +161,8 @@ def test_load_chain_vendor_column_mapping(tmp_path):
     path = chain_file(tmp_path, ["2019-01-02,2019-12-20,100,C,5.0,5.4,,10,100,"], header=header)
     with pytest.raises(SchemaError):
         load_chain(path)  # canonical name absent without the mapping
-    quotes, rejects = load_chain(path, columns={"quote_date": "QUOTE_DT"})
-    assert len(quotes) == 1 and not rejects
-    assert quotes[0].quote_date == dt.date(2019, 1, 2)
+    chain, rejects = load_chain(path, columns={"quote_date": "QUOTE_DT"})
+    assert chain.quote_date.tolist() == [dt.date(2019, 1, 2)] and not rejects
 
 
 def test_load_chain_empty_and_header_only_files(tmp_path):
@@ -158,33 +182,38 @@ def test_load_chain_missing_file_raises_format_error(tmp_path):
 
 
 def test_write_chain_round_trips_exactly(tmp_path):
-    quotes = [
-        quote("2019-01-02", close=100.123456789, price=5.07 / 3.0, volume=17.0),
-        quote("2019-01-03", close=99.9, strike=105.0, side="P", price=0.0625),
-    ]
+    loaded = load_chain(chain_file(tmp_path, [
+        row("2019-01-02", close=100.123456789, price=5.07 / 3.0, volume=17.0, iv=0.21),
+        row("2019-01-03", close=99.9, strike=105.0, side="P", price=0.0625),
+        row("2019-01-04", close=99.5, strike=105, side="P", price=6.5, iv=0.2 / 3.0),
+    ]))
+    assert_rows(loaded[0], [
+        (dt.date(2019, 1, 2), dt.date(2019, 12, 20), 100.0, "C", 5.07 / 3.0, 17.0, 100.123456789, 0.21),
+        (dt.date(2019, 1, 3), dt.date(2019, 12, 20), 105.0, "P", 0.0625, 10.0, 99.9, None),
+        (dt.date(2019, 1, 4), dt.date(2019, 12, 20), 105.0, "P", 6.5, 10.0, 99.5, 0.2 / 3.0),
+    ])
     path = tmp_path / "out.csv"
-    write_chain(path, quotes)
-    loaded, rejects = load_chain(path)
-    assert not rejects
-    assert list(loaded) == quotes
+    write_chain(path, loaded[0])
+    assert path.read_text().splitlines()[1:] == [
+        f"2019-01-02,2019-12-20,100.0,C,{5.07 / 3.0!r},{5.07 / 3.0!r},{5.07 / 3.0!r},17.0,100.123456789,0.21",
+        "2019-01-03,2019-12-20,105.0,P,0.0625,0.0625,0.0625,10.0,99.9,",
+        f"2019-01-04,2019-12-20,105.0,P,6.5,6.5,6.5,10.0,99.5,{0.2 / 3.0!r}",
+    ]
+    assert_same_load(load_chain(path), loaded)
 
 
 def test_write_chain_round_trips_numpy_scalar_fields(tmp_path):
-    # numpy 2 reprs a float64 as np.float64(...), which load_chain cannot parse
-    plain = quote("2019-01-02", close=100.123456789, price=5.07 / 3.0, volume=17.0)
-    scalars = dataclasses.replace(
-        plain,
-        strike=np.float64(plain.strike),
-        price=np.float64(plain.price),
-        volume=np.float32(plain.volume),
-        underlying_close=np.float64(plain.underlying_close),
-        implied_vol=np.float64(0.21),
-    )
+    # numpy 2 reprs a float64 as np.float64(...), which load_chain cannot parse;
+    # columns of other dtypes than the loader's are written as plain numbers too
+    plain = load_chain(chain_file(tmp_path, [
+        row("2019-01-02", close=100.123456789, price=5.07 / 3.0, volume=17.0, iv=0.21),
+    ]))
+    columns = {f.name: getattr(plain[0], f.name) for f in dataclasses.fields(OptionChain)}
+    columns.update(strike=columns["strike"].astype(np.int64), volume=columns["volume"].astype(np.float32))
     path = tmp_path / "out.csv"
-    write_chain(path, [scalars])
-    loaded, rejects = load_chain(path)
-    assert not rejects
-    assert list(loaded) == [dataclasses.replace(plain, implied_vol=0.21)]
+    write_chain(path, OptionChain(**columns))
+    assert "np." not in path.read_text()
+    assert_same_load(load_chain(path), plain)
 
 
 def test_blank_lines_are_skipped_and_rejects_carry_their_file_line(tmp_path):
@@ -208,7 +237,7 @@ def test_a_row_spanning_lines_does_not_shift_later_lines(tmp_path):
         "2019-01-03,2019-12-20,100,C,5.0,5.4,,-1,100,\n"
     )
     chain, rejects = load_chain(path)
-    assert len(chain) == 1 and chain[0].side == "C"
+    assert chain.is_call.tolist() == [True]
     assert rejects == [RejectedRow(4, "volume < 0")]
 
 
@@ -223,7 +252,7 @@ def test_a_row_spanning_two_chunks_goes_through_one_csv_reader(tmp_path, monkeyp
         "2019-01-04,2019-12-20,100,C,5.0,5.4,,-1,100,\n"
     )
     chain, rejects = load_chain(path)
-    assert len(chain) == plain_rows + 1 and all(q.side == "C" for q in chain)
+    assert chain.is_call.tolist() == [True] * (plain_rows + 1)
     assert rejects == [RejectedRow(plain_rows + 4, "volume < 0")]
 
 
@@ -244,11 +273,6 @@ CHAIN_ROWS = [
 ]
 # a blank, a short and a long line, after two plain chunks of three lines
 IRREGULAR_ROWS = CHAIN_ROWS[:6] + ["", "2019-01-09,2019-12-20,100", CHAIN_ROWS[0] + ",extra"] + CHAIN_ROWS[6:]
-
-
-def nan_equal(values):
-    """The values, with NaN (an implied vol of "nan") replaced so that it equals itself."""
-    return tuple("NaN" if isinstance(v, float) and math.isnan(v) else v for v in values)
 
 
 def assert_same_load(a, b):
@@ -302,21 +326,21 @@ def test_a_field_over_the_csv_size_limit_is_a_format_error(tmp_path, monkeypatch
 
 
 def assert_peak_within_three_columns(tmp_path, monkeypatch):
-    quotes = [
-        OptionQuote(
-            quote_date=dt.date(2020, 1, 2) + dt.timedelta(days=i // 600),
-            expiry_date=dt.date(2021, 6, 18),
-            strike=50.0 + i % 120,
-            side="CP"[i % 2],
-            price=1.0 + (i % 997) / 11.0,  # below every close: no call is rejected
-            volume=float(1 + i % 5000),
-            underlying_close=100.0 + (i % 313) / 3.0,
-            implied_vol=0.2 + (i % 89) / 1000.0 if i % 3 else None,
-        )
-        for i in range(30_000)
-    ]
+    i = np.arange(30_000)
+    has_implied_vol = i % 3 != 0
+    written = OptionChain(
+        quote_date=np.datetime64("2020-01-02") + i // 600,
+        expiry_date=np.full(i.size, np.datetime64("2021-06-18")),
+        strike=50.0 + i % 120,
+        is_call=i % 2 == 0,
+        price=1.0 + (i % 997) / 11.0,  # below every close: no call is rejected
+        volume=1.0 + i % 5000,
+        underlying_close=100.0 + (i % 313) / 3.0,
+        implied_vol=np.where(has_implied_vol, 0.2 + (i % 89) / 1000.0, np.nan),
+        has_implied_vol=has_implied_vol,
+    )
     path = tmp_path / "chain.csv"
-    write_chain(path, quotes)
+    write_chain(path, written)
     monkeypatch.setattr(marketdata, "_CHUNK_ROWS", 1024)
     tracemalloc.start()
     try:
@@ -324,7 +348,7 @@ def assert_peak_within_three_columns(tmp_path, monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(chain) == len(quotes) and not rejects
+    assert len(chain) == len(written) and not rejects
     # the chain's own columns, plus the chunk pieces they are joined from
     assert peak <= 3 * sum(getattr(chain, f.name).nbytes for f in dataclasses.fields(OptionChain))
 
@@ -347,9 +371,7 @@ def test_truncated_rows_are_rejected_naming_the_missing_column(tmp_path):
         (2, "missing field: side"),
         (4, "unparseable field: Invalid isoformat string: 'bad-date'"),
     ]
-    assert list(chain) == [
-        OptionQuote(dt.date(2020, 1, 3), dt.date(2020, 4, 3), 100.0, "C", 5.2, 10.0, 100.0, None)
-    ]
+    assert_rows(chain, [(dt.date(2020, 1, 3), dt.date(2020, 4, 3), 100.0, "C", 5.2, 10.0, 100.0, None)])
 
 
 def test_truncated_row_names_the_vendor_header(tmp_path):
@@ -407,7 +429,7 @@ def test_a_ranged_load_equals_the_one_range_load_and_the_oracle(tmp_path, monkey
     assert_same_load(loaded, load_in_one_range(monkeypatch, path))
     expect_quotes, expect_rejects = oracles.rowwise_load_chain(path)
     assert [(r.line, r.reason) for r in loaded[1]] == expect_rejects
-    assert [nan_equal(dataclasses.astuple(q)) for q in loaded[0]] == list(map(nan_equal, expect_quotes))
+    assert_rows(loaded[0], expect_quotes)
     assert len(expect_quotes) > 6 * 2 and len(expect_rejects) > 6 * 8
 
 
@@ -426,7 +448,7 @@ def test_a_call_above_its_close_is_rejected_in_one_range_and_in_ranges(tmp_path,
               RejectedRow(27, "expiry before quote date")]
     one_range = load_in_one_range(monkeypatch, path)
     assert one_range[1] == expect
-    assert [q.price for q in one_range[0][-2:]] == [100.5, 100.0]
+    assert one_range[0].price[-2:].tolist() == [100.5, 100.0]
     seen = ranged(monkeypatch, 2)
     loaded = load_chain(path)
     (cuts,) = seen
@@ -602,26 +624,6 @@ def test_a_chain_read_from_a_pipe_loads_in_one_range(tmp_path, monkeypatch):
     assert_same_load(loaded, load_in_one_range(monkeypatch, plain))
 
 
-def test_option_chain_is_a_sequence_of_plain_quotes():
-    quotes = [
-        quote("2019-01-02", close=100.5, price=5.25),
-        dataclasses.replace(quote("2019-01-03", side="P", strike=105.0), implied_vol=0.2),
-    ]
-    chain = OptionChain.from_quotes(quotes)
-    assert OptionChain.from_quotes(chain) is chain
-    assert len(chain) == 2 and list(chain) == quotes
-    assert chain[-1] == quotes[1] and chain[0:1] == quotes[:1]
-    assert quotes[1] in chain and chain.index(quotes[1]) == 1
-    first = chain[0]
-    assert type(first.strike) is float and type(first.quote_date) is dt.date
-    assert type(first.side) is str and first.implied_vol is None
-    assert repr(first.strike) == "100.0"  # write_chain writes repr(strike)
-    with pytest.raises(IndexError):
-        chain[2]
-    with pytest.raises(ValueError, match="read-only"):
-        chain.price[0] = 1.0
-
-
 # Field texts that exercise every reject kind: bad dates and sides, blank,
 # whitespace, nan and inf fields, negative values, `_` and hex in numbers.
 DATE_TEXTS = st.one_of(
@@ -659,7 +661,7 @@ def test_load_chain_matches_the_rowwise_oracle(tmp_path_factory, rows, order):
     chain, rejects = load_chain(path)
     expect_quotes, expect_rejects = oracles.rowwise_load_chain(path)
     assert [(r.line, r.reason) for r in rejects] == expect_rejects
-    assert [nan_equal(dataclasses.astuple(q)) for q in chain] == list(map(nan_equal, expect_quotes))
+    assert_rows(chain, expect_quotes)
 
 
 def test_selection_on_a_loaded_chain_matches_the_oracle_quotes(tmp_path):
@@ -677,8 +679,7 @@ def test_selection_on_a_loaded_chain_matches_the_oracle_quotes(tmp_path):
     chain, rejects = load_chain(path)
     assert not rejects
     oracle_quotes, _ = oracles.rowwise_load_chain(path)
-    quotes = [OptionQuote(*q) for q in oracle_quotes]
-    assert list(chain) == quotes
+    assert_rows(chain, oracle_quotes)
 
     def columns(series):
         assert [ex.s for ex in series.exogenous] == series.closes
@@ -692,7 +693,6 @@ def test_selection_on_a_loaded_chain_matches_the_oracle_quotes(tmp_path):
     expiry = dt.date(2019, 3, 15)
     for strike, side in ((100.0, "C"), (95.0, "P")):
         a = build_series(chain, strike, expiry, is_call=side == "C").with_prior_close(87.0)
-        assert a == build_series(quotes, strike, expiry, is_call=side == "C").with_prior_close(87.0)
         chosen = oracles.rowwise_max_volume(
             oracle_quotes, lambda q: q[1] == expiry and q[2] == strike and q[3] == side
         )
@@ -701,7 +701,6 @@ def test_selection_on_a_loaded_chain_matches_the_oracle_quotes(tmp_path):
         assert [ex.u for ex in a.exogenous] == [math.log(b / c) for c, b in zip(closes, closes[1:])]
         assert a.contract.strike == strike and a.contract.is_call == (side == "C")
     calls = max_volume_series(chain)
-    assert calls == max_volume_series(quotes)
     chosen = oracles.rowwise_max_volume(oracle_quotes, lambda q: q[3] == "C")
     assert columns(calls) == oracle_columns(chosen)
     assert [ex.contract for ex in calls.exogenous] == [
@@ -710,9 +709,7 @@ def test_selection_on_a_loaded_chain_matches_the_oracle_quotes(tmp_path):
     assert calls.contract == calls.exogenous[0].contract
     for day in (1, 2, 5, 9):
         date = dt.date(2019, 1, day)
-        assert prior_close_before(chain, date) == prior_close_before(quotes, date)
         assert prior_close_before(chain, date) == oracles.rowwise_prior_close(oracle_quotes, date)
-    assert closes_by_date(chain) == closes_by_date(quotes)
     assert closes_by_date(chain) == oracles.rowwise_closes_by_date(oracle_quotes)
 
 
@@ -720,13 +717,13 @@ def test_selection_on_a_loaded_chain_matches_the_oracle_quotes(tmp_path):
 # series construction
 
 
-def test_build_series_exogenous_inputs():
-    quotes = [
-        quote("2019-01-03", close=101.0),
-        quote("2019-01-02", close=100.0),  # out of order on purpose
-        quote("2019-01-04", close=99.0),
-    ]
-    series = build_series(quotes, strike=100.0, expiry_date=dt.date(2019, 12, 20))
+def test_build_series_exogenous_inputs(tmp_path):
+    chain = chain_of(tmp_path, [
+        row("2019-01-03", close=101.0),
+        row("2019-01-02", close=100.0),  # out of order on purpose
+        row("2019-01-04", close=99.0),
+    ])
+    series = build_series(chain, strike=100.0, expiry_date=dt.date(2019, 12, 20))
     assert [d.isoformat() for d in series.dates] == ["2019-01-02", "2019-01-03", "2019-01-04"]
     assert series.closes == [100.0, 101.0, 99.0]
     assert [ex.s for ex in series.exogenous] == series.closes
@@ -742,9 +739,9 @@ def test_build_series_exogenous_inputs():
     assert all(ex.contract is None for ex in series.exogenous)  # fixed-contract series
 
 
-def test_build_series_uses_prior_close_for_first_return():
-    quotes = [quote("2019-01-02", close=101.0), quote("2019-01-03", close=102.0)]
-    series = build_series(quotes, strike=100.0, expiry_date=dt.date(2019, 12, 20))
+def test_build_series_uses_prior_close_for_first_return(tmp_path):
+    chain = chain_of(tmp_path, [row("2019-01-02", close=101.0), row("2019-01-03", close=102.0)])
+    series = build_series(chain, strike=100.0, expiry_date=dt.date(2019, 12, 20))
     moved = series.with_prior_close(100.0)
     assert moved.exogenous[0].u == pytest.approx(math.log(1.01), abs=1e-15)
     # only the first step's log-return moves
@@ -753,44 +750,44 @@ def test_build_series_uses_prior_close_for_first_return():
     assert (moved.dates, moved.prices, moved.closes) == (series.dates, series.prices, series.closes)
 
 
-def test_build_series_max_volume_dedupe_and_tie_break():
-    quotes = [
-        quote("2019-01-02", volume=5.0, price=5.0),
-        quote("2019-01-02", volume=9.0, price=6.0),  # wins on volume
-        quote("2019-01-03", volume=4.0, price=7.0),
-        quote("2019-01-03", volume=4.0, price=8.0),  # same strike: file order keeps first
-    ]
-    series = build_series(quotes, strike=100.0, expiry_date=dt.date(2019, 12, 20))
+def test_build_series_max_volume_dedupe_and_tie_break(tmp_path):
+    chain = chain_of(tmp_path, [
+        row("2019-01-02", volume=5.0, price=5.0),
+        row("2019-01-02", volume=9.0, price=6.0),  # wins on volume
+        row("2019-01-03", volume=4.0, price=7.0),
+        row("2019-01-03", volume=4.0, price=8.0),  # same strike: file order keeps first
+    ])
+    series = build_series(chain, strike=100.0, expiry_date=dt.date(2019, 12, 20))
     assert series.prices == [6.0, 7.0]
 
 
-def test_build_series_filters_side_expiry_and_strike():
-    quotes = [
-        quote("2019-01-02"),
-        quote("2019-01-03"),
-        quote("2019-01-02", side="P", price=99.0),
-        quote("2019-01-03", expiry="2020-01-17", price=99.0),
-        quote("2019-01-03", strike=105.0, price=99.0),
-    ]
-    series = build_series(quotes, strike=100.0, expiry_date=dt.date(2019, 12, 20))
+def test_build_series_filters_side_expiry_and_strike(tmp_path):
+    chain = chain_of(tmp_path, [
+        row("2019-01-02"),
+        row("2019-01-03"),
+        row("2019-01-02", side="P", price=99.0),
+        row("2019-01-03", expiry="2020-01-17", price=99.0),
+        row("2019-01-03", strike=105.0, price=99.0),
+    ])
+    series = build_series(chain, strike=100.0, expiry_date=dt.date(2019, 12, 20))
     assert len(series) == 2
     assert series.prices == [5.0, 5.0]
 
 
-def test_build_series_requires_two_dates():
+def test_build_series_requires_two_dates(tmp_path):
     with pytest.raises(InsufficientDataError):
-        build_series([quote("2019-01-02")], strike=100.0, expiry_date=dt.date(2019, 12, 20))
+        build_series(chain_of(tmp_path, [row("2019-01-02")]), strike=100.0, expiry_date=dt.date(2019, 12, 20))
 
 
-def test_max_volume_series_tracks_liquidity():
-    quotes = [
-        quote("2019-01-02", strike=100.0, volume=10.0, price=5.0),
-        quote("2019-01-02", strike=110.0, volume=30.0, price=1.0),
-        quote("2019-01-03", strike=95.0, volume=50.0, price=7.0, expiry="2020-01-17"),
-        quote("2019-01-03", strike=100.0, volume=2.0, price=5.5),
-        quote("2019-01-02", side="P", strike=90.0, volume=999.0, price=1.1),  # puts excluded
-    ]
-    series = max_volume_series(quotes)
+def test_max_volume_series_tracks_liquidity(tmp_path):
+    chain = chain_of(tmp_path, [
+        row("2019-01-02", strike=100.0, volume=10.0, price=5.0),
+        row("2019-01-02", strike=110.0, volume=30.0, price=1.0),
+        row("2019-01-03", strike=95.0, volume=50.0, price=7.0, expiry="2020-01-17"),
+        row("2019-01-03", strike=100.0, volume=2.0, price=5.5),
+        row("2019-01-02", side="P", strike=90.0, volume=999.0, price=1.1),  # puts excluded
+    ])
+    series = max_volume_series(chain)
     assert series.prices == [1.0, 7.0]
     # each step carries its own contract
     c0, c1 = (ex.contract for ex in series.exogenous)
@@ -799,14 +796,14 @@ def test_max_volume_series_tracks_liquidity():
     assert series.contract == c0
 
 
-def test_prior_close_before_picks_latest_strictly_before():
-    quotes = [
-        quote("2019-01-02", close=100.0),
-        quote("2019-01-04", close=104.0),
-        quote("2019-01-07", close=107.0),
-    ]
-    assert prior_close_before(quotes, dt.date(2019, 1, 7)) == 104.0
-    assert prior_close_before(quotes, dt.date(2019, 1, 2)) is None
+def test_prior_close_before_picks_latest_strictly_before(tmp_path):
+    chain = chain_of(tmp_path, [
+        row("2019-01-02", close=100.0),
+        row("2019-01-04", close=104.0),
+        row("2019-01-07", close=107.0),
+    ])
+    assert prior_close_before(chain, dt.date(2019, 1, 7)) == 104.0
+    assert prior_close_before(chain, dt.date(2019, 1, 2)) is None
 
 
 # ---------------------------------------------------------------------------
@@ -891,11 +888,15 @@ def test_truth_round_trips_through_chain_files(tmp_path):
         spec, 30, 100.0, (1.6e-4, 0.02), seed=2, start_date=dt.date(2019, 1, 2)
     )
     path = tmp_path / "chain.csv"
-    write_chain(path, truth_to_quotes(truth, spec))
-    quotes, rejects = load_chain(path)
+    chain = truth_to_chain(truth, spec)
+    with pytest.raises(ValueError, match="read-only"):
+        chain.price[0] = 1.0
+    assert truth.observations.flags.writeable and truth.spots.flags.writeable  # the chain copied them
+    write_chain(path, chain)
+    loaded, rejects = load_chain(path)
     assert not rejects
-    expiry = quotes[0].expiry_date
-    series = build_series(quotes, strike=100.0, expiry_date=expiry)
+    assert_same_load((loaded, rejects), (chain, []))
+    series = build_series(loaded, strike=100.0, expiry_date=loaded.expiry_date[0].item())
     assert len(series) == 30
     np.testing.assert_array_equal(series.prices, truth.observations)
     for ex_file, ex_truth in zip(series.exogenous, truth.exogenous):
@@ -904,10 +905,10 @@ def test_truth_round_trips_through_chain_files(tmp_path):
         assert ex_file.tau == pytest.approx(ex_truth.tau, abs=1e-14)
 
 
-def test_truth_to_quotes_requires_dates():
+def test_truth_to_chain_requires_dates():
     truth = generate_synthetic(model_spec(), 5, 100.0, (1.6e-4, 0.02))
     with pytest.raises(InvalidInputError):
-        truth_to_quotes(truth, model_spec())
+        truth_to_chain(truth, model_spec())
 
 
 def test_write_truth_states_layout(tmp_path):

@@ -188,6 +188,8 @@ def test_settings_validation():
         settings(filters=())
     with pytest.raises(InvalidInputError):
         settings(filters=(FilterId.EKF, FilterId.EKF))
+    with pytest.raises(InvalidInputError, match="^seed must be non-negative, got -1$"):
+        settings(seed=-1)
 
 
 @pytest.mark.parametrize("name", ["pf_particles", "pcrlb_particles"])
