@@ -43,8 +43,9 @@ def main(argv=None):
     parser.add_argument("--pcrlb-particles", type=int, default=400)
     parser.add_argument("--strategies", nargs="+", choices=STRATEGIES, default=["EKF", "UKF", "PF", "AAF"])
     args = parser.parse_args(argv)
-    if args.seeds < 1:
-        parser.error(f"--seeds must be at least 1, got {args.seeds}")
+    for flag, least in (("seeds", 1), ("steps", 1), ("pf_particles", 2), ("pcrlb_particles", 2)):
+        if getattr(args, flag) < least:
+            parser.error(f"--{flag.replace('_', '-')} must be at least {least}, got {getattr(args, flag)}")
 
     run = partial(
         run_synthetic_comparison,

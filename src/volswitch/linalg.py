@@ -8,9 +8,16 @@ bit for bit as it would alone. A stack never fails as a whole:
 ``regularized_inverse`` and ``safe_cholesky`` return, per matrix, the
 error that stopped it. Non-finite members are masked before any stacked
 LAPACK call, since a solver that fails to converge raises for the stack.
+
+A 2x2 matrix's checks (at its floor? within COND_LIMIT?) come from
+closed-form eigenvalues, with no LAPACK call, when they clear the
+threshold by far more than rounding; otherwise, and for every value
+returned, LAPACK runs as before.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -20,6 +27,11 @@ from .exceptions import CovarianceError, SingularityError
 COND_LIMIT = 1e12
 RIDGE_SCALE = 1e-12
 MAX_RIDGE_ESCALATIONS = 6
+
+# a closed-form check decides only beyond these, which dwarf the rounding of
+# it and of LAPACK: a share of the largest entry, a band around COND_LIMIT
+EIG2_MARGIN = 1e-12
+COND_BAND = 0.02
 
 
 def symmetrize(m: np.ndarray) -> np.ndarray:
@@ -35,6 +47,35 @@ def _finite_members(stack: np.ndarray) -> np.ndarray | None:
     return np.isfinite(stack).all(axis=(1, 2))
 
 
+def _eigvals2(m: np.ndarray) -> list | None:
+    """(low, high, largest |entry|) per 2x2 matrix of ``m``, from the lower triangle as eigvalsh reads it.
+
+    None when ``m`` is not 2x2 or a member is non-finite, zero or within
+    150 decades of under- or overflow: LAPACK decides those.
+    """
+    if m.shape[-2:] != (2, 2):
+        return None
+    out = []
+    for a, _, b, c in m.reshape(-1, 4).tolist():
+        scale = max(abs(a), abs(b), abs(c))
+        if not 1e-150 < scale < 1e150:  # False for NaN
+            return None
+        mid, radius = 0.5 * (a + c), math.hypot(0.5 * (a - c), b)
+        out.append((mid - radius, mid + radius, scale))
+    return out
+
+
+def above_floor(m: np.ndarray, floor: float | np.ndarray) -> bool:
+    """Whether the closed form shows each matrix's smallest eigenvalue above its floor; False defers to LAPACK."""
+    eigs = _eigvals2(m)
+    floors = np.asarray(floor, dtype=float).ravel().tolist()
+    if eigs and len(floors) == 1:
+        floors *= len(eigs)  # one floor serves every matrix
+    return eigs is not None and len(floors) == len(eigs) and all(
+        low - EIG2_MARGIN * scale >= f for (low, _, scale), f in zip(eigs, floors)
+    )
+
+
 def floor_psd(m: np.ndarray, floor: float | np.ndarray = 0.0) -> np.ndarray:
     """Symmetrize and clip eigenvalues from below, per matrix.
 
@@ -44,6 +85,8 @@ def floor_psd(m: np.ndarray, floor: float | np.ndarray = 0.0) -> np.ndarray:
     perturbed; a non-finite one comes back all NaN.
     """
     sym = symmetrize(m)
+    if above_floor(sym, floor):
+        return sym
     stack = sym if sym.ndim == 3 else sym[None]
     finite = _finite_members(stack)
     if finite is not None:
@@ -71,6 +114,13 @@ def _within_cond_limit(m: np.ndarray) -> np.ndarray:
     eigenvalue solve (one for a whole stack) replaces an SVD; the zero
     matrix counts as infinitely ill-conditioned.
     """
+    eigs = _eigvals2(m)
+    if eigs is not None:
+        # COND_LIMIT over each condition number; the larger |eigenvalue| is at least the largest entry
+        ratios = [COND_LIMIT * min(abs(lo), abs(hi)) / max(abs(lo), abs(hi)) for lo, hi, _ in eigs]
+        if all(abs(r - 1.0) > COND_BAND for r in ratios):
+            within = np.array([r > 1.0 for r in ratios], dtype=bool)
+            return within if m.ndim == 3 else within[0]
     mags = np.abs(np.linalg.eigvalsh(m))
     top = mags.max(axis=-1)
     return (top > 0.0) & (top <= COND_LIMIT * mags.min(axis=-1))
@@ -132,13 +182,13 @@ def regularized_inverse(m: np.ndarray, err: type = SingularityError):
 def _cholesky_one(sym: np.ndarray, err: type) -> np.ndarray:
     if not np.all(np.isfinite(sym)):
         raise err("non-finite covariance")
-    dim = sym.shape[0]
-    base = max(np.trace(sym) / dim, 0.0)
-    jitter = 1e-15 * base if base > 0.0 else 1e-18
     try:
         return np.linalg.cholesky(sym)
     except np.linalg.LinAlgError:
         pass
+    dim = sym.shape[0]
+    base = max(np.trace(sym) / dim, 0.0)
+    jitter = 1e-15 * base if base > 0.0 else 1e-18
     for _ in range(MAX_RIDGE_ESCALATIONS):
         try:
             return np.linalg.cholesky(sym + jitter * np.eye(dim))

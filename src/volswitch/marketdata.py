@@ -99,6 +99,9 @@ class OptionChain:
     has_implied_vol: np.ndarray  # bool
 
     def __post_init__(self):
+        lengths = {f.name: len(getattr(self, f.name)) for f in fields(self)}
+        if len(set(lengths.values())) > 1:
+            raise InvalidInputError(f"chain columns differ in length: {lengths}")
         for f in fields(self):
             getattr(self, f.name).flags.writeable = False
 
@@ -663,6 +666,8 @@ def generate_synthetic(
     """
     if n_steps < 1:
         raise InvalidInputError("n_steps must be positive")
+    if seed < 0:
+        raise InvalidInputError(f"seed must be non-negative, got {seed!r}")
     if model.contract.expiry_step < n_steps - 1:
         raise InvalidInputError("contract expires before the simulation ends")
     rng = np.random.default_rng(seed)

@@ -31,10 +31,10 @@ and its propagation noise from its own rng; projection, transition, the
 Jacobians and the D blocks run once on the stacked clouds. D22 is one
 weighted Gram product per filter, not a stack of per-particle matrix
 products; D11 and D12 are one for the whole bank. The information step
-advances every J as one (B, s, s) stack, with one eigenvalue solve,
-inverse or Cholesky per stack in the common case (``linalg``). A failure
-in a filter's factorisation, D blocks or information step stops that
-filter's update alone.
+advances every J as one (B, s, s) stack, with one inverse or Cholesky
+per stack in the common case, and for s = 2 no eigenvalue solve
+(``linalg``). A failure in a filter's factorisation, D blocks or
+information step stops that filter's update alone.
 
 Q^{-1} and R^{-1} are constant, so each model inverts them once
 (``StateSpaceModel.noise_precisions``) and every step reuses them.
@@ -56,7 +56,7 @@ from .exceptions import (
     SingularityError,
 )
 from .filters import FilterId, GaussianBelief, ParticleCloud
-from .linalg import floor_psd, regularized_inverse, safe_cholesky, symmetrize
+from .linalg import above_floor, floor_psd, regularized_inverse, safe_cholesky, symmetrize
 
 logger = logging.getLogger(__name__)
 
@@ -167,14 +167,15 @@ def _information_step(j: np.ndarray, d: DTriple):
         # failed or non-finite slots are solved as the identity and left unfloored
         live = np.isfinite(j_next).all(axis=(1, 2)) & np.array([e is None for e in errors])
         solved = np.where(live[:, None, None], j_next, eye)
-    vals = np.linalg.eigvalsh(solved)
-    # eigvalsh sorts ascending; the floor applies where J_{t+1} is not positive definite
-    weak = ~(vals[:, 0] > 0.0)
-    if weak.any():
-        floors = 1e-12 * np.maximum(np.abs(vals[weak]).max(axis=1), 1.0)
-        for k, floor in zip(np.flatnonzero(weak), floors):
-            logger.info("information matrix floored: min eigenvalue %.3e -> %.3e", vals[k, 0], floor)
-        j_next[weak] = floor_psd(j_next[weak], floor=floors)
+    # the floor applies where J_{t+1} is not positive definite
+    if not above_floor(solved, 0.0):
+        vals = np.linalg.eigvalsh(solved)  # sorted ascending
+        weak = ~(vals[:, 0] > 0.0)
+        if weak.any():
+            floors = 1e-12 * np.maximum(np.abs(vals[weak]).max(axis=1), 1.0)
+            for k, floor in zip(np.flatnonzero(weak), floors):
+                logger.info("information matrix floored: min eigenvalue %.3e -> %.3e", vals[k, 0], floor)
+            j_next[weak] = floor_psd(j_next[weak], floor=floors)
     j_inv, inv_errors = regularized_inverse(j_next)
     j_inv = symmetrize(j_inv)
     resid = np.abs(j_inv @ j_next - eye).max(axis=(1, 2))

@@ -81,20 +81,21 @@ class SwitchDecision:
 
 def perf_metric(fisher: FisherState, belief: GaussianBelief) -> PerfMetric:
     """Score one filter against its bound; raises on degenerate variances."""
-    p_diag = belief.cov.diagonal()
-    j_inv_diag = fisher.j_inv.diagonal()
+    p_diag = belief.cov.diagonal().tolist()
+    j_inv_diag = fisher.j_inv.diagonal().tolist()
     # NaN, +-inf and <= 0 all fail the range check
-    if not ((p_diag > 0.0) & (p_diag < np.inf)).all():
+    if not all(0.0 < p < np.inf for p in p_diag):
         raise DegenerateCovarianceError(f"non-positive posterior variance for {fisher.filter}")
-    if not ((j_inv_diag > 0.0) & (j_inv_diag < np.inf)).all():
+    if not all(0.0 < j < np.inf for j in j_inv_diag):
         raise DegenerateCovarianceError(f"non-positive bound diagonal for {fisher.filter}")
-    ratio = j_inv_diag / p_diag
-    if logger.isEnabledFor(logging.INFO) and np.any(ratio > PHI_SLACK):
+    ratio = [j / p for j, p in zip(j_inv_diag, p_diag)]
+    if logger.isEnabledFor(logging.INFO) and max(ratio) > PHI_SLACK:
         logger.info(
             "phi exceeds theoretical bound with slack for %s: %s",
-            fisher.filter, np.array2string(ratio, precision=3),
+            fisher.filter, np.array2string(np.array(ratio), precision=3),
         )
-    return PerfMetric(phi=np.diag(ratio), trace=float(ratio.sum()), filter=fisher.filter)
+    # for two components sum() adds in numpy's order, so the trace is the same bits
+    return PerfMetric(phi=np.diag(ratio), trace=sum(ratio), filter=fisher.filter)
 
 
 def _ordered(metrics: Mapping[FilterId, PerfMetric]):

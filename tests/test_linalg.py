@@ -4,6 +4,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from volswitch import linalg
 from volswitch.exceptions import CovarianceError, SingularityError
 from volswitch.linalg import (
     COND_LIMIT,
@@ -232,6 +233,71 @@ def test_a_non_finite_member_fails_only_itself():
     low, errors = safe_cholesky(stack)
     assert errors[0] is None and all(isinstance(e, CovarianceError) for e in errors[1:])
     np.testing.assert_array_equal(low[0], np.sqrt(stack[0]))
+
+
+# ---------------------------------------------------------------------------
+# closed-form 2x2 checks: each decision is the one LAPACK makes
+
+
+def near_threshold_member(kind, scale_exp, rel_exp, sign, signs, rotation_seed):
+    """A 2x2 member and its floor, with its smallest eigenvalue or condition number a hair off a threshold.
+
+    ``rel_exp`` sets the hair, 10**-rel_exp of the threshold, on the side of
+    ``sign``; a rotation seed of None keeps the matrix diagonal, so its
+    spectrum is exact.
+    """
+    top = 10.0**scale_exp
+    hair = 1.0 + sign * 10.0**-rel_exp
+    if kind == "floor":
+        floor = top * 10.0**-(rel_exp % 7)
+        vals = np.array([floor * hair, top])
+    elif kind == "cond":
+        floor = 0.0
+        vals = np.where(signs, 1.0, -1.0) * [top, top / (COND_LIMIT * hair)]
+    elif kind == "zero":
+        return np.zeros((2, 2)), 0.0
+    else:  # a member straddling zero against a zero floor
+        floor = 0.0
+        vals = np.array([sign * top * 10.0**-rel_exp, top])
+    if rotation_seed is None:
+        return np.diag(vals), floor
+    u, _ = np.linalg.qr(np.random.default_rng(rotation_seed).standard_normal((2, 2)))
+    return symmetrize((u * vals) @ u.T), floor
+
+
+near_members = st.tuples(
+    st.sampled_from(["floor", "cond", "zero", "singular"]),
+    st.integers(-300, 300),
+    st.integers(6, 16),
+    st.sampled_from([1.0, -1.0]),
+    st.lists(st.booleans(), min_size=2, max_size=2),
+    st.one_of(st.none(), st.integers(0, 2**32 - 1)),
+)
+
+
+def lapack_only(fn, *args):
+    """fn(*args) with the closed form deferring every check to LAPACK."""
+    real = linalg._eigvals2
+    linalg._eigvals2 = lambda m: None
+    try:
+        return fn(*args)
+    finally:
+        linalg._eigvals2 = real
+
+
+@given(st.lists(near_members, min_size=1, max_size=4), st.sampled_from([None, np.nan, np.inf, -np.inf]))
+@settings(max_examples=400)
+def test_closed_form_checks_decide_as_lapack_does(drawn, poison):
+    stack, floors = map(np.array, zip(*(near_threshold_member(*m) for m in drawn)))
+    # LAPACK's path overflows COND_LIMIT * min|eigenvalue| to inf near 1e300, and decides right
+    with np.errstate(over="ignore"):
+        for k, m in enumerate(stack):
+            assert _within_cond_limit(m) == lapack_only(_within_cond_limit, m)
+            assert floor_psd(m, floors[k]).tobytes() == lapack_only(floor_psd, m, floors[k]).tobytes()
+        np.testing.assert_array_equal(_within_cond_limit(stack), lapack_only(_within_cond_limit, stack))
+    if poison is not None:
+        stack[-1, 1, 0] = poison  # a non-finite member: the condition check never sees one
+    assert floor_psd(stack, floors).tobytes() == lapack_only(floor_psd, stack, floors).tobytes()
 
 
 def test_substream_is_deterministic_and_key_sensitive():

@@ -216,6 +216,15 @@ def test_write_chain_round_trips_numpy_scalar_fields(tmp_path):
     assert_same_load(load_chain(path), plain)
 
 
+def test_a_chain_of_columns_that_differ_in_length_is_refused(tmp_path):
+    chain = chain_of(tmp_path, [row("2019-01-02"), row("2019-01-03"), row("2019-01-04")])
+    columns = {f.name: getattr(chain, f.name) for f in dataclasses.fields(OptionChain)}
+    columns["price"] = columns["price"][:2]
+    with pytest.raises(InvalidInputError, match="'price': 2") as refused:
+        OptionChain(**columns)
+    assert "'strike': 3" in str(refused.value)
+
+
 def test_blank_lines_are_skipped_and_rejects_carry_their_file_line(tmp_path):
     path = tmp_path / "chain.csv"
     path.write_text(
@@ -869,6 +878,8 @@ def test_generate_synthetic_observation_noise_has_configured_variance():
 def test_generate_synthetic_rejects_contract_expiring_mid_run():
     with pytest.raises(InvalidInputError):
         generate_synthetic(model_spec(expiry_step=10), 40, 100.0, (1.6e-4, 0.02))
+    with pytest.raises(InvalidInputError, match="seed must be non-negative, got -1"):
+        generate_synthetic(model_spec(), 5, 100.0, (1.6e-4, 0.02), seed=-1)
 
 
 def test_generate_synthetic_dates_are_business_days():

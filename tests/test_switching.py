@@ -4,12 +4,14 @@ import multiprocessing
 import os
 import re
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import oracles
-from volswitch import switching, workers
+from volswitch import linalg, switching, workers
+from volswitch.bsgarch import BsGarchModel
 from volswitch.exceptions import (
     DegenerateCovarianceError,
     EstimationError,
@@ -17,7 +19,9 @@ from volswitch.exceptions import (
     NoFilterError,
     NumericalFailureError,
 )
+from volswitch.experiments import SYNTHETIC_CONFIG, SYNTHETIC_CONTRACT, SYNTHETIC_S0
 from volswitch.filters import FILTER_ORDER, FilterId, GaussianBelief, ekf_update
+from volswitch.marketdata import generate_synthetic
 from volswitch.pcrlb import FisherState
 from models import LinearGaussianModel
 from volswitch.switching import (
@@ -569,6 +573,31 @@ def test_the_bound_worker_gives_the_in_process_records(monkeypatch, caplog, mode
         assert len(forked_warnings) == len(FILTER_ORDER) * (len(ys) - 1)
     else:
         assert forked_warnings == []
+
+
+@needs_fork
+@pytest.mark.parametrize("cpus", [1, 2], ids=["in-process", "worker"])
+@pytest.mark.parametrize("mode", ["average", "best"], ids=["AAF", "ABF"])
+def test_the_closed_form_checks_change_no_run(monkeypatch, mode, cpus):
+    cfg = replace(SYNTHETIC_CONFIG, pf_particles=100, pcrlb_particles=60)
+    spec = cfg.model_spec(SYNTHETIC_CONTRACT)
+    truth = generate_synthetic(spec, 20, SYNTHETIC_S0, (cfg.v0, cfg.r0), seed=3)
+    settings = cfg.estimation_settings(mode=mode, seed=3)
+    monkeypatch.setattr(workers, "fork_cpus", lambda: cpus)
+    decided, real = [], linalg._eigvals2
+
+    def counted(m):
+        eigs = real(m)
+        decided.append(eigs is not None)
+        return eigs
+
+    monkeypatch.setattr(linalg, "_eigvals2", counted)
+    shipped = run_adaptive_estimation(truth.observations, truth.exogenous, BsGarchModel(spec), settings)
+    assert sum(decided) > len(truth.observations)  # the filters' floors at least, in this process
+    monkeypatch.setattr(linalg, "_eigvals2", lambda m: None)
+    deferred = run_adaptive_estimation(truth.observations, truth.exogenous, BsGarchModel(spec), settings)
+    _assert_same_records(shipped, deferred)
+    assert not multiprocessing.active_children()
 
 
 @needs_fork

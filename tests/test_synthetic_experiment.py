@@ -35,9 +35,12 @@ def test_the_pooled_seeds_print_the_serial_comparisons(capsys):
     "args, message",
     [
         (["--seeds", "0"], "--seeds must be at least 1, got 0"),
+        (["--steps", "0"], "--steps must be at least 1, got 0"),
+        (["--pf-particles", "1"], "--pf-particles must be at least 2, got 1"),
+        (["--pcrlb-particles", "1"], "--pcrlb-particles must be at least 2, got 1"),
         (["--strategies", "EKF", "KF"], "argument --strategies: invalid choice: 'KF'"),
     ],
-    ids=["no-seeds", "unknown-strategy"],
+    ids=["no-seeds", "no-steps", "one-pf-particle", "one-bound-particle", "unknown-strategy"],
 )
 def test_bad_arguments_are_usage_errors(capsys, args, message):
     with pytest.raises(SystemExit) as raised:
