@@ -228,9 +228,6 @@ class BsGarchModel(StateSpaceModel):
     rows at expiry, where the price carries no state information.
     """
 
-    state_dim = 2
-    meas_dim = 1
-
     def __init__(self, spec: ModelSpec):
         self.spec = spec
         self._r = np.array([[spec.noise.r]])

@@ -2,9 +2,9 @@
 
 Files are plain ``key = value`` lines with ``#`` comments. Keys use dotted
 sections (``garch.omega``, ``filters.ukf.alpha``); hyphens and underscores
-are interchangeable. Unknown keys fail fast, except the open-ended
-``data.columns.*`` namespace used to map vendor CSV headers onto the
-canonical chain schema.
+are interchangeable. Unknown keys fail fast. ``data.columns.<name>`` maps
+a vendor CSV header onto the canonical chain column ``<name>``, which must
+be one of ``marketdata.CANONICAL_COLUMNS``.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import numpy as np
 from .bsgarch import RISK_TRANSITION_MODES, ContractSpec, GarchParams, ModelSpec, NoiseSpec
 from .exceptions import FormatError, InvalidInputError
 from .filters import FILTER_ORDER, SigmaPointParams
+from .marketdata import CANONICAL_COLUMNS
 from .switching import EstimationSettings
 
 
@@ -172,7 +173,10 @@ def config_from_text(text: str, source: str = "<config>") -> RunConfig:
     for lineno, key, value in parse_pairs(text, source):
         norm = _normalize(key)
         if norm.startswith(_COLUMNS_PREFIX):
-            columns[norm[len(_COLUMNS_PREFIX):]] = value
+            name = norm[len(_COLUMNS_PREFIX):]
+            if name not in CANONICAL_COLUMNS:
+                raise InvalidInputError(f"{source}:{lineno}: unknown chain column {key!r}, not in {CANONICAL_COLUMNS}")
+            columns[name] = value
             continue
         if norm not in _KEY_MAP:
             raise InvalidInputError(f"{source}:{lineno}: unknown config key {key!r}")

@@ -3,7 +3,8 @@
 All three consume the same ``StateSpaceModel`` interface and return a
 ``GaussianBelief`` posterior summary, so the switching layer can treat
 them interchangeably. The particle filter additionally returns its
-resampled cloud.
+resampled cloud. A model measures one price per step: a measurement
+covariance that is not 1x1 raises ``InvalidInputError``.
 """
 
 from __future__ import annotations
@@ -125,20 +126,14 @@ def propagate_cloud(cloud: ParticleCloud, ex, model, rng: np.random.Generator) -
 
 
 def likelihood_logweights(particles: np.ndarray, obs, ex, model) -> np.ndarray:
-    """Per-particle log N(obs; g(x), R)."""
-    obs = np.atleast_1d(np.asarray(obs, dtype=float))
-    preds = model.measurement_batch(particles, ex)
-    dev = obs[None, :] - preds
-    r = model.measurement_cov()
+    """Per-particle log N(obs; g(x), R) for one measured price."""
+    var = model.measurement_cov()
+    if var.shape != (1, 1):
+        raise InvalidInputError(f"a model measures one price: R must be 1x1, got {var.shape}")
+    dev = np.atleast_1d(np.asarray(obs, dtype=float))[None, :] - model.measurement_batch(particles, ex)
     # overflow to -inf is fine here: normalize_logweights raises only if every weight does
     with np.errstate(over="ignore"):
-        if r.shape == (1, 1):
-            var = r[0, 0]
-            return -0.5 * dev[:, 0] ** 2 / var - 0.5 * math.log(2.0 * math.pi * var)
-        r_inv = np.linalg.inv(r)
-        sign, logdet = np.linalg.slogdet(r)
-        quad = np.einsum("ni,ij,nj->n", dev, r_inv, dev)
-        return -0.5 * (quad + logdet + r.shape[0] * math.log(2.0 * math.pi))
+        return -0.5 * dev[:, 0] ** 2 / var[0, 0] - 0.5 * math.log(2.0 * math.pi * var[0, 0])
 
 
 def normalize_logweights(logw: np.ndarray) -> np.ndarray:
@@ -160,17 +155,14 @@ def normalize_logweights(logw: np.ndarray) -> np.ndarray:
 
 
 def _kalman_gain(s_mat: np.ndarray, cross: np.ndarray) -> np.ndarray:
-    """Gain cross @ S^-1 for innovation covariance S and state-measurement cross covariance."""
+    """Gain cross @ S^-1 for the 1x1 innovation covariance S and the state-measurement cross covariance."""
+    if s_mat.shape != (1, 1):
+        raise InvalidInputError(f"a model measures one price: S must be 1x1, got {s_mat.shape}")
     if not np.isfinite(s_mat).all():
         raise NumericalFailureError("non-finite innovation covariance")
-    if s_mat.shape == (1, 1):
-        if s_mat[0, 0] <= 0.0:
-            raise NumericalFailureError("non-positive innovation covariance")
-        return cross / s_mat[0, 0]
-    try:
-        return np.linalg.solve(s_mat, cross.T).T
-    except np.linalg.LinAlgError as e:
-        raise NumericalFailureError("innovation covariance not invertible") from e
+    if s_mat[0, 0] <= 0.0:
+        raise NumericalFailureError("non-positive innovation covariance")
+    return cross / s_mat[0, 0]
 
 
 def ekf_update(prior: GaussianBelief, obs, ex, model) -> GaussianBelief:

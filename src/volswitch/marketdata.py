@@ -446,7 +446,8 @@ def _send_range(send, path, start: int, end, width: int, layout: dict):
 def load_chain(path, columns: dict | None = None):
     """Parse a chain CSV into an ``OptionChain`` plus a rejects list.
 
-    ``columns`` maps canonical names to the file's actual headers.
+    ``columns`` maps canonical names to the file's actual headers; a name
+    outside ``CANONICAL_COLUMNS`` raises ``InvalidInputError``.
     Missing required headers raise ``SchemaError``; unreadable files raise
     ``FormatError``. Row-level problems become ``RejectedRow`` entries at
     the file line the row starts on, so accepted + rejected always equals
@@ -462,6 +463,9 @@ def load_chain(path, columns: dict | None = None):
     """
     colmap = {c: c for c in CANONICAL_COLUMNS}
     if columns:
+        unknown = sorted(set(columns) - set(CANONICAL_COLUMNS))
+        if unknown:
+            raise InvalidInputError(f"unknown chain column(s) {unknown}; expected names from {CANONICAL_COLUMNS}")
         colmap.update(columns)
     started = []  # the worker of each range after the first
     # until its header has been read, the file is not known to be a chain

@@ -25,16 +25,17 @@ reweighted against the next observation. The paper and the README do not
 settle which of the two is meant, and the code keeps the predictive
 average.
 
-A bank of filters shares one pass per step (``pcrlb_step``). The
-posteriors are factored as one stack, then each filter draws its seed
-and its propagation noise from its own rng; projection, transition, the
-Jacobians and the D blocks run once on the stacked clouds. D22 is one
-weighted Gram product per filter, not a stack of per-particle matrix
-products; D11 and D12 are one for the whole bank. The information step
-advances every J as one (B, s, s) stack, with one inverse or Cholesky
-per stack in the common case, and for s = 2 no eigenvalue solve
-(``linalg``). A failure in a filter's factorisation, D blocks or
-information step stops that filter's update alone.
+A bank of B filters keeps J and J^{-1} as two (B, s, s) stacks and shares
+one pass per step (``pcrlb_step``). The posteriors are factored as one
+stack, then each filter draws its seed and its propagation noise from its
+own rng; projection, transition, the Jacobians and the D blocks run once
+on the stacked clouds. D22 is one weighted Gram product per filter, not a
+stack of per-particle matrix products; D11 and D12 are one for the whole
+bank. The information step advances every J as one stack, with one
+inverse or Cholesky per stack in the common case, and for s = 2 no
+eigenvalue solve (``linalg``). A failure in a filter's factorisation, D
+blocks or information step stops that filter's update alone, and it keeps
+its rows of J and J^{-1}.
 
 Q^{-1} and R^{-1} are constant, so each model inverts them once
 (``StateSpaceModel.noise_precisions``) and every step reuses them.
@@ -55,7 +56,7 @@ from .exceptions import (
     NumericalFailureError,
     SingularityError,
 )
-from .filters import FilterId, GaussianBelief, ParticleCloud
+from .filters import GaussianBelief, ParticleCloud
 from .linalg import above_floor, floor_psd, regularized_inverse, safe_cholesky, symmetrize
 
 logger = logging.getLogger(__name__)
@@ -63,18 +64,11 @@ logger = logging.getLogger(__name__)
 INVERSE_CONSISTENCY_TOL = 1e-6
 
 
-@dataclass
-class FisherState:
-    """Information matrix, its inverse, and the filter it belongs to."""
-
-    j: np.ndarray
-    j_inv: np.ndarray
-    filter: FilterId | None = None
-
-    @classmethod
-    def initial(cls, p0, filter_id: FilterId | None = None) -> "FisherState":
-        p0 = symmetrize(np.asarray(p0, dtype=float))
-        return cls(j=regularized_inverse(p0, err=CovarianceError), j_inv=p0.copy(), filter=filter_id)
+def initial_information(p0, b: int):
+    """(J_0, J_0^{-1}) for a bank of b filters: (b, s, s) stacks of P_0^{-1} and P_0."""
+    p0 = symmetrize(np.asarray(p0, dtype=float))
+    j0 = regularized_inverse(p0, err=CovarianceError)
+    return np.repeat(j0[None], b, axis=0), np.repeat(p0[None], b, axis=0)
 
 
 @dataclass
@@ -105,11 +99,6 @@ def seed_particles(belief: GaussianBelief, n: int, rng: np.random.Generator, mod
     if model is not None:
         draws = model.project_batch(draws)
     return ParticleCloud.uniform(draws)
-
-
-def _stack(arrays: list) -> np.ndarray:
-    """The arrays stacked on a new first axis; one array becomes a view, not a copy."""
-    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
 
 
 def _weighted_gram(jac: np.ndarray, precision: np.ndarray, weight: float = 1.0):
@@ -186,32 +175,34 @@ def _information_step(j: np.ndarray, d: DTriple):
     return j_next, j_inv, errors
 
 
-def pcrlb_step(prevs, beliefs, ex_next, model, n: int, rngs) -> list:
-    """One bound update for every filter of a bank, in one pass.
+def pcrlb_step(j, j_inv, means, covs, ex_next, model, n: int, rngs):
+    """One bound update for a bank of B filters, in one pass.
 
-    Filter k seeds n particles from ``beliefs[k]`` and propagates them
-    with draws from ``rngs[k]``, in that order. D11 and D12 come from the
-    one transition Jacobian shared by every particle; D22 is averaged over
-    the predicted cloud with its uniform weights. Then each J advances.
+    ``j``, ``j_inv`` and ``covs`` are (B, s, s) stacks and ``means`` is
+    (B, s), all in bank order. Filter k seeds n particles from its
+    posterior and propagates them with draws from ``rngs[k]``, in that
+    order. D11 and D12 come from the one transition Jacobian shared by
+    every particle; D22 is averaged over the predicted cloud with its
+    uniform weights. Then each J advances.
 
-    Returns, per filter in order, its new ``FisherState``, or the
-    recoverable error that stopped its update (its J stays as it was).
-    Raises ``InvalidInputError`` when the transition Jacobian differs
-    between particles.
+    Returns new (j, j_inv) stacks and, per filter, None or the recoverable
+    error that stopped its update, which leaves its rows as they were. The
+    inputs are not modified. Raises ``InvalidInputError`` when the
+    transition Jacobian differs between particles.
     """
     if n < 2:
         raise InvalidInputError("need at least 2 particles")
-    lows, out = _seed_factors(_stack([b.cov for b in beliefs]))
-    live, seeds, draws = [], [], []
-    for k, (belief, low, rng) in enumerate(zip(beliefs, lows, rngs, strict=True)):
-        if out[k] is None:
-            live.append(k)
-            seeds.append(belief.mean + rng.standard_normal((n, low.shape[0])) @ low.T)
-            draws.append(rng.standard_normal((n, low.shape[0])))
+    lows, errors = _seed_factors(covs)
+    j, j_inv = j.copy(), j_inv.copy()
+    live = [k for k, e in enumerate(errors) if e is None]
     if not live:
-        return out
+        return j, j_inv, errors
 
-    bsz, s = len(live), seeds[0].shape[1]
+    bsz, s = len(live), means.shape[1]
+    seeds, draws = [], []
+    for k in live:
+        seeds.append(means[k] + rngs[k].standard_normal((n, s)) @ lows[k].T)
+        draws.append(rngs[k].standard_normal((n, s)))
     x_prev = model.project_batch(np.concatenate(seeds))
     noise = (np.stack(draws) @ model.process_noise_factor().T).reshape(bsz * n, s)
     x_next = model.project_batch(model.transition_batch(x_prev, ex_next, noise))
@@ -225,7 +216,9 @@ def pcrlb_step(prevs, beliefs, ex_next, model, n: int, rngs) -> list:
     h_jac = model.measurement_jacobian_batch(x_next, ex_next).reshape(bsz, n, -1, s)
     d = _d_triple(*_constant_transition_blocks(f_jac[0], model), h_jac, model)
 
-    j_next, j_inv, errors = _information_step(_stack([prevs[k].j for k in live]), d)
+    j_next, j_inv_next, step_errors = _information_step(j[live], d)
     for row, k in enumerate(live):
-        out[k] = errors[row] or FisherState(j=j_next[row], j_inv=j_inv[row], filter=prevs[k].filter)
-    return out
+        errors[k] = step_errors[row]
+        if errors[k] is None:
+            j[k], j_inv[k] = j_next[row], j_inv_next[row]
+    return j, j_inv, errors

@@ -19,10 +19,7 @@ from .linalg import regularized_inverse, safe_cholesky
 
 
 class StateSpaceModel:
-    """x_{t+1} = f(x_t) + w,  y_t = g(x_t) + z,  w ~ N(0,Q), z ~ N(0,R)."""
-
-    state_dim: int
-    meas_dim: int
+    """x_{t+1} = f(x_t) + w,  y_t = g(x_t) + z,  w ~ N(0,Q), z ~ N(0,R), with one measured price y_t."""
 
     def transition_batch(self, states: np.ndarray, ex, noise=None) -> np.ndarray:
         raise NotImplementedError

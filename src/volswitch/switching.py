@@ -32,7 +32,7 @@ from .filters import (
     ukf_update,
 )
 from .linalg import floor_psd, substream, symmetrize
-from .pcrlb import FisherState, pcrlb_step, seed_particles
+from .pcrlb import initial_information, pcrlb_step, seed_particles
 
 logger = logging.getLogger(__name__)
 
@@ -79,23 +79,23 @@ class SwitchDecision:
     cov: np.ndarray
 
 
-def perf_metric(fisher: FisherState, belief: GaussianBelief) -> PerfMetric:
-    """Score one filter against its bound; raises on degenerate variances."""
+def perf_metric(fid: FilterId, j_inv: np.ndarray, belief: GaussianBelief) -> PerfMetric:
+    """Score filter ``fid`` against its bound J^{-1}; raises on degenerate variances."""
     p_diag = belief.cov.diagonal().tolist()
-    j_inv_diag = fisher.j_inv.diagonal().tolist()
+    j_inv_diag = j_inv.diagonal().tolist()
     # NaN, +-inf and <= 0 all fail the range check
     if not all(0.0 < p < np.inf for p in p_diag):
-        raise DegenerateCovarianceError(f"non-positive posterior variance for {fisher.filter}")
+        raise DegenerateCovarianceError(f"non-positive posterior variance for {fid}")
     if not all(0.0 < j < np.inf for j in j_inv_diag):
-        raise DegenerateCovarianceError(f"non-positive bound diagonal for {fisher.filter}")
+        raise DegenerateCovarianceError(f"non-positive bound diagonal for {fid}")
     ratio = [j / p for j, p in zip(j_inv_diag, p_diag)]
     if logger.isEnabledFor(logging.INFO) and max(ratio) > PHI_SLACK:
         logger.info(
             "phi exceeds theoretical bound with slack for %s: %s",
-            fisher.filter, np.array2string(np.array(ratio), precision=3),
+            fid, np.array2string(np.array(ratio), precision=3),
         )
     # for two components sum() adds in numpy's order, so the trace is the same bits
-    return PerfMetric(phi=np.diag(ratio), trace=sum(ratio), filter=fisher.filter)
+    return PerfMetric(phi=np.diag(ratio), trace=sum(ratio), filter=fid)
 
 
 def _ordered(metrics: Mapping[FilterId, PerfMetric]):
@@ -214,47 +214,44 @@ def _filter_update(fid, prior, cloud, obs, ex, model, settings, t):
     return summary, new_cloud
 
 
-def _bound_step(model, settings: EstimationSettings, exogenous: list, t: int, fisher: list, beliefs: list) -> list:
-    """Advance the bank's J from step t to t+1 with step t's posteriors, both in bank order.
+def _bound_step(model, settings: EstimationSettings, exogenous: list, t: int, j, j_inv, means, covs):
+    """Advance the bank's J from step t to t+1 with step t's posteriors, all stacked in bank order.
 
-    Filter k draws from its (seed, filter, t, bound) substream. Returns,
-    per filter, its new ``FisherState`` or the recoverable error that
-    carries its J forward.
+    Filter k draws from its (seed, filter, t, bound) substream. Returns
+    ``pcrlb_step``'s new (j, j_inv) stacks and per-filter errors.
     """
     rngs = [substream(settings.seed, _FILTER_INDEX[f], t, _STREAM_BOUND) for f in settings.filters]
-    return pcrlb_step(fisher, beliefs, exogenous[t + 1], model, settings.pcrlb_particles, rngs)
+    return pcrlb_step(j, j_inv, means, covs, exogenous[t + 1], model, settings.pcrlb_particles, rngs)
 
 
 class _ForkedBound:
     """``_bound_step`` in a forked worker, so that step t's bound update overlaps step t+1's filters.
 
     The posteriors go out as one raw float64 frame, [t, means, covs], and
-    come back as [flag, every J, every J^{-1}]. A nonzero flag means that
+    come back as [flag, J stack, J^{-1} stack]. A nonzero flag means that
     the pickled per-filter errors follow.
     """
 
-    def __init__(self, model, settings: EstimationSettings, exogenous: list, fisher: list):
-        self.filters = settings.filters
-        self.size = fisher[0].j.shape[0]
-        self.frame = np.empty(1 + 2 * len(self.filters) * self.size**2)
+    def __init__(self, model, settings: EstimationSettings, exogenous: list, j, j_inv):
+        self.shape = (2, *j.shape)
+        self.frame = np.empty(1 + j.size * 2)
         self.worker = workers.start(
-            _serve_bound, model, settings, exogenous, fisher, name="the bound worker", duplex=True
+            _serve_bound, model, settings, exogenous, j, j_inv, name="the bound worker", duplex=True
         )
 
-    def submit(self, t: int, beliefs: list) -> None:
-        self.worker.send_bytes(np.concatenate([[t], *(b.mean for b in beliefs), *(b.cov.ravel() for b in beliefs)]))
+    def submit(self, t: int, means, covs) -> None:
+        self.worker.send_bytes(np.concatenate([[t], means.ravel(), covs.ravel()]))
 
-    def collect(self) -> list:
+    def collect(self):
         self.worker.recv_bytes_into(self.frame)
-        errors = self.worker.recv() if self.frame[0] else [None] * len(self.filters)
-        j, j_inv = self.frame[1:].reshape(2, len(self.filters), self.size, self.size)
-        return [e or FisherState(j=j[k].copy(), j_inv=j_inv[k].copy(), filter=f)
-                for k, (e, f) in enumerate(zip(errors, self.filters))]
+        errors = self.worker.recv() if self.frame[0] else [None] * self.shape[1]
+        j, j_inv = self.frame[1:].reshape(self.shape).copy()
+        return j, j_inv, errors
 
 
-def _serve_bound(end, model, settings: EstimationSettings, exogenous: list, fisher: list):
+def _serve_bound(end, model, settings: EstimationSettings, exogenous: list, j, j_inv):
     """A forked worker: run ``_bound_step`` on every posteriors frame until EOF, keeping the bank's J."""
-    b, s = len(fisher), fisher[0].j.shape[0]
+    b, s = j.shape[:2]
     frame = np.empty(1 + b * s * (1 + s))
     while True:
         try:
@@ -262,13 +259,8 @@ def _serve_bound(end, model, settings: EstimationSettings, exogenous: list, fish
         except EOFError:
             return
         means, covs = frame[1:1 + b * s].reshape(b, s), frame[1 + b * s:].reshape(b, s, s)
-        beliefs = [GaussianBelief(m, c) for m, c in zip(means, covs)]
-        steps = _bound_step(model, settings, exogenous, int(frame[0]), fisher, beliefs)
-        fisher = [step if isinstance(step, FisherState) else j for step, j in zip(steps, fisher)]
-        errors = [None if isinstance(step, FisherState) else step for step in steps]
-        end.send_bytes(np.concatenate(
-            [[float(any(errors))], *(f.j.ravel() for f in fisher), *(f.j_inv.ravel() for f in fisher)]
-        ))
+        j, j_inv, errors = _bound_step(model, settings, exogenous, int(frame[0]), j, j_inv, means, covs)
+        end.send_bytes(np.concatenate([[float(any(errors))], j.ravel(), j_inv.ravel()]))
         if any(errors):
             end.send(errors)
 
@@ -305,7 +297,7 @@ def run_adaptive_estimation(observations, exogenous, model, settings: Estimation
     p0 = symmetrize(np.asarray(settings.p0, dtype=float))
     initial = GaussianBelief(x0, p0)
     priors = dict.fromkeys(settings.filters, initial)  # each filter's prior for the next step
-    fisher = {f: FisherState.initial(p0, f) for f in settings.filters}
+    j, j_inv = initial_information(p0, len(settings.filters))  # the bank's bound, in bank order
     pf_cloud = None
     # what a step with no usable filter carries forward: the previous
     # decision, or at the first step this stand-in built from the initial belief
@@ -320,7 +312,7 @@ def run_adaptive_estimation(observations, exogenous, model, settings: Estimation
     submitted = None  # step t's posteriors, whose bound update is collected at step t+1
     forked = None
     if settings.compute_pcrlb and n_steps > 1 and workers.fork_cpus() >= 2:
-        forked = _ForkedBound(model, settings, exogenous, list(fisher.values()))
+        forked = _ForkedBound(model, settings, exogenous, j, j_inv)
     try:
         for t, (obs, ex) in enumerate(zip(observations, exogenous)):
             fallbacks = []
@@ -345,25 +337,26 @@ def run_adaptive_estimation(observations, exogenous, model, settings: Estimation
 
             if submitted is not None:  # J_t, from step t-1's posteriors
                 if forked is None:
-                    steps = _bound_step(model, settings, exogenous, t - 1, list(fisher.values()), submitted)
+                    j, j_inv, errors = _bound_step(model, settings, exogenous, t - 1, j, j_inv, *submitted)
                 else:
-                    steps = forked.collect()
-                for fid, step in zip(settings.filters, steps):
-                    if isinstance(step, FisherState):
-                        fisher[fid] = step
-                    else:
+                    j, j_inv, errors = forked.collect()
+                for fid, error in zip(settings.filters, errors):
+                    if error is not None:
                         logger.warning(
-                            "bound update for %s failed at t=%d (%s); carrying J forward", fid, t - 1, step
+                            "bound update for %s failed at t=%d (%s); carrying J forward", fid, t - 1, error
                         )
                         records[t - 1].fallbacks.append((BOUND_CARRIED, fid))
-            submitted = [beliefs[f] for f in settings.filters] if settings.compute_pcrlb and t + 1 < n_steps else None
-            if forked is not None and submitted is not None:
-                forked.submit(t, submitted)
+            submitted = None
+            if settings.compute_pcrlb and t + 1 < n_steps:
+                submitted = (np.array([beliefs[f].mean for f in settings.filters]),
+                             np.array([beliefs[f].cov for f in settings.filters]))
+                if forked is not None:
+                    forked.submit(t, *submitted)
 
             metrics = {}
-            for fid in settings.filters:
+            for k, fid in enumerate(settings.filters):
                 try:
-                    metrics[fid] = perf_metric(fisher[fid], beliefs[fid])
+                    metrics[fid] = perf_metric(fid, j_inv[k], beliefs[fid])
                 except DegenerateCovarianceError as e:
                     logger.warning("filter %s excluded from switch at t=%d: %s", fid, t, e)
                     fallbacks.append((EXCLUDED, fid))
@@ -377,10 +370,8 @@ def run_adaptive_estimation(observations, exogenous, model, settings: Estimation
                 logger.warning("no usable filter at t=%d; carrying previous decision forward", t)
                 fallbacks.append((DECISION_CARRIED, None))  # ``decision`` is still the previous one
 
-            fisher_diags = {
-                fid: (fisher[fid].j.diagonal().copy(), fisher[fid].j_inv.diagonal().copy())
-                for fid in settings.filters
-            }
+            fisher_diags = {fid: (j[k].diagonal().copy(), j_inv[k].diagonal().copy())
+                            for k, fid in enumerate(settings.filters)}
 
             if settings.independent_chains:
                 priors = beliefs

@@ -14,8 +14,6 @@ class LinearGaussianModel(StateSpaceModel):
         self.c = np.atleast_2d(np.asarray(c, dtype=float))
         self.q = symmetrize(np.atleast_2d(np.asarray(q, dtype=float)))
         self.r = np.atleast_2d(np.asarray(r, dtype=float))
-        self.state_dim = self.a.shape[0]
-        self.meas_dim = self.c.shape[0]
 
     def transition_batch(self, states, ex, noise=None):
         out = states @ self.a.T

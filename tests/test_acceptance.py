@@ -44,7 +44,7 @@ from volswitch.filters import (
     ukf_update,
 )
 from volswitch.marketdata import build_series, generate_synthetic, truth_to_chain
-from volswitch.pcrlb import FisherState, pcrlb_step
+from volswitch.pcrlb import initial_information, pcrlb_step
 from models import LinearGaussianModel
 from volswitch.switching import (
     EstimationSettings,
@@ -191,15 +191,16 @@ def _bound_trace_errors(seed: int, n: int, n_steps: int) -> list[float]:
     rng = np.random.default_rng(seed)
     _, ys = oracles.simulate_linear(A_LIN, C_LIN, Q_LIN, R_LIN, X0_LIN, P0_LIN, n_steps, rng)
     means, covs = oracles.kalman_filter(ys, A_LIN, C_LIN, Q_LIN, R_LIN, X0_LIN, P0_LIN)
-    fisher = FisherState.initial(P0_LIN)
-    prior = GaussianBelief(X0_LIN, P0_LIN)
+    j, j_inv = initial_information(P0_LIN, 1)
+    prior = (X0_LIN, P0_LIN)
     bound_rng = np.random.default_rng(10_000 * seed + n)
     errs = []
     for t in range(n_steps):
-        (fisher,) = pcrlb_step([fisher], [prior], None, model, n, [bound_rng])
+        j, j_inv, (error,) = pcrlb_step(j, j_inv, prior[0][None], prior[1][None], None, model, n, [bound_rng])
+        assert error is None, f"bound step {t} failed: {error}"
         tr_p = float(np.trace(covs[t]))
-        errs.append(abs(float(np.trace(fisher.j_inv)) - tr_p) / tr_p)
-        prior = GaussianBelief(means[t], covs[t])
+        errs.append(abs(float(np.trace(j_inv[0])) - tr_p) / tr_p)
+        prior = (means[t], covs[t])
     return errs
 
 
@@ -239,13 +240,14 @@ def _quadratic_bound_error(seed: int, n: int, n_steps: int) -> float:
     exact = oracles.quadratic_measurement_information(
         A_LIN, C_LIN, B_QUAD, Q_LIN, R_LIN, P0_LIN, beliefs
     )
-    fisher = FisherState.initial(P0_LIN)
+    j, j_inv = initial_information(P0_LIN, 1)
     bound_rng = np.random.default_rng(10_000 * seed + n)
     errs = []
     for t, (mean, cov) in enumerate(beliefs):
-        (fisher,) = pcrlb_step([fisher], [GaussianBelief(mean, cov)], None, model, n, [bound_rng])
+        j, j_inv, (error,) = pcrlb_step(j, j_inv, mean[None], cov[None], None, model, n, [bound_rng])
+        assert error is None, f"bound step {t} failed: {error}"
         tr_exact = float(np.trace(np.linalg.inv(exact[t])))
-        errs.append(abs(float(np.trace(fisher.j_inv)) - tr_exact) / tr_exact)
+        errs.append(abs(float(np.trace(j_inv[0])) - tr_exact) / tr_exact)
     return float(np.mean(errs))
 
 
@@ -366,22 +368,18 @@ def test_gate_performance_metric_properties(capsys):
         for fid in fids[:k]:
             j_inv = rng.lognormal(sigma=1.0, size=2)
             p = rng.lognormal(sigma=1.0, size=2)
-            fisher = FisherState(j=np.diag(1.0 / j_inv), j_inv=np.diag(j_inv), filter=fid)
             belief = GaussianBelief(np.zeros(2), np.diag(p))
-            m = perf_metric(fisher, belief)
+            m = perf_metric(fid, np.diag(j_inv), belief)
             assert np.all(np.diag(m.phi) > 0.0)
             metrics[fid], beliefs[fid], bounds[fid] = m, belief, j_inv
 
-            attained = perf_metric(fisher, GaussianBelief(np.zeros(2), np.diag(j_inv)))
+            attained = perf_metric(fid, np.diag(j_inv), GaussianBelief(np.zeros(2), np.diag(j_inv)))
             assert attained.trace == 2.0  # bound attained -> trace exactly the state dim
 
         winner = select_average(metrics, beliefs).chosen[0]
         c = float(rng.uniform(0.1, 10.0))
         scaled = {
-            fid: perf_metric(
-                FisherState(j=np.diag(1.0 / (bounds[fid] * c)), j_inv=np.diag(bounds[fid] * c), filter=fid),
-                beliefs[fid],
-            )
+            fid: perf_metric(fid, np.diag(bounds[fid] * c), beliefs[fid])
             for fid in metrics
         }
         assert select_average(scaled, beliefs).chosen[0] is winner

@@ -267,6 +267,34 @@ def test_parameter_validation():
         )
 
 
+def model_spec(dt=1.0 / 252.0):
+    return ModelSpec(
+        garch=GarchParams(omega=1e-5, alpha=0.05, beta=0.9),
+        contract=REF_CONTRACT,
+        noise=NoiseSpec(q=np.diag([1e-10, 1e-8]), r=1.0),
+        dt=dt,
+    )
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: GarchParams(omega=np.nan, alpha=0.1, beta=0.8), "non-finite GARCH parameters"),
+    (lambda: ContractSpec(strike=100.0, expiry_step=2.5), "expiry_step must be a non-negative integer"),
+    (lambda: ContractSpec(strike=100.0, expiry_step=-1), "expiry_step must be a non-negative integer"),
+    (lambda: ExogenousInputs(s=100.0, u=np.inf, tau=0.5), "non-finite exogenous inputs"),
+    (lambda: ExogenousInputs(s=0.0, u=0.0, tau=0.5), "underlying close must be positive"),
+    (lambda: NoiseSpec(q=np.eye(3), r=1.0), "q must be a finite 2x2 matrix"),
+    (lambda: NoiseSpec(q=np.array([[1.0, np.nan], [np.nan, 1.0]]), r=1.0), "q must be a finite 2x2 matrix"),
+    (lambda: NoiseSpec(q=np.array([[1.0, 0.1], [0.2, 1.0]]), r=1.0), "q must be symmetric"),
+    (lambda: model_spec(dt=0.0), "dt must be positive"),
+    (lambda: model_spec(dt=np.nan), "dt must be positive"),
+    (lambda: gbm_propagate(100.0, r=np.nan, v=1e-4, dt=0.1), "non-finite gbm inputs"),
+], ids=["garch-nan", "expiry-fraction", "expiry-negative", "exogenous-inf", "close-zero", "q-3x3", "q-nan",
+        "q-asymmetric", "dt-zero", "dt-nan", "gbm-nan"])
+def test_each_value_check_names_its_fault(build, message):
+    with pytest.raises(InvalidInputError, match=message):
+        build()
+
+
 # ---------------------------------------------------------------------------
 # batch adapter
 

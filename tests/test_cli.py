@@ -240,6 +240,34 @@ def test_backtest_explicit_contract_and_adaptive_strategy(workdir, capsys):
     assert "rmse[PF]" in stdout and "rmse[AAF]" in stdout
 
 
+def test_backtest_uses_the_prior_close_and_prints_the_calibrated_garch(tmp_path, monkeypatch, capsys):
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(CONFIG_TEXT + "garch.calibrate = true\n")
+    cfg = load_config(cfg_path)
+    spec = cfg.model_spec(ContractSpec(strike=100.0, expiry_step=252))
+    truth = generate_synthetic(spec, 40, 100.0, (cfg.v0, cfg.r0), seed=4, start_date=dt.date(2019, 1, 2))
+    chain_path = tmp_path / "chain.csv"
+    write_chain(chain_path, truth_to_chain(truth, spec))
+    # another contract, quoted on the trading day before the first quote of the one tested
+    with chain_path.open("a") as fh:
+        fh.write("2018-12-31,2019-06-21,110.0,C,,,1.0,1.0,99.0,\n")
+    seen = []
+
+    def spy(cfg, series, **kwargs):
+        seen.append(series.exogenous[0].u)
+        return backtest.run_backtest(cfg, series, **kwargs)
+
+    monkeypatch.setattr(cli, "run_backtest", spy)
+    code = run([
+        "backtest", "--chain", chain_path, "--config", cfg_path, "--strike", "100",
+        "--expiry", str(load_chain(chain_path)[0].expiry_date[0]), "--strategy", "EKF",
+        "--train-end", str(truth.dates[30]), "--out-dir", tmp_path / "reports",
+    ])
+    assert code in (0, 2)
+    assert seen == [pytest.approx(np.log(truth.spots[0] / 99.0), abs=1e-12)]
+    assert "calibrated GARCH: omega=" in capsys.readouterr().out
+
+
 def test_backtest_rejects_a_truncated_row_and_runs(workdir, capsys):
     tmp, cfg, chain = workdir
     truncated = tmp / "truncated.csv"

@@ -46,6 +46,14 @@ def test_unknown_key_fails_fast():
         config_from_text("garch.omga = 1e-6")
 
 
+def test_an_unknown_chain_column_is_rejected_at_its_line():
+    # a misspelt name would be kept, and the loader would never read it
+    expected = r"<config>:2: unknown chain column 'data.columns.implied_volatility'"
+    with pytest.raises(InvalidInputError, match=expected):
+        config_from_text("data.columns.implied_vol = IV\ndata.columns.implied_volatility = IV")
+    assert config_from_text("data.columns.Implied-Vol = IV").columns == {"implied_vol": "IV"}
+
+
 def test_malformed_lines_raise_with_location():
     with pytest.raises(FormatError, match="<config>:1"):
         config_from_text("garch.omega 1e-6")

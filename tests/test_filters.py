@@ -285,6 +285,17 @@ def test_likelihood_logweights_matches_scalar_gaussian():
     np.testing.assert_allclose(logw, expect, atol=1e-12)
 
 
+def test_a_model_that_measures_two_values_is_rejected():
+    two = LinearGaussianModel(A, np.vstack([C, [0.0, 1.0]]), Q, np.diag([0.1, 0.2]))
+    prior = GaussianBelief(X0, P0)
+    cloud = ParticleCloud.uniform(np.random.default_rng(1).standard_normal((20, 2)))
+    obs = np.array([0.1, 0.2])
+    for update in (lambda: ekf_update(prior, obs, None, two), lambda: ukf_update(prior, obs, None, two),
+                   lambda: pf_update(cloud, obs, None, two, np.random.default_rng(0))):
+        with pytest.raises(InvalidInputError, match="one price"):
+            update()
+
+
 # ---------------------------------------------------------------------------
 # belief containers
 

@@ -165,6 +165,13 @@ def test_load_chain_vendor_column_mapping(tmp_path):
     assert chain.quote_date.tolist() == [dt.date(2019, 1, 2)] and not rejects
 
 
+def test_load_chain_rejects_a_mapping_of_an_unknown_column(tmp_path):
+    # InvalidInputError, not SchemaError: the file may well be a chain
+    path = chain_file(tmp_path, ["2019-01-02,2019-12-20,100,C,5.0,5.4,,10,100,0.2"])
+    with pytest.raises(InvalidInputError, match=r"unknown chain column\(s\) \['implied_volatility'\]"):
+        load_chain(path, columns={"implied_vol": "implied_vol", "implied_volatility": "IV"})
+
+
 def test_load_chain_empty_and_header_only_files(tmp_path):
     empty = tmp_path / "empty.csv"
     empty.write_text("")
@@ -805,6 +812,15 @@ def test_max_volume_series_tracks_liquidity(tmp_path):
     assert series.contract == c0
 
 
+def test_max_volume_series_needs_two_call_dates(tmp_path):
+    chain = chain_of(tmp_path, [
+        row("2019-01-02", strike=100.0),
+        row("2019-01-03", side="P", strike=90.0),  # puts do not count
+    ])
+    with pytest.raises(InsufficientDataError, match="only 1 dates with call quotes"):
+        max_volume_series(chain)
+
+
 def test_prior_close_before_picks_latest_strictly_before(tmp_path):
     chain = chain_of(tmp_path, [
         row("2019-01-02", close=100.0),
@@ -878,6 +894,8 @@ def test_generate_synthetic_observation_noise_has_configured_variance():
 def test_generate_synthetic_rejects_contract_expiring_mid_run():
     with pytest.raises(InvalidInputError):
         generate_synthetic(model_spec(expiry_step=10), 40, 100.0, (1.6e-4, 0.02))
+    with pytest.raises(InvalidInputError, match="n_steps must be positive"):
+        generate_synthetic(model_spec(), 0, 100.0, (1.6e-4, 0.02))
     with pytest.raises(InvalidInputError, match="seed must be non-negative, got -1"):
         generate_synthetic(model_spec(), 5, 100.0, (1.6e-4, 0.02), seed=-1)
 
@@ -967,4 +985,7 @@ def test_load_value_series_reports_bad_rows(tmp_path):
     path = tmp_path / "vals.csv"
     path.write_text("2019-01-02,0.21\n2019-01-03\n")
     with pytest.raises(FormatError, match="vals.csv"):
+        load_value_series(path)
+    path.write_text("2019-01-02,0.21\n2019-01-03,high\n")
+    with pytest.raises(FormatError, match="line 2: bad value 'high'"):
         load_value_series(path)

@@ -6,10 +6,10 @@ import pytest
 import oracles
 from volswitch.bsgarch import BsGarchModel, V_FLOOR
 from volswitch.exceptions import CovarianceError, InvalidInputError, NumericalFailureError, SingularityError
-from volswitch.filters import FilterId, GaussianBelief, propagate_cloud
+from volswitch.filters import GaussianBelief, propagate_cloud
 from volswitch import pcrlb
 from volswitch.linalg import COND_LIMIT, regularized_inverse, symmetrize
-from volswitch.pcrlb import DTriple, FisherState, pcrlb_step, seed_particles
+from volswitch.pcrlb import DTriple, initial_information, pcrlb_step, seed_particles
 from models import LinearGaussianModel
 
 A = np.array([[0.85, 0.05], [0.0, 0.9]])
@@ -23,11 +23,11 @@ def linear_model():
     return LinearGaussianModel(A, C, Q, R)
 
 
-def information_step(prev, d):
-    """One filter's information step as a stack of one: its new ``FisherState``, or the error that stopped it."""
+def information_step(j, d):
+    """One filter's information step as a stack of one: its new (J, J^{-1}), or the error that stopped it."""
     one = DTriple(*(m[None] for m in (d.d11, d.d12, d.d22)))
-    (j,), (j_inv,), (error,) = pcrlb._information_step(prev.j[None], one)
-    return error or FisherState(j=j, j_inv=j_inv, filter=prev.filter)
+    (j,), (j_inv,), (error,) = pcrlb._information_step(j[None], one)
+    return error or (j, j_inv)
 
 
 # ---------------------------------------------------------------------------
@@ -35,59 +35,58 @@ def information_step(prev, d):
 
 
 def test_initial_state_inverts_the_prior_covariance():
-    fs = FisherState.initial(P0, FilterId.EKF)
-    np.testing.assert_allclose(fs.j, np.diag([2.0, 1.0 / 0.3]), atol=1e-12)
-    np.testing.assert_allclose(fs.j_inv, P0, atol=1e-15)
-    assert fs.filter is FilterId.EKF
+    j, j_inv = initial_information(P0, 3)
+    assert j.shape == j_inv.shape == (3, 2, 2)
+    for k in range(3):
+        np.testing.assert_allclose(j[k], np.diag([2.0, 1.0 / 0.3]), atol=1e-12)
+        np.testing.assert_allclose(j_inv[k], P0, atol=1e-15)
 
 
 def test_pfim_step_scalar_worked_example():
     # a = c = q = r = 1 gives D = (1, -1, 2); from J = 1 the update is
     # J' = 2 - 1/(1+1) = 1.5 exactly.
-    prev = FisherState(j=np.array([[1.0]]), j_inv=np.array([[1.0]]))
     d = DTriple(d11=np.array([[1.0]]), d12=np.array([[-1.0]]), d22=np.array([[2.0]]))
-    out = information_step(prev, d)
-    assert out.j[0, 0] == pytest.approx(1.5, abs=1e-15)
-    assert out.j_inv[0, 0] == pytest.approx(2.0 / 3.0, abs=1e-15)
+    j, j_inv = information_step(np.array([[1.0]]), d)
+    assert j[0, 0] == pytest.approx(1.5, abs=1e-15)
+    assert j_inv[0, 0] == pytest.approx(2.0 / 3.0, abs=1e-15)
 
 
 def test_pfim_step_lemma_inverse_agrees_with_direct_inverse():
     # D blocks drawn from random (but valid) linear models, so the implied
     # joint information matrix keeps the structure real problems have
     rng = np.random.default_rng(4)
-    prev = FisherState.initial(P0)
+    (j,), _ = initial_information(P0, 1)
     for _ in range(8):
         a = rng.uniform(-1.0, 1.0, size=(2, 2))
         c = rng.uniform(-1.0, 1.0, size=(1, 2))
         mq = rng.standard_normal((2, 2))
         q = mq @ mq.T + 0.05 * np.eye(2)
         r = np.array([[rng.uniform(0.05, 1.0)]])
-        prev = information_step(prev, DTriple(*oracles.exact_linear_dtriple(a, c, q, r)))
-        np.testing.assert_allclose(prev.j_inv, np.linalg.inv(prev.j), atol=1e-10)
-        np.testing.assert_allclose(prev.j_inv @ prev.j, np.eye(2), atol=1e-8)
+        j, j_inv = information_step(j, DTriple(*oracles.exact_linear_dtriple(a, c, q, r)))
+        np.testing.assert_allclose(j_inv, np.linalg.inv(j), atol=1e-10)
+        np.testing.assert_allclose(j_inv @ j, np.eye(2), atol=1e-8)
 
 
 def test_pfim_step_inverse_is_one_regularized_inverse_of_j():
     # the same random linear D blocks as above: J^{-1} is exactly the
     # symmetrized regularized inverse of the new J, bit for bit
     rng = np.random.default_rng(4)
-    prev = FisherState.initial(P0)
+    (j,), _ = initial_information(P0, 1)
     for _ in range(8):
         a = rng.uniform(-1.0, 1.0, size=(2, 2))
         c = rng.uniform(-1.0, 1.0, size=(1, 2))
         mq = rng.standard_normal((2, 2))
         q = mq @ mq.T + 0.05 * np.eye(2)
         r = np.array([[rng.uniform(0.05, 1.0)]])
-        prev = information_step(prev, DTriple(*oracles.exact_linear_dtriple(a, c, q, r)))
-        np.testing.assert_array_equal(prev.j_inv, symmetrize(regularized_inverse(prev.j)))
+        j, j_inv = information_step(j, DTriple(*oracles.exact_linear_dtriple(a, c, q, r)))
+        np.testing.assert_array_equal(j_inv, symmetrize(regularized_inverse(j)))
 
 
 def test_pfim_step_raises_when_the_inverse_misses_the_identity():
     # J' = diag(1, 1e-14) is positive but past the condition limit, so the
     # ridge that regularized_inverse adds leaves J^{-1} J far from I
-    prev = FisherState(j=np.eye(2), j_inv=np.eye(2))
     d = DTriple(d11=np.zeros((2, 2)), d12=np.zeros((2, 2)), d22=np.diag([1.0, 1e-14]))
-    error = information_step(prev, d)
+    error = information_step(np.eye(2), d)
     assert isinstance(error, SingularityError)
     assert "inverse inconsistent" in str(error)
 
@@ -95,11 +94,10 @@ def test_pfim_step_raises_when_the_inverse_misses_the_identity():
 def test_pfim_step_floors_an_indefinite_update():
     # d22 smaller than the rank-one correction drives J' negative; the step
     # must floor it to a positive matrix and keep the inverse consistent.
-    prev = FisherState(j=np.array([[0.5]]), j_inv=np.array([[2.0]]))
     d = DTriple(d11=np.array([[0.5]]), d12=np.array([[-1.0]]), d22=np.array([[0.5]]))
-    out = information_step(prev, d)
-    assert out.j[0, 0] > 0.0
-    assert out.j_inv[0, 0] * out.j[0, 0] == pytest.approx(1.0, rel=1e-6)
+    j, j_inv = information_step(np.array([[0.5]]), d)
+    assert j[0, 0] > 0.0
+    assert j_inv[0, 0] * j[0, 0] == pytest.approx(1.0, rel=1e-6)
 
 
 def information_cases():
@@ -126,24 +124,22 @@ def test_each_slot_of_an_information_stack_matches_its_stack_of_one(caplog):
         assert floored == sum(name.startswith("floored") for name in bank)
         caplog.clear()
         for row, name in enumerate(bank):
-            prev = FisherState(j=cases[name][0], j_inv=np.linalg.inv(cases[name][0]))
+            one = information_step(*cases[name])
             if name == "inconsistent":
                 # it fails alone, with the same error as its stack of one
                 assert isinstance(errors[row], SingularityError)
                 assert "inverse inconsistent" in str(errors[row])
-                alone = information_step(prev, cases[name][1])
-                assert isinstance(alone, SingularityError)
-                assert "inverse inconsistent" in str(alone)
+                assert isinstance(one, SingularityError)
+                assert "inverse inconsistent" in str(one)
                 continue
-            one = information_step(prev, cases[name][1])
             assert errors[row] is None
-            np.testing.assert_array_equal(j_next[row], one.j)
-            np.testing.assert_array_equal(j_inv[row], one.j_inv)
+            np.testing.assert_array_equal(j_next[row], one[0])
+            np.testing.assert_array_equal(j_inv[row], one[1])
     # the floor left J_{t+1} positive definite: diag(-5, 1) became diag(5e-12, 1),
     # and diag(-10, 1) became diag(1e-11, 1)
     for name, low in (("floored", 5e-12), ("floored wider", 1e-11)):
-        one = information_step(FisherState(j=cases[name][0], j_inv=np.eye(2)), cases[name][1])
-        np.testing.assert_allclose(np.diag(one.j), [low, 1.0], rtol=1e-9)
+        one_j, _ = information_step(*cases[name])
+        np.testing.assert_allclose(np.diag(one_j), [low, 1.0], rtol=1e-9)
 
 
 def test_non_finite_d_blocks_fail_only_their_slot():
@@ -154,9 +150,9 @@ def test_non_finite_d_blocks_fail_only_their_slot():
     ds = DTriple(np.array([d.d11, d.d11]), np.array([d.d12, d.d12]), np.array([bad, d.d22]))
     j_next, j_inv, errors = pcrlb._information_step(js, ds)
     assert isinstance(errors[0], NumericalFailureError) and errors[1] is None
-    one = information_step(FisherState(j=j, j_inv=P0), d)
-    np.testing.assert_array_equal(j_next[1], one.j)
-    np.testing.assert_array_equal(j_inv[1], one.j_inv)
+    one_j, one_j_inv = information_step(j, d)
+    np.testing.assert_array_equal(j_next[1], one_j)
+    np.testing.assert_array_equal(j_inv[1], one_j_inv)
 
 
 def test_exact_recursion_reproduces_kalman_covariance_on_linear_model():
@@ -166,10 +162,10 @@ def test_exact_recursion_reproduces_kalman_covariance_on_linear_model():
     d = DTriple(d11, d12, d22)
     ys = np.zeros((12, 1))  # KF covariance does not depend on the data
     _, covs = oracles.kalman_filter(ys, A, C, Q, R, np.zeros(2), P0)
-    fs = FisherState.initial(P0)
+    (j,), _ = initial_information(P0, 1)
     for t in range(12):
-        fs = information_step(fs, d)
-        np.testing.assert_allclose(fs.j_inv, covs[t], atol=1e-10)
+        j, j_inv = information_step(j, d)
+        np.testing.assert_allclose(j_inv, covs[t], atol=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -247,6 +243,13 @@ def test_seed_particles_raise_on_a_covariance_that_cannot_be_factored():
 # full step
 
 
+def bank_step(j, j_inv, beliefs, ex, model, n, rngs):
+    """``pcrlb_step`` with the bank's posteriors given as beliefs."""
+    means = np.array([b.mean for b in beliefs])
+    covs = np.array([b.cov for b in beliefs])
+    return pcrlb_step(j, j_inv, means, covs, ex, model, n, rngs)
+
+
 def test_pcrlb_step_tracks_kalman_covariance_on_linear_model():
     # constant Jacobians make the Monte-Carlo D blocks exact, so even a
     # small cloud must reproduce the Kalman covariance trajectory.
@@ -254,12 +257,13 @@ def test_pcrlb_step_tracks_kalman_covariance_on_linear_model():
     ys = oracles.simulate_linear(A, C, Q, R, np.zeros(2), P0, 20, rng)[1]
     means, covs = oracles.kalman_filter(ys, A, C, Q, R, np.zeros(2), P0)
     model = linear_model()
-    fs = FisherState.initial(P0)
+    j, j_inv = initial_information(P0, 1)
     bound_rng = np.random.default_rng(99)
     for t in range(len(ys)):
         belief = GaussianBelief(means[t - 1] if t else np.zeros(2), covs[t - 1] if t else P0)
-        (fs,) = pcrlb_step([fs], [belief], None, model, 100, [bound_rng])
-        np.testing.assert_allclose(fs.j_inv, covs[t], atol=1e-8)
+        j, j_inv, errors = bank_step(j, j_inv, [belief], None, model, 100, [bound_rng])
+        assert errors == [None]
+        np.testing.assert_allclose(j_inv[0], covs[t], atol=1e-8)
 
 
 class QuadraticTransitionModel(LinearGaussianModel):
@@ -346,14 +350,19 @@ def test_noise_precisions_are_inverted_once_and_kept():
     assert not q_inv.flags.writeable and not r_inv.flags.writeable
 
 
+def test_pcrlb_step_requires_two_particles():
+    belief = GaussianBelief(np.zeros(2), P0)
+    with pytest.raises(InvalidInputError, match="need at least 2 particles"):
+        bank_step(*initial_information(P0, 1), [belief], None, linear_model(), 1, [np.random.default_rng(0)])
+
+
 def test_pcrlb_step_is_rng_deterministic():
     model = linear_model()
-    belief = GaussianBelief(np.array([0.1, 0.0]), P0)
-    args = ([belief], None, model, 64)
-    (a,) = pcrlb_step([FisherState.initial(P0)], *args, [np.random.default_rng(5)])
-    (b,) = pcrlb_step([FisherState.initial(P0)], *args, [np.random.default_rng(5)])
-    np.testing.assert_array_equal(a.j, b.j)
-    np.testing.assert_array_equal(a.j_inv, b.j_inv)
+    args = (*initial_information(P0, 1), [GaussianBelief(np.array([0.1, 0.0]), P0)], None, model, 64)
+    a = bank_step(*args, [np.random.default_rng(5)])
+    b = bank_step(*args, [np.random.default_rng(5)])
+    np.testing.assert_array_equal(a[0], b[0])
+    np.testing.assert_array_equal(a[1], b[1])
 
 
 def test_pcrlb_step_averages_d22_over_its_predicted_cloud(monkeypatch):
@@ -368,7 +377,7 @@ def test_pcrlb_step_averages_d22_over_its_predicted_cloud(monkeypatch):
     for n in (40, 300, 1000):
         captured = []
         monkeypatch.setattr(pcrlb, "_information_step", lambda j, d: captured.append(d) or step(j, d))
-        pcrlb_step([FisherState.initial(belief.cov)], [belief], ex, model, n, [np.random.default_rng(31)])
+        bank_step(*initial_information(belief.cov, 1), [belief], ex, model, n, [np.random.default_rng(31)])
 
         rng = np.random.default_rng(31)
         predicted = propagate_cloud(seed_particles(belief, n, rng, model), ex, model, rng)
@@ -406,40 +415,52 @@ def bank_cases():
     ]
 
 
-def bank_of_three(beliefs):
-    return [FisherState.initial(b.cov, fid) for b, fid in zip(beliefs, FilterId)]
+def initial_bank(beliefs):
+    """(J, J^{-1}) stacks started from each belief's own covariance."""
+    j, j_inv = zip(*(initial_information(b.cov, 1) for b in beliefs))
+    return np.concatenate(j), np.concatenate(j_inv)
 
 
 def test_a_bank_step_matches_banks_of_one_bit_for_bit():
     for model, beliefs, ex in bank_cases():
-        prevs = bank_of_three(beliefs)
+        j, j_inv = initial_bank(beliefs)
         for n in (37, 400, 1000):
-            bank = pcrlb_step(prevs, beliefs, ex, model, n, [np.random.default_rng(k) for k in range(3)])
+            bank = bank_step(j, j_inv, beliefs, ex, model, n, [np.random.default_rng(k) for k in range(3)])
+            assert bank[2] == [None] * 3
             for k in range(3):
-                (one,) = pcrlb_step([prevs[k]], [beliefs[k]], ex, model, n, [np.random.default_rng(k)])
-                assert bank[k].filter is prevs[k].filter
-                np.testing.assert_array_equal(bank[k].j, one.j)
-                np.testing.assert_array_equal(bank[k].j_inv, one.j_inv)
+                one = bank_step(j[k:k + 1], j_inv[k:k + 1], beliefs[k:k + 1], ex, model, n,
+                                [np.random.default_rng(k)])
+                np.testing.assert_array_equal(bank[0][k], one[0][0])
+                np.testing.assert_array_equal(bank[1][k], one[1][0])
 
 
 def test_a_failed_bound_in_a_bank_stops_only_that_filter():
     model, beliefs, ex = bank_cases()[1]
-    prevs = bank_of_three(beliefs)
+    j, j_inv = initial_bank(beliefs)
+    j[1] = np.nan
+    given = j.copy(), j_inv.copy()
     # a covariance whose eigenvalue floor overflows cannot be factored
     huge = GaussianBelief(beliefs[0].mean, np.diag([1e308, 1e308]))
-    broken = FisherState(j=np.full((2, 2), np.nan), j_inv=prevs[1].j_inv, filter=prevs[1].filter)
     rngs = [np.random.default_rng(k) for k in range(3)]
     with np.errstate(over="ignore"):
-        out = pcrlb_step([prevs[0], broken, prevs[2]], [huge, *beliefs[1:]], ex, model, 300, rngs)
-    assert isinstance(out[0], CovarianceError)
-    assert isinstance(out[1], SingularityError)
-    (alone,) = pcrlb_step([prevs[2]], [beliefs[2]], ex, model, 300, [np.random.default_rng(2)])
-    np.testing.assert_array_equal(out[2].j, alone.j)
-    np.testing.assert_array_equal(out[2].j_inv, alone.j_inv)
+        j_next, j_inv_next, errors = bank_step(j, j_inv, [huge, *beliefs[1:]], ex, model, 300, rngs)
+    assert isinstance(errors[0], CovarianceError)
+    assert isinstance(errors[1], SingularityError)
+    assert errors[2] is None
+    # the failed filters keep their rows, and the given stacks are left as they were
+    for k in (0, 1):
+        np.testing.assert_array_equal(j_next[k], j[k])
+        np.testing.assert_array_equal(j_inv_next[k], j_inv[k])
+    np.testing.assert_array_equal(j, given[0])
+    np.testing.assert_array_equal(j_inv, given[1])
+    alone = bank_step(j[2:], j_inv[2:], beliefs[2:], ex, model, 300, [np.random.default_rng(2)])
+    np.testing.assert_array_equal(j_next[2], alone[0][0])
+    np.testing.assert_array_equal(j_inv_next[2], alone[1][0])
+    assert not np.array_equal(j_next[2], j[2])
     # a bank of one returns its filter's error
     with np.errstate(over="ignore"):
-        (alone,) = pcrlb_step([prevs[0]], [huge], ex, model, 300, [np.random.default_rng(0)])
-    assert isinstance(alone, CovarianceError)
+        *_, (error,) = bank_step(j[:1], j_inv[:1], [huge], ex, model, 300, [np.random.default_rng(0)])
+    assert isinstance(error, CovarianceError)
 
 
 def test_a_transition_jacobian_that_differs_between_particles_is_rejected():
@@ -448,7 +469,7 @@ def test_a_transition_jacobian_that_differs_between_particles_is_rejected():
     for bank in (beliefs[:1], beliefs):
         rngs = [np.random.default_rng(k) for k in range(len(bank))]
         with pytest.raises(InvalidInputError, match="one transition Jacobian shared by every particle"):
-            pcrlb_step(bank_of_three(bank), bank, None, model, 50, rngs)
+            bank_step(*initial_bank(bank), bank, None, model, 50, rngs)
 
 
 def test_a_constant_transition_jacobian_skips_the_likelihood(monkeypatch):
@@ -457,34 +478,36 @@ def test_a_constant_transition_jacobian_skips_the_likelihood(monkeypatch):
         calls = []
         measure = model.measurement_batch
         monkeypatch.setattr(model, "measurement_batch", lambda x, e: calls.append(len(x)) or measure(x, e))
-        pcrlb_step(bank_of_three(beliefs), beliefs, ex, model, 50, [np.random.default_rng(k) for k in range(3)])
+        bank_step(*initial_bank(beliefs), beliefs, ex, model, 50, [np.random.default_rng(k) for k in range(3)])
         assert calls == []
 
 
 def test_a_materialised_constant_jacobian_matches_its_broadcast_view():
     # the broadcast view skips the value comparison; the copied rows go through it
     *_, (copied, beliefs, ex) = bank_cases()
-    prevs = bank_of_three(beliefs)
+    j, j_inv = initial_bank(beliefs)
     for n in (37, 400):
-        steps = [pcrlb_step(prevs, beliefs, ex, model, n, [np.random.default_rng(k) for k in range(3)])
-                 for model in (linear_model(), copied)]
-        for viewed, materialised in zip(*steps):
-            np.testing.assert_array_equal(viewed.j, materialised.j)
-            np.testing.assert_array_equal(viewed.j_inv, materialised.j_inv)
+        viewed, materialised = (
+            bank_step(j, j_inv, beliefs, ex, model, n, [np.random.default_rng(k) for k in range(3)])
+            for model in (linear_model(), copied)
+        )
+        assert viewed[2] == materialised[2] == [None] * 3
+        np.testing.assert_array_equal(viewed[0], materialised[0])
+        np.testing.assert_array_equal(viewed[1], materialised[1])
 
 
 def test_a_non_finite_shared_jacobian_fails_its_step_whether_viewed_or_materialised():
     nan_a = np.full((2, 2), np.nan)
     beliefs = bank_cases()[0][1][:1]
     for model in (LinearGaussianModel(nan_a, C, Q, R), MaterialisedJacobianModel(nan_a, C, Q, R)):
-        (out,) = pcrlb_step(bank_of_three(beliefs), beliefs, None, model, 20, [np.random.default_rng(0)])
-        assert isinstance(out, NumericalFailureError)
+        *_, (error,) = bank_step(*initial_bank(beliefs), beliefs, None, model, 20, [np.random.default_rng(0)])
+        assert isinstance(error, NumericalFailureError)
 
 
 def test_constant_transition_blocks_are_computed_once_and_kept():
     for model, beliefs, ex in bank_cases():
         rngs = [np.random.default_rng(k) for k in range(3)]
-        pcrlb_step(bank_of_three(beliefs), beliefs, ex, model, 50, rngs)
+        bank_step(*initial_bank(beliefs), beliefs, ex, model, 50, rngs)
         f, d11, d12 = model._transition_blocks
         np.testing.assert_array_equal(f, model.transition_jacobian(beliefs[0].mean, ex))
         # the kept arrays are shared by every later step, so they are read-only
@@ -492,7 +515,7 @@ def test_constant_transition_blocks_are_computed_once_and_kept():
         gram, fq = pcrlb._weighted_gram(f[None, None], model.noise_precisions()[0])
         np.testing.assert_array_equal(d11, symmetrize(gram))
         np.testing.assert_array_equal(d12, -fq)
-        pcrlb_step(bank_of_three(beliefs), beliefs, ex, model, 50, rngs)
+        bank_step(*initial_bank(beliefs), beliefs, ex, model, 50, rngs)
         again = model._transition_blocks
         assert again[1] is d11 and again[2] is d12
 
@@ -505,8 +528,8 @@ def test_kept_transition_blocks_follow_a_jacobian_that_changes_between_steps(mon
     monkeypatch.setattr(pcrlb, "_information_step", lambda j, d: captured.append(d) or step(j, d))
     scales = (1.0, 0.5, 0.5, 1.0, 0.8)
     for t, scale in enumerate(scales):
-        pcrlb_step(bank_of_three(beliefs), beliefs, scale, model, 50,
-                   [np.random.default_rng(10 * t + k) for k in range(3)])
+        bank_step(*initial_bank(beliefs), beliefs, scale, model, 50,
+                  [np.random.default_rng(10 * t + k) for k in range(3)])
     assert len(captured) == len(scales)
     q_inv = np.linalg.inv(Q)
     for scale, d in zip(scales, captured):

@@ -22,7 +22,6 @@ from volswitch.exceptions import (
 from volswitch.experiments import SYNTHETIC_CONFIG, SYNTHETIC_CONTRACT, SYNTHETIC_S0
 from volswitch.filters import FILTER_ORDER, FilterId, GaussianBelief, ekf_update
 from volswitch.marketdata import generate_synthetic
-from volswitch.pcrlb import FisherState
 from models import LinearGaussianModel
 from volswitch.switching import (
     BOUND_CARRIED,
@@ -77,11 +76,8 @@ def belief(mean):
 
 
 def test_perf_metric_is_bound_over_posterior_variance():
-    fisher = FisherState(
-        j=np.linalg.inv(np.diag([0.2, 0.4])), j_inv=np.diag([0.2, 0.4]), filter=FilterId.UKF
-    )
     b = GaussianBelief(np.zeros(2), np.diag([0.4, 0.5]))
-    m = perf_metric(fisher, b)
+    m = perf_metric(FilterId.UKF, np.diag([0.2, 0.4]), b)
     np.testing.assert_allclose(np.diag(m.phi), [0.5, 0.8])
     assert m.trace == pytest.approx(1.3)
     assert m.filter is FilterId.UKF
@@ -90,14 +86,9 @@ def test_perf_metric_is_bound_over_posterior_variance():
 def test_perf_metric_rejects_degenerate_variances():
     good = np.diag([0.1, 0.1])
     with pytest.raises(DegenerateCovarianceError):
-        perf_metric(
-            FisherState(j=good, j_inv=good), GaussianBelief(np.zeros(2), np.diag([0.1, 0.0]))
-        )
+        perf_metric(FilterId.EKF, good, GaussianBelief(np.zeros(2), np.diag([0.1, 0.0])))
     with pytest.raises(DegenerateCovarianceError):
-        perf_metric(
-            FisherState(j=good, j_inv=np.diag([0.1, -0.1])),
-            GaussianBelief(np.zeros(2), np.diag([0.1, 0.1])),
-        )
+        perf_metric(FilterId.EKF, np.diag([0.1, -0.1]), GaussianBelief(np.zeros(2), np.diag([0.1, 0.1])))
 
 
 @pytest.mark.parametrize("bad", [0.0, -0.1, np.nan, np.inf, -np.inf])
@@ -108,16 +99,15 @@ def test_perf_metric_rejects_every_non_positive_or_non_finite_diagonal(bad):
     b = GaussianBelief(np.zeros(2), good)
     b.cov = cov
     with pytest.raises(DegenerateCovarianceError, match="posterior variance"):
-        perf_metric(FisherState(j=good, j_inv=good), b)
+        perf_metric(FilterId.EKF, good, b)
     with pytest.raises(DegenerateCovarianceError, match="bound diagonal"):
-        perf_metric(FisherState(j=good, j_inv=cov), GaussianBelief(np.zeros(2), good))
+        perf_metric(FilterId.EKF, cov, GaussianBelief(np.zeros(2), good))
 
 
 def test_perf_metric_logs_but_never_clamps_above_one(caplog):
-    fisher = FisherState(j=np.diag([0.5, 0.5]), j_inv=np.diag([2.0, 2.0]))
     b = GaussianBelief(np.zeros(2), np.diag([1.0, 1.0]))
     with caplog.at_level(logging.INFO, logger="volswitch.switching"):
-        m = perf_metric(fisher, b)
+        m = perf_metric(FilterId.EKF, np.diag([2.0, 2.0]), b)
     assert np.diag(m.phi) == pytest.approx([2.0, 2.0])  # kept as-is
     assert any("phi exceeds" in rec.message for rec in caplog.records)
 
@@ -459,11 +449,11 @@ def test_each_fallback_warning_is_recorded_once_on_its_step(monkeypatch, caplog)
             raise NumericalFailureError("injected")
         return ekf_update(*args)
 
-    def failing_metric(fisher, belief):
+    def failing_metric(fid, j_inv, belief):
         calls["metric"] += 1
         if 7 <= calls["metric"] <= 9:
             raise DegenerateCovarianceError("injected")
-        return perf_metric(fisher, belief)
+        return perf_metric(fid, j_inv, belief)
 
     monkeypatch.setattr(switching, "ekf_update", failing_ekf)
     monkeypatch.setattr(switching, "perf_metric", failing_metric)
