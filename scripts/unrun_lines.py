@@ -11,17 +11,20 @@ module attributes an instruction to it (``co_lines``) other than a
 function's entry. The package is imported from ``src/`` once tracing has
 started, so its import-time lines count as run.
 
-A forked worker traces into its own copy of this process's memory, which
-is lost when it exits: lines that run only in workers (the bound worker's
-``switching._serve_bound``, the chain loader's ``marketdata._send_range``,
-``workers._run``) are in the list even when a test runs them. The exit
-code is pytest's.
+Forked workers are followed: a process forked while tracing keeps the
+tracer and writes each line it runs for the first time to a file of its
+own, at once, so the line counts even when the worker is killed or exits
+through ``os._exit``. The files are merged after pytest returns. A
+subprocess that execs a new program is not followed. The exit code is
+pytest's.
 """
 
 from __future__ import annotations
 
 import dis
+import os
 import sys
+import tempfile
 import threading
 from pathlib import Path
 
@@ -47,16 +50,27 @@ def main(argv=None) -> int:
 
     sources = {str(p): p for p in sorted(PACKAGE.glob("*.py"))}
     ran = {name: set() for name in sources}
+    spool = tempfile.TemporaryDirectory(prefix="unrun_lines-")
+    out = None  # in a forked process, the descriptor of its own file in the spool
+
+    def in_child():
+        nonlocal out
+        out = os.open(os.path.join(spool.name, str(os.getpid())), os.O_WRONLY | os.O_CREAT | os.O_APPEND)
 
     def local(frame, event, arg):
         if event == "line":
-            ran[frame.f_code.co_filename].add(frame.f_lineno)
+            name, lineno = frame.f_code.co_filename, frame.f_lineno
+            if lineno not in ran[name]:
+                ran[name].add(lineno)
+                if out is not None:
+                    os.write(out, f"{lineno} {name}\n".encode())
         return local
 
     def tracer(frame, event, arg):
         return local if frame.f_code.co_filename in ran else None
 
     sys.path.insert(0, str(PACKAGE.parent))
+    os.register_at_fork(after_in_child=in_child)
     threading.settrace(tracer)
     sys.settrace(tracer)
     try:
@@ -64,6 +78,11 @@ def main(argv=None) -> int:
     finally:
         sys.settrace(None)
         threading.settrace(None)
+    with spool:
+        for path in Path(spool.name).iterdir():
+            for entry in path.read_text(encoding="utf-8").splitlines():
+                lineno, name = entry.split(" ", 1)
+                ran[name].add(int(lineno))
     missing = total = 0
     for name, path in sources.items():
         text = path.read_text(encoding="utf-8").splitlines()
@@ -72,8 +91,8 @@ def main(argv=None) -> int:
         for lineno in sorted(lines - ran[name]):
             missing += 1
             print(f"{path.relative_to(ROOT)}:{lineno}  {text[lineno - 1].strip()}")
-    print(f"{missing} of {total} executable lines in {PACKAGE.relative_to(ROOT)} were not run "
-          "(lines run only in forked workers are listed too)", file=sys.stderr)
+    print(f"{missing} of {total} executable lines in {PACKAGE.relative_to(ROOT)} were not run",
+          file=sys.stderr)
     return int(code)
 
 

@@ -44,6 +44,9 @@ REPORT_FILES = (
     "forecasts",
 )
 
+# the vol-report comparison's own columns, ahead of one per comparison file
+COMPARISON_COLUMNS = ("date", "estimate")
+
 
 def rmse(observed, forecast, strike: float) -> float:
     """Root mean squared pricing error with squared errors scaled by strike.
@@ -337,7 +340,8 @@ def vol_report(points, compare_paths=(), annualization: float = 252.0, out_dir=N
     """Annualized volatility series plus a by-date join against external series.
 
     Each comparison file is a column named by its file stem, so two files
-    with the same stem are rejected. Dates missing on either side of a
+    with the same stem, or a file named after a fixed column (``date``,
+    ``estimate``), are rejected. Dates missing on either side of a
     join are counted and logged, never silently dropped; a comparison
     file sharing no dates yields an empty column and a warning.
     """
@@ -346,6 +350,8 @@ def vol_report(points, compare_paths=(), annualization: float = 252.0, out_dir=N
     sources = {}
     for path in compare_paths:
         label = Path(path).stem
+        if label in COMPARISON_COLUMNS:
+            raise InvalidInputError(f"comparison file {path} would be column {label!r}, which the report already has")
         if label in sources:
             raise InvalidInputError(
                 f"comparison files {sources[label]} and {path} would both be column {label!r}"
@@ -383,7 +389,7 @@ def vol_report(points, compare_paths=(), annualization: float = 252.0, out_dir=N
             paths["comparison"] = out / "comparison.csv"
             write_csv(
                 paths["comparison"],
-                ["date", "estimate"] + list(comparisons),
+                [*COMPARISON_COLUMNS, *comparisons],
                 [r for r in table if any(c is not None for c in r[2:])],
             )
     return vol_rows, table, paths

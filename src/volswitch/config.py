@@ -213,7 +213,7 @@ def config_from_text(text: str, source: str = "<config>") -> RunConfig:
 
 def load_config(path) -> RunConfig:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as e:
         raise FormatError(f"cannot read config {path}: {e}") from e

@@ -750,7 +750,7 @@ def read_csv_rows(path, what: str) -> list:
     and the path.
     """
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
             reader = csv.reader(fh)
             return [(reader.line_num, row) for row in reader if "".join(row).strip()]
     except (OSError, UnicodeDecodeError, csv.Error) as e:

@@ -46,7 +46,6 @@ J^{-1} is one regularized inverse of J, checked against J.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -71,15 +70,6 @@ def initial_information(p0, b: int):
     return np.repeat(j0[None], b, axis=0), np.repeat(p0[None], b, axis=0)
 
 
-@dataclass
-class DTriple:
-    """The D blocks of one filter (s, s), or of a bank as (B, s, s) stacks."""
-
-    d11: np.ndarray
-    d12: np.ndarray
-    d22: np.ndarray
-
-
 def _seed_factors(covs: np.ndarray):
     """Lower factors of belief covariances, eigenvalues floored just above zero.
 
@@ -101,56 +91,49 @@ def seed_particles(belief: GaussianBelief, n: int, rng: np.random.Generator, mod
     return ParticleCloud.uniform(draws)
 
 
-def _weighted_gram(jac: np.ndarray, precision: np.ndarray, weight: float = 1.0):
-    """Per filter, (w sum_i J_i' P J_i, w sum_i J_i' P) over stacked (B, n, k, s) Jacobians.
+def _weighted_gram(jac: np.ndarray, precision: np.ndarray, weight: float = 1.0) -> np.ndarray:
+    """Per filter, w sum_i J_i' P J_i over stacked (B, n, k, s) Jacobians.
 
     w J_i' P is formed elementwise, and the sum over particles is one
     (s, n k) @ (n k, s) product per filter.
     """
     bsz, n, k, s = jac.shape
     wjp = np.einsum("bnks,kl->bnsl", jac, precision) * weight
-    gram = wjp.transpose(0, 2, 1, 3).reshape(bsz, s, n * k) @ jac.reshape(bsz, n * k, s)
-    return gram, wjp.sum(axis=1)
+    return wjp.transpose(0, 2, 1, 3).reshape(bsz, s, n * k) @ jac.reshape(bsz, n * k, s)
 
 
 def _constant_transition_blocks(f: np.ndarray, model):
     """(1, s, s) D11 and D12 for a Jacobian ``f`` shared by every particle, kept on the model until F changes."""
     kept = getattr(model, "_transition_blocks", None)
     if kept is None or kept[0].tobytes() != f.tobytes():
-        d11, fq = _weighted_gram(f[None, None], model.noise_precisions()[0])
-        kept = (f.copy(), symmetrize(d11), -fq)
+        q_inv = model.noise_precisions()[0]
+        kept = (f.copy(), symmetrize(_weighted_gram(f[None, None], q_inv)), -np.einsum("ks,kl->sl", f, q_inv)[None])
         for m in kept:
             m.flags.writeable = False
         model._transition_blocks = kept
     return kept[1:]
 
 
-def _d_triple(d11: np.ndarray, d12: np.ndarray, h_jac: np.ndarray, model) -> DTriple:
-    """D11 and D12 spread over the bank, and D22 averaged over ``h_jac`` (B, n', m, s) with uniform weights."""
-    q_inv, r_inv = model.noise_precisions()
-    hrh, _ = _weighted_gram(h_jac, r_inv, 1.0 / h_jac.shape[1])
-    d22 = symmetrize(q_inv + hrh)
-    return DTriple(*(np.broadcast_to(m, d22.shape) for m in (d11, d12)), d22)
-
-
-def _information_step(j: np.ndarray, d: DTriple):
+def _information_step(j: np.ndarray, d11: np.ndarray, d12: np.ndarray, d22: np.ndarray):
     """Advance a (B, s, s) stack of information matrices by one step of the recursion.
 
-    Returns J_{t+1}, J_{t+1}^{-1} and, per filter, None or the recoverable
-    error that stopped its step (its slots of the stacks are then unused).
+    The D blocks are (B, s, s) stacks, or (1, s, s) blocks shared by the
+    whole bank. Returns J_{t+1}, J_{t+1}^{-1} and, per filter, None or the
+    recoverable error that stopped its step (its slots of the stacks are
+    then unused).
     Non-finite D blocks give ``NumericalFailureError``; a J + D11 or J_{t+1}
     that stays singular, or a J^{-1} that does not reproduce the identity
     against J_{t+1} within tolerance, gives ``SingularityError``. A J_{t+1}
     that is not positive definite is floored first.
     """
     eye = np.eye(j.shape[-1])
-    mid_inv, errors = regularized_inverse(j + d.d11)
-    j_next = symmetrize(d.d22 - np.swapaxes(d.d12, 1, 2) @ mid_inv @ d.d12)
+    mid_inv, errors = regularized_inverse(j + d11)
+    j_next = symmetrize(d22 - np.swapaxes(d12, 1, 2) @ mid_inv @ d12)
     solved = j_next
     if any(errors) or not np.isfinite(j_next).all():
         # a non-finite D block always lands here, through J + D11 or J_{t+1},
         # and its error comes first
-        finite = [np.isfinite(m).all(axis=(1, 2)) for m in (d.d11, d.d12, d.d22)]
+        finite = [np.isfinite(m).all(axis=(1, 2)) for m in (d11, d12, d22)]
         for k in np.flatnonzero(~(finite[0] & finite[1] & finite[2])):
             errors[k] = NumericalFailureError("non-finite D matrices")
         # failed or non-finite slots are solved as the identity and left unfloored
@@ -214,9 +197,10 @@ def pcrlb_step(j, j_inv, means, covs, ex_next, model, n: int, rngs):
     if not (f_jac.strides[0] == 0 or np.array_equal(f_jac, shared, equal_nan=True)):
         raise InvalidInputError("the bound step needs one transition Jacobian shared by every particle")
     h_jac = model.measurement_jacobian_batch(x_next, ex_next).reshape(bsz, n, -1, s)
-    d = _d_triple(*_constant_transition_blocks(f_jac[0], model), h_jac, model)
+    q_inv, r_inv = model.noise_precisions()
+    d22 = symmetrize(q_inv + _weighted_gram(h_jac, r_inv, 1.0 / n))
 
-    j_next, j_inv_next, step_errors = _information_step(j[live], d)
+    j_next, j_inv_next, step_errors = _information_step(j[live], *_constant_transition_blocks(f_jac[0], model), d22)
     for row, k in enumerate(live):
         errors[k] = step_errors[row]
         if errors[k] is None:

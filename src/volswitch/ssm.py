@@ -19,25 +19,17 @@ from .linalg import regularized_inverse, safe_cholesky
 
 
 class StateSpaceModel:
-    """x_{t+1} = f(x_t) + w,  y_t = g(x_t) + z,  w ~ N(0,Q), z ~ N(0,R), with one measured price y_t."""
+    """x_{t+1} = f(x_t) + w,  y_t = g(x_t) + z,  w ~ N(0,Q), z ~ N(0,R), with one measured price y_t.
 
-    def transition_batch(self, states: np.ndarray, ex, noise=None) -> np.ndarray:
-        raise NotImplementedError
+    A model defines, for (n, s) ``states`` and the step's exogenous input ``ex``:
 
-    def transition_jacobian_batch(self, states: np.ndarray, ex) -> np.ndarray:
-        raise NotImplementedError
-
-    def measurement_batch(self, states: np.ndarray, ex) -> np.ndarray:
-        raise NotImplementedError
-
-    def measurement_jacobian_batch(self, states: np.ndarray, ex) -> np.ndarray:
-        raise NotImplementedError
-
-    def process_cov(self) -> np.ndarray:
-        raise NotImplementedError
-
-    def measurement_cov(self) -> np.ndarray:
-        raise NotImplementedError
+    - ``transition_batch(states, ex, noise=None)``: f, plus the (n, s)
+      ``noise`` when given, as (n, s);
+    - ``transition_jacobian_batch(states, ex)``: df/dx, as (n, s, s);
+    - ``measurement_batch(states, ex)``: g, as (n, 1);
+    - ``measurement_jacobian_batch(states, ex)``: dg/dx, as (n, 1, s);
+    - ``process_cov()``: Q, (s, s); ``measurement_cov()``: R, (1, 1).
+    """
 
     def project_batch(self, states: np.ndarray) -> np.ndarray:
         """Clamp states back onto the model's valid domain. Identity by default."""

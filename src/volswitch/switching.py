@@ -250,14 +250,14 @@ class _ForkedBound:
 
 
 def _serve_bound(end, model, settings: EstimationSettings, exogenous: list, j, j_inv):
-    """A forked worker: run ``_bound_step`` on every posteriors frame until EOF, keeping the bank's J."""
+    """A forked worker: run ``_bound_step`` on every posteriors frame, keeping the bank's J, until ``Worker.stop``.
+
+    If its owner closes its end or dies first, the next receive raises ``EOFError``: exit code 1.
+    """
     b, s = j.shape[:2]
     frame = np.empty(1 + b * s * (1 + s))
     while True:
-        try:
-            end.recv_bytes_into(frame)
-        except EOFError:
-            return
+        end.recv_bytes_into(frame)
         means, covs = frame[1:1 + b * s].reshape(b, s), frame[1 + b * s:].reshape(b, s, s)
         j, j_inv, errors = _bound_step(model, settings, exogenous, int(frame[0]), j, j_inv, means, covs)
         end.send_bytes(np.concatenate([[float(any(errors))], j.ravel(), j_inv.ravel()]))

@@ -33,6 +33,7 @@ from volswitch.bsgarch import (
 )
 from volswitch.exceptions import (
     ContractExpiredError,
+    InsufficientDataError,
     InvalidInputError,
 )
 from volswitch.experiments import SYNTHETIC_CONFIG, run_synthetic_comparison
@@ -324,6 +325,9 @@ def test_test_end_trims_the_series():
     series, _ = synthetic_series(cfg)
     bundle = run_backtest(cfg, series, strategy="EKF", test_end=series.dates[9], seed=0)
     assert len(bundle.records) == 10
+    for test_end in (series.dates[0], series.dates[0] - dt.timedelta(days=1)):
+        with pytest.raises(InsufficientDataError, match="need at least two steps after applying test-end"):
+            run_backtest(cfg, series, strategy="EKF", test_end=test_end, seed=0)
 
 
 def test_unknown_strategy_rejected():
@@ -435,6 +439,7 @@ def test_vol_report_joins_by_date(tmp_path, caplog):
         (0, "2019-01-02", 1.6e-4),
         (1, "2019-01-03", 2.0e-4),
         (2, "2019-01-04", 2.4e-4),
+        (3, None, 2.6e-4),  # a step without a date has a volatility row and no comparison row
     ]
     compare = tmp_path / "market_iv.csv"
     compare.write_text("date,value\n2019-01-03,0.21\n2019-01-09,0.33\n")
@@ -442,6 +447,7 @@ def test_vol_report_joins_by_date(tmp_path, caplog):
         points, compare_paths=(compare,), annualization=252.0, out_dir=tmp_path
     )
     assert vol_rows[0][2] == pytest.approx(math.sqrt(1.6e-4 * 252.0))
+    assert vol_rows[3][:2] == (3, None)
     assert [row[0] for row in table] == ["2019-01-02", "2019-01-03", "2019-01-04"]
     assert table[0][2] is None
     assert table[1][2] == 0.21
@@ -459,6 +465,16 @@ def test_vol_report_warns_on_disjoint_dates(tmp_path, caplog):
         _, table, _ = vol_report([(0, "2019-01-02", 1e-4)], compare_paths=(compare,))
     assert any("shares no dates" in rec.message for rec in caplog.records)
     assert table == [["2019-01-02", pytest.approx(math.sqrt(1e-4 * 252.0)), None]]
+
+
+@pytest.mark.parametrize("stem", ["date", "estimate"])
+def test_vol_report_rejects_a_comparison_file_named_after_a_fixed_column(tmp_path, stem):
+    # its column would repeat the header's own, as in date,estimate,estimate
+    compare = tmp_path / f"{stem}.csv"
+    compare.write_text("2019-01-02,0.5\n")
+    with pytest.raises(InvalidInputError, match=f"would be column '{stem}'"):
+        vol_report([(0, "2019-01-02", 1e-4)], compare_paths=(compare,), out_dir=tmp_path / "out")
+    assert not (tmp_path / "out").exists()
 
 
 def test_vol_report_requires_points():

@@ -75,6 +75,12 @@ def test_garch_log_likelihood_rejects_nonstationary_parameters():
         garch_log_likelihood(np.array([0.01, 0.02]), 1e-5, 0.5, 0.5)
 
 
+@pytest.mark.parametrize("returns", [np.zeros(0), np.zeros((2, 2))], ids=["empty", "2-d"])
+def test_garch_log_likelihood_needs_a_1d_series_of_returns(returns):
+    with pytest.raises(InvalidInputError, match="returns must be a non-empty 1-d array"):
+        garch_log_likelihood(returns, 1e-5, 0.05, 0.9)
+
+
 def test_fit_recovers_likelihood_of_the_generating_parameters():
     # On a long simulated series the fitted parameters must be at least as
     # likely as the truth (they maximize this criterion), and materially

@@ -1,8 +1,10 @@
 import datetime as dt
 import logging
 import os
+import runpy
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -88,6 +90,15 @@ def test_help_exits_zero():
     with pytest.raises(SystemExit) as exc:
         main(["--help"])
     assert exc.value.code == 0
+
+
+def test_python_m_volswitch_runs_the_cli(monkeypatch, capsys):
+    # what `python -m volswitch --help` runs, in this process
+    monkeypatch.setattr(sys, "argv", ["volswitch", "--help"])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_module("volswitch", run_name="__main__")
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: volswitch")
 
 
 def test_missing_subcommand_is_a_usage_error(capsys):
@@ -503,6 +514,21 @@ def test_calibrate_from_value_series(tmp_path, capsys):
     assert "fitted GARCH(1,1) on 119 returns" in capsys.readouterr().out
     fitted = load_config(frag)
     fitted.garch_params()  # parses and validates
+
+
+def test_calibrate_notes_a_fit_that_did_not_converge(tmp_path, capsys, monkeypatch):
+    # the fitted parameters are still written, with a note on stderr
+    real = cli.fit_garch
+    monkeypatch.setattr(cli, "fit_garch", lambda returns: replace(real(returns), converged=False))
+    series = tmp_path / "closes.csv"
+    days = np.busday_offset(np.datetime64("2019-01-02"), np.arange(60))
+    series.write_text("".join(f"{d},{float(c)!r}\n" for d, c in zip(days, gbm_closes(60))))
+    frag = tmp_path / "fitted.cfg"
+    assert run(["calibrate-garch", "--underlying", series, "--config-out", frag]) == 0
+    captured = capsys.readouterr()
+    assert "fitted GARCH(1,1) on 59 returns" in captured.out
+    assert "note: optimizer did not report convergence; parameters are best-effort" in captured.err
+    load_config(frag).garch_params()
 
 
 def test_calibrate_from_chain(workdir, capsys):

@@ -120,6 +120,14 @@ def test_load_config_missing_file_and_fragment_round_trip(tmp_path):
     assert cfg.garch_params() == params
 
 
+def test_a_utf8_bom_before_a_config_is_skipped(tmp_path):
+    plain = tmp_path / "fitted.cfg"
+    write_garch_fragment(plain, GarchParams(omega=3.217e-06, alpha=0.0912, beta=0.8633))
+    with_bom = tmp_path / "bom.cfg"
+    with_bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    assert load_config(with_bom) == load_config(plain)
+
+
 # ---------------------------------------------------------------------------
 # values that would fail only mid-run are rejected at load, with file and line
 

@@ -296,6 +296,33 @@ def test_a_model_that_measures_two_values_is_rejected():
             update()
 
 
+def test_a_gaussian_posterior_that_overflows_is_a_numerical_failure():
+    # the gain is about 2, so the posterior mean of y = 1.5e308 overflows to inf
+    model = LinearGaussianModel([[1.0]], [[0.5]], [[0.01]], [[1.0]])
+    prior = GaussianBelief(np.zeros(1), np.array([[1e6]]))
+    for update in (ekf_update, ukf_update):
+        with pytest.raises(NumericalFailureError, match="non-finite posterior"), np.errstate(over="ignore"):
+            update(prior, 1.5e308, None, model)
+
+
+class SquaredNormModel(LinearGaussianModel):
+    """y = |x|^2 + z: a measurement whose unscented variance a negative centre weight can drive below zero."""
+
+    def measurement_batch(self, states, ex):
+        return (states**2).sum(axis=1, keepdims=True)
+
+    def measurement_jacobian_batch(self, states, ex):
+        return 2.0 * states[:, None, :]
+
+
+def test_ukf_rejects_a_non_positive_innovation_covariance():
+    # alpha = 1, kappa = -1.5 on two states gives the centre point weight -3
+    model = SquaredNormModel(np.eye(2), [[1.0, 1.0]], 0.01 * np.eye(2), [[1e-12]])
+    sp = SigmaPointParams(alpha=1.0, beta=0.0, kappa=-1.5)
+    with pytest.raises(NumericalFailureError, match="non-positive innovation covariance"):
+        ukf_update(GaussianBelief(np.zeros(2), np.eye(2)), 1.0, None, model, sp)
+
+
 # ---------------------------------------------------------------------------
 # belief containers
 
@@ -307,6 +334,8 @@ def test_belief_and_cloud_validation():
         GaussianBelief(np.array([np.nan, 0.0]), np.eye(2))
     with pytest.raises(InvalidInputError):
         ParticleCloud(np.zeros((4, 2)), np.array([0.5, 0.5, 0.5, 0.5]))
+    with pytest.raises(InvalidInputError, match="shapes disagree"):
+        ParticleCloud(np.zeros((3, 2)), np.array([0.5, 0.5]))
     with pytest.raises(InvalidInputError):
         ParticleCloud(np.zeros((2, 2)), np.array([1.5, -0.5]))
     # a 0-d mean is a shape error, not an IndexError

@@ -221,6 +221,43 @@ def test_stacked_floor_and_factor_match_each_matrix_alone(stack, floors):
         assert [type(e) if e else None for e in errors] == kinds
 
 
+def test_a_stack_lapack_refuses_is_inverted_member_by_member(monkeypatch):
+    # LAPACK may refuse a matrix that passes the condition check; no 1x1 or
+    # 2x2 input is known to make it, so the refusal is simulated
+    stack = np.array([[[2.0, 0.3], [0.3, 1.5]], np.diag([1e-3, 4.0]), [[1.0, -0.9], [-0.9, 1.0]]])
+    alone = [regularized_inverse(m) for m in stack]
+    inv = np.linalg.inv
+
+    def refuse_stacks(m):
+        if m.ndim == 3:
+            raise np.linalg.LinAlgError("refused")
+        return inv(m)
+
+    monkeypatch.setattr(np.linalg, "inv", refuse_stacks)
+    out, errors = regularized_inverse(stack)
+    np.testing.assert_array_equal(out, alone)
+    assert errors == [None, None, None]
+
+
+def test_a_matrix_lapack_always_refuses_remains_singular(monkeypatch):
+    calls = []
+
+    def refuse(m):
+        calls.append(m)
+        raise np.linalg.LinAlgError("refused")
+
+    monkeypatch.setattr(np.linalg, "inv", refuse)
+    for err in (SingularityError, CovarianceError):
+        calls.clear()
+        with pytest.raises(err, match="matrix remains singular after ridge regularization"):
+            regularized_inverse(np.eye(2), err=err)
+        # the matrix itself, then one attempt per ridge escalation
+        assert len(calls) == linalg.MAX_RIDGE_ESCALATIONS + 1
+    out, errors = regularized_inverse(np.array([np.eye(2), np.eye(2)]))
+    assert np.isnan(out).all()
+    assert all(isinstance(e, SingularityError) and "remains singular" in str(e) for e in errors)
+
+
 def test_a_non_finite_member_fails_only_itself():
     stack = np.array([np.diag([2.0, 3.0]), [[np.nan, 0.0], [0.0, 1.0]], np.diag([1.0, np.inf])])
     inv, errors = regularized_inverse(stack)

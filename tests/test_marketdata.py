@@ -968,6 +968,13 @@ def test_load_value_series_tolerates_header_and_parses(tmp_path):
     ]
 
 
+def test_a_utf8_bom_before_a_value_series_is_skipped(tmp_path):
+    # the first row is data, not a header that the BOM made unparseable
+    path = tmp_path / "vals.csv"
+    path.write_bytes(codecs.BOM_UTF8 + b"2020-01-02,0.2\n2020-01-03,0.3\n")
+    assert load_value_series(path) == [(dt.date(2020, 1, 2), 0.2), (dt.date(2020, 1, 3), 0.3)]
+
+
 def test_load_value_series_tolerates_header_after_blank_lines(tmp_path):
     path = tmp_path / "vals.csv"
     path.write_text("\n  \ndate,value\n2019-01-02,0.21\n")

@@ -9,7 +9,7 @@ from volswitch.exceptions import CovarianceError, InvalidInputError, NumericalFa
 from volswitch.filters import GaussianBelief, propagate_cloud
 from volswitch import pcrlb
 from volswitch.linalg import COND_LIMIT, regularized_inverse, symmetrize
-from volswitch.pcrlb import DTriple, initial_information, pcrlb_step, seed_particles
+from volswitch.pcrlb import initial_information, pcrlb_step, seed_particles
 from models import LinearGaussianModel
 
 A = np.array([[0.85, 0.05], [0.0, 0.9]])
@@ -24,9 +24,8 @@ def linear_model():
 
 
 def information_step(j, d):
-    """One filter's information step as a stack of one: its new (J, J^{-1}), or the error that stopped it."""
-    one = DTriple(*(m[None] for m in (d.d11, d.d12, d.d22)))
-    (j,), (j_inv,), (error,) = pcrlb._information_step(j[None], one)
+    """One filter's information step, from its (D11, D12, D22), as a stack of one: its new (J, J^{-1}), or the error that stopped it."""
+    (j,), (j_inv,), (error,) = pcrlb._information_step(j[None], *(m[None] for m in d))
     return error or (j, j_inv)
 
 
@@ -45,7 +44,7 @@ def test_initial_state_inverts_the_prior_covariance():
 def test_pfim_step_scalar_worked_example():
     # a = c = q = r = 1 gives D = (1, -1, 2); from J = 1 the update is
     # J' = 2 - 1/(1+1) = 1.5 exactly.
-    d = DTriple(d11=np.array([[1.0]]), d12=np.array([[-1.0]]), d22=np.array([[2.0]]))
+    d = np.array([[1.0]]), np.array([[-1.0]]), np.array([[2.0]])
     j, j_inv = information_step(np.array([[1.0]]), d)
     assert j[0, 0] == pytest.approx(1.5, abs=1e-15)
     assert j_inv[0, 0] == pytest.approx(2.0 / 3.0, abs=1e-15)
@@ -62,7 +61,7 @@ def test_pfim_step_lemma_inverse_agrees_with_direct_inverse():
         mq = rng.standard_normal((2, 2))
         q = mq @ mq.T + 0.05 * np.eye(2)
         r = np.array([[rng.uniform(0.05, 1.0)]])
-        j, j_inv = information_step(j, DTriple(*oracles.exact_linear_dtriple(a, c, q, r)))
+        j, j_inv = information_step(j, oracles.exact_linear_dtriple(a, c, q, r))
         np.testing.assert_allclose(j_inv, np.linalg.inv(j), atol=1e-10)
         np.testing.assert_allclose(j_inv @ j, np.eye(2), atol=1e-8)
 
@@ -78,14 +77,14 @@ def test_pfim_step_inverse_is_one_regularized_inverse_of_j():
         mq = rng.standard_normal((2, 2))
         q = mq @ mq.T + 0.05 * np.eye(2)
         r = np.array([[rng.uniform(0.05, 1.0)]])
-        j, j_inv = information_step(j, DTriple(*oracles.exact_linear_dtriple(a, c, q, r)))
+        j, j_inv = information_step(j, oracles.exact_linear_dtriple(a, c, q, r))
         np.testing.assert_array_equal(j_inv, symmetrize(regularized_inverse(j)))
 
 
 def test_pfim_step_raises_when_the_inverse_misses_the_identity():
     # J' = diag(1, 1e-14) is positive but past the condition limit, so the
     # ridge that regularized_inverse adds leaves J^{-1} J far from I
-    d = DTriple(d11=np.zeros((2, 2)), d12=np.zeros((2, 2)), d22=np.diag([1.0, 1e-14]))
+    d = np.zeros((2, 2)), np.zeros((2, 2)), np.diag([1.0, 1e-14])
     error = information_step(np.eye(2), d)
     assert isinstance(error, SingularityError)
     assert "inverse inconsistent" in str(error)
@@ -94,19 +93,19 @@ def test_pfim_step_raises_when_the_inverse_misses_the_identity():
 def test_pfim_step_floors_an_indefinite_update():
     # d22 smaller than the rank-one correction drives J' negative; the step
     # must floor it to a positive matrix and keep the inverse consistent.
-    d = DTriple(d11=np.array([[0.5]]), d12=np.array([[-1.0]]), d22=np.array([[0.5]]))
+    d = np.array([[0.5]]), np.array([[-1.0]]), np.array([[0.5]])
     j, j_inv = information_step(np.array([[0.5]]), d)
     assert j[0, 0] > 0.0
     assert j_inv[0, 0] * j[0, 0] == pytest.approx(1.0, rel=1e-6)
 
 
 def information_cases():
-    """Name -> (J, D blocks), one for each path through the information step."""
-    ridge = (np.eye(2), DTriple(np.diag([0.0, -1.0 + 1e-14]), np.diag([0.0, 1e-7]), np.eye(2)))
-    floored = (np.diag([0.5, 1.0]), DTriple(np.diag([0.5, 0.0]), np.diag([2.0, 0.0]), np.diag([-1.0, 1.0])))
-    floored_wider = (floored[0], DTriple(floored[1].d11, np.diag([3.0, 0.0]), floored[1].d22))
-    healthy = (np.linalg.inv(P0), DTriple(*oracles.exact_linear_dtriple(A, C, Q, R)))
-    inconsistent = (np.eye(2), DTriple(np.zeros((2, 2)), np.zeros((2, 2)), np.diag([1.0, 1e-14])))
+    """Name -> (J, (D11, D12, D22)), one for each path through the information step."""
+    ridge = (np.eye(2), (np.diag([0.0, -1.0 + 1e-14]), np.diag([0.0, 1e-7]), np.eye(2)))
+    floored = (np.diag([0.5, 1.0]), (np.diag([0.5, 0.0]), np.diag([2.0, 0.0]), np.diag([-1.0, 1.0])))
+    floored_wider = (floored[0], (floored[1][0], np.diag([3.0, 0.0]), floored[1][2]))
+    healthy = (np.linalg.inv(P0), oracles.exact_linear_dtriple(A, C, Q, R))
+    inconsistent = (np.eye(2), (np.zeros((2, 2)), np.zeros((2, 2)), np.diag([1.0, 1e-14])))
     return {"ridge": ridge, "floored": floored, "floored wider": floored_wider, "healthy": healthy,
             "inconsistent": inconsistent}
 
@@ -114,12 +113,12 @@ def information_cases():
 def test_each_slot_of_an_information_stack_matches_its_stack_of_one(caplog):
     cases = information_cases()
     j, d = cases["ridge"]
-    assert np.linalg.cond(j + d.d11) > COND_LIMIT  # J + D11 needs the ridge
+    assert np.linalg.cond(j + d[0]) > COND_LIMIT  # J + D11 needs the ridge
     for bank in (["ridge", "floored", "healthy"], ["floored wider", "inconsistent", "floored"]):
         js = np.array([cases[name][0] for name in bank])
-        ds = DTriple(*(np.array([getattr(cases[name][1], block) for name in bank]) for block in ("d11", "d12", "d22")))
+        ds = (np.array([cases[name][1][block] for name in bank]) for block in range(3))
         with caplog.at_level(logging.INFO, logger="volswitch.pcrlb"):
-            j_next, j_inv, errors = pcrlb._information_step(js, ds)
+            j_next, j_inv, errors = pcrlb._information_step(js, *ds)
         floored = sum("information matrix floored" in r.getMessage() for r in caplog.records)
         assert floored == sum(name.startswith("floored") for name in bank)
         caplog.clear()
@@ -145,10 +144,10 @@ def test_each_slot_of_an_information_stack_matches_its_stack_of_one(caplog):
 def test_non_finite_d_blocks_fail_only_their_slot():
     j, d = information_cases()["healthy"]
     js = np.array([j, j])
-    bad = d.d22.copy()
+    d11, d12, d22 = d
+    bad = d22.copy()
     bad[0, 1] = bad[1, 0] = np.inf
-    ds = DTriple(np.array([d.d11, d.d11]), np.array([d.d12, d.d12]), np.array([bad, d.d22]))
-    j_next, j_inv, errors = pcrlb._information_step(js, ds)
+    j_next, j_inv, errors = pcrlb._information_step(js, d11[None], d12[None], np.array([bad, d22]))
     assert isinstance(errors[0], NumericalFailureError) and errors[1] is None
     one_j, one_j_inv = information_step(j, d)
     np.testing.assert_array_equal(j_next[1], one_j)
@@ -158,8 +157,7 @@ def test_non_finite_d_blocks_fail_only_their_slot():
 def test_exact_recursion_reproduces_kalman_covariance_on_linear_model():
     # with exact D blocks the recursion is the information-form Riccati
     # iteration, so J^{-1} must equal the Kalman posterior covariance.
-    d11, d12, d22 = oracles.exact_linear_dtriple(A, C, Q, R)
-    d = DTriple(d11, d12, d22)
+    d = oracles.exact_linear_dtriple(A, C, Q, R)
     ys = np.zeros((12, 1))  # KF covariance does not depend on the data
     _, covs = oracles.kalman_filter(ys, A, C, Q, R, np.zeros(2), P0)
     (j,), _ = initial_information(P0, 1)
@@ -177,15 +175,12 @@ def jacobians(model, x_prev, x_next, ex=None):
     return model.transition_jacobian_batch(x_prev, ex)[None], model.measurement_jacobian_batch(x_next, ex)[None]
 
 
-def bank_of_one(d):
-    """The D blocks of a bank of one as plain matrices."""
-    (d11,), (d12,), (d22,) = d.d11, d.d12, d.d22
-    return DTriple(d11, d12, d22)
-
-
 def d_blocks(model, f_jac, h_jac):
-    """The bound step's D blocks for a bank of one, from the first row's transition Jacobian."""
-    return bank_of_one(pcrlb._d_triple(*pcrlb._constant_transition_blocks(f_jac[0, 0], model), h_jac, model))
+    """The bound step's (D11, D12, D22) for a bank of one: D11 and D12 from the first row's transition Jacobian, D22 averaged over ``h_jac``."""
+    (d11,), (d12,) = pcrlb._constant_transition_blocks(f_jac[0, 0], model)
+    q_inv, r_inv = model.noise_precisions()
+    (hrh,) = pcrlb._weighted_gram(h_jac, r_inv, 1.0 / h_jac.shape[1])
+    return d11, d12, symmetrize(q_inv + hrh)
 
 
 def test_d_matrices_are_exact_for_constant_jacobians():
@@ -194,11 +189,8 @@ def test_d_matrices_are_exact_for_constant_jacobians():
     x_next = rng.standard_normal((30, 2))
     model = linear_model()
     f_jac, h_jac = jacobians(model, x_prev, x_next)
-    d = d_blocks(model, f_jac, h_jac)
-    e11, e12, e22 = oracles.exact_linear_dtriple(A, C, Q, R)
-    np.testing.assert_allclose(d.d11, e11, atol=1e-12)
-    np.testing.assert_allclose(d.d12, e12, atol=1e-12)
-    np.testing.assert_allclose(d.d22, e22, atol=1e-12)
+    for block, exact in zip(d_blocks(model, f_jac, h_jac), oracles.exact_linear_dtriple(A, C, Q, R)):
+        np.testing.assert_allclose(block, exact, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +315,7 @@ def test_d_matrices_match_a_per_particle_loop():
     ex = ExogenousInputs(s=100.0, u=0.01, tau=0.5)
     for model in (bsgarch_model("random-walk"), bsgarch_model("literal")):
         f_jac, h_jac = jacobians(model, x_prev, x_next, ex)
-        d = d_blocks(model, f_jac, h_jac)
+        blocks = d_blocks(model, f_jac, h_jac)
 
         q_inv, r_inv = (np.linalg.inv(m) for m in (model.process_cov(), model.measurement_cov()))
         d11, d12, d22 = np.zeros((2, 2)), np.zeros((2, 2)), q_inv.copy()
@@ -334,9 +326,8 @@ def test_d_matrices_match_a_per_particle_loop():
         for x in x_next:
             h = model.measurement_jacobian(x, ex)
             d22 += h.T @ r_inv @ h / len(x_next)
-        np.testing.assert_allclose(d.d11, d11, rtol=1e-12)
-        np.testing.assert_allclose(d.d12, d12, rtol=1e-12)
-        np.testing.assert_allclose(d.d22, d22, rtol=1e-12)
+        for block, looped in zip(blocks, (d11, d12, d22)):
+            np.testing.assert_allclose(block, looped, rtol=1e-12)
 
 
 def test_noise_precisions_are_inverted_once_and_kept():
@@ -376,7 +367,7 @@ def test_pcrlb_step_averages_d22_over_its_predicted_cloud(monkeypatch):
     step = pcrlb._information_step
     for n in (40, 300, 1000):
         captured = []
-        monkeypatch.setattr(pcrlb, "_information_step", lambda j, d: captured.append(d) or step(j, d))
+        monkeypatch.setattr(pcrlb, "_information_step", lambda j, *d: captured.append(d) or step(j, *d))
         bank_step(*initial_information(belief.cov, 1), [belief], ex, model, n, [np.random.default_rng(31)])
 
         rng = np.random.default_rng(31)
@@ -384,8 +375,8 @@ def test_pcrlb_step_averages_d22_over_its_predicted_cloud(monkeypatch):
         h = model.measurement_jacobian_batch(predicted.particles, ex)
         assert np.ptp(h) > 0.0
         hrh = np.einsum("nki,kl,nlj->ij", h, np.linalg.inv(model.measurement_cov()), h) / n
-        (d,) = captured
-        np.testing.assert_allclose(d.d22[0], np.linalg.inv(model.process_cov()) + hrh, rtol=1e-12)
+        ((_, _, d22),) = captured
+        np.testing.assert_allclose(d22[0], np.linalg.inv(model.process_cov()) + hrh, rtol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -512,9 +503,9 @@ def test_constant_transition_blocks_are_computed_once_and_kept():
         np.testing.assert_array_equal(f, model.transition_jacobian(beliefs[0].mean, ex))
         # the kept arrays are shared by every later step, so they are read-only
         assert not (f.flags.writeable or d11.flags.writeable or d12.flags.writeable)
-        gram, fq = pcrlb._weighted_gram(f[None, None], model.noise_precisions()[0])
-        np.testing.assert_array_equal(d11, symmetrize(gram))
-        np.testing.assert_array_equal(d12, -fq)
+        q_inv = model.noise_precisions()[0]
+        np.testing.assert_array_equal(d11, symmetrize(pcrlb._weighted_gram(f[None, None], q_inv)))
+        np.testing.assert_array_equal(d12, -np.einsum("ks,kl->sl", f, q_inv)[None])
         bank_step(*initial_bank(beliefs), beliefs, ex, model, 50, rngs)
         again = model._transition_blocks
         assert again[1] is d11 and again[2] is d12
@@ -525,19 +516,20 @@ def test_kept_transition_blocks_follow_a_jacobian_that_changes_between_steps(mon
     beliefs = bank_cases()[0][1]
     captured = []
     step = pcrlb._information_step
-    monkeypatch.setattr(pcrlb, "_information_step", lambda j, d: captured.append(d) or step(j, d))
+    monkeypatch.setattr(pcrlb, "_information_step", lambda j, *d: captured.append(d) or step(j, *d))
     scales = (1.0, 0.5, 0.5, 1.0, 0.8)
     for t, scale in enumerate(scales):
         bank_step(*initial_bank(beliefs), beliefs, scale, model, 50,
                   [np.random.default_rng(10 * t + k) for k in range(3)])
     assert len(captured) == len(scales)
     q_inv = np.linalg.inv(Q)
-    for scale, d in zip(scales, captured):
+    for scale, (d11, d12, _) in zip(scales, captured):
         f = scale * A
-        for k in range(3):
-            np.testing.assert_allclose(d.d11[k], f.T @ q_inv @ f, rtol=1e-13)
-            np.testing.assert_allclose(d.d12[k], -(f.T @ q_inv), rtol=1e-13)
+        # one (1, s, s) block shared by the bank of three
+        assert d11.shape == d12.shape == (1, 2, 2)
+        np.testing.assert_allclose(d11[0], f.T @ q_inv @ f, rtol=1e-13)
+        np.testing.assert_allclose(d12[0], -(f.T @ q_inv), rtol=1e-13)
         # and bit for bit what an uncached computation, on a model with nothing kept, gives
         fresh_d11, fresh_d12 = pcrlb._constant_transition_blocks(f, ScaledTransitionModel(A, C, Q, R))
-        np.testing.assert_array_equal(d.d11[0], fresh_d11[0])
-        np.testing.assert_array_equal(d.d12[0], fresh_d12[0])
+        np.testing.assert_array_equal(d11, fresh_d11)
+        np.testing.assert_array_equal(d12, fresh_d12)

@@ -19,7 +19,7 @@ from volswitch.exceptions import (
     NoFilterError,
     NumericalFailureError,
 )
-from volswitch.experiments import SYNTHETIC_CONFIG, SYNTHETIC_CONTRACT, SYNTHETIC_S0
+from volswitch.experiments import SYNTHETIC_CONFIG, SYNTHETIC_CONTRACT, SYNTHETIC_S0, state_rmse
 from volswitch.filters import FILTER_ORDER, FilterId, GaussianBelief, ekf_update
 from volswitch.marketdata import generate_synthetic
 from models import LinearGaussianModel
@@ -640,6 +640,20 @@ def test_no_bound_worker_outlives_the_run(monkeypatch, failure):
 
 
 @needs_fork
+def test_a_bound_worker_whose_owner_closes_its_end_exits():
+    # as when the owner dies: the worker's next receive reads EOF, and it exits with code 1
+    j, j_inv = switching.initial_information(P0, 3)
+    forked = switching._ForkedBound(linear_model(), settings(), [None] * 4, j, j_inv)
+    try:
+        forked.worker.end.close()
+        forked.worker.process.join(timeout=60)
+        assert forked.worker.process.exitcode == 1
+    finally:
+        forked.worker.stop()
+    assert not multiprocessing.active_children()
+
+
+@needs_fork
 def test_an_aaf_run_in_a_daemonic_pool_worker_equals_the_parents():
     # a pool worker may not fork, so its run keeps the bound in-process
     ys = observations(n_steps=8)
@@ -660,3 +674,14 @@ def test_run_input_validation():
         run_adaptive_estimation([1.0, 2.0], [None], model, settings())
     with pytest.raises(InvalidInputError):
         run_adaptive_estimation([1.0, np.nan], [None, None], model, settings())
+
+
+def test_state_rmse_needs_one_record_per_true_state():
+    cfg = SYNTHETIC_CONFIG
+    spec = cfg.model_spec(SYNTHETIC_CONTRACT)
+    truth = generate_synthetic(spec, 4, SYNTHETIC_S0, (cfg.v0, cfg.r0), seed=0)
+    run_settings = cfg.estimation_settings(mode="average", filters=(FilterId.EKF,), seed=0, compute_pcrlb=False)
+    records = run_adaptive_estimation(truth.observations, truth.exogenous, BsGarchModel(spec), run_settings)
+    assert np.isfinite(state_rmse(records, truth))
+    with pytest.raises(InvalidInputError, match="records and truth must cover the same steps"):
+        state_rmse(records[:-1], truth)

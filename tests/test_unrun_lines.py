@@ -1,4 +1,4 @@
-"""scripts/unrun_lines.py lists the package lines that a pytest run did not run, and only those."""
+"""scripts/unrun_lines.py lists the package lines that a pytest run did not run, forked workers included, and only those."""
 
 import subprocess
 import sys
@@ -14,16 +14,25 @@ def line_of(module: str, text: str, after: str = "") -> int:
     return lines.index(text, start) + 1
 
 
-def test_unrun_lines_lists_what_the_readme_test_leaves_unrun():
+def test_unrun_lines_follows_forked_workers_and_lists_only_what_no_test_ran():
     proc = subprocess.run(
-        [sys.executable, "scripts/unrun_lines.py", "tests/test_readme.py", "-q", "-p", "no:cacheprovider"],
+        [sys.executable, "scripts/unrun_lines.py", "tests/test_readme.py", "tests/test_workers.py",
+         "-q", "-p", "no:cacheprovider"],
         cwd=ROOT, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    listed = set(proc.stdout.splitlines())
-    # the README example runs the estimation loop in this process, and no model calls the base class
-    ran = line_of("switching.py", "observations = [float(y) for y in observations]")
-    unrun = line_of("ssm.py", "raise NotImplementedError", after="def transition_batch(")
-    assert not any(line.startswith(f"src/volswitch/switching.py:{ran}  ") for line in listed)
-    assert f"src/volswitch/ssm.py:{unrun}  raise NotImplementedError" in listed
+    listed = {line.split("  ", 1)[0] for line in proc.stdout.splitlines() if line.startswith("src/")}
+    # the README example runs the estimation loop in this process; the worker
+    # tests run workers._run's target in a forked worker, and fork_cpus in a
+    # daemonic pool worker
+    ran = [
+        ("switching.py", line_of("switching.py", "observations = [float(y) for y in observations]")),
+        ("workers.py", line_of("workers.py", "target(theirs, *args)", after="def _run(")),
+        ("workers.py", line_of("workers.py", "return 1", after="def fork_cpus(")),
+    ]
+    for module, lineno in ran:
+        assert f"src/volswitch/{module}:{lineno}" not in listed
+    # neither file fits a GARCH
+    unrun = line_of("calibrate.py", 'raise InvalidInputError("returns must be a non-empty 1-d array")')
+    assert f"src/volswitch/calibrate.py:{unrun}" in listed
     assert "executable lines in src/volswitch were not run" in proc.stderr

@@ -43,3 +43,24 @@ def test_no_worker_is_forked_in_a_daemonic_process():
     with multiprocessing.get_context("fork").Pool(1) as pool:
         assert pool.apply(workers.fork_cpus) == 1
     assert not multiprocessing.active_children()
+
+
+def test_without_cpu_affinity_no_worker_is_forked(monkeypatch):
+    # as on macOS, which has fork but no os.sched_getaffinity
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert workers.fork_cpus() == 1
+
+
+def _return_at_once(end):
+    pass
+
+
+def test_sending_to_a_worker_that_has_exited_names_its_exit_code():
+    worker = workers.start(_return_at_once, name="the test worker", duplex=True)
+    try:
+        worker.process.join(timeout=60)
+        with pytest.raises(WorkerExitedError, match="^the test worker exited with code 0$"):
+            worker.send_bytes(b"posteriors")
+    finally:
+        worker.stop()
+    assert not multiprocessing.active_children()
