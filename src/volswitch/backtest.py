@@ -63,16 +63,33 @@ def rmse(observed, forecast, strike: float) -> float:
     return math.sqrt(float(np.mean((obs - fc) ** 2)) / strike)
 
 
-def _forecast_from_estimate(estimate, ex: ExogenousInputs, model: BsGarchModel) -> float:
-    tau_next = ex.tau - model.spec.dt
+def _forecast_from_estimate(estimate, ex: ExogenousInputs, model: BsGarchModel, rolled=None) -> float:
+    """Step t's one-step forecast from step t-1's estimate and inputs ``ex``.
+
+    It prices ``ex``'s contract at tau - dt. ``rolled`` is step t's inputs
+    when step t quotes another contract: the forecast then prices that
+    contract at its own tau.
+    """
+    contract, tau_next = (ex.contract, ex.tau - model.spec.dt) if rolled is None else (rolled.contract, rolled.tau)
     if tau_next < 0.0:
         raise ContractExpiredError(f"contract expires before the next step (tau={ex.tau:.4e})")
     x = np.array([max(float(estimate[0]), 0.0), float(estimate[1])])
     s_next = gbm_propagate(ex.s, x[1], x[0], model.spec.dt, shock=0.0)
-    ex_next = ExogenousInputs(
-        s=s_next, u=math.log(s_next / ex.s), tau=tau_next, contract=ex.contract
-    )
+    ex_next = ExogenousInputs(s=s_next, u=math.log(s_next / ex.s), tau=tau_next, contract=contract)
     return fitted_price(model.transition(x, ex_next), ex_next, model)
+
+
+def _same_contract(prev: ExogenousInputs, ex: ExogenousInputs, prev_date, date) -> bool:
+    """Whether two steps quote one contract: the same strike, side and expiry date.
+
+    A one-contract series carries no contract per step. A per-step
+    contract counts its expiry in business days from its own date.
+    """
+    a, b = prev.contract, ex.contract
+    if a is None or b is None:
+        return a is b
+    days = int(np.busday_count(prev_date, date))
+    return a.strike == b.strike and a.is_call == b.is_call and a.expiry_step - b.expiry_step == days
 
 
 def fitted_price(estimate, ex: ExogenousInputs, model: BsGarchModel) -> float:
@@ -176,14 +193,16 @@ def run_backtest(
     if len(bank) > 1:
         estimates[strategy] = [r.estimate for r in records]
 
-    # one-step forecasts across the test span; expiry depends only on the
-    # step's inputs, so it stops every series at the same step
+    # one-step forecasts across the test span, each on the contract its step
+    # quotes; expiry depends only on the step's inputs, so it stops every
+    # series at the same step
     forecast_steps = []  # {label: price} per forecast step
     truncated = 0
     for t in range(test_start, n):
+        rolled = None if _same_contract(exogenous[t - 1], exogenous[t], dates[t - 1], dates[t]) else exogenous[t]
         try:
             forecast_steps.append({
-                label: _forecast_from_estimate(xs[t - 1], exogenous[t - 1], model)
+                label: _forecast_from_estimate(xs[t - 1], exogenous[t - 1], model, rolled)
                 for label, xs in estimates.items()
             })
         except ContractExpiredError:
@@ -261,7 +280,7 @@ def write_reports(bundle: ReportBundle, bank, out_dir) -> dict:
         paths["pcrlb_trace"],
         ["t", "filter", "j_v", "j_r", "jinv_v", "jinv_r", "phi_trace"],
         [
-            [r.t, f.name, *r.fisher_diags[f][0], *r.fisher_diags[f][1], r.phi_traces.get(f)]
+            [r.t, f.name, *r.fisher_diags[0], *r.fisher_diags[1], r.phi_traces.get(f)]
             for r in records
             for f in bank
         ],

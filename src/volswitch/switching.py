@@ -5,6 +5,10 @@ variance floor to the filter's claimed posterior variance, summed over
 state components. Average-case selection takes the filter with the best
 total; best-case selection assembles a composite estimate, picking the
 winner component by component.
+
+The bound is one per run, the system's, and every filter of a step is
+scored against the same J^{-1}. It is seeded from each step's decision,
+which is also the next step's shared prior, in both chain modes.
 """
 
 from __future__ import annotations
@@ -43,7 +47,7 @@ PHI_SLACK = 1.25
 COV_INFLATION_ON_FAILURE = 10.0
 
 # numerical fallbacks, recorded on BacktestRecord.fallbacks as (event, filter);
-# a carried-forward decision has no filter of its own and records None
+# a carried-forward decision or bound has no filter of its own and records None
 HELD_PRIOR = "filter held prior"
 EXCLUDED = "filter excluded"
 DECISION_CARRIED = "decision carried forward"
@@ -51,7 +55,8 @@ BOUND_CARRIED = "bound carried forward"
 
 _FILTER_INDEX = {f: i for i, f in enumerate(FILTER_ORDER)}
 
-# purposes for per-(seed, filter, t) rng substreams
+# purposes for per-(seed, filter, t) rng substreams; the bound's one
+# stream per step takes filter index 0
 _STREAM_FILTER = 0
 _STREAM_BOUND = 1
 
@@ -80,7 +85,7 @@ class SwitchDecision:
 
 
 def perf_metric(fid: FilterId, j_inv: np.ndarray, belief: GaussianBelief) -> PerfMetric:
-    """Score filter ``fid`` against its bound J^{-1}; raises on degenerate variances."""
+    """Score filter ``fid`` against the bound J^{-1}; raises on degenerate variances."""
     p_diag = belief.cov.diagonal().tolist()
     j_inv_diag = j_inv.diagonal().tolist()
     # NaN, +-inf and <= 0 all fail the range check
@@ -193,7 +198,7 @@ class BacktestRecord:
     observed_price: float
     filter_estimates: dict
     phi_traces: dict
-    fisher_diags: dict  # FilterId -> (diag J, diag J^{-1}) at this step
+    fisher_diags: tuple  # (diag J, diag J^{-1}) at this step, shared by every filter
     fallbacks: list = field(default_factory=list)  # (event, FilterId | None) applied at this step
     fitted_price: float | None = None
     forecast_price: float | None = None
@@ -214,22 +219,27 @@ def _filter_update(fid, prior, cloud, obs, ex, model, settings, t):
     return summary, new_cloud
 
 
-def _bound_step(model, settings: EstimationSettings, exogenous: list, t: int, j, j_inv, means, covs):
-    """Advance the bank's J from step t to t+1 with step t's posteriors, all stacked in bank order.
+def _bound_step(model, settings: EstimationSettings, exogenous: list, t: int, j, j_inv, mean, cov):
+    """Advance the bound from step t to t+1, seeded from step t's decision (``mean``, ``cov``).
 
-    Filter k draws from its (seed, filter, t, bound) substream. Returns
-    ``pcrlb_step``'s new (j, j_inv) stacks and per-filter errors.
+    Draws from the (seed, 0, t, bound) substream. Returns the new (j,
+    j_inv) and None, or, when the step fails numerically, the given (j,
+    j_inv) and the error.
     """
-    rngs = [substream(settings.seed, _FILTER_INDEX[f], t, _STREAM_BOUND) for f in settings.filters]
-    return pcrlb_step(j, j_inv, means, covs, exogenous[t + 1], model, settings.pcrlb_particles, rngs)
+    rng = substream(settings.seed, 0, t, _STREAM_BOUND)
+    try:
+        return (*pcrlb_step(j, GaussianBelief(mean, cov), exogenous[t + 1], model, settings.pcrlb_particles, rng),
+                None)
+    except RECOVERABLE as e:
+        return j, j_inv, e
 
 
 class _ForkedBound:
     """``_bound_step`` in a forked worker, so that step t's bound update overlaps step t+1's filters.
 
-    The posteriors go out as one raw float64 frame, [t, means, covs], and
-    come back as [flag, J stack, J^{-1} stack]. A nonzero flag means that
-    the pickled per-filter errors follow.
+    The decision goes out as one raw float64 frame, [t, mean, cov], and
+    comes back as [flag, J, J^{-1}]. A nonzero flag means that the pickled
+    error follows.
     """
 
     def __init__(self, model, settings: EstimationSettings, exogenous: list, j, j_inv):
@@ -239,30 +249,31 @@ class _ForkedBound:
             _serve_bound, model, settings, exogenous, j, j_inv, name="the bound worker", duplex=True
         )
 
-    def submit(self, t: int, means, covs) -> None:
-        self.worker.send_bytes(np.concatenate([[t], means.ravel(), covs.ravel()]))
+    def submit(self, t: int, mean, cov) -> None:
+        self.worker.send_bytes(np.concatenate([[t], mean, cov.ravel()]))
 
     def collect(self):
         self.worker.recv_bytes_into(self.frame)
-        errors = self.worker.recv() if self.frame[0] else [None] * self.shape[1]
+        error = self.worker.recv() if self.frame[0] else None
         j, j_inv = self.frame[1:].reshape(self.shape).copy()
-        return j, j_inv, errors
+        return j, j_inv, error
 
 
 def _serve_bound(end, model, settings: EstimationSettings, exogenous: list, j, j_inv):
-    """A forked worker: run ``_bound_step`` on every posteriors frame, keeping the bank's J, until ``Worker.stop``.
+    """A forked worker: run ``_bound_step`` on every decision frame, keeping the bound, until ``Worker.stop``.
 
     If its owner closes its end or dies first, the next receive raises ``EOFError``: exit code 1.
     """
-    b, s = j.shape[:2]
-    frame = np.empty(1 + b * s * (1 + s))
+    s = j.shape[0]
+    frame = np.empty(1 + s * (1 + s))
     while True:
         end.recv_bytes_into(frame)
-        means, covs = frame[1:1 + b * s].reshape(b, s), frame[1 + b * s:].reshape(b, s, s)
-        j, j_inv, errors = _bound_step(model, settings, exogenous, int(frame[0]), j, j_inv, means, covs)
-        end.send_bytes(np.concatenate([[float(any(errors))], j.ravel(), j_inv.ravel()]))
-        if any(errors):
-            end.send(errors)
+        j, j_inv, error = _bound_step(
+            model, settings, exogenous, int(frame[0]), j, j_inv, frame[1:1 + s], frame[1 + s:].reshape(s, s)
+        )
+        end.send_bytes(np.concatenate([[float(error is not None)], j.ravel(), j_inv.ravel()]))
+        if error is not None:
+            end.send(error)
 
 
 def run_adaptive_estimation(observations, exogenous, model, settings: EstimationSettings):
@@ -277,12 +288,12 @@ def run_adaptive_estimation(observations, exogenous, model, settings: Estimation
     filter, t) substream; with shared chains its cloud is discarded, so it
     never resamples.
 
-    The bound update from step t's posteriors (``_bound_step``) is
-    collected just before step t+1 is scored. Where ``workers.fork_cpus``
-    gives two or more CPUs it runs in a forked worker while step t+1's
-    filters update, else in this process when it is collected. Its warnings
-    are logged at collection and its fallbacks go on step t's record. No
-    worker outlives the call.
+    The bound update from step t's decision (``_bound_step``) is submitted
+    once step t is decided and collected just before step t+1 is scored.
+    Where ``workers.fork_cpus`` gives two or more CPUs it runs in a forked
+    worker while step t+1's filters update, else in this process when it
+    is collected. Its warning is logged at collection and its fallback goes
+    on step t's record. No worker outlives the call.
     """
     observations = [float(y) for y in observations]
     exogenous = list(exogenous)
@@ -297,7 +308,7 @@ def run_adaptive_estimation(observations, exogenous, model, settings: Estimation
     p0 = symmetrize(np.asarray(settings.p0, dtype=float))
     initial = GaussianBelief(x0, p0)
     priors = dict.fromkeys(settings.filters, initial)  # each filter's prior for the next step
-    j, j_inv = initial_information(p0, len(settings.filters))  # the bank's bound, in bank order
+    j, j_inv = initial_information(p0)  # the bound every filter is scored against
     pf_cloud = None
     # what a step with no usable filter carries forward: the previous
     # decision, or at the first step this stand-in built from the initial belief
@@ -309,7 +320,6 @@ def run_adaptive_estimation(observations, exogenous, model, settings: Estimation
     )
     records: list[BacktestRecord] = []
     n_steps = len(observations)
-    submitted = None  # step t's posteriors, whose bound update is collected at step t+1
     forked = None
     if settings.compute_pcrlb and n_steps > 1 and workers.fork_cpus() >= 2:
         forked = _ForkedBound(model, settings, exogenous, j, j_inv)
@@ -335,28 +345,22 @@ def run_adaptive_estimation(observations, exogenous, model, settings: Estimation
                         pf_cloud = None
                 beliefs[fid] = belief
 
-            if submitted is not None:  # J_t, from step t-1's posteriors
+            # J_t, from step t-1's decision, which ``decision`` still is
+            if settings.compute_pcrlb and t > 0:
                 if forked is None:
-                    j, j_inv, errors = _bound_step(model, settings, exogenous, t - 1, j, j_inv, *submitted)
+                    j, j_inv, error = _bound_step(
+                        model, settings, exogenous, t - 1, j, j_inv, decision.estimate, decision.cov
+                    )
                 else:
-                    j, j_inv, errors = forked.collect()
-                for fid, error in zip(settings.filters, errors):
-                    if error is not None:
-                        logger.warning(
-                            "bound update for %s failed at t=%d (%s); carrying J forward", fid, t - 1, error
-                        )
-                        records[t - 1].fallbacks.append((BOUND_CARRIED, fid))
-            submitted = None
-            if settings.compute_pcrlb and t + 1 < n_steps:
-                submitted = (np.array([beliefs[f].mean for f in settings.filters]),
-                             np.array([beliefs[f].cov for f in settings.filters]))
-                if forked is not None:
-                    forked.submit(t, *submitted)
+                    j, j_inv, error = forked.collect()
+                if error is not None:
+                    logger.warning("bound update failed at t=%d (%s); carrying J forward", t - 1, error)
+                    records[t - 1].fallbacks.append((BOUND_CARRIED, None))
 
             metrics = {}
-            for k, fid in enumerate(settings.filters):
+            for fid in settings.filters:
                 try:
-                    metrics[fid] = perf_metric(fid, j_inv[k], beliefs[fid])
+                    metrics[fid] = perf_metric(fid, j_inv, beliefs[fid])
                 except DegenerateCovarianceError as e:
                     logger.warning("filter %s excluded from switch at t=%d: %s", fid, t, e)
                     fallbacks.append((EXCLUDED, fid))
@@ -370,8 +374,8 @@ def run_adaptive_estimation(observations, exogenous, model, settings: Estimation
                 logger.warning("no usable filter at t=%d; carrying previous decision forward", t)
                 fallbacks.append((DECISION_CARRIED, None))  # ``decision`` is still the previous one
 
-            fisher_diags = {fid: (j[k].diagonal().copy(), j_inv[k].diagonal().copy())
-                            for k, fid in enumerate(settings.filters)}
+            if forked is not None and t + 1 < n_steps:
+                forked.submit(t, decision.estimate, decision.cov)
 
             if settings.independent_chains:
                 priors = beliefs
@@ -388,7 +392,7 @@ def run_adaptive_estimation(observations, exogenous, model, settings: Estimation
                     observed_price=obs,
                     filter_estimates={f: b.mean.copy() for f, b in beliefs.items()},
                     phi_traces={f: m.trace for f, m in metrics.items()},
-                    fisher_diags=fisher_diags,
+                    fisher_diags=(j.diagonal().copy(), j_inv.diagonal().copy()),
                     fallbacks=fallbacks,
                 )
             )

@@ -42,6 +42,8 @@ from volswitch.marketdata import (
     ContractSeries,
     build_series,
     generate_synthetic,
+    load_chain,
+    max_volume_series,
     truth_to_chain,
     write_chain,
 )
@@ -175,6 +177,54 @@ def test_forecast_honors_per_point_contract():
     assert moved > base  # lower strike call is worth more
 
 
+def rolling_chain(tmp_path, rolls_at, contracts):
+    """The maximum-volume series of six dates and two calls, each (strike, expiry).
+
+    The first call is the most traded before step ``rolls_at``, the second
+    from it on.
+    """
+    closes = [100.0, 100.5, 99.8, 101.0, 100.2, 100.7]
+    dates = [dt.date(2019, 1, d) for d in (2, 3, 4, 7, 8, 9)]
+    lines = ["quote_date,expiry_date,strike,side,bid,ask,last,volume,underlying_close,implied_vol"]
+    for t, (date, close) in enumerate(zip(dates, closes)):
+        for k, (strike, expiry) in enumerate(contracts):
+            tau = np.busday_count(date, expiry) / 252.0
+            price = oracles.bs_call(close, strike, 0.02, 0.2, tau)
+            volume = 50.0 if (k == 1) == (t >= rolls_at) else 10.0
+            lines.append(f"{date},{expiry},{strike!r},C,,,{price!r},{volume!r},{close!r},")
+    path = tmp_path / "chain.csv"
+    path.write_text("\n".join(lines) + "\n")
+    chain, rejects = load_chain(path)
+    assert not rejects
+    return max_volume_series(chain)
+
+
+@pytest.mark.parametrize(
+    "contracts",
+    [
+        ((100.0, dt.date(2019, 12, 20)), (110.0, dt.date(2019, 12, 20))),  # the strike changes
+        ((100.0, dt.date(2019, 3, 15)), (100.0, dt.date(2019, 6, 21))),  # the expiry changes
+    ],
+    ids=["strike", "expiry"],
+)
+def test_a_forecast_prices_the_contract_its_step_quotes(tmp_path, contracts):
+    series = rolling_chain(tmp_path, 3, contracts)
+    cfg = regime_config()
+    bundle = run_backtest(cfg, series, strategy="EKF", out_dir=tmp_path / "out", seed=0)
+    model = BsGarchModel(cfg.model_spec(series.contract))
+    rows = [line.split(",") for line in bundle.paths["forecasts"].read_text().splitlines()[1:]]
+    ex = series.exogenous
+    for t in (2, 3):
+        # the model's one-step state and spot, priced on step t's strike at tau
+        x = np.array([max(bundle.records[t - 1].estimate[0], 0.0), bundle.records[t - 1].estimate[1]])
+        s_next = ex[t - 1].s * math.exp(x[1] * DT - 0.5 * x[0])
+        v_next, r_next = model.transition(x, ExogenousInputs(s=s_next, u=math.log(s_next / ex[t - 1].s), tau=0.5))
+        # a step that keeps its contract counts one step off the last tau; a new contract has its own
+        tau = ex[t].tau if t == 3 else ex[t - 1].tau - DT
+        expect = oracles.bs_call(s_next, ex[t].contract.strike, r_next, math.sqrt(252.0 * v_next), tau)
+        assert float(rows[t - bundle.test_start][4]) == pytest.approx(expect, rel=1e-9)
+
+
 def test_fitted_price_is_current_step_model_price():
     model = fixed_point_model()
     ex = ExogenousInputs(s=103.0, u=0.0, tau=0.4)
@@ -214,7 +264,7 @@ def make_record(t, mode, chosen):
         observed_price=5.0,
         filter_estimates={},
         phi_traces={},
-        fisher_diags={},
+        fisher_diags=(np.ones(2), np.ones(2)),
     )
 
 
@@ -402,9 +452,13 @@ def test_reports_written_and_reproducible(tmp_path):
     fc_rows = (out_a / "forecasts.csv").read_text().strip().splitlines()[1:]
     assert len(fc_rows) == len(series) - bundle_a.test_start
 
-    # pcrlb trace has one row per (step, filter)
+    # pcrlb trace has one row per (step, filter), and a step's filters share its one J
     trace_rows = (out_a / "pcrlb_trace.csv").read_text().strip().splitlines()[1:]
     assert len(trace_rows) == len(series) * 3
+    for t in range(len(series)):
+        step_rows = [row.split(",") for row in trace_rows[3 * t:3 * t + 3]]
+        assert [row[:2] for row in step_rows] == [[str(t), f.name] for f in FILTER_ORDER]
+        assert all(row[2:6] == step_rows[0][2:6] for row in step_rows)
 
 
 def test_decision_log_round_trips_volatility_points(tmp_path):

@@ -141,104 +141,6 @@ def test_safe_cholesky_rejects_non_finite():
         safe_cholesky(np.array([[np.inf, 0.0], [0.0, 1.0]]))
 
 
-# ---------------------------------------------------------------------------
-# stacks: each member comes out bit for bit as it does alone
-
-
-def stack_member(kind, dim, seed, top_exp, ratio_exp, signs):
-    """One symmetric member: a rotated spectrum with a chosen condition number, or a degenerate kind."""
-    rng = np.random.default_rng(seed)
-    if kind == "zero":
-        return np.zeros((dim, dim))
-    if kind == "rank-deficient":
-        v = rng.standard_normal(dim)
-        return 10.0**top_exp * np.outer(v, v)
-    top = 10.0**top_exp
-    mags = np.array([top, top * 10.0 ** (-ratio_exp / 2.0), top * 10.0**-ratio_exp])[-dim:]
-    mags[0] = top
-    vals = np.where(signs[:dim], mags, -mags)
-    u, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
-    return symmetrize((u * vals) @ u.T)
-
-
-members = st.tuples(
-    st.sampled_from(["spectrum", "spectrum", "zero", "rank-deficient"]),
-    st.integers(0, 2**32 - 1),
-    st.floats(-6.0, 6.0),
-    # ill-conditioned members too, clear of the 2% band around COND_LIMIT
-    st.one_of(st.floats(0.0, 11.9), st.floats(12.1, 17.0)),
-    st.lists(st.booleans(), min_size=3, max_size=3),
-)
-
-
-@st.composite
-def stacks(draw):
-    dim = draw(st.sampled_from([2, 3]))
-    drawn = draw(st.lists(members, min_size=1, max_size=4))
-    return np.array([stack_member(kind, dim, *rest) for kind, *rest in drawn])
-
-
-def one_by_one(fn, stack, err):
-    """fn on each matrix alone: (results with NaN where it raised, the error types)."""
-    out, kinds = np.full(stack.shape, np.nan), []
-    for k, m in enumerate(stack):
-        try:
-            out[k] = fn(m)
-            kinds.append(None)
-        except err as e:
-            kinds.append(type(e))
-    return out, kinds
-
-
-@given(stacks())
-@settings(max_examples=150)
-def test_stacked_regularized_inverse_matches_each_matrix_alone(stack):
-    inv, errors = regularized_inverse(stack)
-    alone, kinds = one_by_one(regularized_inverse, stack, SingularityError)
-    np.testing.assert_array_equal(inv, alone)
-    assert [type(e) if e else None for e in errors] == kinds
-
-
-@given(stacks())
-@settings(max_examples=150)
-def test_stacked_condition_check_matches_each_matrix_and_numpy_cond(stack):
-    ok = _within_cond_limit(stack)
-    assert ok.shape == stack.shape[:1]
-    for k, m in enumerate(stack):
-        assert ok[k] == _within_cond_limit(m) == (np.linalg.cond(m) <= COND_LIMIT)
-
-
-@given(stacks(), st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4))
-@settings(max_examples=150)
-def test_stacked_floor_and_factor_match_each_matrix_alone(stack, floors):
-    floors = np.array(floors[: len(stack)])
-    floored = floor_psd(stack, floor=floors)
-    np.testing.assert_array_equal(floored, [floor_psd(m, floor=f) for m, f in zip(stack, floors)])
-    for psd in (floored, stack):  # factorable, and members needing jitter or beyond it
-        low, errors = safe_cholesky(psd)
-        alone, kinds = one_by_one(safe_cholesky, psd, CovarianceError)
-        np.testing.assert_array_equal(low, alone)
-        assert [type(e) if e else None for e in errors] == kinds
-
-
-def test_a_stack_lapack_refuses_is_inverted_member_by_member(monkeypatch):
-    # LAPACK may refuse a matrix that passes the condition check; no 1x1 or
-    # 2x2 input is known to make it, so the refusal is simulated
-    stack = np.array([[[2.0, 0.3], [0.3, 1.5]], np.diag([1e-3, 4.0]), [[1.0, -0.9], [-0.9, 1.0]]])
-    alone = [regularized_inverse(m) for m in stack]
-    inv = np.linalg.inv
-
-    def refuse_stacks(m):
-        if m.ndim == 3:
-            raise np.linalg.LinAlgError("refused")
-        return inv(m)
-
-    monkeypatch.setattr(np.linalg, "inv", refuse_stacks)
-    out, errors = regularized_inverse(stack)
-    np.testing.assert_array_equal(out, alone)
-    assert errors == [None, None, None]
-
-
 def test_a_matrix_lapack_always_refuses_remains_singular(monkeypatch):
     calls = []
 
@@ -253,23 +155,18 @@ def test_a_matrix_lapack_always_refuses_remains_singular(monkeypatch):
             regularized_inverse(np.eye(2), err=err)
         # the matrix itself, then one attempt per ridge escalation
         assert len(calls) == linalg.MAX_RIDGE_ESCALATIONS + 1
-    out, errors = regularized_inverse(np.array([np.eye(2), np.eye(2)]))
-    assert np.isnan(out).all()
-    assert all(isinstance(e, SingularityError) and "remains singular" in str(e) for e in errors)
 
 
-def test_a_non_finite_member_fails_only_itself():
-    stack = np.array([np.diag([2.0, 3.0]), [[np.nan, 0.0], [0.0, 1.0]], np.diag([1.0, np.inf])])
-    inv, errors = regularized_inverse(stack)
-    assert errors[0] is None and all(isinstance(e, SingularityError) for e in errors[1:])
-    np.testing.assert_array_equal(inv[0], regularized_inverse(stack[0]))
-    assert np.isnan(inv[1:]).all()
-    floored = floor_psd(stack, floor=1e-3)
-    np.testing.assert_array_equal(floored[0], stack[0])
-    assert np.isnan(floored[1:]).all()
-    low, errors = safe_cholesky(stack)
-    assert errors[0] is None and all(isinstance(e, CovarianceError) for e in errors[1:])
-    np.testing.assert_array_equal(low[0], np.sqrt(stack[0]))
+def test_a_non_finite_matrix_fails_every_helper():
+    # the inverse and the factor raise; the floor gives all NaN, with no LAPACK call
+    for dim, poison in ((2, np.nan), (2, np.inf), (3, np.nan), (3, -np.inf)):
+        m = np.eye(dim)
+        m[1, 0] = m[0, 1] = poison
+        with pytest.raises(SingularityError, match="non-finite matrix"):
+            regularized_inverse(m)
+        with pytest.raises(CovarianceError, match="non-finite covariance"):
+            safe_cholesky(m)
+        assert np.isnan(floor_psd(m, floor=1e-3)).all()
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +174,7 @@ def test_a_non_finite_member_fails_only_itself():
 
 
 def near_threshold_member(kind, scale_exp, rel_exp, sign, signs, rotation_seed):
-    """A 2x2 member and its floor, with its smallest eigenvalue or condition number a hair off a threshold.
+    """A 2x2 matrix and its floor, with its smallest eigenvalue or condition number a hair off a threshold.
 
     ``rel_exp`` sets the hair, 10**-rel_exp of the threshold, on the side of
     ``sign``; a rotation seed of None keeps the matrix diagonal, so its
@@ -293,7 +190,7 @@ def near_threshold_member(kind, scale_exp, rel_exp, sign, signs, rotation_seed):
         vals = np.where(signs, 1.0, -1.0) * [top, top / (COND_LIMIT * hair)]
     elif kind == "zero":
         return np.zeros((2, 2)), 0.0
-    else:  # a member straddling zero against a zero floor
+    else:  # a matrix straddling zero against a zero floor
         floor = 0.0
         vals = np.array([sign * top * 10.0**-rel_exp, top])
     if rotation_seed is None:
@@ -325,16 +222,14 @@ def lapack_only(fn, *args):
 @given(st.lists(near_members, min_size=1, max_size=4), st.sampled_from([None, np.nan, np.inf, -np.inf]))
 @settings(max_examples=400)
 def test_closed_form_checks_decide_as_lapack_does(drawn, poison):
-    stack, floors = map(np.array, zip(*(near_threshold_member(*m) for m in drawn)))
-    # LAPACK's path overflows COND_LIMIT * min|eigenvalue| to inf near 1e300, and decides right
-    with np.errstate(over="ignore"):
-        for k, m in enumerate(stack):
+    for m, floor in (near_threshold_member(*d) for d in drawn):
+        # LAPACK's path overflows COND_LIMIT * min|eigenvalue| to inf near 1e300, and decides right
+        with np.errstate(over="ignore"):
             assert _within_cond_limit(m) == lapack_only(_within_cond_limit, m)
-            assert floor_psd(m, floors[k]).tobytes() == lapack_only(floor_psd, m, floors[k]).tobytes()
-        np.testing.assert_array_equal(_within_cond_limit(stack), lapack_only(_within_cond_limit, stack))
+            assert floor_psd(m, floor).tobytes() == lapack_only(floor_psd, m, floor).tobytes()
     if poison is not None:
-        stack[-1, 1, 0] = poison  # a non-finite member: the condition check never sees one
-    assert floor_psd(stack, floors).tobytes() == lapack_only(floor_psd, stack, floors).tobytes()
+        m[1, 0] = poison  # a non-finite matrix: the condition check never sees one
+        assert floor_psd(m, floor).tobytes() == lapack_only(floor_psd, m, floor).tobytes()
 
 
 def test_substream_is_deterministic_and_key_sensitive():

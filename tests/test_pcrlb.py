@@ -24,9 +24,8 @@ def linear_model():
 
 
 def information_step(j, d):
-    """One filter's information step, from its (D11, D12, D22), as a stack of one: its new (J, J^{-1}), or the error that stopped it."""
-    (j,), (j_inv,), (error,) = pcrlb._information_step(j[None], *(m[None] for m in d))
-    return error or (j, j_inv)
+    """The information step from (D11, D12, D22): the new (J, J^{-1})."""
+    return pcrlb._information_step(j, *d)
 
 
 # ---------------------------------------------------------------------------
@@ -34,11 +33,10 @@ def information_step(j, d):
 
 
 def test_initial_state_inverts_the_prior_covariance():
-    j, j_inv = initial_information(P0, 3)
-    assert j.shape == j_inv.shape == (3, 2, 2)
-    for k in range(3):
-        np.testing.assert_allclose(j[k], np.diag([2.0, 1.0 / 0.3]), atol=1e-12)
-        np.testing.assert_allclose(j_inv[k], P0, atol=1e-15)
+    j, j_inv = initial_information(P0)
+    assert j.shape == j_inv.shape == (2, 2)
+    np.testing.assert_allclose(j, np.diag([2.0, 1.0 / 0.3]), atol=1e-12)
+    np.testing.assert_allclose(j_inv, P0, atol=1e-15)
 
 
 def test_pfim_step_scalar_worked_example():
@@ -54,7 +52,7 @@ def test_pfim_step_lemma_inverse_agrees_with_direct_inverse():
     # D blocks drawn from random (but valid) linear models, so the implied
     # joint information matrix keeps the structure real problems have
     rng = np.random.default_rng(4)
-    (j,), _ = initial_information(P0, 1)
+    j, _ = initial_information(P0)
     for _ in range(8):
         a = rng.uniform(-1.0, 1.0, size=(2, 2))
         c = rng.uniform(-1.0, 1.0, size=(1, 2))
@@ -70,7 +68,7 @@ def test_pfim_step_inverse_is_one_regularized_inverse_of_j():
     # the same random linear D blocks as above: J^{-1} is exactly the
     # symmetrized regularized inverse of the new J, bit for bit
     rng = np.random.default_rng(4)
-    (j,), _ = initial_information(P0, 1)
+    j, _ = initial_information(P0)
     for _ in range(8):
         a = rng.uniform(-1.0, 1.0, size=(2, 2))
         c = rng.uniform(-1.0, 1.0, size=(1, 2))
@@ -85,9 +83,8 @@ def test_pfim_step_raises_when_the_inverse_misses_the_identity():
     # J' = diag(1, 1e-14) is positive but past the condition limit, so the
     # ridge that regularized_inverse adds leaves J^{-1} J far from I
     d = np.zeros((2, 2)), np.zeros((2, 2)), np.diag([1.0, 1e-14])
-    error = information_step(np.eye(2), d)
-    assert isinstance(error, SingularityError)
-    assert "inverse inconsistent" in str(error)
+    with pytest.raises(SingularityError, match="inverse inconsistent"):
+        information_step(np.eye(2), d)
 
 
 def test_pfim_step_floors_an_indefinite_update():
@@ -110,30 +107,21 @@ def information_cases():
             "inconsistent": inconsistent}
 
 
-def test_each_slot_of_an_information_stack_matches_its_stack_of_one(caplog):
+def test_each_path_through_the_information_step(caplog):
     cases = information_cases()
     j, d = cases["ridge"]
     assert np.linalg.cond(j + d[0]) > COND_LIMIT  # J + D11 needs the ridge
-    for bank in (["ridge", "floored", "healthy"], ["floored wider", "inconsistent", "floored"]):
-        js = np.array([cases[name][0] for name in bank])
-        ds = (np.array([cases[name][1][block] for name in bank]) for block in range(3))
-        with caplog.at_level(logging.INFO, logger="volswitch.pcrlb"):
-            j_next, j_inv, errors = pcrlb._information_step(js, *ds)
-        floored = sum("information matrix floored" in r.getMessage() for r in caplog.records)
-        assert floored == sum(name.startswith("floored") for name in bank)
+    for name, (j, d) in cases.items():
         caplog.clear()
-        for row, name in enumerate(bank):
-            one = information_step(*cases[name])
+        with caplog.at_level(logging.INFO, logger="volswitch.pcrlb"):
             if name == "inconsistent":
-                # it fails alone, with the same error as its stack of one
-                assert isinstance(errors[row], SingularityError)
-                assert "inverse inconsistent" in str(errors[row])
-                assert isinstance(one, SingularityError)
-                assert "inverse inconsistent" in str(one)
+                with pytest.raises(SingularityError, match="inverse inconsistent"):
+                    information_step(j, d)
                 continue
-            assert errors[row] is None
-            np.testing.assert_array_equal(j_next[row], one[0])
-            np.testing.assert_array_equal(j_inv[row], one[1])
+            j_next, j_inv = information_step(j, d)
+        floored = sum("information matrix floored" in r.getMessage() for r in caplog.records)
+        assert floored == name.startswith("floored")
+        np.testing.assert_array_equal(j_inv, symmetrize(regularized_inverse(j_next)))
     # the floor left J_{t+1} positive definite: diag(-5, 1) became diag(5e-12, 1),
     # and diag(-10, 1) became diag(1e-11, 1)
     for name, low in (("floored", 5e-12), ("floored wider", 1e-11)):
@@ -141,17 +129,18 @@ def test_each_slot_of_an_information_stack_matches_its_stack_of_one(caplog):
         np.testing.assert_allclose(np.diag(one_j), [low, 1.0], rtol=1e-9)
 
 
-def test_non_finite_d_blocks_fail_only_their_slot():
+def test_non_finite_d_blocks_raise_a_numerical_failure():
     j, d = information_cases()["healthy"]
-    js = np.array([j, j])
-    d11, d12, d22 = d
-    bad = d22.copy()
-    bad[0, 1] = bad[1, 0] = np.inf
-    j_next, j_inv, errors = pcrlb._information_step(js, d11[None], d12[None], np.array([bad, d22]))
-    assert isinstance(errors[0], NumericalFailureError) and errors[1] is None
-    one_j, one_j_inv = information_step(j, d)
-    np.testing.assert_array_equal(j_next[1], one_j)
-    np.testing.assert_array_equal(j_inv[1], one_j_inv)
+    for block in range(3):
+        for poison in (np.nan, np.inf):
+            bad = list(d)
+            bad[block] = d[block].copy()
+            bad[block][0, 1] = bad[block][1, 0] = poison
+            with pytest.raises(NumericalFailureError, match="non-finite D matrices"):
+                information_step(j, bad)
+    # a non-finite J fails its inverse, J + D11
+    with pytest.raises(SingularityError, match="non-finite matrix"):
+        information_step(np.full((2, 2), np.nan), d)
 
 
 def test_exact_recursion_reproduces_kalman_covariance_on_linear_model():
@@ -160,7 +149,7 @@ def test_exact_recursion_reproduces_kalman_covariance_on_linear_model():
     d = oracles.exact_linear_dtriple(A, C, Q, R)
     ys = np.zeros((12, 1))  # KF covariance does not depend on the data
     _, covs = oracles.kalman_filter(ys, A, C, Q, R, np.zeros(2), P0)
-    (j,), _ = initial_information(P0, 1)
+    j, _ = initial_information(P0)
     for t in range(12):
         j, j_inv = information_step(j, d)
         np.testing.assert_allclose(j_inv, covs[t], atol=1e-10)
@@ -171,15 +160,15 @@ def test_exact_recursion_reproduces_kalman_covariance_on_linear_model():
 
 
 def jacobians(model, x_prev, x_next, ex=None):
-    """(transition Jacobians at x_prev, measurement Jacobians at x_next), stacked as a bank of one."""
-    return model.transition_jacobian_batch(x_prev, ex)[None], model.measurement_jacobian_batch(x_next, ex)[None]
+    """(transition Jacobians at x_prev, measurement Jacobians at x_next)."""
+    return model.transition_jacobian_batch(x_prev, ex), model.measurement_jacobian_batch(x_next, ex)
 
-
+    """The bound step's (D11, D12, D22): D11 and D12 from the first row's F, D22 averaged over ``h_jac``."""
 def d_blocks(model, f_jac, h_jac):
-    """The bound step's (D11, D12, D22) for a bank of one: D11 and D12 from the first row's transition Jacobian, D22 averaged over ``h_jac``."""
-    (d11,), (d12,) = pcrlb._constant_transition_blocks(f_jac[0, 0], model)
+    """The bound step's (D11, D12, D22): D11 and D12 from the first row's transition Jacobian, D22 averaged over ``h_jac``."""
+    d11, d12 = pcrlb._constant_transition_blocks(f_jac[0], model)
     q_inv, r_inv = model.noise_precisions()
-    (hrh,) = pcrlb._weighted_gram(h_jac, r_inv, 1.0 / h_jac.shape[1])
+    hrh = pcrlb._weighted_gram(h_jac, r_inv, 1.0 / h_jac.shape[0])
     return d11, d12, symmetrize(q_inv + hrh)
 
 
@@ -225,7 +214,7 @@ def test_seed_particles_require_two():
 
 
 def test_seed_particles_raise_on_a_covariance_that_cannot_be_factored():
-    # its eigenvalue floor overflows, as in the bank step's failed-filter test
+    # its eigenvalue floor overflows, as in the failed bound step's test
     huge = GaussianBelief(np.zeros(2), np.diag([1e308, 1e308]))
     with pytest.raises(CovarianceError), np.errstate(over="ignore"):
         seed_particles(huge, 10, np.random.default_rng(0))
@@ -235,13 +224,6 @@ def test_seed_particles_raise_on_a_covariance_that_cannot_be_factored():
 # full step
 
 
-def bank_step(j, j_inv, beliefs, ex, model, n, rngs):
-    """``pcrlb_step`` with the bank's posteriors given as beliefs."""
-    means = np.array([b.mean for b in beliefs])
-    covs = np.array([b.cov for b in beliefs])
-    return pcrlb_step(j, j_inv, means, covs, ex, model, n, rngs)
-
-
 def test_pcrlb_step_tracks_kalman_covariance_on_linear_model():
     # constant Jacobians make the Monte-Carlo D blocks exact, so even a
     # small cloud must reproduce the Kalman covariance trajectory.
@@ -249,13 +231,12 @@ def test_pcrlb_step_tracks_kalman_covariance_on_linear_model():
     ys = oracles.simulate_linear(A, C, Q, R, np.zeros(2), P0, 20, rng)[1]
     means, covs = oracles.kalman_filter(ys, A, C, Q, R, np.zeros(2), P0)
     model = linear_model()
-    j, j_inv = initial_information(P0, 1)
+    j, _ = initial_information(P0)
     bound_rng = np.random.default_rng(99)
     for t in range(len(ys)):
         belief = GaussianBelief(means[t - 1] if t else np.zeros(2), covs[t - 1] if t else P0)
-        j, j_inv, errors = bank_step(j, j_inv, [belief], None, model, 100, [bound_rng])
-        assert errors == [None]
-        np.testing.assert_allclose(j_inv[0], covs[t], atol=1e-8)
+        j, j_inv = pcrlb_step(j, belief, None, model, 100, bound_rng)
+        np.testing.assert_allclose(j_inv, covs[t], atol=1e-8)
 
 
 class QuadraticTransitionModel(LinearGaussianModel):
@@ -344,14 +325,14 @@ def test_noise_precisions_are_inverted_once_and_kept():
 def test_pcrlb_step_requires_two_particles():
     belief = GaussianBelief(np.zeros(2), P0)
     with pytest.raises(InvalidInputError, match="need at least 2 particles"):
-        bank_step(*initial_information(P0, 1), [belief], None, linear_model(), 1, [np.random.default_rng(0)])
+        pcrlb_step(initial_information(P0)[0], belief, None, linear_model(), 1, np.random.default_rng(0))
 
 
 def test_pcrlb_step_is_rng_deterministic():
     model = linear_model()
-    args = (*initial_information(P0, 1), [GaussianBelief(np.array([0.1, 0.0]), P0)], None, model, 64)
-    a = bank_step(*args, [np.random.default_rng(5)])
-    b = bank_step(*args, [np.random.default_rng(5)])
+    args = (initial_information(P0)[0], GaussianBelief(np.array([0.1, 0.0]), P0), None, model, 64)
+    a = pcrlb_step(*args, np.random.default_rng(5))
+    b = pcrlb_step(*args, np.random.default_rng(5))
     np.testing.assert_array_equal(a[0], b[0])
     np.testing.assert_array_equal(a[1], b[1])
 
@@ -364,11 +345,11 @@ def test_pcrlb_step_averages_d22_over_its_predicted_cloud(monkeypatch):
     model = bsgarch_model()
     ex = ExogenousInputs(s=100.0, u=0.01, tau=0.5)
     belief = GaussianBelief(np.array([2e-4, 0.03]), np.diag([1e-9, 1e-5]))
-    step = pcrlb._information_step
+    information = pcrlb._information_step
     for n in (40, 300, 1000):
         captured = []
-        monkeypatch.setattr(pcrlb, "_information_step", lambda j, *d: captured.append(d) or step(j, *d))
-        bank_step(*initial_information(belief.cov, 1), [belief], ex, model, n, [np.random.default_rng(31)])
+        monkeypatch.setattr(pcrlb, "_information_step", lambda j, *d: captured.append(d) or information(j, *d))
+        pcrlb_step(initial_information(belief.cov)[0], belief, ex, model, n, np.random.default_rng(31))
 
         rng = np.random.default_rng(31)
         predicted = propagate_cloud(seed_particles(belief, n, rng, model), ex, model, rng)
@@ -376,14 +357,14 @@ def test_pcrlb_step_averages_d22_over_its_predicted_cloud(monkeypatch):
         assert np.ptp(h) > 0.0
         hrh = np.einsum("nki,kl,nlj->ij", h, np.linalg.inv(model.measurement_cov()), h) / n
         ((_, _, d22),) = captured
-        np.testing.assert_allclose(d22[0], np.linalg.inv(model.process_cov()) + hrh, rtol=1e-12)
+        np.testing.assert_allclose(d22, np.linalg.inv(model.process_cov()) + hrh, rtol=1e-12)
 
 
 # ---------------------------------------------------------------------------
-# bank step
+# the step on each kind of shared transition Jacobian
 
 
-def bank_cases():
+def step_cases():
     """(model, three beliefs, exogenous inputs) for each kind of shared transition Jacobian."""
     from volswitch.bsgarch import ExogenousInputs
 
@@ -406,129 +387,92 @@ def bank_cases():
     ]
 
 
-def initial_bank(beliefs):
-    """(J, J^{-1}) stacks started from each belief's own covariance."""
-    j, j_inv = zip(*(initial_information(b.cov, 1) for b in beliefs))
-    return np.concatenate(j), np.concatenate(j_inv)
+def step(belief, ex, model, n, seed):
+    """``pcrlb_step`` from J_0 = the belief's own inverse covariance, drawing from ``default_rng(seed)``."""
+    return pcrlb_step(initial_information(belief.cov)[0], belief, ex, model, n, np.random.default_rng(seed))
 
 
-def test_a_bank_step_matches_banks_of_one_bit_for_bit():
-    for model, beliefs, ex in bank_cases():
-        j, j_inv = initial_bank(beliefs)
-        for n in (37, 400, 1000):
-            bank = bank_step(j, j_inv, beliefs, ex, model, n, [np.random.default_rng(k) for k in range(3)])
-            assert bank[2] == [None] * 3
-            for k in range(3):
-                one = bank_step(j[k:k + 1], j_inv[k:k + 1], beliefs[k:k + 1], ex, model, n,
-                                [np.random.default_rng(k)])
-                np.testing.assert_array_equal(bank[0][k], one[0][0])
-                np.testing.assert_array_equal(bank[1][k], one[1][0])
-
-
-def test_a_failed_bound_in_a_bank_stops_only_that_filter():
-    model, beliefs, ex = bank_cases()[1]
-    j, j_inv = initial_bank(beliefs)
-    j[1] = np.nan
-    given = j.copy(), j_inv.copy()
+def test_a_failed_bound_step_raises_and_leaves_its_input():
+    model, beliefs, ex = step_cases()[1]
+    j = initial_information(beliefs[0].cov)[0]
+    given = j.copy()
     # a covariance whose eigenvalue floor overflows cannot be factored
     huge = GaussianBelief(beliefs[0].mean, np.diag([1e308, 1e308]))
-    rngs = [np.random.default_rng(k) for k in range(3)]
-    with np.errstate(over="ignore"):
-        j_next, j_inv_next, errors = bank_step(j, j_inv, [huge, *beliefs[1:]], ex, model, 300, rngs)
-    assert isinstance(errors[0], CovarianceError)
-    assert isinstance(errors[1], SingularityError)
-    assert errors[2] is None
-    # the failed filters keep their rows, and the given stacks are left as they were
-    for k in (0, 1):
-        np.testing.assert_array_equal(j_next[k], j[k])
-        np.testing.assert_array_equal(j_inv_next[k], j_inv[k])
-    np.testing.assert_array_equal(j, given[0])
-    np.testing.assert_array_equal(j_inv, given[1])
-    alone = bank_step(j[2:], j_inv[2:], beliefs[2:], ex, model, 300, [np.random.default_rng(2)])
-    np.testing.assert_array_equal(j_next[2], alone[0][0])
-    np.testing.assert_array_equal(j_inv_next[2], alone[1][0])
-    assert not np.array_equal(j_next[2], j[2])
-    # a bank of one returns its filter's error
-    with np.errstate(over="ignore"):
-        *_, (error,) = bank_step(j[:1], j_inv[:1], [huge], ex, model, 300, [np.random.default_rng(0)])
-    assert isinstance(error, CovarianceError)
+    with pytest.raises(CovarianceError), np.errstate(over="ignore"):
+        pcrlb_step(j, huge, ex, model, 300, np.random.default_rng(0))
+    with pytest.raises(SingularityError, match="non-finite matrix"):
+        pcrlb_step(np.full((2, 2), np.nan), beliefs[0], ex, model, 300, np.random.default_rng(0))
+    np.testing.assert_array_equal(j, given)
+    j_next, _ = pcrlb_step(j, beliefs[0], ex, model, 300, np.random.default_rng(0))
+    assert not np.array_equal(j_next, j)
+    np.testing.assert_array_equal(j, given)
 
 
 def test_a_transition_jacobian_that_differs_between_particles_is_rejected():
     model = QuadraticTransitionModel()
-    beliefs = bank_cases()[0][1]
-    for bank in (beliefs[:1], beliefs):
-        rngs = [np.random.default_rng(k) for k in range(len(bank))]
-        with pytest.raises(InvalidInputError, match="one transition Jacobian shared by every particle"):
-            bank_step(*initial_bank(bank), bank, None, model, 50, rngs)
+    with pytest.raises(InvalidInputError, match="one transition Jacobian shared by every particle"):
+        step(step_cases()[0][1][0], None, model, 50, 0)
 
 
 def test_a_constant_transition_jacobian_skips_the_likelihood(monkeypatch):
     # the bound step never reads the quote, so it never prices a particle
-    for model, beliefs, ex in bank_cases():
+    for model, beliefs, ex in step_cases():
         calls = []
         measure = model.measurement_batch
         monkeypatch.setattr(model, "measurement_batch", lambda x, e: calls.append(len(x)) or measure(x, e))
-        bank_step(*initial_bank(beliefs), beliefs, ex, model, 50, [np.random.default_rng(k) for k in range(3)])
+        for k, belief in enumerate(beliefs):
+            step(belief, ex, model, 50, k)
         assert calls == []
 
 
 def test_a_materialised_constant_jacobian_matches_its_broadcast_view():
     # the broadcast view skips the value comparison; the copied rows go through it
-    *_, (copied, beliefs, ex) = bank_cases()
-    j, j_inv = initial_bank(beliefs)
+    *_, (copied, beliefs, ex) = step_cases()
     for n in (37, 400):
-        viewed, materialised = (
-            bank_step(j, j_inv, beliefs, ex, model, n, [np.random.default_rng(k) for k in range(3)])
-            for model in (linear_model(), copied)
-        )
-        assert viewed[2] == materialised[2] == [None] * 3
-        np.testing.assert_array_equal(viewed[0], materialised[0])
-        np.testing.assert_array_equal(viewed[1], materialised[1])
+        for k, belief in enumerate(beliefs):
+            viewed, materialised = (step(belief, ex, model, n, k) for model in (linear_model(), copied))
+            np.testing.assert_array_equal(viewed[0], materialised[0])
+            np.testing.assert_array_equal(viewed[1], materialised[1])
 
 
 def test_a_non_finite_shared_jacobian_fails_its_step_whether_viewed_or_materialised():
     nan_a = np.full((2, 2), np.nan)
-    beliefs = bank_cases()[0][1][:1]
+    belief = step_cases()[0][1][0]
     for model in (LinearGaussianModel(nan_a, C, Q, R), MaterialisedJacobianModel(nan_a, C, Q, R)):
-        *_, (error,) = bank_step(*initial_bank(beliefs), beliefs, None, model, 20, [np.random.default_rng(0)])
-        assert isinstance(error, NumericalFailureError)
+        with pytest.raises(NumericalFailureError, match="non-finite D matrices"):
+            step(belief, None, model, 20, 0)
 
 
 def test_constant_transition_blocks_are_computed_once_and_kept():
-    for model, beliefs, ex in bank_cases():
-        rngs = [np.random.default_rng(k) for k in range(3)]
-        bank_step(*initial_bank(beliefs), beliefs, ex, model, 50, rngs)
+    for model, beliefs, ex in step_cases():
+        step(beliefs[0], ex, model, 50, 0)
         f, d11, d12 = model._transition_blocks
         np.testing.assert_array_equal(f, model.transition_jacobian(beliefs[0].mean, ex))
         # the kept arrays are shared by every later step, so they are read-only
         assert not (f.flags.writeable or d11.flags.writeable or d12.flags.writeable)
         q_inv = model.noise_precisions()[0]
-        np.testing.assert_array_equal(d11, symmetrize(pcrlb._weighted_gram(f[None, None], q_inv)))
-        np.testing.assert_array_equal(d12, -np.einsum("ks,kl->sl", f, q_inv)[None])
-        bank_step(*initial_bank(beliefs), beliefs, ex, model, 50, rngs)
+        np.testing.assert_array_equal(d11, symmetrize(pcrlb._weighted_gram(f[None], q_inv)))
+        np.testing.assert_array_equal(d12, -np.einsum("ks,kl->sl", f, q_inv))
+        step(beliefs[1], ex, model, 50, 1)
         again = model._transition_blocks
         assert again[1] is d11 and again[2] is d12
 
 
 def test_kept_transition_blocks_follow_a_jacobian_that_changes_between_steps(monkeypatch):
     model = ScaledTransitionModel(A, C, Q, R)
-    beliefs = bank_cases()[0][1]
+    belief = step_cases()[0][1][0]
     captured = []
-    step = pcrlb._information_step
-    monkeypatch.setattr(pcrlb, "_information_step", lambda j, *d: captured.append(d) or step(j, *d))
+    information = pcrlb._information_step
+    monkeypatch.setattr(pcrlb, "_information_step", lambda j, *d: captured.append(d) or information(j, *d))
     scales = (1.0, 0.5, 0.5, 1.0, 0.8)
     for t, scale in enumerate(scales):
-        bank_step(*initial_bank(beliefs), beliefs, scale, model, 50,
-                  [np.random.default_rng(10 * t + k) for k in range(3)])
+        step(belief, scale, model, 50, t)
     assert len(captured) == len(scales)
     q_inv = np.linalg.inv(Q)
     for scale, (d11, d12, _) in zip(scales, captured):
         f = scale * A
-        # one (1, s, s) block shared by the bank of three
-        assert d11.shape == d12.shape == (1, 2, 2)
-        np.testing.assert_allclose(d11[0], f.T @ q_inv @ f, rtol=1e-13)
-        np.testing.assert_allclose(d12[0], -(f.T @ q_inv), rtol=1e-13)
+        np.testing.assert_allclose(d11, f.T @ q_inv @ f, rtol=1e-13)
+        np.testing.assert_allclose(d12, -(f.T @ q_inv), rtol=1e-13)
         # and bit for bit what an uncached computation, on a model with nothing kept, gives
         fresh_d11, fresh_d12 = pcrlb._constant_transition_blocks(f, ScaledTransitionModel(A, C, Q, R))
         np.testing.assert_array_equal(d11, fresh_d11)

@@ -22,6 +22,7 @@ from volswitch.exceptions import (
 from volswitch.experiments import SYNTHETIC_CONFIG, SYNTHETIC_CONTRACT, SYNTHETIC_S0, state_rmse
 from volswitch.filters import FILTER_ORDER, FilterId, GaussianBelief, ekf_update
 from volswitch.marketdata import generate_synthetic
+from volswitch.pcrlb import initial_information, pcrlb_step
 from models import LinearGaussianModel
 from volswitch.switching import (
     BOUND_CARRIED,
@@ -238,12 +239,16 @@ def test_independent_chains_keep_the_ekf_pure():
         np.testing.assert_allclose(rec.filter_estimates[FilterId.EKF], means[t], atol=1e-10)
 
 
+PF_INDEX = FILTER_ORDER.index(FilterId.PF)
+
+
 def count_substreams(monkeypatch) -> Counter:
+    """(purpose, filter index) -> the substreams this process builds."""
     calls = Counter()
     real = switching.substream
 
     def counting(seed, filter_index, t, purpose):
-        calls[purpose, FILTER_ORDER[filter_index]] += 1
+        calls[purpose, filter_index] += 1
         return real(seed, filter_index, t, purpose)
 
     monkeypatch.setattr(switching, "substream", counting)
@@ -255,10 +260,9 @@ def test_only_the_pf_builds_a_filter_substream(monkeypatch):
     calls = count_substreams(monkeypatch)
     ys = observations(n_steps=8)
     run_adaptive_estimation(ys, [None] * len(ys), linear_model(), settings(pf_particles=100, pcrlb_particles=50))
-    # the EKF and UKF never draw; the bound draws for every filter but not after the last step
-    expect = {(switching._STREAM_FILTER, FilterId.PF): len(ys)}
-    expect.update({(switching._STREAM_BOUND, f): len(ys) - 1 for f in FILTER_ORDER})
-    assert calls == expect
+    # the EKF and UKF never draw; the bound draws from one stream per step,
+    # keyed by filter index 0, but not after the last step
+    assert calls == {(switching._STREAM_FILTER, PF_INDEX): len(ys), (switching._STREAM_BOUND, 0): len(ys) - 1}
 
 
 @needs_fork
@@ -268,7 +272,7 @@ def test_the_bound_worker_builds_the_bound_substreams(monkeypatch):
     ys = observations(n_steps=8)
     run_adaptive_estimation(ys, [None] * len(ys), linear_model(), settings(pf_particles=100, pcrlb_particles=50))
     # this process builds only the PF's streams; the worker counts its own
-    assert calls == {(switching._STREAM_FILTER, FilterId.PF): len(ys)}
+    assert calls == {(switching._STREAM_FILTER, PF_INDEX): len(ys)}
 
 
 def _assert_same_records(a, b):
@@ -277,10 +281,10 @@ def _assert_same_records(a, b):
         assert ra.decision.chosen == rb.decision.chosen
         np.testing.assert_array_equal(ra.estimate, rb.estimate)
         np.testing.assert_array_equal(ra.decision.cov, rb.decision.cov)
-        assert ra.filter_estimates.keys() == rb.filter_estimates.keys() == ra.fisher_diags.keys()
+        assert ra.filter_estimates.keys() == rb.filter_estimates.keys()
         for fid in ra.filter_estimates:
             np.testing.assert_array_equal(ra.filter_estimates[fid], rb.filter_estimates[fid])
-            np.testing.assert_array_equal(ra.fisher_diags[fid], rb.fisher_diags[fid])
+        np.testing.assert_array_equal(ra.fisher_diags, rb.fisher_diags)
         assert ra.phi_traces == rb.phi_traces
         assert ra.fallbacks == rb.fallbacks
 
@@ -342,9 +346,8 @@ def test_run_records_carry_per_filter_diagnostics():
     for rec in records:
         assert set(rec.filter_estimates) == set(cfg.filters)
         assert set(rec.phi_traces) == set(cfg.filters)
-        assert set(rec.fisher_diags) == set(cfg.filters)
         assert len(rec.decision.chosen) == 2  # one winner per state component
-        j_diag, j_inv_diag = rec.fisher_diags[FilterId.EKF]
+        j_diag, j_inv_diag = rec.fisher_diags  # the one bound, shared by every filter
         assert j_diag.shape == (2,) and j_inv_diag.shape == (2,)
 
 
@@ -354,8 +357,8 @@ def test_compute_pcrlb_false_freezes_the_bound():
     records = run_adaptive_estimation(ys, [None] * len(ys), linear_model(), cfg)
     j0 = np.diag(np.linalg.inv(P0))
     for rec in records:
-        np.testing.assert_allclose(rec.fisher_diags[FilterId.EKF][0], j0, atol=1e-12)
-        np.testing.assert_allclose(rec.fisher_diags[FilterId.EKF][1], np.diag(P0), atol=1e-12)
+        np.testing.assert_allclose(rec.fisher_diags[0], j0, atol=1e-12)
+        np.testing.assert_allclose(rec.fisher_diags[1], np.diag(P0), atol=1e-12)
 
 
 @pytest.mark.parametrize("fid", [FilterId.EKF, FilterId.UKF, FilterId.PF])
@@ -372,7 +375,7 @@ def test_single_filter_estimates_do_not_read_the_bound(fid):
         np.testing.assert_array_equal(with_bound.estimate, without.estimate)
         np.testing.assert_array_equal(with_bound.decision.cov, without.decision.cov)
     # the first run did advance its bound
-    assert not np.array_equal(runs[0][-1].fisher_diags[fid][0], runs[1][-1].fisher_diags[fid][0])
+    assert not np.array_equal(runs[0][-1].fisher_diags[0], runs[1][-1].fisher_diags[0])
 
 
 class FailingJacobianModel(LinearGaussianModel):
@@ -426,21 +429,65 @@ class FailingBoundModel(LinearGaussianModel):
 
 def test_bound_failure_carries_information_forward(caplog):
     ys = observations(n_steps=5)
-    cfg = settings(filters=(FilterId.EKF,))
-    with caplog.at_level(logging.WARNING, logger="volswitch.switching"):
-        records = run_adaptive_estimation(ys, [None] * len(ys), FailingBoundModel(), cfg)
-    assert any("carrying J forward" in rec.message for rec in caplog.records)
-    # the last step has no next observation, so no bound update to fail
-    assert [rec.fallbacks for rec in records] == [[(BOUND_CARRIED, FilterId.EKF)]] * 4 + [[]]
     j0 = np.diag(np.linalg.inv(P0))
-    for rec in records:
-        np.testing.assert_allclose(rec.fisher_diags[FilterId.EKF][0], j0, atol=1e-12)
+    for bank in ((FilterId.EKF,), FILTER_ORDER):
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="volswitch.switching"):
+            records = run_adaptive_estimation(
+                ys, [None] * len(ys), FailingBoundModel(), settings(filters=bank, pf_particles=100)
+            )
+        # one fallback and one warning per step with a next observation, whatever the bank
+        carried = [m for m in caplog.messages if "carrying J forward" in m]
+        assert carried == [f"bound update failed at t={t} (non-finite D matrices); carrying J forward"
+                           for t in range(len(ys) - 1)]
+        assert [rec.fallbacks for rec in records] == [[(BOUND_CARRIED, None)]] * 4 + [[]]
+        for rec in records:
+            np.testing.assert_allclose(rec.fisher_diags[0], j0, atol=1e-12)
+
+
+@needs_fork
+@pytest.mark.parametrize("cpus", [1, 2], ids=["in-process", "worker"])
+@pytest.mark.parametrize("kw", [{}, {"mode": "best"}, {"independent_chains": True}], ids=["AAF", "ABF", "independent"])
+def test_each_step_advances_the_one_bound_from_its_decision(monkeypatch, cpus, kw):
+    monkeypatch.setattr(workers, "fork_cpus", lambda: cpus)
+    ys = observations(n_steps=8)
+    cfg = settings(pf_particles=100, pcrlb_particles=50, **kw)
+    records = run_adaptive_estimation(ys, [None] * len(ys), linear_model(), cfg)
+    # J_{t+1} is pcrlb_step on step t's decision, with the (seed, 0, t, bound) stream, bit for bit
+    j, j_inv = initial_information(P0)
+    for t, rec in enumerate(records):
+        if t:
+            prior = records[t - 1].decision
+            rng = linalg.substream(cfg.seed, 0, t - 1, switching._STREAM_BOUND)
+            j, j_inv = pcrlb_step(j, GaussianBelief(prior.estimate, prior.cov), None, linear_model(), 50, rng)
+        np.testing.assert_array_equal(rec.fisher_diags[0], j.diagonal())
+        np.testing.assert_array_equal(rec.fisher_diags[1], j_inv.diagonal())
+
+
+def test_every_filter_of_a_step_is_scored_against_the_same_bound(monkeypatch):
+    scored = []
+
+    def spy(fid, j_inv, belief):
+        scored.append((fid, j_inv.copy()))
+        return perf_metric(fid, j_inv, belief)
+
+    monkeypatch.setattr(switching, "perf_metric", spy)
+    ys = observations(n_steps=8)
+    cfg = settings(pf_particles=100, pcrlb_particles=50)
+    records = run_adaptive_estimation(ys, [None] * len(ys), linear_model(), cfg)
+    assert len(scored) == len(FILTER_ORDER) * len(ys)
+    for t, rec in enumerate(records):
+        step = scored[len(FILTER_ORDER) * t:len(FILTER_ORDER) * (t + 1)]
+        assert [fid for fid, _ in step] == list(FILTER_ORDER)
+        for _, j_inv in step:
+            np.testing.assert_array_equal(j_inv, step[0][1])
+            np.testing.assert_array_equal(j_inv.diagonal(), rec.fisher_diags[1])
 
 
 def test_each_fallback_warning_is_recorded_once_on_its_step(monkeypatch, caplog):
     # t=1: the EKF update fails; t=2: every score is degenerate, so every
     # filter is excluded and the decision carries forward; every step with a
-    # next observation: each filter's bound update fails
+    # next observation: the bound update fails
     calls = Counter()
 
     def failing_ekf(*args):
@@ -462,7 +509,7 @@ def test_each_fallback_warning_is_recorded_once_on_its_step(monkeypatch, caplog)
         records = run_adaptive_estimation(
             ys, [None] * len(ys), FailingBoundModel(), settings(pf_particles=100, pcrlb_particles=40)
         )
-    bound = [(BOUND_CARRIED, f) for f in FILTER_ORDER]
+    bound = [(BOUND_CARRIED, None)]
     assert [rec.fallbacks for rec in records] == [
         bound,
         [(HELD_PRIOR, FilterId.EKF)] + bound,
@@ -471,43 +518,6 @@ def test_each_fallback_warning_is_recorded_once_on_its_step(monkeypatch, caplog)
     ]
     steps = Counter(int(re.search(r"t=(\d+)", m).group(1)) for m in caplog.messages)
     assert steps == Counter({rec.t: len(rec.fallbacks) for rec in records})
-
-
-class FailingBankRowsModel(LinearGaussianModel):
-    """Non-finite measurement gradients for the second filter's rows of a stacked bound step."""
-
-    def __init__(self, n):
-        super().__init__(A, C, Q, R)
-        self.n = n
-
-    def measurement_jacobian_batch(self, states, ex):
-        out = super().measurement_jacobian_batch(states, ex)
-        if states.shape[0] == 3 * self.n:
-            out = out.copy()
-            out[self.n : 2 * self.n] = np.nan
-        return out
-
-
-def test_a_bound_failure_in_the_bank_carries_only_that_filter_forward(caplog):
-    ys = observations(n_steps=6)
-    # independent chains keep each filter's beliefs apart from the others' bounds
-    cfg = settings(pf_particles=100, pcrlb_particles=40, independent_chains=True)
-    healthy = run_adaptive_estimation(ys, [None] * len(ys), linear_model(), cfg)
-    with caplog.at_level(logging.WARNING, logger="volswitch.switching"):
-        records = run_adaptive_estimation(ys, [None] * len(ys), FailingBankRowsModel(40), cfg)
-    carried = [rec.message for rec in caplog.records if "carrying J forward" in rec.message]
-    assert len(carried) == len(ys) - 1
-    assert all(message.startswith("bound update for UKF") for message in carried)
-    # each step with a next observation carries the UKF's J forward; EKF and PF match the healthy run
-    assert [rec.fallbacks for rec in healthy] == [[]] * len(healthy)
-    assert [rec.fallbacks for rec in records] == [[(BOUND_CARRIED, FilterId.UKF)]] * (len(records) - 1) + [[]]
-    j0 = np.diag(np.linalg.inv(P0))
-    for rec, ref in zip(records, healthy):
-        np.testing.assert_array_equal(rec.fisher_diags[FilterId.UKF][0], j0)
-        for fid in (FilterId.EKF, FilterId.PF):
-            for got, expect in zip(rec.fisher_diags[fid], ref.fisher_diags[fid]):
-                np.testing.assert_array_equal(got, expect)
-    assert not np.array_equal(records[-1].fisher_diags[FilterId.EKF][0], j0)
 
 
 # ---------------------------------------------------------------------------
@@ -558,9 +568,8 @@ def test_the_bound_worker_gives_the_in_process_records(monkeypatch, caplog, mode
     _assert_same_records(alone, forked)
     assert alone_warnings == forked_warnings
     if model_class is FailingBoundModel:
-        bound = [(BOUND_CARRIED, f) for f in FILTER_ORDER]
-        assert [rec.fallbacks for rec in forked] == [bound] * (len(ys) - 1) + [[]]
-        assert len(forked_warnings) == len(FILTER_ORDER) * (len(ys) - 1)
+        assert [rec.fallbacks for rec in forked] == [[(BOUND_CARRIED, None)]] * (len(ys) - 1) + [[]]
+        assert len(forked_warnings) == len(ys) - 1
     else:
         assert forked_warnings == []
 
@@ -642,7 +651,7 @@ def test_no_bound_worker_outlives_the_run(monkeypatch, failure):
 @needs_fork
 def test_a_bound_worker_whose_owner_closes_its_end_exits():
     # as when the owner dies: the worker's next receive reads EOF, and it exits with code 1
-    j, j_inv = switching.initial_information(P0, 3)
+    j, j_inv = switching.initial_information(P0)
     forked = switching._ForkedBound(linear_model(), settings(), [None] * 4, j, j_inv)
     try:
         forked.worker.end.close()
