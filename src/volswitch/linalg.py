@@ -3,8 +3,8 @@
 Every matrix helper takes one symmetric (d, d) matrix. A 2x2 matrix's
 checks (at its floor? within COND_LIMIT?) come from closed-form
 eigenvalues, with no LAPACK call, when they clear the threshold by far
-more than rounding; otherwise, and for every value returned, LAPACK runs
-as before.
+more than rounding; otherwise, and for every value returned, LAPACK
+decides.
 """
 
 from __future__ import annotations
