@@ -10,7 +10,9 @@ volatility sigma = sqrt(A * v), A = 1/dt.
 
 All pricing and transition math lives in vectorized kernels behind the
 ``BsGarchModel`` adapter; single states go through its one-row wrappers
-(``model.transition``, ``model.measurement``).
+(``model.transition``, ``model.measurement``). The normal CDF ``ndtr`` is
+a port of cephes' ``ndtr``, the routine behind ``scipy.special.ndtr``,
+with the same bits, so the package needs numpy only.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from .exceptions import InvalidInputError
 from .linalg import symmetrize
@@ -140,6 +141,118 @@ class ModelSpec:
 
 
 # ---------------------------------------------------------------------------
+# normal CDF
+
+
+# Coefficients of cephes ndtr.c, the routine behind scipy.special.ndtr; a
+# monic denominator's leading 1 is written out (1 * x is exact).
+_ERF_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+          7.00332514112805075473e3, 5.55923013010394962768e4)
+_ERF_U = (1.0, 3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+          2.26290000613890934246e4, 4.92673942608635921086e4)
+_ERFC_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+           4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+           9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2)
+_ERFC_Q = (1.0, 1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+           9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+           1.65666309194161350182e3, 5.57535340817727675546e2)
+_ERFC_R = (5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
+           6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0)
+_ERFC_S = (1.0, 2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
+           1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0)
+_MAXLOG = 7.09782712893383996843e2  # log(DBL_MAX): exp(-x*x) underflows beyond it
+_SQRT1_2 = math.sqrt(0.5)
+_FEW = 16  # up to this many elements, the float path is faster than the array one
+
+# cephes splits |x| = |a| / sqrt 2 < 1 in two: below sqrt(1/2) it returns
+# 0.5 + 0.5 erf(x), above it 0.5 erfc(|x|) = 0.5 (1 - erf(|x|)), and 1 minus
+# that for x > 0. Both use erf(x) = x T(x^2) / U(x^2), and above sqrt(1/2),
+# where erf(|x|) is in [0.68, 0.85), 1 - erf and its half are exact, so both
+# round the one real number 0.5 + 0.5 erf(x): the erf form has scipy's bits
+# for all |x| < 1. T / 2: halving is exact, so x (T/2) / U is erf(x) / 2 to
+# the bit and 0.5 + 0.5 erf(x) costs one add (where x (T/2) / U is
+# subnormal, either way 0.5 + it rounds to 0.5).
+_HALF_T = tuple(t / 2 for t in _ERF_T)
+
+
+def _operands(*values):
+    """Read-only 0-d arrays: numpy takes them as ufunc operands faster than Python floats."""
+    arrays = tuple(np.array(v) for v in values)
+    for arr in arrays:
+        arr.flags.writeable = False
+    return arrays
+
+
+_HALF_T_ARRAY, _U_ARRAY = _operands(*_HALF_T), _operands(*_ERF_U[1:])  # U is monic
+_SQRT1_2_ARRAY, _HALF_ARRAY, _ONE_ARRAY = _operands(_SQRT1_2, 0.5, 1.0)
+
+
+def _polevl(x: float, coefs) -> float:
+    """sum(c * x**(n - i)) by Horner's rule, rounding as cephes' polevl does."""
+    ans = coefs[0]
+    for c in coefs[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _horner(z: np.ndarray, ans: np.ndarray, coefs) -> np.ndarray:
+    """Horner's rule over an array, continued in place from ``ans``: ans = ans * z + c for each c."""
+    for c in coefs:
+        np.multiply(ans, z, ans)
+        np.add(ans, c, ans)
+    return ans
+
+
+def _ndtr_float(a: float) -> float:
+    """cephes ndtr for one Python float, with the C library's exp."""
+    x = a * _SQRT1_2
+    z = abs(x)
+    if z < 1.0:  # the erf form, x T(x^2) / U(x^2) halved, with Horner's rule written out
+        t0, t1, t2, t3, t4 = _HALF_T
+        _, u0, u1, u2, u3, u4 = _ERF_U
+        w = x * x
+        return 0.5 + x * ((((t0 * w + t1) * w + t2) * w + t3) * w + t4) / (
+            ((((w + u0) * w + u1) * w + u2) * w + u3) * w + u4)
+    if z * z > _MAXLOG:
+        y = 0.0
+    elif z < 8.0:
+        y = 0.5 * (math.exp(-z * z) * _polevl(z, _ERFC_P) / _polevl(z, _ERFC_Q))
+    else:
+        y = 0.5 * (math.exp(-z * z) * _polevl(z, _ERFC_R) / _polevl(z, _ERFC_S))
+    return 1.0 - y if x > 0.0 else y
+
+
+def ndtr(a):
+    """Standard normal CDF, elementwise, bit for bit as scipy.special.ndtr.
+
+    A few elements go one by one through the float path. A larger array
+    takes cephes' erf form, 0.5 + 0.5 erf(a / sqrt 2), as a whole, and only
+    its elements outside that form's range |a / sqrt 2| < 1 (and NaN) are
+    redone on the float path.
+    """
+    a = np.asarray(a, dtype=float)
+    if a.size <= _FEW:
+        out = np.array([_ndtr_float(t) for t in a.ravel().tolist()])
+        return out if a.ndim == 1 else out.reshape(a.shape)[()]
+    x = np.multiply(a, _SQRT1_2_ARRAY)
+    z = np.abs(x)
+    inside = np.less(z, _ONE_ARRAY)  # NaN is outside
+    far = None
+    if np.count_nonzero(inside) < a.size:
+        far = ~inside
+        x[far] = z[far] = 0.0
+    np.multiply(z, z, z)  # now x * x
+    y = np.multiply(z, _HALF_T_ARRAY[0])
+    np.add(y, _HALF_T_ARRAY[1], y)
+    np.multiply(_horner(z, y, _HALF_T_ARRAY[2:]), x, y)
+    np.divide(y, _horner(z, np.add(z, _U_ARRAY[0]), _U_ARRAY[1:]), y)
+    np.add(y, _HALF_ARRAY, y)
+    if far is not None:
+        y[far] = [_ndtr_float(t) for t in a[far].tolist()]
+    return y
+
+
+# ---------------------------------------------------------------------------
 # vectorized kernels
 
 
@@ -160,12 +273,15 @@ def _price_kernel(v, r, s, k, tau, is_call, annualization):
     """
     r = np.asarray(r, dtype=float)
     _, vol, d1, d2 = _d1_d2(v, r, s, k, tau, annualization)
-    disc_k = k * np.exp(-r * tau)
+    disc_k = k * np.exp(r * -tau)  # the bits of -r * tau, one ufunc call fewer
+    d = np.array((d1, d2))  # one ndtr call for both: its cost is mostly per call
     if is_call:
-        live = s * ndtr(d1) - disc_k * ndtr(d2)
+        n1, n2 = ndtr(d)
+        live = s * n1 - disc_k * n2
         limit = np.maximum(s - disc_k, 0.0)
     else:
-        live = -s * ndtr(-d1) + disc_k * ndtr(-d2)
+        n1, n2 = ndtr(-d)
+        live = -s * n1 + disc_k * n2
         limit = np.maximum(disc_k - s, 0.0)
     price = np.where(vol > 0.0, live, limit)
     return np.maximum(price, 0.0)
@@ -179,9 +295,9 @@ def _gradient_kernel(v, r, s, k, tau, is_call, annualization):
     # chain rule through sigma = sqrt(A * v): dsigma/dv = A / (2 sigma)
     d_v = vega * annualization / (2.0 * sigma)
     if is_call:
-        d_r = k * tau * np.exp(-r * tau) * ndtr(d2)
+        d_r = k * tau * np.exp(r * -tau) * ndtr(d2)
     else:
-        d_r = -k * tau * np.exp(-r * tau) * ndtr(-d2)
+        d_r = -k * tau * np.exp(r * -tau) * ndtr(-d2)
     return d_v, d_r
 
 

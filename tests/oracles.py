@@ -186,6 +186,35 @@ def quadratic_measurement_information(a, c, b, q, r, p0, beliefs):
     return out
 
 
+def bs_call_state_gradient(x, s, k, tau, annualization):
+    """(dC/dv, dC/dr) of the call at the state x = (v, r), with sigma = sqrt(A v)."""
+    v, r = x
+    sigma = math.sqrt(annualization * v)
+    srt = sigma * math.sqrt(tau)
+    d1 = (math.log(s / k) + (r + 0.5 * sigma * sigma) * tau) / srt
+    vega = s * math.sqrt(tau) * math.exp(-0.5 * d1 * d1) / math.sqrt(2.0 * math.pi)
+    return vega * annualization / (2.0 * sigma), k * tau * math.exp(-r * tau) * norm_cdf(d1 - srt)
+
+
+def gauss_hermite_d22(mean, cov, q, r, gradient, order):
+    """Q^-1 + E[h' R^-1 h] over x ~ N(mean, cov) in two dimensions, by a product Gauss-Hermite rule.
+
+    For a transition with a constant Jacobian F and Gaussian noise, the
+    prediction of a Gaussian belief (m, P) is Gaussian, N(F m + c, F P F' + Q),
+    so the bound's D22 over it is this deterministic integral. ``gradient``
+    maps a state to its measurement gradient h; R is the scalar variance.
+    """
+    nodes, weights = np.polynomial.hermite_e.hermegauss(order)
+    weights = weights / math.sqrt(2.0 * math.pi)  # hermegauss integrates against exp(-x^2 / 2)
+    low = np.linalg.cholesky(cov)
+    expected = np.zeros((2, 2))
+    for xi, wi in zip(nodes, weights):
+        for xj, wj in zip(nodes, weights):
+            h = np.asarray(gradient(mean + low @ np.array([xi, xj])))
+            expected += wi * wj * np.outer(h, h)
+    return np.linalg.inv(q) + expected / r
+
+
 CHAIN_COLUMNS = (
     "quote_date", "expiry_date", "strike", "side", "bid", "ask", "last", "volume",
     "underlying_close", "implied_vol",

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from volswitch import bsgarch
 from volswitch.bsgarch import (
     GRAD_V_FLOOR,
     V_FLOOR,
@@ -113,6 +114,108 @@ def test_price_annualization_is_variance_rescaling():
     daily_365 = BsGarchModel(default_model(dt=1.0 / 365.0))
     b = price(np.array([2e-4 * 252.0 / 365.0, 0.03]), ex, model=daily_365)
     assert a == pytest.approx(b, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the normal CDF
+
+
+def scipy_ndtr(a):
+    """scipy.special.ndtr, the reference for the port; scipy is a test dependency only."""
+    return pytest.importorskip("scipy.special").ndtr(a)
+
+
+def assert_same_bits(ours, theirs):
+    """Elementwise the same float64 bits, NaN matching NaN, in the same shape."""
+    ours, theirs = np.asarray(ours), np.asarray(theirs)
+    assert ours.dtype == theirs.dtype == np.float64 and ours.shape == theirs.shape
+    differ = (ours.view(np.int64) != theirs.view(np.int64)) & ~(np.isnan(ours) & np.isnan(theirs))
+    where = np.flatnonzero(differ)
+    assert not where.size, f"{where.size} differ, first a[{where[0]}]"
+
+
+def branch_edges():
+    """(4, 14): within 3 ulps of each branch edge of cephes' ndtr, both signs.
+
+    The edges lie on |a| / sqrt 2 at sqrt(1/2) (erf), 1 (1 - erf), 8 (the
+    two erfc fits) and sqrt(MAXLOG), past which the result is 0 or 1.
+    """
+    rows = []
+    for edge in (bsgarch._SQRT1_2, 1.0, 8.0, math.sqrt(bsgarch._MAXLOG)):
+        a = edge / bsgarch._SQRT1_2
+        for _ in range(3):
+            a = math.nextafter(a, 0.0)
+        row = []
+        for _ in range(7):
+            row += [a, -a]
+            a = math.nextafter(a, math.inf)
+        rows.append(row)
+    return np.array(rows)
+
+
+SPECIALS = np.array([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 1e300, -1e300])
+
+
+def test_branch_edges_straddle_each_branch():
+    x = np.abs(branch_edges() * bsgarch._SQRT1_2)
+    for row, edge in zip(x[:3], (bsgarch._SQRT1_2, 1.0, 8.0)):
+        assert (row < edge).any() and (row >= edge).any()
+    assert (x[3] ** 2 <= bsgarch._MAXLOG).any() and (x[3] ** 2 > bsgarch._MAXLOG).any()
+
+
+def test_ndtr_reproduces_scipy_bit_for_bit_at_branch_edges_and_special_values():
+    a = np.concatenate([branch_edges().ravel(), SPECIALS])
+    with np.errstate(divide="raise", over="raise", invalid="raise"):
+        assert_same_bits(bsgarch.ndtr(a), scipy_ndtr(a))  # the array path
+        for t in a.tolist():  # the float path, 0-d and one element
+            assert_same_bits(bsgarch.ndtr(t), scipy_ndtr(t))
+            assert_same_bits(bsgarch.ndtr(np.array([t])), scipy_ndtr(np.array([t])))
+
+
+def clouds(n=500):
+    """Arrays by branch mix: all in the erf form's range, then a few stragglers, then every branch."""
+    rng = np.random.default_rng(8)
+    inside = np.clip(0.3 * rng.standard_normal(n), -0.99, 0.99)
+    stragglers = inside.copy()
+    stragglers[[3, 100, -1]] = (1.2, -9.0, math.nan)
+    return {
+        "erf form only": inside,
+        "three stragglers": stragglers,
+        "wide normal": 5.0 * rng.standard_normal(n),
+        "uniform on 40": rng.uniform(-40.0, 40.0, 40 * n),
+    }
+
+
+@pytest.mark.parametrize("name", list(clouds()))
+@pytest.mark.parametrize("shape", [(), (1,), (5,), (2, -1), (-1,)])
+def test_ndtr_reproduces_scipy_bit_for_bit_on_clouds(name, shape):
+    cloud = clouds()[name]
+    a = cloud[:math.prod(shape) if -1 not in shape else cloud.size].reshape(shape)
+    with np.errstate(divide="raise", over="raise", invalid="raise"):
+        assert_same_bits(bsgarch.ndtr(a), scipy_ndtr(a))
+
+
+@given(st.lists(st.floats(), max_size=60))
+@settings(max_examples=300)
+def test_ndtr_reproduces_scipy_bit_for_bit_on_any_floats(values):
+    a = np.array(values, dtype=float)
+    assert_same_bits(bsgarch.ndtr(a), scipy_ndtr(a))
+    if values:
+        assert_same_bits(bsgarch.ndtr(values[0]), scipy_ndtr(values[0]))
+
+
+# scipy.special.ndtr's values (scipy 1.17), one per branch of cephes' ndtr:
+# erf, 1 - erf, the erfc fits below and above 8, and the MAXLOG cut
+@pytest.mark.parametrize("a, bits", [
+    (0.3, "0x1.3c5ee2cc40b78p-1"),
+    (-1.2, "0x1.d7534b65d1e30p-4"),
+    (3.0, "0x1.ff4f10f033d25p-1"),
+    (-15.0, "0x1.5f9bd44cdd49cp-168"),
+    (40.0, "0x1.0000000000000p+0"),
+    (-40.0, "0x0.0p+0"),
+])
+def test_ndtr_matches_frozen_values_in_each_branch(a, bits):
+    assert float(bsgarch.ndtr(a)).hex() == bits
 
 
 # ---------------------------------------------------------------------------

@@ -60,16 +60,16 @@ def run(args):
 # argument handling
 
 
-def test_cli_import_leaves_the_optimizer_unloaded(tmp_path):
-    # the GARCH fit is in-package: neither the import nor a calibrating
-    # command pays for scipy.optimize; multiprocessing loads only when a
-    # worker starts
+def test_cli_import_and_a_calibrating_backtest_leave_scipy_unloaded(tmp_path):
+    # scipy is a test dependency only: the GARCH fit and the normal CDF are
+    # in-package, so neither the import nor a calibrating command loads any
+    # of it; multiprocessing loads only when a worker starts
     data = Path(__file__).resolve().parents[1] / "data"
     cfg = tmp_path / "run.cfg"
     cfg.write_text((data / "sample_config.cfg").read_text() + "garch.calibrate = true\n")
     code = f"""
 import sys, volswitch.cli
-assert 'scipy.optimize' not in sys.modules
+assert 'scipy' not in sys.modules
 assert 'multiprocessing' not in sys.modules
 chain = {str(data / "sample_chain.csv")!r}
 assert volswitch.cli.main(["calibrate-garch", "--underlying", chain,
@@ -77,7 +77,7 @@ assert volswitch.cli.main(["calibrate-garch", "--underlying", chain,
 assert volswitch.cli.main(["backtest", "--chain", chain, "--config", {str(cfg)!r}, "--strategy", "EKF",
                            "--train-end", "2019-03-01", "--test-end", "2019-03-08",
                            "--out-dir", {str(tmp_path / "reports")!r}]) in (0, 2)
-assert 'scipy.optimize' not in sys.modules
+assert 'scipy' not in sys.modules
 """
     src = str(Path(volswitch.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}

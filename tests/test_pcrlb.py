@@ -1,4 +1,5 @@
 import logging
+import math
 
 import numpy as np
 import pytest
@@ -358,6 +359,46 @@ def test_pcrlb_step_averages_d22_over_its_predicted_cloud(monkeypatch):
         hrh = np.einsum("nki,kl,nlj->ij", h, np.linalg.inv(model.measurement_cov()), h) / n
         ((_, _, d22),) = captured
         np.testing.assert_allclose(d22, np.linalg.inv(model.process_cov()) + hrh, rtol=1e-12)
+
+
+def test_monte_carlo_d22_converges_to_the_gauss_hermite_yardstick(monkeypatch):
+    # the belief sits 100 sd above the variance floor and its prediction
+    # 27 sd above it, so neither projection acts and the prediction is the
+    # Gaussian N(F m + c, F P F' + Q) the quadrature integrates over
+    from volswitch.bsgarch import ExogenousInputs
+
+    model = bsgarch_model()
+    spec = model.spec
+    ex = ExogenousInputs(s=100.0, u=0.01, tau=0.5)
+    belief = GaussianBelief(np.array([1e-3, 0.03]), np.diag([1e-10, 1e-5]))
+    f = model.transition_jacobian_batch(belief.mean[None], ex)[0]
+    mean = f @ belief.mean + [spec.garch.omega + spec.garch.alpha * ex.u ** 2, 0.0]
+    cov = f @ belief.cov @ f.T + spec.noise.q
+
+    def yardstick(order):
+        return oracles.gauss_hermite_d22(
+            mean, cov, spec.noise.q, spec.noise.r,
+            lambda x: oracles.bs_call_state_gradient(x, ex.s, spec.contract.strike, ex.tau, spec.annualization),
+            order,
+        )
+
+    np.testing.assert_allclose(yardstick(60), yardstick(40), rtol=1e-12)
+    # Q^-1 outweighs E[h' R^-1 h] in every entry, so the entries are compared without it
+    q_inv = model.noise_precisions()[0]
+    expected = yardstick(40) - q_inv
+    information = pcrlb._information_step
+    captured = []
+    monkeypatch.setattr(pcrlb, "_information_step", lambda j, *d: captured.append(d[2] - q_inv) or information(j, *d))
+    errors = {}
+    for n in (200, 5000):
+        rel = []
+        for seed in range(12):
+            pcrlb_step(initial_information(belief.cov)[0], belief, ex, model, n, np.random.default_rng(seed))
+            rel.append(np.abs(captured.pop() / expected - 1.0).max())
+        errors[n] = math.sqrt(np.mean(np.square(rel)))
+    # Monte-Carlo error falls as n^-1/2: to a fifth from 200 to 5000
+    assert errors[5000] < 0.4 * errors[200]
+    assert errors[5000] < 1.5e-3
 
 
 # ---------------------------------------------------------------------------
