@@ -191,7 +191,7 @@ def run_backtest(
     # strategy's label is its filter's
     estimates = {f.name: [r.filter_estimates[f] for r in records] for f in bank}
     if len(bank) > 1:
-        estimates[strategy] = [r.estimate for r in records]
+        estimates[strategy] = [r.decision.estimate for r in records]
 
     # one-step forecasts across the test span, each on the contract its step
     # quotes; expiry depends only on the step's inputs, so it stops every
@@ -269,8 +269,8 @@ def write_reports(bundle: ReportBundle, bank, out_dir) -> dict:
                 r.decision.mode,
                 "+".join(f.name for f in r.decision.chosen),
                 *[r.phi_traces.get(f) for f in FILTER_ORDER],
-                r.estimate[0],
-                r.estimate[1],
+                r.decision.estimate[0],
+                r.decision.estimate[1],
             ]
             for r in records
         ],
@@ -328,7 +328,7 @@ def annualized_vol_rows(points, annualization: float) -> list:
 
 def vol_points_from_records(records) -> list:
     """(t, date|None, annualized variance estimate) rows from run records."""
-    return [(r.t, r.date, float(r.estimate[0])) for r in records]
+    return [(r.t, r.date, float(r.decision.estimate[0])) for r in records]
 
 
 def vol_points_from_decision_log(path) -> list:

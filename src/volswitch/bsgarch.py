@@ -29,8 +29,8 @@ from .ssm import StateSpaceModel
 
 logger = logging.getLogger(__name__)
 
-# Variance floor applied by every projection step; gradients are evaluated
-# at GRAD_V_FLOOR when a state sits at or below the floor.
+# Variance floor applied by every projection step and by the transition;
+# gradients are evaluated at GRAD_V_FLOOR when a state sits at or below it.
 V_FLOOR = 1e-8
 GRAD_V_FLOOR = 2e-8
 
@@ -348,7 +348,7 @@ class BsGarchModel(StateSpaceModel):
         self.spec = spec
         self._r = np.array([[spec.noise.r]])
         coupling = spec.garch.beta if spec.risk_transition == "literal" else 0.0
-        self._f = np.array([[spec.garch.beta, 0.0], [coupling, 1.0]])  # constant: read-only, broadcast per call
+        self._f = np.array([[spec.garch.beta, 0.0], [coupling, 1.0]])
         self._f.flags.writeable = False
 
     def _contract(self, ex: ExogenousInputs) -> ContractSpec:
@@ -366,8 +366,8 @@ class BsGarchModel(StateSpaceModel):
         )
         return np.column_stack([v_next, r_next])
 
-    def transition_jacobian_batch(self, states, ex):
-        return np.broadcast_to(self._f, (states.shape[0], 2, 2))
+    def transition_matrix(self):
+        return self._f
 
     def measurement_batch(self, states, ex):
         contract = self._contract(ex)

@@ -35,7 +35,7 @@ SYNTHETIC_CONTRACT = ContractSpec(strike=100.0, expiry_step=252)
 def state_errors(records, truth: SyntheticTruth) -> np.ndarray:
     if len(records) != len(truth.states):
         raise InvalidInputError("records and truth must cover the same steps")
-    estimates = np.array([r.estimate for r in records])
+    estimates = np.array([r.decision.estimate for r in records])
     return estimates - truth.states
 
 

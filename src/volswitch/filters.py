@@ -121,7 +121,7 @@ def effective_sample_size(weights) -> float:
 def propagate_cloud(cloud: ParticleCloud, ex, model, rng: np.random.Generator) -> ParticleCloud:
     """Push every particle through the noisy transition, keeping weights."""
     noise = rng.standard_normal(cloud.particles.shape) @ model.process_noise_factor().T
-    moved = model.project_batch(model.transition_batch(cloud.particles, ex, noise))
+    moved = model.transition_batch(cloud.particles, ex, noise)
     return ParticleCloud(moved, cloud.weights.copy())
 
 
@@ -166,9 +166,9 @@ def _kalman_gain(s_mat: np.ndarray, cross: np.ndarray) -> np.ndarray:
 
 
 def ekf_update(prior: GaussianBelief, obs, ex, model) -> GaussianBelief:
-    """First-order filter: linearize transition at the prior mean, measurement at the prediction."""
+    """First-order filter: the model's constant transition matrix, the measurement linearized at the prediction."""
     obs = np.atleast_1d(np.asarray(obs, dtype=float))
-    f_jac = model.transition_jacobian(prior.mean, ex)
+    f_jac = model.transition_matrix()
     x_pred = model.transition(prior.mean, ex)
     p_pred = symmetrize(f_jac @ prior.cov @ f_jac.T + model.process_cov())
 
@@ -219,7 +219,7 @@ def ukf_update(prior: GaussianBelief, obs, ex, model, sp: SigmaPointParams = Sig
     """Scaled unscented transform through the transition and the measurement."""
     obs = np.atleast_1d(np.asarray(obs, dtype=float))
     pts, wm, wc = _sigma_points(prior.mean, floor_psd(prior.cov), sp)
-    moved = model.project_batch(model.transition_batch(pts, ex))
+    moved = model.transition_batch(pts, ex)
     x_pred, _, p_prop = _reconstruct(moved, wm, wc)
     p_pred = floor_psd(p_prop + model.process_cov())
 

@@ -4,21 +4,16 @@ The information matrix J evolves by the recursion
 
     J_{t+1} = D22_t - D12_t' (J_t + D11_t)^{-1} D12_t,    J_0 = P_0^{-1},
 
-where the D blocks are Monte-Carlo averages of gradient outer products.
+where D22 is a Monte-Carlo average of gradient outer products.
 There is one bound per run, the system's, and every filter is scored
 against it (Tulsyan, Huang, Gopaluni & Forbes 2013-14). ``pcrlb_step``
 seeds its cloud at t from one Gaussian belief, the step's decision, and
 propagates it itself, through the model's batch transition.
 
-The bound step needs one transition Jacobian F shared by every particle
-of a step. D11 = F'Q^{-1}F and D12 = -F'Q^{-1} then come from that one
-Jacobian alone, and the step evaluates no likelihood. The shipped models
-are this case (``BsGarchModel`` in both risk-transition modes, a linear
-model). It is read off the Jacobian at every step, never declared by a
-model: by value, or for a broadcast view (zero first stride) at no cost;
-a Jacobian that differs between particles is rejected. D11 and D12 are
-kept read-only on the model with their F, and recomputed when a step's F
-differs.
+A model's transition matrix F is one constant (``transition_matrix``), so
+D11 = F'Q^{-1}F and D12 = -F'Q^{-1} are constant too: they are computed
+once per model and kept on it, read-only. The step evaluates no
+likelihood.
 
 D22 averages the measurement gradients over the predicted cloud with
 uniform weights, i.e. under the predictive density of x_{t+1}; it is not
@@ -62,7 +57,7 @@ def initial_information(p0):
     return regularized_inverse(p0, err=CovarianceError), p0
 
 
-def seed_particles(belief: GaussianBelief, n: int, rng: np.random.Generator, model=None) -> ParticleCloud:
+def seed_particles(belief: GaussianBelief, n: int, rng: np.random.Generator, model) -> ParticleCloud:
     """Sample n particles from a Gaussian belief, projected onto the model domain.
 
     The belief's covariance is factored with its eigenvalues floored just
@@ -74,9 +69,7 @@ def seed_particles(belief: GaussianBelief, n: int, rng: np.random.Generator, mod
     scale = np.maximum(np.trace(cov) / cov.shape[-1], 0.0)
     low = safe_cholesky(floor_psd(cov, floor=1e-18 * np.maximum(scale, 1.0)))
     draws = belief.mean + rng.standard_normal((n, belief.mean.size)) @ low.T
-    if model is not None:
-        draws = model.project_batch(draws)
-    return ParticleCloud.uniform(draws)
+    return ParticleCloud.uniform(model.project_batch(draws))
 
 
 def _weighted_gram(jac: np.ndarray, precision: np.ndarray, weight: float = 1.0) -> np.ndarray:
@@ -90,16 +83,17 @@ def _weighted_gram(jac: np.ndarray, precision: np.ndarray, weight: float = 1.0) 
     return wjp.transpose(1, 0, 2).reshape(s, n * k) @ jac.reshape(n * k, s)
 
 
-def _constant_transition_blocks(f: np.ndarray, model):
-    """D11 and D12 for a Jacobian ``f`` shared by every particle, kept on the model until F changes."""
+def _transition_blocks(model):
+    """D11 and D12 of the model's constant transition matrix, computed on the first call and kept."""
     kept = getattr(model, "_transition_blocks", None)
-    if kept is None or kept[0].tobytes() != f.tobytes():
+    if kept is None:
+        f = model.transition_matrix()
         q_inv = model.noise_precisions()[0]
-        kept = (f.copy(), symmetrize(_weighted_gram(f[None], q_inv)), -np.einsum("ks,kl->sl", f, q_inv))
+        kept = (symmetrize(_weighted_gram(f[None], q_inv)), -np.einsum("ks,kl->sl", f, q_inv))
         for m in kept:
             m.flags.writeable = False
         model._transition_blocks = kept
-    return kept[1:]
+    return kept
 
 
 def _information_step(j: np.ndarray, d11: np.ndarray, d12: np.ndarray, d22: np.ndarray):
@@ -134,25 +128,14 @@ def pcrlb_step(j, belief: GaussianBelief, ex_next, model, n: int, rng):
 
     Seeds n particles from the belief and propagates them, drawing the
     seed's normals and then the propagation's from ``rng``. D11 and D12
-    come from the one transition Jacobian shared by every particle; D22 is
-    averaged over the predicted cloud with its uniform weights. Returns
-    (J_{t+1}, J_{t+1}^{-1}); ``j`` is not modified.
+    are the model's kept constants; D22 is averaged over the predicted
+    cloud with its uniform weights. Returns (J_{t+1}, J_{t+1}^{-1}); ``j``
+    is not modified.
 
-    A step that fails numerically raises one of ``RECOVERABLE``. Raises
-    ``InvalidInputError`` when the transition Jacobian differs between
-    particles.
+    A step that fails numerically raises one of ``RECOVERABLE``.
     """
-    seeded = seed_particles(belief, n, rng, model)
-    x_prev = seeded.particles
-    x_next = propagate_cloud(seeded, ex_next, model, rng).particles
-
-    f_jac = model.transition_jacobian_batch(x_prev, ex_next)
-    # a zero first stride makes every row the same memory, as in a broadcast F;
-    # a non-finite F in every row fails in the information step, as a view's does
-    shared = np.broadcast_to(f_jac[0], f_jac.shape)
-    if not (f_jac.strides[0] == 0 or np.array_equal(f_jac, shared, equal_nan=True)):
-        raise InvalidInputError("the bound step needs one transition Jacobian shared by every particle")
+    x_next = propagate_cloud(seed_particles(belief, n, rng, model), ex_next, model, rng).particles
     h_jac = model.measurement_jacobian_batch(x_next, ex_next)
     q_inv, r_inv = model.noise_precisions()
     d22 = symmetrize(q_inv + _weighted_gram(h_jac, r_inv, 1.0 / n))
-    return _information_step(j, *_constant_transition_blocks(f_jac[0], model), d22)
+    return _information_step(j, *_transition_blocks(model), d22)

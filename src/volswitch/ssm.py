@@ -24,8 +24,10 @@ class StateSpaceModel:
     A model defines, for (n, s) ``states`` and the step's exogenous input ``ex``:
 
     - ``transition_batch(states, ex, noise=None)``: f, plus the (n, s)
-      ``noise`` when given, as (n, s);
-    - ``transition_jacobian_batch(states, ex)``: df/dx, as (n, s, s);
+      ``noise`` when given, as (n, s), already in the model's domain:
+      ``project_batch`` leaves it as it is, so no caller projects it;
+    - ``transition_matrix()``: F = df/dx, the same for every state and
+      step, as one read-only (s, s) array;
     - ``measurement_batch(states, ex)``: g, as (n, 1);
     - ``measurement_jacobian_batch(states, ex)``: dg/dx, as (n, 1, s);
     - ``process_cov()``: Q, (s, s); ``measurement_cov()``: R, (1, 1).
@@ -62,9 +64,6 @@ class StateSpaceModel:
     def transition(self, state, ex, noise=None) -> np.ndarray:
         n = None if noise is None else np.asarray(noise, dtype=float)[None, :]
         return self.transition_batch(np.asarray(state, dtype=float)[None, :], ex, n)[0]
-
-    def transition_jacobian(self, state, ex) -> np.ndarray:
-        return self.transition_jacobian_batch(np.asarray(state, dtype=float)[None, :], ex)[0]
 
     def measurement(self, state, ex) -> np.ndarray:
         return self.measurement_batch(np.asarray(state, dtype=float)[None, :], ex)[0]

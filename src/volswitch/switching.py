@@ -194,7 +194,6 @@ class BacktestRecord:
 
     t: int
     decision: SwitchDecision
-    estimate: np.ndarray
     observed_price: float
     filter_estimates: dict
     phi_traces: dict
@@ -388,7 +387,6 @@ def run_adaptive_estimation(observations, exogenous, model, settings: Estimation
                 BacktestRecord(
                     t=t,
                     decision=decision,
-                    estimate=decision.estimate.copy(),
                     observed_price=obs,
                     filter_estimates={f: b.mean.copy() for f, b in beliefs.items()},
                     phi_traces={f: m.trace for f, m in metrics.items()},

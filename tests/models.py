@@ -10,7 +10,8 @@ class LinearGaussianModel(StateSpaceModel):
     """x' = A x + w, y = C x + z. Exact-Kalman territory, used as a test oracle target."""
 
     def __init__(self, a, c, q, r):
-        self.a = np.atleast_2d(np.asarray(a, dtype=float))
+        self.a = np.array(a, dtype=float, ndmin=2)
+        self.a.flags.writeable = False
         self.c = np.atleast_2d(np.asarray(c, dtype=float))
         self.q = symmetrize(np.atleast_2d(np.asarray(q, dtype=float)))
         self.r = np.atleast_2d(np.asarray(r, dtype=float))
@@ -21,8 +22,8 @@ class LinearGaussianModel(StateSpaceModel):
             out = out + noise
         return out
 
-    def transition_jacobian_batch(self, states, ex):
-        return np.broadcast_to(self.a, (states.shape[0],) + self.a.shape)
+    def transition_matrix(self):
+        return self.a
 
     def measurement_batch(self, states, ex):
         return states @ self.c.T

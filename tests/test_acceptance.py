@@ -149,7 +149,7 @@ def test_gate_jacobians_match_finite_differences(capsys):
         fd = oracles.central_difference(lambda y: model.measurement(y, ex)[0], x, h)
         worst_meas = max(worst_meas, float(np.max(np.abs(fd - analytic) / np.abs(analytic))))
 
-        a_trans = model.transition_jacobian(x, ex)
+        a_trans = model.transition_matrix()
         fd_t = np.vstack([
             oracles.central_difference(lambda y: model.transition(y, ex)[row], x, h)
             for row in (0, 1)
@@ -399,7 +399,7 @@ _RMSE_SCALE = np.array([1.6e-4, 0.01])  # fixed units: stationary variance level
 
 
 def _state_rmse(records, truth) -> float:
-    est = np.array([rec.estimate for rec in records])
+    est = np.array([rec.decision.estimate for rec in records])
     return float(np.sqrt(np.mean(((est - truth.states) / _RMSE_SCALE) ** 2)))
 
 

@@ -216,7 +216,7 @@ def test_a_forecast_prices_the_contract_its_step_quotes(tmp_path, contracts):
     ex = series.exogenous
     for t in (2, 3):
         # the model's one-step state and spot, priced on step t's strike at tau
-        x = np.array([max(bundle.records[t - 1].estimate[0], 0.0), bundle.records[t - 1].estimate[1]])
+        x = np.array([max(bundle.records[t - 1].decision.estimate[0], 0.0), bundle.records[t - 1].decision.estimate[1]])
         s_next = ex[t - 1].s * math.exp(x[1] * DT - 0.5 * x[0])
         v_next, r_next = model.transition(x, ExogenousInputs(s=s_next, u=math.log(s_next / ex[t - 1].s), tau=0.5))
         # a step that keeps its contract counts one step off the last tau; a new contract has its own
@@ -260,7 +260,6 @@ def make_record(t, mode, chosen):
     return BacktestRecord(
         t=t,
         decision=decision,
-        estimate=decision.estimate,
         observed_price=5.0,
         filter_estimates={},
         phi_traces={},
@@ -354,7 +353,7 @@ def test_adaptive_backtest_rmse_rows_and_volatility():
     # volatility rows annualize the variance estimates
     for (t, date, vol), rec in zip(bundle.volatility, bundle.records):
         assert t == rec.t and date == rec.date
-        assert vol == pytest.approx(math.sqrt(max(rec.estimate[0], 0.0) * 252.0), abs=1e-12)
+        assert vol == pytest.approx(math.sqrt(max(rec.decision.estimate[0], 0.0) * 252.0), abs=1e-12)
 
 
 def test_train_end_controls_the_split():

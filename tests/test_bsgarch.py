@@ -302,6 +302,31 @@ def test_transition_floors_variance():
     assert model.transition(np.array([0.0, 0.0]), ex)[0] == V_FLOOR
 
 
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_EDGE_V = st.sampled_from([-1e300, -1.0, -V_FLOOR, -5e-324, -0.0, 0.0, 5e-324, 2.2e-308, V_FLOOR / 2, V_FLOOR])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    rows=st.lists(
+        st.tuples(st.one_of(_EDGE_V, _FINITE), _FINITE, st.one_of(st.floats(-1e300, 0.0), _FINITE), _FINITE),
+        min_size=1, max_size=8,
+    ),
+    u=st.floats(-0.5, 0.5),
+    risk_transition=st.sampled_from(["random-walk", "literal"]),
+)
+def test_the_transition_lands_in_the_domain(rows, u, risk_transition):
+    # the filters and the bound step do not project a transition's output, so it must be projected already
+    model = BsGarchModel(default_model(risk_transition))
+    v, r, noise_v, noise_r = np.array(rows).T
+    with np.errstate(over="ignore"):  # huge finite states and noise may sum past the largest float
+        out = model.transition_batch(
+            np.column_stack([v, r]), ExogenousInputs(s=100.0, u=u, tau=0.5), np.column_stack([noise_v, noise_r])
+        )
+    assert (out[:, 0] >= V_FLOOR).all()
+    assert model.project_batch(out).tobytes() == out.tobytes()
+
+
 @pytest.mark.parametrize("noise_shape", [(4, 3), (3, 2)])
 def test_transition_batch_rejects_noise_of_another_shape(noise_shape):
     states = np.tile([2e-4, 0.03], (4, 1))
@@ -309,12 +334,13 @@ def test_transition_batch_rejects_noise_of_another_shape(noise_shape):
         MODEL.transition_batch(states, REF_EX, np.zeros(noise_shape))
 
 
-def test_transition_jacobian_modes():
-    x = np.array([1e-4, 0.02])
-    rw = MODEL.transition_jacobian(x, REF_EX)
+def test_transition_matrix_modes():
+    rw = MODEL.transition_matrix()
     assert np.array_equal(rw, [[0.90, 0.0], [0.0, 1.0]])
-    lit = BsGarchModel(default_model("literal")).transition_jacobian(x, REF_EX)
+    lit = BsGarchModel(default_model("literal")).transition_matrix()
     assert np.array_equal(lit, [[0.90, 0.0], [0.90, 1.0]])
+    # one array shared by every caller, so it is read-only
+    assert not (rw.flags.writeable or lit.flags.writeable)
 
 
 # ---------------------------------------------------------------------------

@@ -160,26 +160,19 @@ def test_exact_recursion_reproduces_kalman_covariance_on_linear_model():
 # D blocks
 
 
-def jacobians(model, x_prev, x_next, ex=None):
-    """(transition Jacobians at x_prev, measurement Jacobians at x_next)."""
-    return model.transition_jacobian_batch(x_prev, ex), model.measurement_jacobian_batch(x_next, ex)
-
-    """The bound step's (D11, D12, D22): D11 and D12 from the first row's F, D22 averaged over ``h_jac``."""
-def d_blocks(model, f_jac, h_jac):
-    """The bound step's (D11, D12, D22): D11 and D12 from the first row's transition Jacobian, D22 averaged over ``h_jac``."""
-    d11, d12 = pcrlb._constant_transition_blocks(f_jac[0], model)
+def d_blocks(model, x_next, ex=None):
+    """The bound step's (D11, D12, D22): D11 and D12 from the model's F, D22 averaged over x_next's gradients."""
+    d11, d12 = pcrlb._transition_blocks(model)
+    h_jac = model.measurement_jacobian_batch(x_next, ex)
     q_inv, r_inv = model.noise_precisions()
     hrh = pcrlb._weighted_gram(h_jac, r_inv, 1.0 / h_jac.shape[0])
     return d11, d12, symmetrize(q_inv + hrh)
 
 
 def test_d_matrices_are_exact_for_constant_jacobians():
-    rng = np.random.default_rng(12)
-    x_prev = rng.standard_normal((30, 2))
-    x_next = rng.standard_normal((30, 2))
+    x_next = np.random.default_rng(12).standard_normal((30, 2))
     model = linear_model()
-    f_jac, h_jac = jacobians(model, x_prev, x_next)
-    for block, exact in zip(d_blocks(model, f_jac, h_jac), oracles.exact_linear_dtriple(A, C, Q, R)):
+    for block, exact in zip(d_blocks(model, x_next), oracles.exact_linear_dtriple(A, C, Q, R)):
         np.testing.assert_allclose(block, exact, atol=1e-12)
 
 
@@ -189,7 +182,7 @@ def test_d_matrices_are_exact_for_constant_jacobians():
 
 def test_seed_particles_match_belief_moments():
     belief = GaussianBelief(np.array([1.0, -2.0]), np.array([[0.5, 0.1], [0.1, 0.3]]))
-    cloud = seed_particles(belief, 200_000, np.random.default_rng(0))
+    cloud = seed_particles(belief, 200_000, np.random.default_rng(0), linear_model())
     mean, cov = cloud.particles.mean(axis=0), np.cov(cloud.particles, rowvar=False, bias=True)
     np.testing.assert_allclose(mean, belief.mean, atol=0.01)
     np.testing.assert_allclose(cov, belief.cov, atol=0.01)
@@ -211,14 +204,14 @@ def test_seed_particles_projects_onto_model_domain():
 
 def test_seed_particles_require_two():
     with pytest.raises(InvalidInputError):
-        seed_particles(GaussianBelief(np.zeros(2), np.eye(2)), 1, np.random.default_rng(0))
+        seed_particles(GaussianBelief(np.zeros(2), np.eye(2)), 1, np.random.default_rng(0), linear_model())
 
 
 def test_seed_particles_raise_on_a_covariance_that_cannot_be_factored():
     # its eigenvalue floor overflows, as in the failed bound step's test
     huge = GaussianBelief(np.zeros(2), np.diag([1e308, 1e308]))
     with pytest.raises(CovarianceError), np.errstate(over="ignore"):
-        seed_particles(huge, 10, np.random.default_rng(0))
+        seed_particles(huge, 10, np.random.default_rng(0), linear_model())
 
 
 # ---------------------------------------------------------------------------
@@ -240,42 +233,6 @@ def test_pcrlb_step_tracks_kalman_covariance_on_linear_model():
         np.testing.assert_allclose(j_inv, covs[t], atol=1e-8)
 
 
-class QuadraticTransitionModel(LinearGaussianModel):
-    """x'_0 = (A x)_0 + k x_0^2 + w_0, linear otherwise: the transition Jacobian depends on the state."""
-
-    def __init__(self, k=0.4):
-        super().__init__(A, C, Q, R)
-        self.k = k
-
-    def transition_batch(self, states, ex, noise=None):
-        out = super().transition_batch(states, ex, noise)
-        out[:, 0] += self.k * states[:, 0] ** 2
-        return out
-
-    def transition_jacobian_batch(self, states, ex):
-        jac = np.repeat(self.a[None], states.shape[0], axis=0)
-        jac[:, 0, 0] += 2.0 * self.k * states[:, 0]
-        return jac
-
-
-class MaterialisedJacobianModel(LinearGaussianModel):
-    """The linear model with its constant transition Jacobian copied per row, not broadcast."""
-
-    def transition_jacobian_batch(self, states, ex):
-        return np.repeat(self.a[None], states.shape[0], axis=0)
-
-
-class ScaledTransitionModel(LinearGaussianModel):
-    """x' = ex A x + w: the Jacobian is the same for every particle but changes with the step's ``ex``."""
-
-    def transition_batch(self, states, ex, noise=None):
-        out = ex * (states @ self.a.T)
-        return out if noise is None else out + noise
-
-    def transition_jacobian_batch(self, states, ex):
-        return np.broadcast_to(ex * self.a, (states.shape[0],) + self.a.shape)
-
-
 def bsgarch_model(risk_transition="random-walk"):
     from volswitch.bsgarch import ContractSpec, GarchParams, ModelSpec, NoiseSpec
 
@@ -293,18 +250,14 @@ def test_d_matrices_match_a_per_particle_loop():
 
     rng = np.random.default_rng(21)
     # BS/GARCH states: variance around 2e-4 per step, rate around 3%
-    x_prev, x_next = np.abs(rng.standard_normal((2, 40, 2))) * np.array([2e-4, 0.03])
+    x_next = np.abs(rng.standard_normal((40, 2))) * np.array([2e-4, 0.03])
     ex = ExogenousInputs(s=100.0, u=0.01, tau=0.5)
     for model in (bsgarch_model("random-walk"), bsgarch_model("literal")):
-        f_jac, h_jac = jacobians(model, x_prev, x_next, ex)
-        blocks = d_blocks(model, f_jac, h_jac)
+        blocks = d_blocks(model, x_next, ex)
 
         q_inv, r_inv = (np.linalg.inv(m) for m in (model.process_cov(), model.measurement_cov()))
-        d11, d12, d22 = np.zeros((2, 2)), np.zeros((2, 2)), q_inv.copy()
-        for x in x_prev:
-            f = model.transition_jacobian(x, ex)
-            d11 += f.T @ q_inv @ f / len(x_prev)
-            d12 -= f.T @ q_inv / len(x_prev)
+        f = model.transition_matrix()
+        d11, d12, d22 = f.T @ q_inv @ f, -f.T @ q_inv, q_inv.copy()
         for x in x_next:
             h = model.measurement_jacobian(x, ex)
             d22 += h.T @ r_inv @ h / len(x_next)
@@ -371,7 +324,7 @@ def test_monte_carlo_d22_converges_to_the_gauss_hermite_yardstick(monkeypatch):
     spec = model.spec
     ex = ExogenousInputs(s=100.0, u=0.01, tau=0.5)
     belief = GaussianBelief(np.array([1e-3, 0.03]), np.diag([1e-10, 1e-5]))
-    f = model.transition_jacobian_batch(belief.mean[None], ex)[0]
+    f = model.transition_matrix()
     mean = f @ belief.mean + [spec.garch.omega + spec.garch.alpha * ex.u ** 2, 0.0]
     cov = f @ belief.cov @ f.T + spec.noise.q
 
@@ -402,11 +355,11 @@ def test_monte_carlo_d22_converges_to_the_gauss_hermite_yardstick(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the step on each kind of shared transition Jacobian
+# the step on each model
 
 
 def step_cases():
-    """(model, three beliefs, exogenous inputs) for each kind of shared transition Jacobian."""
+    """(model, three beliefs, exogenous inputs) for the linear model and each BS/GARCH mode."""
     from volswitch.bsgarch import ExogenousInputs
 
     plain = [
@@ -424,7 +377,6 @@ def step_cases():
         (linear_model(), plain, None),
         (bsgarch_model("random-walk"), bs, ex),
         (bsgarch_model("literal"), bs, ex),
-        (MaterialisedJacobianModel(A, C, Q, R), plain, None),
     ]
 
 
@@ -449,13 +401,7 @@ def test_a_failed_bound_step_raises_and_leaves_its_input():
     np.testing.assert_array_equal(j, given)
 
 
-def test_a_transition_jacobian_that_differs_between_particles_is_rejected():
-    model = QuadraticTransitionModel()
-    with pytest.raises(InvalidInputError, match="one transition Jacobian shared by every particle"):
-        step(step_cases()[0][1][0], None, model, 50, 0)
-
-
-def test_a_constant_transition_jacobian_skips_the_likelihood(monkeypatch):
+def test_the_bound_step_skips_the_likelihood(monkeypatch):
     # the bound step never reads the quote, so it never prices a particle
     for model, beliefs, ex in step_cases():
         calls = []
@@ -466,55 +412,21 @@ def test_a_constant_transition_jacobian_skips_the_likelihood(monkeypatch):
         assert calls == []
 
 
-def test_a_materialised_constant_jacobian_matches_its_broadcast_view():
-    # the broadcast view skips the value comparison; the copied rows go through it
-    *_, (copied, beliefs, ex) = step_cases()
-    for n in (37, 400):
-        for k, belief in enumerate(beliefs):
-            viewed, materialised = (step(belief, ex, model, n, k) for model in (linear_model(), copied))
-            np.testing.assert_array_equal(viewed[0], materialised[0])
-            np.testing.assert_array_equal(viewed[1], materialised[1])
-
-
 def test_a_non_finite_shared_jacobian_fails_its_step_whether_viewed_or_materialised():
-    nan_a = np.full((2, 2), np.nan)
-    belief = step_cases()[0][1][0]
-    for model in (LinearGaussianModel(nan_a, C, Q, R), MaterialisedJacobianModel(nan_a, C, Q, R)):
-        with pytest.raises(NumericalFailureError, match="non-finite D matrices"):
-            step(belief, None, model, 20, 0)
+    model = LinearGaussianModel(np.full((2, 2), np.nan), C, Q, R)
+    with pytest.raises(NumericalFailureError, match="non-finite D matrices"):
+        step(step_cases()[0][1][0], None, model, 20, 0)
 
 
 def test_constant_transition_blocks_are_computed_once_and_kept():
     for model, beliefs, ex in step_cases():
         step(beliefs[0], ex, model, 50, 0)
-        f, d11, d12 = model._transition_blocks
-        np.testing.assert_array_equal(f, model.transition_jacobian(beliefs[0].mean, ex))
+        d11, d12 = model._transition_blocks
         # the kept arrays are shared by every later step, so they are read-only
-        assert not (f.flags.writeable or d11.flags.writeable or d12.flags.writeable)
-        q_inv = model.noise_precisions()[0]
+        assert not (d11.flags.writeable or d12.flags.writeable)
+        f, q_inv = model.transition_matrix(), model.noise_precisions()[0]
         np.testing.assert_array_equal(d11, symmetrize(pcrlb._weighted_gram(f[None], q_inv)))
         np.testing.assert_array_equal(d12, -np.einsum("ks,kl->sl", f, q_inv))
         step(beliefs[1], ex, model, 50, 1)
         again = model._transition_blocks
-        assert again[1] is d11 and again[2] is d12
-
-
-def test_kept_transition_blocks_follow_a_jacobian_that_changes_between_steps(monkeypatch):
-    model = ScaledTransitionModel(A, C, Q, R)
-    belief = step_cases()[0][1][0]
-    captured = []
-    information = pcrlb._information_step
-    monkeypatch.setattr(pcrlb, "_information_step", lambda j, *d: captured.append(d) or information(j, *d))
-    scales = (1.0, 0.5, 0.5, 1.0, 0.8)
-    for t, scale in enumerate(scales):
-        step(belief, scale, model, 50, t)
-    assert len(captured) == len(scales)
-    q_inv = np.linalg.inv(Q)
-    for scale, (d11, d12, _) in zip(scales, captured):
-        f = scale * A
-        np.testing.assert_allclose(d11, f.T @ q_inv @ f, rtol=1e-13)
-        np.testing.assert_allclose(d12, -(f.T @ q_inv), rtol=1e-13)
-        # and bit for bit what an uncached computation, on a model with nothing kept, gives
-        fresh_d11, fresh_d12 = pcrlb._constant_transition_blocks(f, ScaledTransitionModel(A, C, Q, R))
-        np.testing.assert_array_equal(d11, fresh_d11)
-        np.testing.assert_array_equal(d12, fresh_d12)
+        assert again[0] is d11 and again[1] is d12

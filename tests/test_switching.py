@@ -209,7 +209,7 @@ def test_run_ekf_only_reproduces_the_kalman_filter():
         assert rec.t == t
         assert rec.observed_price == pytest.approx(float(ys[t]))
         assert rec.decision.chosen == (FilterId.EKF,)
-        np.testing.assert_allclose(rec.estimate, means[t], atol=1e-10)
+        np.testing.assert_allclose(rec.decision.estimate, means[t], atol=1e-10)
 
 
 def test_run_is_seed_reproducible():
@@ -218,7 +218,7 @@ def test_run_is_seed_reproducible():
     a = run_adaptive_estimation(ys, [None] * len(ys), linear_model(), cfg)
     b = run_adaptive_estimation(ys, [None] * len(ys), linear_model(), cfg)
     for ra, rb in zip(a, b):
-        np.testing.assert_array_equal(ra.estimate, rb.estimate)
+        np.testing.assert_array_equal(ra.decision.estimate, rb.decision.estimate)
         np.testing.assert_array_equal(
             ra.filter_estimates[FilterId.PF], rb.filter_estimates[FilterId.PF]
         )
@@ -279,7 +279,7 @@ def _assert_same_records(a, b):
     assert len(a) == len(b)
     for ra, rb in zip(a, b):
         assert ra.decision.chosen == rb.decision.chosen
-        np.testing.assert_array_equal(ra.estimate, rb.estimate)
+        np.testing.assert_array_equal(ra.decision.estimate, rb.decision.estimate)
         np.testing.assert_array_equal(ra.decision.cov, rb.decision.cov)
         assert ra.filter_estimates.keys() == rb.filter_estimates.keys()
         for fid in ra.filter_estimates:
@@ -372,7 +372,7 @@ def test_single_filter_estimates_do_not_read_the_bound(fid):
         for on in (True, False)
     ]
     for with_bound, without in zip(*runs):
-        np.testing.assert_array_equal(with_bound.estimate, without.estimate)
+        np.testing.assert_array_equal(with_bound.decision.estimate, without.decision.estimate)
         np.testing.assert_array_equal(with_bound.decision.cov, without.decision.cov)
     # the first run did advance its bound
     assert not np.array_equal(runs[0][-1].fisher_diags[0], runs[1][-1].fisher_diags[0])
@@ -402,12 +402,12 @@ def test_filter_failure_holds_prior_and_inflates_covariance(caplog):
         records = run_adaptive_estimation(ys, [None] * len(ys), model, cfg)
     assert any("holding prior with inflated covariance" in rec.message for rec in caplog.records)
     assert [rec.fallbacks for rec in records] == [[], [], [(HELD_PRIOR, FilterId.EKF)], [], []]
-    np.testing.assert_array_equal(records[2].estimate, records[1].estimate)
+    np.testing.assert_array_equal(records[2].decision.estimate, records[1].decision.estimate)
     np.testing.assert_allclose(
         np.diag(records[2].decision.cov), 10.0 * np.diag(records[1].decision.cov), rtol=1e-12
     )
     # the run recovers afterwards
-    assert not np.array_equal(records[3].estimate, records[2].estimate)
+    assert not np.array_equal(records[3].decision.estimate, records[2].decision.estimate)
 
 
 class FailingBoundModel(LinearGaussianModel):
@@ -524,16 +524,19 @@ def test_each_fallback_warning_is_recorded_once_on_its_step(monkeypatch, caplog)
 # the bound worker
 
 
-class VaryingJacobianModel(LinearGaussianModel):
-    """The linear model, but its transition Jacobian differs between particles."""
+class RejectingBoundModel(LinearGaussianModel):
+    """Measurement gradients of a particle batch raise ``InvalidInputError``, which no step recovers from.
+
+    Single rows pass, as in ``FailingBoundModel``, so the EKF keeps working.
+    """
 
     def __init__(self):
         super().__init__(A, C, Q, R)
 
-    def transition_jacobian_batch(self, states, ex):
-        jac = np.repeat(self.a[None], states.shape[0], axis=0)
-        jac[:, 0, 0] += 1e-3 * states[:, 0]
-        return jac
+    def measurement_jacobian_batch(self, states, ex):
+        if states.shape[0] > 1:
+            raise InvalidInputError("no measurement gradients for a particle batch")
+        return super().measurement_jacobian_batch(states, ex)
 
 
 def run_on_each_path(monkeypatch, caplog, ys, model_class, cfg):
@@ -605,9 +608,9 @@ def test_a_varying_jacobian_raises_the_same_error_on_each_path(monkeypatch):
     for cpus in (1, 2):
         monkeypatch.setattr(workers, "fork_cpus", lambda: cpus)
         with pytest.raises(InvalidInputError) as raised:
-            run_adaptive_estimation(ys, [None] * len(ys), VaryingJacobianModel(), settings(pf_particles=100))
+            run_adaptive_estimation(ys, [None] * len(ys), RejectingBoundModel(), settings(pf_particles=100))
         assert type(raised.value) is InvalidInputError
-        assert str(raised.value) == "the bound step needs one transition Jacobian shared by every particle"
+        assert str(raised.value) == "no measurement gradients for a particle batch"
         assert not multiprocessing.active_children()
 
 
@@ -618,7 +621,7 @@ def test_no_bound_worker_outlives_the_run(monkeypatch, failure):
     started = []
     start = workers.start
     monkeypatch.setattr(workers, "start", lambda *args, **kw: started.append(start(*args, **kw)) or started[-1])
-    model = VaryingJacobianModel() if failure == "bound" else linear_model()
+    model = RejectingBoundModel() if failure == "bound" else linear_model()
     if failure == "filter":
         real, calls = switching.ukf_update, Counter()
 
@@ -635,7 +638,7 @@ def test_no_bound_worker_outlives_the_run(monkeypatch, failure):
     expect = {
         None: None,
         "filter": (InvalidInputError, "injected"),
-        "bound": (InvalidInputError, "one transition Jacobian"),
+        "bound": (InvalidInputError, "^no measurement gradients for a particle batch$"),
         "worker": (EstimationError, "^the bound worker exited with code 3$"),
     }[failure]
     if expect is None:
