@@ -346,10 +346,8 @@ class BsGarchModel(StateSpaceModel):
 
     def __init__(self, spec: ModelSpec):
         self.spec = spec
-        self._r = np.array([[spec.noise.r]])
         coupling = spec.garch.beta if spec.risk_transition == "literal" else 0.0
-        self._f = np.array([[spec.garch.beta, 0.0], [coupling, 1.0]])
-        self._f.flags.writeable = False
+        super().__init__([[spec.garch.beta, 0.0], [coupling, 1.0]], spec.noise.q, [[spec.noise.r]])
 
     def _contract(self, ex: ExogenousInputs) -> ContractSpec:
         return ex.contract if ex.contract is not None else self.spec.contract
@@ -365,9 +363,6 @@ class BsGarchModel(StateSpaceModel):
             states[:, 0], states[:, 1], ex.u, self.spec.garch, self.spec.risk_transition, noise_v, noise_r
         )
         return np.column_stack([v_next, r_next])
-
-    def transition_matrix(self):
-        return self._f
 
     def measurement_batch(self, states, ex):
         contract = self._contract(ex)
@@ -400,12 +395,6 @@ class BsGarchModel(StateSpaceModel):
         out[:, 0, 0] = d_v
         out[:, 0, 1] = d_r
         return out
-
-    def process_cov(self):
-        return self.spec.noise.q
-
-    def measurement_cov(self):
-        return self._r
 
     def project_batch(self, states):
         states = np.asarray(states, dtype=float).copy()

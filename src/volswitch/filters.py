@@ -3,7 +3,8 @@
 All three consume the same ``StateSpaceModel`` interface and return a
 ``GaussianBelief`` posterior summary, so the switching layer can treat
 them interchangeably. The particle filter additionally returns its
-resampled cloud. A model measures one price per step: a measurement
+resampled cloud. A model measures one price per step: its R is 1x1, as
+``StateSpaceModel`` checks when the model is built, and an innovation
 covariance that is not 1x1 raises ``InvalidInputError``.
 """
 
@@ -120,20 +121,18 @@ def effective_sample_size(weights) -> float:
 
 def propagate_cloud(cloud: ParticleCloud, ex, model, rng: np.random.Generator) -> ParticleCloud:
     """Push every particle through the noisy transition, keeping weights."""
-    noise = rng.standard_normal(cloud.particles.shape) @ model.process_noise_factor().T
+    noise = rng.standard_normal(cloud.particles.shape) @ model.q_chol.T
     moved = model.transition_batch(cloud.particles, ex, noise)
     return ParticleCloud(moved, cloud.weights.copy())
 
 
 def likelihood_logweights(particles: np.ndarray, obs, ex, model) -> np.ndarray:
     """Per-particle log N(obs; g(x), R) for one measured price."""
-    var = model.measurement_cov()
-    if var.shape != (1, 1):
-        raise InvalidInputError(f"a model measures one price: R must be 1x1, got {var.shape}")
+    var = model.r[0, 0]
     dev = np.atleast_1d(np.asarray(obs, dtype=float))[None, :] - model.measurement_batch(particles, ex)
     # overflow to -inf is fine here: normalize_logweights raises only if every weight does
     with np.errstate(over="ignore"):
-        return -0.5 * dev[:, 0] ** 2 / var[0, 0] - 0.5 * math.log(2.0 * math.pi * var[0, 0])
+        return -0.5 * dev[:, 0] ** 2 / var - 0.5 * math.log(2.0 * math.pi * var)
 
 
 def normalize_logweights(logw: np.ndarray) -> np.ndarray:
@@ -168,19 +167,17 @@ def _kalman_gain(s_mat: np.ndarray, cross: np.ndarray) -> np.ndarray:
 def ekf_update(prior: GaussianBelief, obs, ex, model) -> GaussianBelief:
     """First-order filter: the model's constant transition matrix, the measurement linearized at the prediction."""
     obs = np.atleast_1d(np.asarray(obs, dtype=float))
-    f_jac = model.transition_matrix()
     x_pred = model.transition(prior.mean, ex)
-    p_pred = symmetrize(f_jac @ prior.cov @ f_jac.T + model.process_cov())
+    p_pred = symmetrize(model.f @ prior.cov @ model.f.T + model.q)
 
     h = model.measurement_jacobian(x_pred, ex)
     y_pred = model.measurement(x_pred, ex)
     innov = obs - y_pred
-    r = model.measurement_cov()
-    gain = _kalman_gain(h @ p_pred @ h.T + r, p_pred @ h.T)
+    gain = _kalman_gain(h @ p_pred @ h.T + model.r, p_pred @ h.T)
 
     x_post = model.project(x_pred + gain @ innov)
     i_kh = np.eye(x_post.size) - gain @ h
-    p_post = floor_psd(i_kh @ p_pred @ i_kh.T + gain @ r @ gain.T)  # Joseph form
+    p_post = floor_psd(i_kh @ p_pred @ i_kh.T + gain @ model.r @ gain.T)  # Joseph form
     if not (np.isfinite(x_post).all() and np.isfinite(p_post).all()):
         raise NumericalFailureError("non-finite posterior")
     return GaussianBelief(x_post, p_post)
@@ -221,11 +218,11 @@ def ukf_update(prior: GaussianBelief, obs, ex, model, sp: SigmaPointParams = Sig
     pts, wm, wc = _sigma_points(prior.mean, floor_psd(prior.cov), sp)
     moved = model.transition_batch(pts, ex)
     x_pred, _, p_prop = _reconstruct(moved, wm, wc)
-    p_pred = floor_psd(p_prop + model.process_cov())
+    p_pred = floor_psd(p_prop + model.q)
 
     pts2, wm2, wc2 = _sigma_points(x_pred, p_pred, sp)
     z_pred, z_dev, p_zz = _reconstruct(model.measurement_batch(pts2, ex), wm2, wc2)
-    s_mat = p_zz + model.measurement_cov()
+    s_mat = p_zz + model.r
     p_xz = ((pts2 - x_pred) * wc2[:, None]).T @ z_dev
     gain = _kalman_gain(s_mat, p_xz)
 

@@ -1,10 +1,10 @@
-"""Small linear-algebra and rng helpers shared by the filters and the information recursion.
+"""Small linear-algebra and rng helpers shared by the models, the filters and the information recursion.
 
-Every matrix helper takes one symmetric (d, d) matrix. A 2x2 matrix's
-checks (at its floor? within COND_LIMIT?) come from closed-form
-eigenvalues, with no LAPACK call, when they clear the threshold by far
-more than rounding; otherwise, and for every value returned, LAPACK
-decides.
+Every matrix helper but ``weighted_gram`` takes one symmetric (d, d)
+matrix. A 2x2 matrix's checks (at its floor? within COND_LIMIT?) come
+from closed-form eigenvalues, with no LAPACK call, when they clear the
+threshold by far more than rounding; otherwise, and for every value
+returned, LAPACK decides.
 """
 
 from __future__ import annotations
@@ -30,6 +30,17 @@ def symmetrize(m: np.ndarray) -> np.ndarray:
     """(M + M')/2."""
     m = np.asarray(m, dtype=float)
     return 0.5 * (m + np.swapaxes(m, -1, -2))
+
+
+def weighted_gram(jac: np.ndarray, precision: np.ndarray, weight: float = 1.0) -> np.ndarray:
+    """w sum_i J_i' P J_i over (n, k, s) Jacobians.
+
+    w J_i' P is formed elementwise, and the sum over particles is one
+    (s, n k) @ (n k, s) product.
+    """
+    n, k, s = jac.shape
+    wjp = np.einsum("nks,kl->nsl", jac, precision) * weight
+    return wjp.transpose(1, 0, 2).reshape(s, n * k) @ jac.reshape(n * k, s)
 
 
 def _eigvals2(m: np.ndarray) -> tuple | None:

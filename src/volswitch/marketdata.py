@@ -684,7 +684,6 @@ def generate_synthetic(
     exogenous = []
 
     adapter = BsGarchModel(model)
-    chol_q = adapter.process_noise_factor()
     x = np.array([max(float(x0[0]), 0.0), float(x0[1])])
     spot = float(s0)
     u = 0.0
@@ -696,7 +695,7 @@ def generate_synthetic(
             spot = gbm_propagate(prev_spot, x[1], x[0], model.dt, shock)
             u = math.log(spot / prev_spot)
             ex = ExogenousInputs(s=spot, u=u, tau=tau)
-            x = adapter.transition(x, ex, chol_q @ rng.standard_normal(2))
+            x = adapter.transition(x, ex, adapter.q_chol @ rng.standard_normal(2))
         else:
             ex = ExogenousInputs(s=spot, u=u, tau=tau)
         price = float(adapter.measurement(x, ex)[0])

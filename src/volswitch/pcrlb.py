@@ -10,10 +10,10 @@ against it (Tulsyan, Huang, Gopaluni & Forbes 2013-14). ``pcrlb_step``
 seeds its cloud at t from one Gaussian belief, the step's decision, and
 propagates it itself, through the model's batch transition.
 
-A model's transition matrix F is one constant (``transition_matrix``), so
-D11 = F'Q^{-1}F and D12 = -F'Q^{-1} are constant too: they are computed
-once per model and kept on it, read-only. The step evaluates no
-likelihood.
+A model's transition matrix F is one constant, so D11 = F'Q^{-1}F and
+D12 = -F'Q^{-1} are constant too: the model derives them when it is
+built (``StateSpaceModel.d11``, ``d12``), and every step reads them. The
+step evaluates no likelihood.
 
 D22 averages the measurement gradients over the predicted cloud with
 uniform weights, i.e. under the predictive density of x_{t+1}; it is not
@@ -23,8 +23,8 @@ average. It is one weighted Gram product, not a sum of per-particle
 matrix products. For s = 2 the information step's checks need no
 eigenvalue solve (``linalg``).
 
-Q^{-1} and R^{-1} are constant, so each model inverts them once
-(``StateSpaceModel.noise_precisions``) and every step reuses them.
+Q^{-1} and R^{-1} are constant too, inverted once when the model is
+built (``StateSpaceModel.q_inv``, ``r_inv``).
 
 J^{-1} is one regularized inverse of J, checked against J. A step that
 fails numerically raises one of ``exceptions.RECOVERABLE``; the caller
@@ -44,7 +44,7 @@ from .exceptions import (
     SingularityError,
 )
 from .filters import GaussianBelief, ParticleCloud, propagate_cloud
-from .linalg import above_floor, floor_psd, regularized_inverse, safe_cholesky, symmetrize
+from .linalg import above_floor, floor_psd, regularized_inverse, safe_cholesky, symmetrize, weighted_gram
 
 logger = logging.getLogger(__name__)
 
@@ -70,30 +70,6 @@ def seed_particles(belief: GaussianBelief, n: int, rng: np.random.Generator, mod
     low = safe_cholesky(floor_psd(cov, floor=1e-18 * np.maximum(scale, 1.0)))
     draws = belief.mean + rng.standard_normal((n, belief.mean.size)) @ low.T
     return ParticleCloud.uniform(model.project_batch(draws))
-
-
-def _weighted_gram(jac: np.ndarray, precision: np.ndarray, weight: float = 1.0) -> np.ndarray:
-    """w sum_i J_i' P J_i over (n, k, s) Jacobians.
-
-    w J_i' P is formed elementwise, and the sum over particles is one
-    (s, n k) @ (n k, s) product.
-    """
-    n, k, s = jac.shape
-    wjp = np.einsum("nks,kl->nsl", jac, precision) * weight
-    return wjp.transpose(1, 0, 2).reshape(s, n * k) @ jac.reshape(n * k, s)
-
-
-def _transition_blocks(model):
-    """D11 and D12 of the model's constant transition matrix, computed on the first call and kept."""
-    kept = getattr(model, "_transition_blocks", None)
-    if kept is None:
-        f = model.transition_matrix()
-        q_inv = model.noise_precisions()[0]
-        kept = (symmetrize(_weighted_gram(f[None], q_inv)), -np.einsum("ks,kl->sl", f, q_inv))
-        for m in kept:
-            m.flags.writeable = False
-        model._transition_blocks = kept
-    return kept
 
 
 def _information_step(j: np.ndarray, d11: np.ndarray, d12: np.ndarray, d22: np.ndarray):
@@ -128,7 +104,7 @@ def pcrlb_step(j, belief: GaussianBelief, ex_next, model, n: int, rng):
 
     Seeds n particles from the belief and propagates them, drawing the
     seed's normals and then the propagation's from ``rng``. D11 and D12
-    are the model's kept constants; D22 is averaged over the predicted
+    are the model's ``d11`` and ``d12``; D22 is averaged over the predicted
     cloud with its uniform weights. Returns (J_{t+1}, J_{t+1}^{-1}); ``j``
     is not modified.
 
@@ -136,6 +112,5 @@ def pcrlb_step(j, belief: GaussianBelief, ex_next, model, n: int, rng):
     """
     x_next = propagate_cloud(seed_particles(belief, n, rng, model), ex_next, model, rng).particles
     h_jac = model.measurement_jacobian_batch(x_next, ex_next)
-    q_inv, r_inv = model.noise_precisions()
-    d22 = symmetrize(q_inv + _weighted_gram(h_jac, r_inv, 1.0 / n))
-    return _information_step(j, *_transition_blocks(model), d22)
+    d22 = symmetrize(model.q_inv + weighted_gram(h_jac, model.r_inv, 1.0 / n))
+    return _information_step(j, model.d11, model.d12, d22)

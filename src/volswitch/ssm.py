@@ -14,50 +14,46 @@ from __future__ import annotations
 
 import numpy as np
 
-from .exceptions import CovarianceError
-from .linalg import regularized_inverse, safe_cholesky
+from .exceptions import CovarianceError, InvalidInputError
+from .linalg import regularized_inverse, safe_cholesky, symmetrize, weighted_gram
 
 
 class StateSpaceModel:
     """x_{t+1} = f(x_t) + w,  y_t = g(x_t) + z,  w ~ N(0,Q), z ~ N(0,R), with one measured price y_t.
 
-    A model defines, for (n, s) ``states`` and the step's exogenous input ``ex``:
+    A model is built from its constants: F = df/dx, the same for every
+    state and step, the process covariance Q and the 1x1 measurement
+    covariance R. The constructor keeps them as ``f``, ``q`` and ``r`` and
+    derives, once, what the filters and the bound reuse at every step:
+    ``q_inv`` and ``r_inv``, the Cholesky factor ``q_chol`` of Q, and the
+    bound's D11 = F'Q^{-1}F (``d11``) and D12 = -F'Q^{-1} (``d12``). All
+    eight are read-only. An R that is not 1x1 raises ``InvalidInputError``;
+    a Q or R that cannot be inverted raises ``CovarianceError``.
+
+    A subclass defines, for (n, s) ``states`` and the step's exogenous
+    input ``ex``:
 
     - ``transition_batch(states, ex, noise=None)``: f, plus the (n, s)
       ``noise`` when given, as (n, s), already in the model's domain:
       ``project_batch`` leaves it as it is, so no caller projects it;
-    - ``transition_matrix()``: F = df/dx, the same for every state and
-      step, as one read-only (s, s) array;
     - ``measurement_batch(states, ex)``: g, as (n, 1);
-    - ``measurement_jacobian_batch(states, ex)``: dg/dx, as (n, 1, s);
-    - ``process_cov()``: Q, (s, s); ``measurement_cov()``: R, (1, 1).
+    - ``measurement_jacobian_batch(states, ex)``: dg/dx, as (n, 1, s).
     """
+
+    def __init__(self, f, q, r):
+        self.f, self.q, self.r = (np.array(m, dtype=float, ndmin=2) for m in (f, q, r))
+        if self.r.shape != (1, 1):
+            raise InvalidInputError(f"a model measures one price: R must be 1x1, got {self.r.shape}")
+        self.q_inv, self.r_inv = (regularized_inverse(m, err=CovarianceError) for m in (self.q, self.r))
+        self.q_chol = safe_cholesky(self.q)
+        self.d11 = symmetrize(weighted_gram(self.f[None], self.q_inv))
+        self.d12 = -np.einsum("ks,kl->sl", self.f, self.q_inv)
+        for m in (self.f, self.q, self.r, self.q_inv, self.r_inv, self.q_chol, self.d11, self.d12):
+            m.flags.writeable = False
 
     def project_batch(self, states: np.ndarray) -> np.ndarray:
         """Clamp states back onto the model's valid domain. Identity by default."""
         return states
-
-    def noise_precisions(self) -> tuple[np.ndarray, np.ndarray]:
-        """(Q^-1, R^-1), inverted on the first call and kept: the noise is constant."""
-        cached = getattr(self, "_noise_precisions", None)
-        if cached is None:
-            cached = tuple(
-                regularized_inverse(cov, err=CovarianceError)
-                for cov in (self.process_cov(), self.measurement_cov())
-            )
-            for m in cached:
-                m.flags.writeable = False
-            self._noise_precisions = cached
-        return cached
-
-    def process_noise_factor(self) -> np.ndarray:
-        """Lower Cholesky factor of Q, factored on the first call and kept: the noise is constant."""
-        cached = getattr(self, "_process_noise_factor", None)
-        if cached is None:
-            cached = safe_cholesky(self.process_cov())
-            cached.flags.writeable = False
-            self._process_noise_factor = cached
-        return cached
 
     # -- single-state conveniences ------------------------------------
 

@@ -186,6 +186,12 @@ class EstimationSettings:
                 raise InvalidInputError(f"{name!r} must be at least 2, got {getattr(self, name)!r}")
         if self.seed < 0:
             raise InvalidInputError(f"seed must be non-negative, got {self.seed!r}")
+        if self.ess_threshold is not None:
+            # None resamples every step; 0 would never resample
+            if not 0.0 < self.ess_threshold <= 1.0:
+                raise InvalidInputError(f"ess_threshold must lie in (0, 1], got {self.ess_threshold!r}")
+            if not self.independent_chains:
+                raise InvalidInputError("ess_threshold needs independent_chains: shared chains discard the cloud")
 
 
 @dataclass

@@ -10,29 +10,17 @@ class LinearGaussianModel(StateSpaceModel):
     """x' = A x + w, y = C x + z. Exact-Kalman territory, used as a test oracle target."""
 
     def __init__(self, a, c, q, r):
-        self.a = np.array(a, dtype=float, ndmin=2)
-        self.a.flags.writeable = False
+        super().__init__(a, symmetrize(np.atleast_2d(q)), r)
         self.c = np.atleast_2d(np.asarray(c, dtype=float))
-        self.q = symmetrize(np.atleast_2d(np.asarray(q, dtype=float)))
-        self.r = np.atleast_2d(np.asarray(r, dtype=float))
 
     def transition_batch(self, states, ex, noise=None):
-        out = states @ self.a.T
+        out = states @ self.f.T
         if noise is not None:
             out = out + noise
         return out
-
-    def transition_matrix(self):
-        return self.a
 
     def measurement_batch(self, states, ex):
         return states @ self.c.T
 
     def measurement_jacobian_batch(self, states, ex):
         return np.broadcast_to(self.c, (states.shape[0],) + self.c.shape)
-
-    def process_cov(self):
-        return self.q
-
-    def measurement_cov(self):
-        return self.r

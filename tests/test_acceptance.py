@@ -149,7 +149,7 @@ def test_gate_jacobians_match_finite_differences(capsys):
         fd = oracles.central_difference(lambda y: model.measurement(y, ex)[0], x, h)
         worst_meas = max(worst_meas, float(np.max(np.abs(fd - analytic) / np.abs(analytic))))
 
-        a_trans = model.transition_matrix()
+        a_trans = model.f
         fd_t = np.vstack([
             oracles.central_difference(lambda y: model.transition(y, ex)[row], x, h)
             for row in (0, 1)

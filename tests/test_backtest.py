@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 import oracles
 from volswitch.backtest import (
     REPORT_FILES,
-    ReportBundle,
     _forecast_from_estimate,
     fitted_price,
     frequency_counts,
@@ -21,7 +20,6 @@ from volswitch.backtest import (
     vol_points_from_decision_log,
     vol_points_from_records,
     vol_report,
-    write_reports,
 )
 from volswitch.bsgarch import (
     BsGarchModel,
@@ -45,7 +43,6 @@ from volswitch.marketdata import (
     load_chain,
     max_volume_series,
     truth_to_chain,
-    write_chain,
 )
 from volswitch.switching import SwitchDecision
 

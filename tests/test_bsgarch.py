@@ -335,9 +335,9 @@ def test_transition_batch_rejects_noise_of_another_shape(noise_shape):
 
 
 def test_transition_matrix_modes():
-    rw = MODEL.transition_matrix()
+    rw = MODEL.f
     assert np.array_equal(rw, [[0.90, 0.0], [0.0, 1.0]])
-    lit = BsGarchModel(default_model("literal")).transition_matrix()
+    lit = BsGarchModel(default_model("literal")).f
     assert np.array_equal(lit, [[0.90, 0.0], [0.90, 1.0]])
     # one array shared by every caller, so it is read-only
     assert not (rw.flags.writeable or lit.flags.writeable)

@@ -7,9 +7,9 @@ import pytest
 import oracles
 from volswitch.bsgarch import BsGarchModel, V_FLOOR
 from volswitch.exceptions import CovarianceError, InvalidInputError, NumericalFailureError, SingularityError
-from volswitch.filters import GaussianBelief, propagate_cloud
+from volswitch.filters import GaussianBelief, ParticleCloud, propagate_cloud
 from volswitch import pcrlb
-from volswitch.linalg import COND_LIMIT, regularized_inverse, symmetrize
+from volswitch.linalg import COND_LIMIT, regularized_inverse, safe_cholesky, symmetrize, weighted_gram
 from volswitch.pcrlb import initial_information, pcrlb_step, seed_particles
 from models import LinearGaussianModel
 
@@ -161,12 +161,10 @@ def test_exact_recursion_reproduces_kalman_covariance_on_linear_model():
 
 
 def d_blocks(model, x_next, ex=None):
-    """The bound step's (D11, D12, D22): D11 and D12 from the model's F, D22 averaged over x_next's gradients."""
-    d11, d12 = pcrlb._transition_blocks(model)
+    """The bound step's (D11, D12, D22): the model's D11 and D12, D22 averaged over x_next's gradients."""
     h_jac = model.measurement_jacobian_batch(x_next, ex)
-    q_inv, r_inv = model.noise_precisions()
-    hrh = pcrlb._weighted_gram(h_jac, r_inv, 1.0 / h_jac.shape[0])
-    return d11, d12, symmetrize(q_inv + hrh)
+    hrh = weighted_gram(h_jac, model.r_inv, 1.0 / h_jac.shape[0])
+    return model.d11, model.d12, symmetrize(model.q_inv + hrh)
 
 
 def test_d_matrices_are_exact_for_constant_jacobians():
@@ -255,25 +253,14 @@ def test_d_matrices_match_a_per_particle_loop():
     for model in (bsgarch_model("random-walk"), bsgarch_model("literal")):
         blocks = d_blocks(model, x_next, ex)
 
-        q_inv, r_inv = (np.linalg.inv(m) for m in (model.process_cov(), model.measurement_cov()))
-        f = model.transition_matrix()
+        q_inv, r_inv = (np.linalg.inv(m) for m in (model.q, model.r))
+        f = model.f
         d11, d12, d22 = f.T @ q_inv @ f, -f.T @ q_inv, q_inv.copy()
         for x in x_next:
             h = model.measurement_jacobian(x, ex)
             d22 += h.T @ r_inv @ h / len(x_next)
         for block, looped in zip(blocks, (d11, d12, d22)):
             np.testing.assert_allclose(block, looped, rtol=1e-12)
-
-
-def test_noise_precisions_are_inverted_once_and_kept():
-    model = linear_model()
-    q_inv, r_inv = model.noise_precisions()
-    again = model.noise_precisions()
-    assert again[0] is q_inv and again[1] is r_inv
-    np.testing.assert_allclose(q_inv, np.linalg.inv(Q), rtol=1e-15)
-    np.testing.assert_allclose(r_inv, np.linalg.inv(R), rtol=1e-15)
-    # the kept arrays are shared by every step, so they are read-only
-    assert not q_inv.flags.writeable and not r_inv.flags.writeable
 
 
 def test_pcrlb_step_requires_two_particles():
@@ -309,9 +296,9 @@ def test_pcrlb_step_averages_d22_over_its_predicted_cloud(monkeypatch):
         predicted = propagate_cloud(seed_particles(belief, n, rng, model), ex, model, rng)
         h = model.measurement_jacobian_batch(predicted.particles, ex)
         assert np.ptp(h) > 0.0
-        hrh = np.einsum("nki,kl,nlj->ij", h, np.linalg.inv(model.measurement_cov()), h) / n
+        hrh = np.einsum("nki,kl,nlj->ij", h, np.linalg.inv(model.r), h) / n
         ((_, _, d22),) = captured
-        np.testing.assert_allclose(d22, np.linalg.inv(model.process_cov()) + hrh, rtol=1e-12)
+        np.testing.assert_allclose(d22, np.linalg.inv(model.q) + hrh, rtol=1e-12)
 
 
 def test_monte_carlo_d22_converges_to_the_gauss_hermite_yardstick(monkeypatch):
@@ -324,7 +311,7 @@ def test_monte_carlo_d22_converges_to_the_gauss_hermite_yardstick(monkeypatch):
     spec = model.spec
     ex = ExogenousInputs(s=100.0, u=0.01, tau=0.5)
     belief = GaussianBelief(np.array([1e-3, 0.03]), np.diag([1e-10, 1e-5]))
-    f = model.transition_matrix()
+    f = model.f
     mean = f @ belief.mean + [spec.garch.omega + spec.garch.alpha * ex.u ** 2, 0.0]
     cov = f @ belief.cov @ f.T + spec.noise.q
 
@@ -337,7 +324,7 @@ def test_monte_carlo_d22_converges_to_the_gauss_hermite_yardstick(monkeypatch):
 
     np.testing.assert_allclose(yardstick(60), yardstick(40), rtol=1e-12)
     # Q^-1 outweighs E[h' R^-1 h] in every entry, so the entries are compared without it
-    q_inv = model.noise_precisions()[0]
+    q_inv = model.q_inv
     expected = yardstick(40) - q_inv
     information = pcrlb._information_step
     captured = []
@@ -418,15 +405,19 @@ def test_a_non_finite_shared_jacobian_fails_its_step_whether_viewed_or_materiali
         step(step_cases()[0][1][0], None, model, 20, 0)
 
 
-def test_constant_transition_blocks_are_computed_once_and_kept():
-    for model, beliefs, ex in step_cases():
-        step(beliefs[0], ex, model, 50, 0)
-        d11, d12 = model._transition_blocks
-        # the kept arrays are shared by every later step, so they are read-only
-        assert not (d11.flags.writeable or d12.flags.writeable)
-        f, q_inv = model.transition_matrix(), model.noise_precisions()[0]
-        np.testing.assert_array_equal(d11, symmetrize(pcrlb._weighted_gram(f[None], q_inv)))
-        np.testing.assert_array_equal(d12, -np.einsum("ks,kl->sl", f, q_inv))
-        step(beliefs[1], ex, model, 50, 1)
-        again = model._transition_blocks
-        assert again[0] is d11 and again[1] is d12
+@pytest.mark.parametrize("case", [0, 1, 2], ids=["linear", "random-walk", "literal"])
+def test_a_models_constants_are_derived_once_when_it_is_built(case):
+    model, beliefs, ex = step_cases()[case]
+    constants = (model.f, model.q, model.r, model.q_inv, model.r_inv, model.q_chol, model.d11, model.d12)
+    # every step and filter shares them, so they are read-only
+    assert not any(m.flags.writeable for m in constants)
+    np.testing.assert_array_equal(model.q_inv, regularized_inverse(model.q, err=CovarianceError))
+    np.testing.assert_array_equal(model.r_inv, regularized_inverse(model.r, err=CovarianceError))
+    np.testing.assert_array_equal(model.q_chol, safe_cholesky(model.q))
+    np.testing.assert_array_equal(model.d11, symmetrize(weighted_gram(model.f[None], model.q_inv)))
+    np.testing.assert_array_equal(model.d12, -np.einsum("ks,kl->sl", model.f, model.q_inv))
+    # the particle filter draws its process noise through the kept factor
+    cloud = ParticleCloud.uniform(seed_particles(beliefs[0], 50, np.random.default_rng(2), model).particles)
+    moved = propagate_cloud(cloud, ex, model, np.random.default_rng(42))
+    noise = np.random.default_rng(42).standard_normal((50, 2)) @ model.q_chol.T
+    np.testing.assert_array_equal(moved.particles, model.transition_batch(cloud.particles, ex, noise))

@@ -31,7 +31,6 @@ from volswitch.switching import (
     HELD_PRIOR,
     EstimationSettings,
     PerfMetric,
-    SwitchDecision,
     perf_metric,
     run_adaptive_estimation,
     select_average,
@@ -192,6 +191,16 @@ def test_settings_need_two_particles(name):
     with pytest.raises(InvalidInputError, match=f"^'{name}' must be at least 2, got 1$"):
         settings(**{name: 1})
     settings(**{name: 2})
+
+
+def test_settings_validate_the_ess_threshold():
+    # 0 would never resample; a config file's 0 means resample every step (None)
+    for bad in (0.0, -0.1, 7.0, float("nan")):
+        with pytest.raises(InvalidInputError, match="ess_threshold must lie in"):
+            settings(ess_threshold=bad, independent_chains=True)
+    with pytest.raises(InvalidInputError, match="needs independent_chains"):
+        settings(ess_threshold=0.5)
+    assert settings(ess_threshold=1.0, independent_chains=True).ess_threshold == 1.0
 
 
 # ---------------------------------------------------------------------------
