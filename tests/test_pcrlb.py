@@ -263,6 +263,19 @@ def test_d_matrices_match_a_per_particle_loop():
             np.testing.assert_allclose(block, looped, rtol=1e-12)
 
 
+def test_noise_precisions_are_inverted_once_and_kept():
+    model = linear_model()
+    q_inv, r_inv = model.q_inv, model.r_inv
+    # the constructor inverts Q and R; later reads return the same arrays
+    assert model.q_inv is q_inv and model.r_inv is r_inv
+    np.testing.assert_allclose(q_inv, np.linalg.inv(Q), rtol=1e-15)
+    np.testing.assert_allclose(r_inv, np.linalg.inv(R), rtol=1e-15)
+    np.testing.assert_array_equal(q_inv, regularized_inverse(model.q, err=CovarianceError))
+    np.testing.assert_array_equal(r_inv, regularized_inverse(model.r, err=CovarianceError))
+    # the kept arrays are shared by every step, so they are read-only
+    assert not q_inv.flags.writeable and not r_inv.flags.writeable
+
+
 def test_pcrlb_step_requires_two_particles():
     belief = GaussianBelief(np.zeros(2), P0)
     with pytest.raises(InvalidInputError, match="need at least 2 particles"):
@@ -416,6 +429,11 @@ def test_a_models_constants_are_derived_once_when_it_is_built(case):
     np.testing.assert_array_equal(model.q_chol, safe_cholesky(model.q))
     np.testing.assert_array_equal(model.d11, symmetrize(weighted_gram(model.f[None], model.q_inv)))
     np.testing.assert_array_equal(model.d12, -np.einsum("ks,kl->sl", model.f, model.q_inv))
+    # the steps read the blocks the constructor derived, not fresh copies
+    d11, d12 = model.d11, model.d12
+    for k, belief in enumerate(beliefs):
+        step(belief, ex, model, 50, k)
+    assert model.d11 is d11 and model.d12 is d12
     # the particle filter draws its process noise through the kept factor
     cloud = ParticleCloud.uniform(seed_particles(beliefs[0], 50, np.random.default_rng(2), model).particles)
     moved = propagate_cloud(cloud, ex, model, np.random.default_rng(42))
