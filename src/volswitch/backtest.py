@@ -280,7 +280,7 @@ def write_reports(bundle: ReportBundle, bank, out_dir) -> dict:
         paths["pcrlb_trace"],
         ["t", "filter", "j_v", "j_r", "jinv_v", "jinv_r", "phi_trace"],
         [
-            [r.t, f.name, *r.fisher_diags[0], *r.fisher_diags[1], r.phi_traces.get(f)]
+            [r.t, f.name, *(np.concatenate(r.fisher_diags) if r.fisher_diags else (None,) * 4), r.phi_traces.get(f)]
             for r in records
             for f in bank
         ],

@@ -65,7 +65,7 @@ class RunConfig:
     def initial_belief(self):
         return np.array([self.v0, self.r0]), np.diag([self.p0_v, self.p0_r])
 
-    def estimation_settings(self, mode="average", filters=FILTER_ORDER, seed=0, compute_pcrlb=True):
+    def estimation_settings(self, mode="average", filters=FILTER_ORDER, seed=0):
         x0, p0 = self.initial_belief()
         return EstimationSettings(
             x0=x0,
@@ -77,7 +77,6 @@ class RunConfig:
             sigma_params=SigmaPointParams(self.ukf_alpha, self.ukf_beta, self.ukf_kappa),
             ess_threshold=self.ess_threshold if self.ess_threshold > 0.0 else None,
             independent_chains=self.independent_chains,
-            compute_pcrlb=compute_pcrlb,
             seed=seed,
         )
 

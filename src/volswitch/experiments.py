@@ -78,10 +78,7 @@ def run_synthetic_comparison(
     counts = {}
     for strategy in strategies:
         mode, bank = strategy_bank(str(strategy).upper())
-        # a lone filter has nothing to switch to, so its bound would go unread
-        settings = cfg.estimation_settings(
-            mode=mode, filters=bank, seed=seed, compute_pcrlb=len(bank) > 1
-        )
+        settings = cfg.estimation_settings(mode=mode, filters=bank, seed=seed)
         records = run_adaptive_estimation(truth.observations, truth.exogenous, model, settings)
         rmse_by_strategy[str(strategy)] = state_rmse(records, truth)
         if len(bank) > 1:

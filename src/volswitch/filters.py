@@ -5,7 +5,8 @@ All three consume the same ``StateSpaceModel`` interface and return a
 them interchangeably. The particle filter additionally returns its
 resampled cloud. A model measures one price per step: its R is 1x1, as
 ``StateSpaceModel`` checks when the model is built, and an innovation
-covariance that is not 1x1 raises ``InvalidInputError``.
+covariance that is not 1x1, or a particle's predicted measurement that
+is not one price, raises ``InvalidInputError``.
 """
 
 from __future__ import annotations
@@ -127,12 +128,16 @@ def propagate_cloud(cloud: ParticleCloud, ex, model, rng: np.random.Generator) -
 
 
 def likelihood_logweights(particles: np.ndarray, obs, ex, model) -> np.ndarray:
-    """Per-particle log N(obs; g(x), R) for one measured price."""
+    """Per-particle log N(obs; g(x), R) for one measured price; more than one raises ``InvalidInputError``."""
     var = model.r[0, 0]
-    dev = np.atleast_1d(np.asarray(obs, dtype=float))[None, :] - model.measurement_batch(particles, ex)
+    obs = np.asarray(obs, dtype=float)
+    pred = model.measurement_batch(particles, ex)
+    if obs.size != 1 or pred.shape != (particles.shape[0], 1):
+        raise InvalidInputError(f"a model measures one price: got {obs.size} observed and predictions {pred.shape}")
+    dev = obs.item() - pred[:, 0]
     # overflow to -inf is fine here: normalize_logweights raises only if every weight does
     with np.errstate(over="ignore"):
-        return -0.5 * dev[:, 0] ** 2 / var - 0.5 * math.log(2.0 * math.pi * var)
+        return -0.5 * dev ** 2 / var - 0.5 * math.log(2.0 * math.pi * var)
 
 
 def normalize_logweights(logw: np.ndarray) -> np.ndarray:

@@ -8,7 +8,10 @@ winner component by component.
 
 The bound is one per run, the system's, and every filter of a step is
 scored against the same J^{-1}. It is seeded from each step's decision,
-which is also the next step's shared prior, in both chain modes.
+which is also the next step's shared prior, in both chain modes. So only
+average-case selection over two or more filters reads it, as the weights
+of the components: in best-case selection it cancels, and the winner per
+component is the filter claiming the smallest variance.
 """
 
 from __future__ import annotations
@@ -114,12 +117,8 @@ def select_average(
     metrics: Mapping[FilterId, PerfMetric],
     beliefs: Mapping[FilterId, GaussianBelief],
 ) -> SwitchDecision:
-    """Whole-state winner: the filter with the largest phi trace."""
-    ranked = _ordered(metrics)
-    best = ranked[0]
-    for m in ranked[1:]:
-        if m.trace > best.trace:  # strict: ties keep the earlier filter
-            best = m
+    """Whole-state winner: the filter with the largest phi trace, the earlier one on a tie."""
+    best = max(_ordered(metrics), key=lambda m: m.trace)  # max keeps the first of equal scores
     belief = beliefs[best.filter]
     return SwitchDecision(
         mode="average",
@@ -133,25 +132,16 @@ def select_best(
     metrics: Mapping[FilterId, PerfMetric],
     beliefs: Mapping[FilterId, GaussianBelief],
 ) -> SwitchDecision:
-    """Component-wise winners stitched into a composite estimate.
+    """Component-wise winners, the earlier filter on a tie, stitched into a composite estimate.
 
     The composite covariance keeps only the winners' variances on the
     diagonal; cross-covariances between filters are unknown and left zero.
     """
     ranked = _ordered(metrics)
-    s = ranked[0].phi.shape[0]
-    estimate = np.empty(s)
-    variances = np.empty(s)
-    chosen = []
-    for j in range(s):
-        winner = ranked[0]
-        for m in ranked[1:]:
-            if m.phi[j, j] > winner.phi[j, j]:
-                winner = m
-        chosen.append(winner.filter)
-        estimate[j] = beliefs[winner.filter].mean[j]
-        variances[j] = beliefs[winner.filter].cov[j, j]
-    return SwitchDecision(mode="best", chosen=tuple(chosen), estimate=estimate, cov=np.diag(variances))
+    chosen = tuple(max(ranked, key=lambda m: m.phi[j, j]).filter for j in range(ranked[0].phi.shape[0]))
+    estimate = np.array([beliefs[f].mean[j] for j, f in enumerate(chosen)])
+    variances = np.array([beliefs[f].cov[j, j] for j, f in enumerate(chosen)])
+    return SwitchDecision(mode="best", chosen=chosen, estimate=estimate, cov=np.diag(variances))
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +161,6 @@ class EstimationSettings:
     sigma_params: SigmaPointParams = field(default_factory=SigmaPointParams)
     ess_threshold: float | None = None
     independent_chains: bool = False
-    compute_pcrlb: bool = True
     seed: int = 0
 
     def __post_init__(self):
@@ -203,7 +192,7 @@ class BacktestRecord:
     observed_price: float
     filter_estimates: dict
     phi_traces: dict
-    fisher_diags: tuple  # (diag J, diag J^{-1}) at this step, shared by every filter
+    fisher_diags: tuple | None  # (diag J, diag J^{-1}) at this step, shared by every filter, if a bound ran
     fallbacks: list = field(default_factory=list)  # (event, FilterId | None) applied at this step
     fitted_price: float | None = None
     forecast_price: float | None = None
@@ -289,13 +278,17 @@ def run_adaptive_estimation(observations, exogenous, model, settings: Estimation
     the run only aborts for malformed input. This loop is the one place that
     applies a numerical fallback: each one is logged as a warning and
     recorded on its step's ``BacktestRecord.fallbacks``. Returns one
-    BacktestRecord per observation. Only the PF draws, from its (seed,
-    filter, t) substream; with shared chains its cloud is discarded, so it
-    never resamples.
+    BacktestRecord per observation. Of the filters only the PF draws, from
+    its (seed, filter, t) substream; with shared chains its cloud is
+    discarded, so it never resamples.
 
-    The bound update from step t's decision (``_bound_step``) is submitted
-    once step t is decided and collected just before step t+1 is scored.
-    Where ``workers.fork_cpus`` gives two or more CPUs it runs in a forked
+    The bound runs only in mode ``"average"`` with two or more filters,
+    where it can change a choice. Elsewhere no bound step, worker or bound
+    stream runs; every score is read against the constant P0, and the
+    records carry no phi traces and no ``fisher_diags``. Where it runs, the
+    update from step t's decision (``_bound_step``) is submitted once step
+    t is decided and collected just before step t+1 is scored. Where
+    ``workers.fork_cpus`` gives two or more CPUs it runs in a forked
     worker while step t+1's filters update, else in this process when it
     is collected. Its warning is logged at collection and its fallback goes
     on step t's record. No worker outlives the call.
@@ -313,7 +306,7 @@ def run_adaptive_estimation(observations, exogenous, model, settings: Estimation
     p0 = symmetrize(np.asarray(settings.p0, dtype=float))
     initial = GaussianBelief(x0, p0)
     priors = dict.fromkeys(settings.filters, initial)  # each filter's prior for the next step
-    j, j_inv = initial_information(p0)  # the bound every filter is scored against
+    j, j_inv = initial_information(p0)  # the bound every filter is scored against; P0 if none runs
     pf_cloud = None
     # what a step with no usable filter carries forward: the previous
     # decision, or at the first step this stand-in built from the initial belief
@@ -325,8 +318,9 @@ def run_adaptive_estimation(observations, exogenous, model, settings: Estimation
     )
     records: list[BacktestRecord] = []
     n_steps = len(observations)
+    run_bound = settings.mode == "average" and len(settings.filters) >= 2
     forked = None
-    if settings.compute_pcrlb and n_steps > 1 and workers.fork_cpus() >= 2:
+    if run_bound and n_steps > 1 and workers.fork_cpus() >= 2:
         forked = _ForkedBound(model, settings, exogenous, j, j_inv)
     try:
         for t, (obs, ex) in enumerate(zip(observations, exogenous)):
@@ -351,7 +345,7 @@ def run_adaptive_estimation(observations, exogenous, model, settings: Estimation
                 beliefs[fid] = belief
 
             # J_t, from step t-1's decision, which ``decision`` still is
-            if settings.compute_pcrlb and t > 0:
+            if run_bound and t > 0:
                 if forked is None:
                     j, j_inv, error = _bound_step(
                         model, settings, exogenous, t - 1, j, j_inv, decision.estimate, decision.cov
@@ -395,8 +389,8 @@ def run_adaptive_estimation(observations, exogenous, model, settings: Estimation
                     decision=decision,
                     observed_price=obs,
                     filter_estimates={f: b.mean.copy() for f, b in beliefs.items()},
-                    phi_traces={f: m.trace for f, m in metrics.items()},
-                    fisher_diags=(j.diagonal().copy(), j_inv.diagonal().copy()),
+                    phi_traces={f: m.trace for f, m in metrics.items()} if run_bound else {},
+                    fisher_diags=(j.diagonal().copy(), j_inv.diagonal().copy()) if run_bound else None,
                     fallbacks=fallbacks,
                 )
             )

@@ -445,7 +445,7 @@ def test_gate_adaptive_switching_efficacy(capsys):
         for fid in singles:
             s = EstimationSettings(
                 x0=np.array([1.6e-4, 0.02]), p0=np.diag([1e-8, 1e-4]), filters=(fid,),
-                pf_particles=300, compute_pcrlb=False, seed=seed,
+                pf_particles=300, seed=seed,
             )
             row[fid.name] = _state_rmse(
                 run_adaptive_estimation(truth.observations, truth.exogenous, model, s), truth

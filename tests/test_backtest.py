@@ -1,3 +1,4 @@
+import csv
 import datetime as dt
 import logging
 import math
@@ -455,6 +456,28 @@ def test_reports_written_and_reproducible(tmp_path):
         step_rows = [row.split(",") for row in trace_rows[3 * t:3 * t + 3]]
         assert [row[:2] for row in step_rows] == [[str(t), f.name] for f in FILTER_ORDER]
         assert all(row[2:6] == step_rows[0][2:6] for row in step_rows)
+
+
+@pytest.mark.parametrize("strategy", ["AAF", "ABF", "EKF"])
+def test_only_a_run_that_reads_the_bound_fills_its_cells(tmp_path, strategy):
+    # every report is written with the same header; where no bound ran, its cells are empty
+    cfg = regime_config()
+    series, _ = synthetic_series(cfg, n_steps=10)
+    bundle = run_backtest(cfg, series, strategy=strategy, out_dir=tmp_path, seed=0)
+    assert set(bundle.paths) == set(REPORT_FILES)
+    bound_cells = {
+        "decision_log": [f"phi_{f.name}" for f in FILTER_ORDER],
+        "pcrlb_trace": ["j_v", "j_r", "jinv_v", "jinv_r", "phi_trace"],
+    }
+    for name, columns in bound_cells.items():
+        with open(bundle.paths[name], encoding="utf-8", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert set(columns) <= set(rows[0])
+        cells = [row[c] for row in rows for c in columns]
+        if strategy == "AAF":
+            assert all(cell and math.isfinite(float(cell)) for cell in cells)
+        else:
+            assert set(cells) == {""}
 
 
 def test_decision_log_round_trips_volatility_points(tmp_path):

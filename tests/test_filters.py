@@ -298,6 +298,19 @@ def test_a_model_that_measures_two_values_is_rejected():
             update(prior, obs, None, two)
 
 
+def test_the_pf_weighs_one_price_or_rejects_the_model():
+    # a second measured row under a 1x1 R is rejected, not ignored, whatever its quote
+    two = LinearGaussianModel(A, [[1.0, 0.5], [0.0, 1.0]], Q, [[0.1]])
+    cloud = ParticleCloud.uniform(np.random.default_rng(0).normal(size=(50, 2)))
+    for model, obs in ((two, [0.1, 0.2]), (two, [0.1, 99.0]), (two, [0.1]), (linear_model(), [0.1, 0.2])):
+        with pytest.raises(InvalidInputError, match="one price"):
+            pf_update(cloud, np.array(obs), None, model, np.random.default_rng(1))
+    # one price, as a 1-element array or a float, weighs alike
+    a = pf_update(cloud, np.array([0.1]), None, linear_model(), np.random.default_rng(1))[1]
+    b = pf_update(cloud, 0.1, None, linear_model(), np.random.default_rng(1))[1]
+    np.testing.assert_array_equal(a.mean, b.mean)
+
+
 def test_a_gaussian_posterior_that_overflows_is_a_numerical_failure():
     # the gain is about 2, so the posterior mean of y = 1.5e308 overflows to inf
     model = LinearGaussianModel([[1.0]], [[0.5]], [[0.01]], [[1.0]])

@@ -350,41 +350,123 @@ def test_shared_chain_restarts_filters_from_the_decision():
 
 def test_run_records_carry_per_filter_diagnostics():
     ys = observations(n_steps=6)
-    cfg = settings(pf_particles=150, pcrlb_particles=80, mode="best")
-    records = run_adaptive_estimation(ys, [None] * len(ys), linear_model(), cfg)
-    for rec in records:
-        assert set(rec.filter_estimates) == set(cfg.filters)
-        assert set(rec.phi_traces) == set(cfg.filters)
-        assert len(rec.decision.chosen) == 2  # one winner per state component
-        j_diag, j_inv_diag = rec.fisher_diags  # the one bound, shared by every filter
-        assert j_diag.shape == (2,) and j_inv_diag.shape == (2,)
+    for mode, n_chosen in (("average", 1), ("best", 2)):  # one winner per state component in best mode
+        cfg = settings(pf_particles=150, pcrlb_particles=80, mode=mode)
+        records = run_adaptive_estimation(ys, [None] * len(ys), linear_model(), cfg)
+        for rec in records:
+            assert set(rec.filter_estimates) == set(cfg.filters)
+            assert len(rec.decision.chosen) == n_chosen
+            if mode == "average":
+                assert set(rec.phi_traces) == set(cfg.filters)
+                j_diag, j_inv_diag = rec.fisher_diags  # the one bound, shared by every filter
+                assert j_diag.shape == (2,) and j_inv_diag.shape == (2,)
+            else:  # best mode reads no bound, so it records none
+                assert rec.phi_traces == {} and rec.fisher_diags is None
 
 
-def test_compute_pcrlb_false_freezes_the_bound():
-    ys = observations(n_steps=8)
-    cfg = settings(filters=(FilterId.EKF,), compute_pcrlb=False)
-    records = run_adaptive_estimation(ys, [None] * len(ys), linear_model(), cfg)
-    j0 = np.diag(np.linalg.inv(P0))
-    for rec in records:
-        np.testing.assert_allclose(rec.fisher_diags[0], j0, atol=1e-12)
-        np.testing.assert_allclose(rec.fisher_diags[1], np.diag(P0), atol=1e-12)
+def spy_on_the_bound(monkeypatch, tmp_path):
+    """Counts what runs the bound, in this process or a forked worker: returns a reader of the counts.
+
+    Each event is appended to a file, so that the bound worker's count too.
+    """
+    log = tmp_path / "bound-events"
+    log.write_text("")
+
+    def record(event):
+        with open(log, "a") as fh:
+            fh.write(event + "\n")
+
+    start, step, stream = workers.start, switching.pcrlb_step, switching.substream
+
+    def counting_stream(seed, filter_index, t, purpose):
+        if purpose == switching._STREAM_BOUND:
+            record("bound-stream")
+        return stream(seed, filter_index, t, purpose)
+
+    monkeypatch.setattr(workers, "start", lambda *args, **kw: record("start") or start(*args, **kw))
+    monkeypatch.setattr(switching, "pcrlb_step", lambda *args: record("pcrlb_step") or step(*args))
+    monkeypatch.setattr(switching, "substream", counting_stream)
+    return lambda: Counter(log.read_text().split())
 
 
+@needs_fork
 @pytest.mark.parametrize("fid", [FilterId.EKF, FilterId.UKF, FilterId.PF])
-def test_single_filter_estimates_do_not_read_the_bound(fid):
+def test_single_filter_estimates_do_not_read_the_bound(monkeypatch, tmp_path, fid):
+    # a lone filter has nothing to rank: no worker, no bound step, no bound
+    # stream and no bound on its records, so not even a failing bound shows
     ys = observations(n_steps=10)
-    runs = [
-        run_adaptive_estimation(
-            ys, [None] * len(ys), linear_model(),
-            settings(filters=(fid,), pf_particles=200, pcrlb_particles=50, compute_pcrlb=on),
+    for cpus in (1, 2):
+        monkeypatch.setattr(workers, "fork_cpus", lambda: cpus)
+        events = spy_on_the_bound(monkeypatch, tmp_path)
+        records = run_adaptive_estimation(
+            ys, [None] * len(ys), FailingBoundModel(), settings(filters=(fid,), pf_particles=200, pcrlb_particles=50)
         )
-        for on in (True, False)
-    ]
-    for with_bound, without in zip(*runs):
-        np.testing.assert_array_equal(with_bound.decision.estimate, without.decision.estimate)
-        np.testing.assert_array_equal(with_bound.decision.cov, without.decision.cov)
-    # the first run did advance its bound
-    assert not np.array_equal(runs[0][-1].fisher_diags[0], runs[1][-1].fisher_diags[0])
+        assert events() == Counter()
+        for rec in records:
+            assert rec.fallbacks == [] and rec.phi_traces == {} and rec.fisher_diags is None
+
+
+@needs_fork
+@pytest.mark.parametrize("cpus", [1, 2], ids=["in-process", "worker"])
+@pytest.mark.parametrize(
+    "kw, reads_the_bound",
+    [
+        ({}, True),
+        ({"filters": (FilterId.EKF, FilterId.PF)}, True),
+        ({"mode": "best"}, False),
+        ({"mode": "best", "filters": (FilterId.UKF,)}, False),
+    ],
+    ids=["AAF", "AAF-of-two", "ABF", "best-of-one"],
+)
+def test_only_an_average_bank_of_two_or_more_runs_the_bound(monkeypatch, tmp_path, cpus, kw, reads_the_bound):
+    monkeypatch.setattr(workers, "fork_cpus", lambda: cpus)
+    events = spy_on_the_bound(monkeypatch, tmp_path)
+    ys = observations(n_steps=8)
+    records = run_adaptive_estimation(
+        ys, [None] * len(ys), linear_model(), settings(pf_particles=100, pcrlb_particles=50, **kw)
+    )
+    steps = len(ys) - 1 if reads_the_bound else 0  # one bound step per step with a next observation
+    workers_started = int(reads_the_bound and cpus == 2)
+    assert events() == +Counter({"start": workers_started, "pcrlb_step": steps, "bound-stream": steps})
+    for rec in records:
+        assert (rec.fisher_diags is not None) is reads_the_bound
+        assert bool(rec.phi_traces) is reads_the_bound
+
+
+@pytest.mark.parametrize("independent_chains", [False, True], ids=["shared", "independent"])
+def test_abf_picks_the_smallest_claimed_variance_per_component(monkeypatch, independent_chains):
+    cfg = replace(SYNTHETIC_CONFIG, pf_particles=200, pcrlb_particles=60, independent_chains=independent_chains)
+    spec = cfg.model_spec(SYNTHETIC_CONTRACT)
+    truth = generate_synthetic(spec, 30, SYNTHETIC_S0, (cfg.v0, cfg.r0), seed=5)
+    steps = []  # per step, each filter's posterior as the switch saw it
+    real = switching._filter_update
+
+    def update(fid, *args):
+        belief, cloud = real(fid, *args)
+        if fid is FilterId.EKF:
+            steps.append({})
+        elif fid is FilterId.PF and (len(steps) - 1) % 3 == 0:
+            # every third step the PF claims the EKF's variances: a tie that the EKF must win
+            belief = GaussianBelief(belief.mean, steps[-1][FilterId.EKF].cov.copy())
+        steps[-1][fid] = belief
+        return belief, cloud
+
+    monkeypatch.setattr(switching, "_filter_update", update)
+    records = run_adaptive_estimation(
+        truth.observations, truth.exogenous, BsGarchModel(spec), cfg.estimation_settings(mode="best", seed=5)
+    )
+    assert len(steps) == len(records)
+    ties_won = 0
+    for rec, beliefs in zip(records, steps):
+        assert rec.fallbacks == []
+        for j, chosen in enumerate(rec.decision.chosen):
+            # min keeps the first of equal variances: the earlier filter in FILTER_ORDER
+            expect = min(FILTER_ORDER, key=lambda f: beliefs[f].cov[j, j])
+            assert chosen is expect
+            assert rec.decision.estimate[j] == beliefs[expect].mean[j]
+            assert rec.decision.cov[j, j] == beliefs[expect].cov[j, j]
+            ties_won += chosen is FilterId.EKF and beliefs[FilterId.PF].cov[j, j] == beliefs[FilterId.EKF].cov[j, j]
+    assert ties_won > 0
 
 
 class FailingJacobianModel(LinearGaussianModel):
@@ -406,7 +488,7 @@ class FailingJacobianModel(LinearGaussianModel):
 def test_filter_failure_holds_prior_and_inflates_covariance(caplog):
     ys = observations(n_steps=5)
     model = FailingJacobianModel(fail_at=2)
-    cfg = settings(filters=(FilterId.EKF,), compute_pcrlb=False)
+    cfg = settings(filters=(FilterId.EKF,))
     with caplog.at_level(logging.WARNING, logger="volswitch.switching"):
         records = run_adaptive_estimation(ys, [None] * len(ys), model, cfg)
     assert any("holding prior with inflated covariance" in rec.message for rec in caplog.records)
@@ -439,13 +521,13 @@ class FailingBoundModel(LinearGaussianModel):
 def test_bound_failure_carries_information_forward(caplog):
     ys = observations(n_steps=5)
     j0 = np.diag(np.linalg.inv(P0))
-    for bank in ((FilterId.EKF,), FILTER_ORDER):
+    for bank in ((FilterId.EKF, FilterId.UKF), FILTER_ORDER):
         caplog.clear()
         with caplog.at_level(logging.WARNING, logger="volswitch.switching"):
             records = run_adaptive_estimation(
                 ys, [None] * len(ys), FailingBoundModel(), settings(filters=bank, pf_particles=100)
             )
-        # one fallback and one warning per step with a next observation, whatever the bank
+        # one fallback and one warning per step with a next observation, whatever the bank that reads the bound
         carried = [m for m in caplog.messages if "carrying J forward" in m]
         assert carried == [f"bound update failed at t={t} (non-finite D matrices); carrying J forward"
                            for t in range(len(ys) - 1)]
@@ -456,7 +538,7 @@ def test_bound_failure_carries_information_forward(caplog):
 
 @needs_fork
 @pytest.mark.parametrize("cpus", [1, 2], ids=["in-process", "worker"])
-@pytest.mark.parametrize("kw", [{}, {"mode": "best"}, {"independent_chains": True}], ids=["AAF", "ABF", "independent"])
+@pytest.mark.parametrize("kw", [{}, {"independent_chains": True}], ids=["AAF", "independent"])
 def test_each_step_advances_the_one_bound_from_its_decision(monkeypatch, cpus, kw):
     monkeypatch.setattr(workers, "fork_cpus", lambda: cpus)
     ys = observations(n_steps=8)
@@ -701,7 +783,7 @@ def test_state_rmse_needs_one_record_per_true_state():
     cfg = SYNTHETIC_CONFIG
     spec = cfg.model_spec(SYNTHETIC_CONTRACT)
     truth = generate_synthetic(spec, 4, SYNTHETIC_S0, (cfg.v0, cfg.r0), seed=0)
-    run_settings = cfg.estimation_settings(mode="average", filters=(FilterId.EKF,), seed=0, compute_pcrlb=False)
+    run_settings = cfg.estimation_settings(mode="average", filters=(FilterId.EKF,), seed=0)
     records = run_adaptive_estimation(truth.observations, truth.exogenous, BsGarchModel(spec), run_settings)
     assert np.isfinite(state_rmse(records, truth))
     with pytest.raises(InvalidInputError, match="records and truth must cover the same steps"):
